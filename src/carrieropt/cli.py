@@ -17,10 +17,11 @@ import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from typing import NoReturn
 
 from .builder import build_problem
 from .costing import ObjectiveMode
-from .lp import OPTIMAL, SolveOptions, export_mps, warm_start_solve
+from .lp import export_mps
 from .scenarios import (
     InfeasibleCapError,
     ScenarioOutcome,
@@ -28,6 +29,7 @@ from .scenarios import (
     STANDARD_SCENARIO_IDS,
     abatement_sweep,
     apply_scenario,
+    run,
     standard_scenario,
 )
 from .system import validate_system
@@ -143,23 +145,44 @@ def export_results(outcome: ScenarioOutcome, directory: str | Path,
     return written
 
 
+def _fail(error: str, detail: str, code: int) -> NoReturn:
+    print(json.dumps({"error": error, "detail": detail}))
+    raise SystemExit(code)
+
+
 def _load_system(args):
     try:
         return parse_system_files(args.directory)
     except SchemaError as err:
-        print(json.dumps({"error": "schema", "detail": str(err)}), file=sys.stdout)
-        raise SystemExit(EXIT_VALIDATION) from None
+        _fail("schema", str(err), EXIT_VALIDATION)
     except OSError as err:
-        print(json.dumps({"error": "io", "detail": str(err)}), file=sys.stdout)
-        raise SystemExit(EXIT_IO) from None
+        _fail("io", str(err), EXIT_IO)
 
 
 def _scenario(args):
     try:
         return standard_scenario(args.scenario, year=args.year)
     except KeyError as err:
-        print(json.dumps({"error": "usage", "detail": str(err)}), file=sys.stdout)
-        raise SystemExit(EXIT_USAGE) from None
+        _fail("usage", str(err), EXIT_USAGE)
+
+
+def _warm_from(args) -> dict | None:
+    """The ``size_values`` of the prior result named by ``--warm-start``."""
+    if not args.warm_start:
+        return None
+    try:
+        text = Path(args.warm_start).read_bytes()
+    except OSError as err:
+        _fail("io", str(err), EXIT_IO)
+    try:
+        base = json.loads(text)
+    except ValueError:
+        base = None
+    sizes = base.get("size_values") if isinstance(base, dict) else None
+    if not (isinstance(sizes, dict)
+            and all(isinstance(v, (int, float)) for v in sizes.values())):
+        _fail("usage", f"{args.warm_start}: no size_values object of numbers", EXIT_USAGE)
+    return sizes
 
 
 def cmd_validate(args) -> int:
@@ -169,8 +192,7 @@ def cmd_validate(args) -> int:
         print(f"1 violation\n{err}")
         return EXIT_VALIDATION
     except OSError as err:
-        print(json.dumps({"error": "io", "detail": str(err)}))
-        return EXIT_IO
+        _fail("io", str(err), EXIT_IO)
     violations = validate_system(system)
     print(f"{len(violations)} violations")
     for message in violations:
@@ -182,80 +204,47 @@ def cmd_run(args) -> int:
     system = _load_system(args)
     scenario = _scenario(args)
     mode = args.mode
-    runner = ScenarioRunner(system, SolveOptions())
+    warm_from = _warm_from(args)
     _say(args, f"running {scenario.id} [{mode.label()}]")
     try:
-        if args.warm_start:
-            outcome = _run_warm(system, scenario, mode, args)
-        else:
-            outcome = runner.run(scenario, mode)
+        outcome = run(system, scenario, mode, warm_from=warm_from)
     except InfeasibleCapError as err:
         print(json.dumps({"error": "infeasible", "cap": err.cap,
                           "minimum_achievable": err.minimum_achievable},
                          sort_keys=True))
         return EXIT_INFEASIBLE
     except RuntimeError as err:
-        print(json.dumps({"error": "solver_limit", "detail": str(err)}))
-        return EXIT_SOLVER_LIMIT
+        _fail("solver_limit", str(err), EXIT_SOLVER_LIMIT)
     payload = json.dumps(outcome_to_json(outcome), indent=1, sort_keys=True)
     if args.out:
         try:
             export_results(outcome, args.out)
         except OSError as err:
-            print(json.dumps({"error": "io", "detail": str(err)}))
-            return EXIT_IO
+            _fail("io", str(err), EXIT_IO)
         _say(args, f"results written to {args.out}")
     print(payload)
     return EXIT_OK
 
 
-def _run_warm(system, scenario, mode, args) -> ScenarioOutcome:
-    """Three-stage warm start from a previous run's size values."""
-    base = json.loads(Path(args.warm_start).read_text(encoding="utf-8"))
-    base_sizes = base.get("size_values", {})
-    gated = apply_scenario(system, scenario)
-    built = build_problem(gated, mode)
-    names = set(built.problem.col_names)
-    prior = {name: value for name, value in base_sizes.items() if name in names}
-    new_sizes = [key.name() for key in built.index.keys()
-                 if key.step is None and key.name() not in prior]
-    ws = warm_start_solve(built.problem, prior, new_sizes, SolveOptions())
-    result = ws.final
-    if result.status != OPTIMAL:
-        raise RuntimeError(f"warm-started solve returned {result.status}")
-    from .costing import cost_breakdown, total_emissions
-    from .scenarios import compute_metrics, new_capacity_table
-    return ScenarioOutcome(
-        scenario_id=scenario.id, mode=mode, status=result.status,
-        objective=result.objective,
-        emissions=total_emissions(gated, built.index, result.x),
-        costs=cost_breakdown(gated, built.index, result.x),
-        metrics=compute_metrics(gated, built.index, result.x),
-        new_capacities=new_capacity_table(gated, built.index, result.x),
-        solver={"iterations": result.iterations, "nodes": result.nodes,
-                "bound_gap": result.bound_gap, "warm_start": True},
-        built=built, result=result,
-    )
-
-
 def cmd_sweep(args) -> int:
     system = _load_system(args)
     scenario = _scenario(args)
-    targets = [float(part) for part in args.targets.split(",") if part]
-    runner = ScenarioRunner(system, SolveOptions())
+    try:
+        targets = [float(part) for part in args.targets.split(",") if part]
+    except ValueError as err:
+        _fail("usage", str(err), EXIT_USAGE)
+    runner = ScenarioRunner(system)
     _say(args, f"sweeping {scenario.id} over {targets}")
     try:
         rows = abatement_sweep(system, scenario, targets, runner=runner)
     except ValueError as err:
-        print(json.dumps({"error": "usage", "detail": str(err)}))
-        return EXIT_USAGE
+        _fail("usage", str(err), EXIT_USAGE)
     text = frontier_csv(rows)
     if args.out:
         try:
             _atomic_write(Path(args.out) / f"{scenario.id}_frontier.csv", text)
         except OSError as err:
-            print(json.dumps({"error": "io", "detail": str(err)}))
-            return EXIT_IO
+            _fail("io", str(err), EXIT_IO)
     print(text, end="")
     return EXIT_OK
 
@@ -266,41 +255,40 @@ def cmd_matrix(args) -> int:
         ids = list(STANDARD_SCENARIO_IDS)
     else:
         ids = [part.strip() for part in args.scenarios.split(",") if part.strip()]
-    modes = [_parse_mode(part) for part in args.modes.split(",") if part]
-    runner = ScenarioRunner(system, SolveOptions())
+    try:
+        scenarios = [standard_scenario(sid, year=args.year) for sid in ids]
+        modes = [_parse_mode(part) for part in args.modes.split(",") if part]
+    except (KeyError, ValueError, argparse.ArgumentTypeError) as err:
+        _fail("usage", str(err), EXIT_USAGE)
+    runner = ScenarioRunner(system)
     jobs = args.jobs or int(os.environ.get(JOBS_ENV, "1"))
-    combos = [(sid, mode) for sid in ids for mode in modes]
+    combos = [(scenario, mode) for scenario in scenarios for mode in modes]
 
     def one(combo):
-        sid, mode = combo
-        scenario = standard_scenario(sid, year=args.year)
+        """(scenario id, mode, outcome), or the error message of a failed run."""
+        scenario, mode = combo
         _say(args, f"running {scenario.id} [{mode.label()}]")
-        return scenario.id, mode, runner.run(scenario, mode)
+        try:
+            return scenario.id, mode, runner.run(scenario, mode)
+        except (InfeasibleCapError, RuntimeError) as err:
+            return str(err)
 
-    results = []
-    failures = []
+    # --jobs 1 must stay on the calling thread: per-thread span stacks in
+    # perfbench/tracing.py and its calibration between solves rely on it
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(one, combo) for combo in combos]
-            for future in futures:
-                try:
-                    results.append(future.result())
-                except (InfeasibleCapError, RuntimeError) as err:
-                    failures.append(str(err))
+            done = list(pool.map(one, combos))
     else:
-        for combo in combos:
-            try:
-                results.append(one(combo))
-            except (InfeasibleCapError, RuntimeError) as err:
-                failures.append(str(err))
-    results.sort(key=lambda item: (item[0], item[1].label()))
+        done = list(map(one, combos))
+    failures = [item for item in done if isinstance(item, str)]
+    results = sorted((item for item in done if not isinstance(item, str)),
+                     key=lambda item: (item[0], item[1].label()))
     out = Path(args.out)
     try:
         for sid, mode, outcome in results:
             export_results(outcome, out)
     except OSError as err:
-        print(json.dumps({"error": "io", "detail": str(err)}))
-        return EXIT_IO
+        _fail("io", str(err), EXIT_IO)
     summary = {
         "runs": [{"scenario": sid, "mode": mode.label(),
                   "objective": outcome.objective,
@@ -321,8 +309,7 @@ def cmd_export_mps(args) -> int:
         path = export_mps(built.problem, args.out,
                           name=f"{scenario.id}-{args.mode.kind}".upper())
     except OSError as err:
-        print(json.dumps({"error": "io", "detail": str(err)}))
-        return EXIT_IO
+        _fail("io", str(err), EXIT_IO)
     _say(args, f"wrote {path}")
     print(str(path))
     return EXIT_OK

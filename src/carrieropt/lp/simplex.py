@@ -35,23 +35,24 @@ UNBOUNDED = "unbounded"
 ITERATION_LIMIT = "iteration_limit"
 
 
+# Numerical constants, absolute on the scaled problem.
+OPT_TOL = 1e-9         # dual feasibility threshold for pricing
+PIVOT_TOL = 1e-9       # smallest acceptable pivot magnitude
+REFACTOR_EVERY = 100   # eta-file length that triggers a refactorization
+BLAND_AFTER = 400      # consecutive degenerate steps before Bland's rule
+
+
 @dataclass
 class SolveOptions:
-    """Numerical and behavioural knobs, centralized.
+    """Work limits of a solve.
 
-    All tolerances are absolute on the scaled problem unless noted.
+    Tolerances and pivoting rules are constants, not options: ``OPT_TOL``,
+    ``PIVOT_TOL``, ``REFACTOR_EVERY`` and ``BLAND_AFTER`` in this module, and
+    ``MIP_GAP`` and ``INTEGRALITY_TOL`` in :mod:`carrieropt.lp.branch_bound`.
     """
 
-    opt_tol: float = 1e-9          # dual feasibility threshold for pricing
-    feas_tol: float = 1e-7         # relative primal feasibility contract
-    pivot_tol: float = 1e-9        # smallest acceptable pivot magnitude
-    integrality_tol: float = 1e-6  # MILP integrality test
-    mip_gap: float = 1e-6          # absolute branch-and-bound gap
     max_iterations: int = 0        # 0: derived from problem size
     max_nodes: int = 100_000
-    refactor_every: int = 100
-    scale: bool = True
-    bland_after: int = 400         # consecutive degenerate steps before Bland
 
 
 @dataclass
@@ -160,10 +161,7 @@ class _Simplex:
         m, n = problem.a.shape
         self.m, self.n_struct = m, n
 
-        if options.scale and n > 0:
-            self.row_scale, self.col_scale = _geometric_scaling(problem.a)
-        else:
-            self.row_scale, self.col_scale = np.ones(m), np.ones(n)
+        self.row_scale, self.col_scale = _geometric_scaling(problem.a)
 
         a_scaled = sp.diags(self.row_scale) @ problem.a @ sp.diags(self.col_scale)
         slack = sp.identity(m, format="csr")
@@ -294,7 +292,7 @@ class _Simplex:
 
         phase1_cost = np.zeros(self.ncol)
         phase1_cost[self.art_start:] = 1.0
-        status = self._iterate(phase1_cost, phase=1)
+        status = self._iterate(phase1_cost)
         if status == ITERATION_LIMIT:
             return False, ["phase-1 iteration limit"]
         art_total = float(np.abs(self.x[self.art_start:]).sum())
@@ -323,7 +321,7 @@ class _Simplex:
                 continue  # structurally dependent row; artificial stays pinned at 0
             enter = int(candidates[0])
             d = self.fact.ftran(self.a[:, enter].toarray().ravel())
-            if abs(d[i]) < self.opts.pivot_tol:
+            if abs(d[i]) < PIVOT_TOL:
                 continue
             self.vstat[enter] = BASIC
             self.vstat[j] = AT_LOWER
@@ -341,11 +339,10 @@ class _Simplex:
         return 20_000 + 40 * (self.m + self.n_struct)
 
     def _maybe_refactor(self) -> None:
-        if len(self.fact.etas) >= self.opts.refactor_every:
+        if len(self.fact.etas) >= REFACTOR_EVERY:
             self.fact.refactor(self.basis)
 
-    def _iterate(self, cost: np.ndarray, phase: int) -> str:
-        tol = self.opts.opt_tol
+    def _iterate(self, cost: np.ndarray) -> str:
         limit = self._max_iterations()
         self._degenerate_run = 0
         self._bland = False
@@ -356,7 +353,7 @@ class _Simplex:
 
             y = self.fact.btran(cost[self.basis])
             z = cost - self.a.T @ y
-            j = self._price(z, tol)
+            j = self._price(z)
             if j < 0:
                 return OPTIMAL
             direction = 1.0
@@ -369,9 +366,9 @@ class _Simplex:
             lo_b, up_b = self.lower[self.basis], self.upper[self.basis]
 
             lim = np.full(self.m, np.inf)
-            dec = delta > self.opts.pivot_tol
+            dec = delta > PIVOT_TOL
             lim[dec] = (xb[dec] - lo_b[dec]) / delta[dec]
-            inc = delta < -self.opts.pivot_tol
+            inc = delta < -PIVOT_TOL
             lim[inc] = (up_b[inc] - xb[inc]) / (-delta[inc])
             lim = np.maximum(lim, 0.0)
             min_basic = lim.min() if self.m else np.inf
@@ -399,13 +396,13 @@ class _Simplex:
 
             if step <= 1e-10:
                 self._degenerate_run += 1
-                if self._degenerate_run > self.opts.bland_after:
+                if self._degenerate_run > BLAND_AFTER:
                     self._bland = True
             else:
                 self._degenerate_run = 0
                 self._bland = False
 
-    def _price(self, z: np.ndarray, tol: float) -> int:
+    def _price(self, z: np.ndarray) -> int:
         viol = np.zeros(self.ncol)
         at_lower = self.vstat == AT_LOWER
         at_upper = self.vstat == AT_UPPER
@@ -415,10 +412,10 @@ class _Simplex:
         viol[at_value] = np.abs(z[at_value])
         viol[(self.upper == self.lower) & (self.vstat != BASIC)] = 0.0
         if self._bland:
-            eligible = np.flatnonzero(viol > tol)
+            eligible = np.flatnonzero(viol > OPT_TOL)
             return int(eligible[0]) if eligible.size else -1
         j = int(np.argmax(viol))
-        return j if viol[j] > tol else -1
+        return j if viol[j] > OPT_TOL else -1
 
     def _pivot(self, entering: int, r: int, d: np.ndarray, delta: np.ndarray,
                step: float, direction: float) -> None:
@@ -439,7 +436,7 @@ class _Simplex:
 
     # -- result extraction ---------------------------------------------------
 
-    def finish(self, status: str, want_duals: bool) -> SolveResult:
+    def finish(self, status: str) -> SolveResult:
         problem = self.problem
         n = self.n_struct
         if status != OPTIMAL:
@@ -452,15 +449,12 @@ class _Simplex:
         x = self.x[:n] * self.col_scale
         objective = float(problem.objective @ x)
 
-        duals = reduced = None
-        if want_duals:
-            y = self.fact.btran(self.c[self.basis])
-            z = self.c - self.a.T @ y
-            y_orig = y * self.row_scale
-            duals = np.empty(self.m)
-            for i, sense in enumerate(problem.senses):
-                duals[i] = -y_orig[i] if sense == LE else y_orig[i]
-            reduced = z[:n] / self.col_scale
+        y = self.fact.btran(self.c[self.basis])
+        z = self.c - self.a.T @ y
+        y_orig = y * self.row_scale
+        duals = np.empty(self.m)
+        for i, sense in enumerate(problem.senses):
+            duals[i] = -y_orig[i] if sense == LE else y_orig[i]
 
         basis = None
         core = self.n_struct + self.m
@@ -476,7 +470,7 @@ class _Simplex:
             objective=objective,
             x=x,
             duals=duals,
-            reduced_costs=reduced,
+            reduced_costs=z[:n] / self.col_scale,
             iterations=self.iterations,
             basis=basis,
         )
@@ -502,7 +496,7 @@ def solve_lp(problem: SparseProblem, options: SolveOptions | None = None,
         res = SolveResult(status=INFEASIBLE, iterations=sx.iterations)
         res.infeasible_rows = bad_rows
         return res
-    status = sx._iterate(sx.c, phase=2)
+    status = sx._iterate(sx.c)
     if status == UNBOUNDED:
         return SolveResult(status=UNBOUNDED, iterations=sx.iterations)
-    return sx.finish(status, want_duals=True)
+    return sx.finish(status)

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .problem import GE, LE, SparseProblem
+from .problem import EQ, GE, LE, SparseProblem
 from .simplex import OPTIMAL, SolveResult
 
 
@@ -30,14 +30,12 @@ class VerificationReport:
         return max(checks) <= tol
 
 
-def verify_solution(problem: SparseProblem, result: SolveResult,
-                    check_integrality: bool = True) -> VerificationReport:
+def verify_solution(problem: SparseProblem, result: SolveResult) -> VerificationReport:
     """Recompute ``A x`` against senses/rhs, bounds, integrality and objective.
 
     For LP results carrying duals, also checks strong duality and
     complementary slackness from scratch. All violations are relative to the
-    scale of the data they check. Pass ``check_integrality=False`` when the
-    result is a deliberate LP relaxation of an integer-marked problem.
+    scale of the data they check.
     """
     if result.status != OPTIMAL or result.x is None:
         raise ValueError("verify_solution expects an optimal result")
@@ -63,7 +61,7 @@ def verify_solution(problem: SparseProblem, result: SolveResult,
     above = np.maximum(x - problem.upper, 0.0) / bscale
     report.max_bound_violation = float(np.maximum(below, above).max(initial=0.0))
 
-    if check_integrality and problem.integer.any():
+    if problem.integer.any():
         xi = x[problem.integer]
         report.max_integrality_violation = float(np.abs(xi - np.round(xi)).max(initial=0.0))
 
@@ -76,10 +74,12 @@ def verify_solution(problem: SparseProblem, result: SolveResult,
             y_raw[i] = -result.duals[i] if sense == LE else result.duals[i]
         z = problem.objective - problem.a.T @ y_raw
 
-        # complementary slackness on rows: dual * slack ~ 0
-        slack = np.abs(problem.rhs - ax)
-        comp_rows = float(np.max(np.abs(result.duals) * slack / (1.0 + np.abs(problem.rhs)),
-                                 initial=0.0))
+        # complementary slackness on inequality rows: dual * slack ~ 0. On an
+        # equality row |rhs - Ax| is a primal residual, checked above, not a slack.
+        ineq = problem.senses != EQ
+        slack = np.abs(problem.rhs - ax)[ineq]
+        comp_rows = float(np.max(np.abs(result.duals[ineq]) * slack
+                                 / (1.0 + np.abs(problem.rhs[ineq])), initial=0.0))
         # reduced-cost sign consistency and column complementarity
         comp_cols = 0.0
         at_lower = np.isfinite(problem.lower) & (np.abs(x - problem.lower) <= 1e-6 * bscale)

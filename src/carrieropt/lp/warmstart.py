@@ -5,10 +5,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-
 from .branch_bound import solve_milp
 from .problem import SparseProblem
-from .simplex import INFEASIBLE, OPTIMAL, SolveOptions, SolveResult, solve_lp
+from .simplex import INFEASIBLE, OPTIMAL, SolveOptions, SolveResult
 
 
 class WarmStartError(RuntimeError):
@@ -26,12 +25,6 @@ class WarmStartResult:
     @property
     def final(self) -> SolveResult:
         return self.stages[-1]
-
-
-def _solve(problem: SparseProblem, options: SolveOptions, start) -> SolveResult:
-    if problem.integer.any():
-        return solve_milp(problem, options)
-    return solve_lp(problem, options, start=start)
 
 
 def warm_start_solve(
@@ -69,7 +62,7 @@ def warm_start_solve(
         stage1.lower[col] = stage1.upper[col] = value
     for col in new_cols:
         stage1.lower[col] = stage1.upper[col] = 0.0
-    res1 = _solve(stage1, options, start=None)
+    res1 = solve_milp(stage1, options)
     if res1.status == INFEASIBLE:
         raise WarmStartError("stage-1 fixing is infeasible", res1.infeasible_rows)
     if res1.status != OPTIMAL:
@@ -78,11 +71,11 @@ def warm_start_solve(
     stage2 = problem.copy()
     for col, value in prior_cols.items():
         stage2.lower[col] = stage2.upper[col] = value
-    res2 = _solve(stage2, options, start=res1.basis)
+    res2 = solve_milp(stage2, options, start=res1.basis)
     if res2.status != OPTIMAL:
         raise WarmStartError(f"stage-2 solve ended with status {res2.status}", [])
 
-    res3 = _solve(problem, options, start=res2.basis)
+    res3 = solve_milp(problem, options, start=res2.basis)
     if res3.status != OPTIMAL:
         raise WarmStartError(f"stage-3 solve ended with status {res3.status}", [])
 

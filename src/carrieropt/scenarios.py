@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, replace
-from typing import Iterable
+from typing import Iterable, Mapping
 
 from .builder import BuiltProblem, build_problem
 from .costing import (
@@ -28,7 +28,8 @@ from .costing import (
     cost_breakdown,
     total_emissions,
 )
-from .lp import INFEASIBLE, OPTIMAL, SolveOptions, SolveResult, solve_lp, solve_milp
+from .lp import INFEASIBLE, OPTIMAL, SolveOptions, SolveResult, solve_milp, warm_start_solve
+from .lp import solve_lp  # unused here; perfbench/tracing.py wraps this module attribute
 from .system import (
     Carrier,
     EnergySystem,
@@ -217,24 +218,33 @@ class ScenarioOutcome:
         return out
 
 
-def _solve_built(built: BuiltProblem, options: SolveOptions) -> SolveResult:
-    if built.problem.integer.any():
-        return solve_milp(built.problem, options)
-    return solve_lp(built.problem, options)
-
-
 def run(system: EnergySystem, scenario: ScenarioSpec, mode: ObjectiveMode,
-        options: SolveOptions | None = None) -> ScenarioOutcome:
+        options: SolveOptions | None = None,
+        warm_from: Mapping[str, float] | None = None) -> ScenarioOutcome:
     """Gate, build, solve and post-process one scenario/mode combination.
+
+    ``warm_from`` maps size-column names to values, usually a prior outcome's
+    :meth:`ScenarioOutcome.size_values`. When given, the solve follows the
+    three-stage protocol of :func:`carrieropt.lp.warm_start_solve`: the
+    named sizes this problem has start fixed at their values, its other
+    sizes start at zero, and the outcome's ``solver`` block records
+    ``"warm_start": True``.
 
     Raises :class:`InfeasibleCapError` for caps below the achievable minimum
     (reporting that minimum), and ``RuntimeError`` for any other non-optimal
-    solver outcome.
+    solver outcome, including a :class:`carrieropt.lp.WarmStartError`.
     """
     options = options or SolveOptions()
     gated = apply_scenario(system, scenario)
     built = build_problem(gated, mode)
-    result = _solve_built(built, options)
+    if warm_from is None:
+        result = solve_milp(built.problem, options)
+    else:
+        names = set(built.problem.col_names)
+        prior = {name: value for name, value in warm_from.items() if name in names}
+        new_sizes = [key.name() for key in built.index.keys()
+                     if key.step is None and key.name() not in prior]
+        result = warm_start_solve(built.problem, prior, new_sizes, options).final
     if result.status != OPTIMAL:
         if result.status == INFEASIBLE and mode.kind == "min_cost_with_cap":
             floor = run(system, scenario, ObjectiveMode.min_emissions(), options)
@@ -243,6 +253,10 @@ def run(system: EnergySystem, scenario: ScenarioSpec, mode: ObjectiveMode,
                            f" solver returned {result.status}")
     emissions = total_emissions(gated, built.index, result.x)
     costs = cost_breakdown(gated, built.index, result.x)
+    solver = {"iterations": result.iterations, "nodes": result.nodes,
+              "bound_gap": result.bound_gap}
+    if warm_from is not None:
+        solver["warm_start"] = True
     return ScenarioOutcome(
         scenario_id=scenario.id,
         mode=mode,
@@ -252,8 +266,7 @@ def run(system: EnergySystem, scenario: ScenarioSpec, mode: ObjectiveMode,
         costs=costs,
         metrics=compute_metrics(gated, built.index, result.x),
         new_capacities=new_capacity_table(gated, built.index, result.x),
-        solver={"iterations": result.iterations, "nodes": result.nodes,
-                "bound_gap": result.bound_gap},
+        solver=solver,
         built=built,
         result=result,
     )

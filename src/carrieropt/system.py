@@ -8,7 +8,7 @@ column layout that the problem builder and all post-processing rely on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Mapping
 
@@ -469,16 +469,11 @@ class VariableIndex:
         return list(self._keys)
 
 
-def assemble_variable_index(system: EnergySystem, scenario=None) -> VariableIndex:
+def assemble_variable_index(system: EnergySystem) -> VariableIndex:
     """Build the column registry for ``system``.
 
-    ``scenario`` may be a ScenarioSpec; it is applied first so that size
-    variables exist exactly for the entities the scenario leaves expandable.
     Requires a system that passes :func:`validate_system`.
     """
-    if scenario is not None:
-        from .scenarios import apply_scenario
-        system = apply_scenario(system, scenario)
     violations = validate_system(system)
     if violations:
         raise StructureError("invalid system: " + "; ".join(violations[:5]))
@@ -731,7 +726,3 @@ def build_miniature_system(seed: int, step_count: int = 24,
         renewable_profiles=profiles,
         hydro_inflows=inflows,
     )
-
-
-def with_expandable(tech: TechnologyInstance, expandable: bool) -> TechnologyInstance:
-    return replace(tech, expandable=expandable)

@@ -59,10 +59,30 @@ class TestRun:
         assert payload["error"] == "infeasible"
         assert payload["minimum_achievable"] > 10.0
 
-    def test_usage_error_exit_2(self, system_dir):
+    def test_usage_error_exit_2(self, system_dir, tmp_path):
         assert run_cli(["run", str(system_dir), "--scenario", "reference",
                         "--mode", "bogus"]) == 2
         assert run_cli(["run", str(system_dir), "--scenario", "no-such"]) == 2
+        out = str(tmp_path / "out")
+        assert run_cli(["matrix", str(system_dir), "--scenarios", "bogus",
+                        "--out", out]) == 2
+        assert run_cli(["matrix", str(system_dir), "--modes", "bogus",
+                        "--out", out]) == 2
+        assert run_cli(["sweep", str(system_dir), "--scenario", "s-all",
+                        "--targets", "abc"]) == 2
+
+    def test_warm_start_file_errors(self, system_dir, tmp_path, capsys):
+        def warm(path):
+            code = run_cli(["--quiet", "run", str(system_dir), "--scenario", "t-all",
+                            "--warm-start", str(path)])
+            return code, json.loads(capsys.readouterr().out)["error"]
+
+        assert warm(tmp_path / "missing.json") == (6, "io")
+        bad = tmp_path / "bad.json"
+        for text in ("{not json", "[1, 2]", '{"objective": 1.0}',
+                     '{"size_values": {"x": "big"}}'):
+            bad.write_text(text)
+            assert warm(bad) == (2, "usage"), text
 
     def test_out_files(self, system_dir, tmp_path, capsys):
         out = tmp_path / "results"

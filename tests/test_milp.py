@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 from numpy.testing import assert_allclose
 
-from carrieropt.lp import LE, OPTIMAL, SolveOptions, solve_lp, solve_milp
+from carrieropt.lp import LE, OPTIMAL, SolveOptions, branch_bound, solve_lp, solve_milp
 
 from .test_simplex import make_problem
 
@@ -74,6 +74,21 @@ class TestBranchAndBound:
         milp = solve_milp(p)
         assert milp.objective >= lp.objective - 1e-9
         assert milp.bound_gap == 0.0
+
+    def test_no_lp_solved_twice_with_same_bounds(self, monkeypatch):
+        p = make_problem([[2.0, 1.0], [1.0, 3.0]], [LE, LE], [7.3, 8.9],
+                         [-3.0, -4.0], upper=[5.0, 5.0],
+                         integer=np.array([True, True]))
+        solved = []
+
+        def recording_solve_lp(problem, *args, **kwargs):
+            solved.append((problem.lower.tobytes(), problem.upper.tobytes()))
+            return solve_lp(problem, *args, **kwargs)
+
+        monkeypatch.setattr(branch_bound, "solve_lp", recording_solve_lp)
+        res = solve_milp(p)
+        assert res.status == OPTIMAL and res.nodes > 1
+        assert len(solved) == len(set(solved))
 
     def test_deterministic_node_order(self):
         p = make_problem([[2.0, 1.0], [1.0, 3.0]], [LE, LE], [7.3, 8.9],

@@ -9,6 +9,7 @@ from carrieropt.scenarios import (
     ScenarioRunner,
     abatement_sweep,
     apply_scenario,
+    run,
     standard_scenario,
     STANDARD_SCENARIO_IDS,
 )
@@ -184,6 +185,21 @@ class TestScenarioRuns:
         a = runner.run(standard_scenario("t-all"), ObjectiveMode.min_cost())
         b = runner.run(standard_scenario("t-all"), ObjectiveMode.min_cost())
         assert a is b
+
+
+class TestWarmStart:
+    @pytest.mark.parametrize("dc_blocks_mw", [None, 10.0])
+    def test_warm_from_prior_sizes_matches_cold(self, dc_blocks_mw):
+        system = build_miniature_system(0, 24, dc_blocks_mw)
+        runner = ScenarioRunner(system)
+        base = runner.run(standard_scenario("t-all"), ObjectiveMode.min_cost())
+        cold = runner.run(standard_scenario("synergies"), ObjectiveMode.min_cost())
+        warm = run(system, standard_scenario("synergies"), ObjectiveMode.min_cost(),
+                   warm_from=base.size_values())
+        assert warm.built.problem.integer.any() == (dc_blocks_mw is not None)
+        assert warm.solver["warm_start"] is True
+        assert "warm_start" not in cold.solver
+        assert warm.objective == pytest.approx(cold.objective, rel=1e-6)
 
 
 class TestSweep:

@@ -15,6 +15,7 @@ from carrieropt.lp import (
     UNBOUNDED,
     Row,
     SolveOptions,
+    SolveResult,
     SparseProblem,
     solve_lp,
     verify_solution,
@@ -214,6 +215,25 @@ class TestDeterminismAndInvariants:
         res.x[0] += 1.0
         report = verify_solution(p, res)
         assert not report.ok(1e-6)
+
+    def test_equality_residual_is_not_a_complementarity_violation(self):
+        # min 1e5 x s.t. x == 1: the dual is 1e5 and a 1e-11 residual on the
+        # equality row is primal feasible to 5e-12, not a slack
+        p = make_problem([[1.0]], [EQ], [1.0], [1e5])
+        x = np.array([1.0 + 1e-11])
+        res = SolveResult(status=OPTIMAL, objective=float(1e5 * x[0]), x=x,
+                          duals=np.array([1e5]), reduced_costs=np.zeros(1))
+        report = verify_solution(p, res)
+        assert report.max_row_violation <= 1e-11
+        assert report.complementarity_residual <= 1e-7
+        assert report.ok()
+
+    def test_inequality_slack_times_dual_is_flagged(self):
+        # x <= 2 with x = 1 leaves slack 1, so a nonzero dual is not optimal
+        p = make_problem([[1.0]], [LE], [2.0], [-1.0])
+        res = SolveResult(status=OPTIMAL, objective=-1.0, x=np.array([1.0]),
+                          duals=np.array([1.0]), reduced_costs=np.zeros(1))
+        assert verify_solution(p, res).complementarity_residual > 0.3
 
 
 class TestWarmRestart:
