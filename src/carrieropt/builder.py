@@ -29,9 +29,6 @@ class BuiltProblem:
     cap_row: int | None
     emissions: np.ndarray
 
-    def balance_row(self, label: str) -> int:
-        return self.problem.row_names.index(label)
-
 
 def _default_bounds(system: EnergySystem, index: VariableIndex
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

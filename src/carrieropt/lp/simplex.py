@@ -8,10 +8,12 @@ periodically. Pricing is Dantzig (largest reduced-cost violation, ties broken
 by lowest column index) with an automatic switch to Bland's rule after a run
 of degenerate steps, which guarantees termination.
 
-Infeasibility is decided by a phase-1 subproblem with signed artificial
-columns on the violated rows. A warm-started basis whose basic point violates
-its bounds silently falls back to a cold start; pure bound relaxations
-between solves therefore resume in phase 2.
+Phase 1 needs no artificial columns: since every row has a bounded slack, it
+minimizes the sum of the basic variables' bound violations directly (the
+composite phase 1 of Maros, *Computational Techniques of the Simplex Method*,
+ch. 9), and one loop switches to the true cost once the basis is feasible.
+Cold and warm starts share that loop, so a warm basis whose basic values
+violate new bounds runs phase 1 from where it is instead of starting cold.
 """
 
 from __future__ import annotations
@@ -40,6 +42,10 @@ OPT_TOL = 1e-9         # dual feasibility threshold for pricing
 PIVOT_TOL = 1e-9       # smallest acceptable pivot magnitude
 REFACTOR_EVERY = 100   # eta-file length that triggers a refactorization
 BLAND_AFTER = 400      # consecutive degenerate steps before Bland's rule
+# Bound violation that puts a basic value into phase 1; above the ~1e-10
+# round-off that feasible basic values pick up from incremental updates.
+PRIMAL_TOL = 1e-9
+INFEASIBILITY_TOL = 1e-7  # phase-1 residual, relative to 1 + max|b|, that proves infeasibility
 
 
 @dataclass
@@ -47,8 +53,9 @@ class SolveOptions:
     """Work limits of a solve.
 
     Tolerances and pivoting rules are constants, not options: ``OPT_TOL``,
-    ``PIVOT_TOL``, ``REFACTOR_EVERY`` and ``BLAND_AFTER`` in this module, and
-    ``MIP_GAP`` and ``INTEGRALITY_TOL`` in :mod:`carrieropt.lp.branch_bound`.
+    ``PIVOT_TOL``, ``PRIMAL_TOL``, ``INFEASIBILITY_TOL``, ``REFACTOR_EVERY`` and
+    ``BLAND_AFTER`` in this module, and ``MIP_GAP`` and ``INTEGRALITY_TOL`` in
+    :mod:`carrieropt.lp.branch_bound`.
     """
 
     max_iterations: int = 0        # 0: derived from problem size
@@ -73,6 +80,10 @@ class SolveResult:
     dual is the objective increase per unit decrease of the rhs (nonnegative
     at optimum), for ``>=`` rows per unit increase of the rhs (nonnegative),
     and for ``==`` rows it is d(objective)/d(rhs) with free sign.
+
+    Every optimal solve carries a ``basis`` that can start a solve of the same
+    matrix under any bounds or rhs. On ``infeasible``, ``infeasible_rows``
+    names the rows whose slack still violates its bounds when phase 1 stalls.
     """
 
     status: str
@@ -183,7 +194,6 @@ class _Simplex:
         self.vstat = np.full(self.ncol, AT_LOWER, dtype=np.int8)
         self.basis = np.arange(n, n + m)
         self.fact = _Factorization(self.a)
-        self.art_start = self.ncol  # no artificials yet
         self.iterations = 0
         self._degenerate_run = 0
         self._bland = False
@@ -211,6 +221,7 @@ class _Simplex:
         self._recompute_basics()
 
     def warm_start(self, start: Basis) -> bool:
+        """Install ``start`` if it fits this matrix; basic values may violate bounds."""
         if start.fingerprint != self.fingerprint():
             return False
         if len(start.basis) != self.m or len(start.vstat) != self.ncol:
@@ -234,10 +245,6 @@ class _Simplex:
         except RuntimeError:
             return False
         self._recompute_basics()
-        xb = self.x[self.basis]
-        tol = 1e-7 * (1.0 + np.abs(xb).max(initial=0.0))
-        if (xb < self.lower[self.basis] - tol).any() or (xb > self.upper[self.basis] + tol).any():
-            return False
         return True
 
     def _recompute_basics(self) -> None:
@@ -246,130 +253,66 @@ class _Simplex:
         resid = self.b - self.a_csr @ x_nb
         self.x[self.basis] = self.fact.ftran(resid)
 
-    # -- phase 1 ------------------------------------------------------------
-
-    def ensure_feasible(self) -> tuple[bool, list[str]]:
-        """Install signed artificials on violated rows and minimize their sum.
-
-        Only reached with the cold slack basis (warm starts with violated
-        basics are rejected earlier), so ``basis[i]`` is the slack of row i.
-        """
-        xb = self.x[self.basis]
-        lo_b, up_b = self.lower[self.basis], self.upper[self.basis]
-        bad = np.flatnonzero((xb < lo_b - 1e-11) | (xb > up_b + 1e-11))
-        if bad.size == 0:
-            return True, []
-
-        # clamp each violated slack to its nearest bound; it leaves the basis
-        for i in bad:
-            j = self.basis[i]
-            target = lo_b[i] if xb[i] < lo_b[i] else up_b[i]
-            self.x[j] = target
-            self.vstat[j] = AT_LOWER if target == self.lower[j] else AT_UPPER
-
-        # residuals with every prospective basic value zeroed
-        x_nb = self.x.copy()
-        keep = np.setdiff1d(np.arange(self.m), bad)
-        x_nb[self.basis[keep]] = 0.0
-        resid = self.b - self.a_csr @ x_nb
-
-        n_art = bad.size
-        self.art_start = self.ncol
-        signs = np.where(resid[bad] >= 0, 1.0, -1.0)
-        art_block = sp.csc_matrix((signs, (bad, np.arange(n_art))), shape=(self.m, n_art))
-        self.a = sp.hstack([self.a, art_block], format="csc")
-        self.a_csr = self.a.tocsr()
-        self.fact.a_csc = self.a
-        self.lower = np.concatenate([self.lower, np.zeros(n_art)])
-        self.upper = np.concatenate([self.upper, np.full(n_art, np.inf)])
-        self.c = np.concatenate([self.c, np.zeros(n_art)])
-        self.x = np.concatenate([self.x, np.abs(resid[bad])])
-        self.vstat = np.concatenate([self.vstat, np.full(n_art, BASIC, dtype=np.int8)])
-        self.basis[bad] = self.art_start + np.arange(n_art)
-        self.ncol += n_art
-        self.fact.refactor(self.basis)
-        self._recompute_basics()
-
-        phase1_cost = np.zeros(self.ncol)
-        phase1_cost[self.art_start:] = 1.0
-        status = self._iterate(phase1_cost)
-        if status == ITERATION_LIMIT:
-            return False, ["phase-1 iteration limit"]
-        art_total = float(np.abs(self.x[self.art_start:]).sum())
-        if art_total > 1e-7 * (1.0 + np.abs(self.b).max(initial=0.0)):
-            rows_bad = [self.problem._row_name(int(i)) for i in range(self.m)
-                        if self.basis[i] >= self.art_start and self.x[self.basis[i]] > 1e-9]
-            return False, rows_bad or ["unidentified rows"]
-
-        self._expel_artificials()
-        self.upper[self.art_start:] = 0.0  # artificials never re-enter
-        return True, []
-
-    def _expel_artificials(self) -> None:
-        for i in range(self.m):
-            j = self.basis[i]
-            if j < self.art_start:
-                continue
-            e = np.zeros(self.m)
-            e[i] = 1.0
-            w = self.fact.btran(e)
-            alphas = self.a.T @ w
-            alphas[self.art_start:] = 0.0
-            alphas[self.vstat == BASIC] = 0.0
-            candidates = np.flatnonzero(np.abs(alphas) > 1e-7)
-            if candidates.size == 0:
-                continue  # structurally dependent row; artificial stays pinned at 0
-            enter = int(candidates[0])
-            d = self.fact.ftran(self.a[:, enter].toarray().ravel())
-            if abs(d[i]) < PIVOT_TOL:
-                continue
-            self.vstat[enter] = BASIC
-            self.vstat[j] = AT_LOWER
-            self.x[j] = 0.0
-            self.upper[j] = 0.0
-            self.basis[i] = enter
-            self.fact.push_eta(i, d)
-            self._maybe_refactor()
-
     # -- core iteration -----------------------------------------------------
 
-    def _max_iterations(self) -> int:
-        if self.opts.max_iterations:
-            return self.opts.max_iterations
-        return 20_000 + 40 * (self.m + self.n_struct)
+    def _iterate(self) -> str:
+        """Pivot until optimal, infeasible, unbounded or out of iterations.
 
-    def _maybe_refactor(self) -> None:
-        if len(self.fact.etas) >= REFACTOR_EVERY:
-            self.fact.refactor(self.basis)
-
-    def _iterate(self, cost: np.ndarray) -> str:
-        limit = self._max_iterations()
-        self._degenerate_run = 0
-        self._bland = False
+        Every pass takes its cost from the basis: while a basic value violates
+        its bounds (phase 1) the cost is -1 on basics below their lower bound
+        and +1 on basics above their upper bound; once none does (phase 2) it
+        is the true cost.
+        """
+        limit = self.opts.max_iterations or 20_000 + 40 * (self.m + self.n_struct)
+        infeasibility_tol = INFEASIBILITY_TOL * (1.0 + np.abs(self.b).max(initial=0.0))
         while True:
             if self.iterations >= limit:
                 return ITERATION_LIMIT
             self.iterations += 1
 
-            y = self.fact.btran(cost[self.basis])
+            xb = self.x[self.basis]
+            lo_b, up_b = self.lower[self.basis], self.upper[self.basis]
+            below = xb < lo_b - PRIMAL_TOL
+            above = xb > up_b + PRIMAL_TOL
+            violated = below | above
+            phase1 = violated.any()
+            if phase1:
+                # nonbasic columns cost nothing in phase 1; pricing skips basic ones
+                cost, cost_b = 0.0, np.subtract(above, below, dtype=float)
+            else:
+                cost, cost_b = self.c, self.c[self.basis]
+
+            y = self.fact.btran(cost_b)
             z = cost - self.a.T @ y
             j = self._price(z)
             if j < 0:
-                return OPTIMAL
+                if not phase1:
+                    return OPTIMAL
+                violation = (lo_b - xb)[below].sum() + (xb - up_b)[above].sum()
+                if violation > infeasibility_tol:
+                    return INFEASIBLE
+                # round-off, not infeasibility: put those basics on their bounds
+                self.x[self.basis] = np.clip(xb, lo_b, up_b)
+                continue
             direction = 1.0
             if self.vstat[j] == AT_UPPER or (self.vstat[j] == AT_VALUE and z[j] > 0):
                 direction = -1.0
 
             d = self.fact.ftran(self.a[:, j].toarray().ravel())
             delta = direction * d
-            xb = self.x[self.basis]
-            lo_b, up_b = self.lower[self.basis], self.upper[self.basis]
 
-            lim = np.full(self.m, np.inf)
+            # An infeasible basic value stops at the bound where it becomes
+            # feasible and is unlimited moving further out.
+            lo_stop, up_stop = lo_b, up_b
             dec = delta > PIVOT_TOL
-            lim[dec] = (xb[dec] - lo_b[dec]) / delta[dec]
             inc = delta < -PIVOT_TOL
-            lim[inc] = (up_b[inc] - xb[inc]) / (-delta[inc])
+            if phase1:
+                lo_stop, up_stop = np.where(above, up_b, lo_b), np.where(below, lo_b, up_b)
+                dec &= ~below
+                inc &= ~above
+            lim = np.full(self.m, np.inf)
+            lim[dec] = (xb[dec] - lo_stop[dec]) / delta[dec]
+            lim[inc] = (up_stop[inc] - xb[inc]) / (-delta[inc])
             lim = np.maximum(lim, 0.0)
             min_basic = lim.min() if self.m else np.inf
 
@@ -388,7 +331,8 @@ class _Simplex:
                     r = int(ties[np.argmin(self.basis[ties])])
                 else:
                     r = int(ties[np.argmax(np.abs(delta[ties]))])
-                self._pivot(j, r, d, delta, step, direction)
+                to_lower = bool(delta[r] > 0) != bool(violated[r])
+                self._pivot(j, r, d, delta, step, direction, to_lower)
             else:
                 self.x[self.basis] = xb - step * delta
                 self.x[j] += direction * step
@@ -418,21 +362,19 @@ class _Simplex:
         return j if viol[j] > OPT_TOL else -1
 
     def _pivot(self, entering: int, r: int, d: np.ndarray, delta: np.ndarray,
-               step: float, direction: float) -> None:
+               step: float, direction: float, to_lower: bool) -> None:
+        """Swap ``entering`` into row ``r``; the leaving variable lands on its lower
+        bound when ``to_lower``, else on its upper bound."""
         leaving = self.basis[r]
         self.x[self.basis] = self.x[self.basis] - step * delta
         self.x[entering] += direction * step
-        hit_lower = delta[r] > 0
-        self.x[leaving] = self.lower[leaving] if hit_lower else self.upper[leaving]
-        self.vstat[leaving] = AT_LOWER if hit_lower else AT_UPPER
-        if leaving >= self.art_start:
-            self.upper[leaving] = 0.0
-            self.x[leaving] = 0.0
-            self.vstat[leaving] = AT_LOWER
+        self.x[leaving] = self.lower[leaving] if to_lower else self.upper[leaving]
+        self.vstat[leaving] = AT_LOWER if to_lower else AT_UPPER
         self.basis[r] = entering
         self.vstat[entering] = BASIC
         self.fact.push_eta(r, d)
-        self._maybe_refactor()
+        if len(self.fact.etas) >= REFACTOR_EVERY:
+            self.fact.refactor(self.basis)
 
     # -- result extraction ---------------------------------------------------
 
@@ -441,7 +383,14 @@ class _Simplex:
         n = self.n_struct
         if status != OPTIMAL:
             res = SolveResult(status=status, iterations=self.iterations)
-            res.x = self.x[:n] * self.col_scale
+            if status == ITERATION_LIMIT:
+                res.x = self.x[:n] * self.col_scale
+            elif status == INFEASIBLE:
+                xb = self.x[self.basis]
+                out = ((xb < self.lower[self.basis] - PRIMAL_TOL)
+                       | (xb > self.upper[self.basis] + PRIMAL_TOL))
+                rows = self.basis[out & (self.basis >= n)] - n
+                res.infeasible_rows = [problem._row_name(int(i)) for i in np.sort(rows)]
             return res
 
         self.fact.refactor(self.basis)
@@ -456,15 +405,6 @@ class _Simplex:
         for i, sense in enumerate(problem.senses):
             duals[i] = -y_orig[i] if sense == LE else y_orig[i]
 
-        basis = None
-        core = self.n_struct + self.m
-        if not (self.basis >= core).any():
-            basis = Basis(
-                basis=self.basis.copy(),
-                vstat=self.vstat[:core].copy(),
-                x=self.x[:core].copy(),
-                fingerprint=self.fingerprint(),
-            )
         return SolveResult(
             status=OPTIMAL,
             objective=objective,
@@ -472,7 +412,12 @@ class _Simplex:
             duals=duals,
             reduced_costs=z[:n] / self.col_scale,
             iterations=self.iterations,
-            basis=basis,
+            basis=Basis(
+                basis=self.basis.copy(),
+                vstat=self.vstat.copy(),
+                x=self.x.copy(),
+                fingerprint=self.fingerprint(),
+            ),
         )
 
 
@@ -485,18 +430,12 @@ def solve_lp(problem: SparseProblem, options: SolveOptions | None = None,
     primal/dual pair satisfies the residual contract that
     :func:`carrieropt.lp.verify.verify_solution` checks. Identical inputs and
     options produce identical results.
+
+    ``start`` is used when it fits this matrix and is nonsingular, whatever
+    its basic values; otherwise the solve starts from the slack basis.
     """
     options = options or SolveOptions()
     sx = _Simplex(problem, options)
-    started = start is not None and sx.warm_start(start)
-    if not started:
+    if start is None or not sx.warm_start(start):
         sx.cold_start()
-    feasible, bad_rows = sx.ensure_feasible()
-    if not feasible:
-        res = SolveResult(status=INFEASIBLE, iterations=sx.iterations)
-        res.infeasible_rows = bad_rows
-        return res
-    status = sx._iterate(sx.c)
-    if status == UNBOUNDED:
-        return SolveResult(status=UNBOUNDED, iterations=sx.iterations)
-    return sx.finish(status)
+    return sx.finish(sx._iterate())

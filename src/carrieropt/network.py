@@ -25,7 +25,6 @@ from .system import (
     EnergySystem,
     NetworkBranch,
     StructureError,
-    TechnologyKind,
     VariableIndex,
     node_carrier_participants,
 )
@@ -161,40 +160,6 @@ def emit_energy_balance(system: EnergySystem, index: VariableIndex
     demand_by_key = {(d.node, d.carrier): d.values for d in system.demands}
     participants = node_carrier_participants(system)
 
-    terms: dict[tuple[str, Carrier], list[tuple[str, str, float]]] = {
-        key: [] for key in participants
-    }
-
-    def add(node_id: str, carrier: Carrier, entity: str, role: str, sign: float) -> None:
-        terms[(node_id, carrier)].append((entity, role, sign))
-
-    for tech in system.technologies:
-        if tech.kind in (TechnologyKind.RENEWABLE, TechnologyKind.CONVERSION1):
-            add(tech.node, Carrier.ELECTRICITY, tech.id, "out", 1.0)
-        elif tech.kind == TechnologyKind.CONVERSION2:
-            add(tech.node, tech.performance.output_carrier, tech.id, "out", 1.0)
-            for carrier in CARRIERS:
-                if carrier in tech.performance.input_carriers:
-                    add(tech.node, carrier, tech.id, f"in[{carrier.value}]", -1.0)
-        else:
-            carrier = tech.performance.carrier
-            add(tech.node, carrier, tech.id, "discharge", 1.0)
-            add(tech.node, carrier, tech.id, "charge", -1.0)
-            if tech.kind == TechnologyKind.STORAGE2_2:
-                add(tech.node, Carrier.ELECTRICITY, tech.id, "compress_el", -1.0)
-
-    for branch in system.branches:
-        if branch.bidirectional:
-            add(branch.from_node, branch.carrier, branch.id, "sent[fwd]", -1.0)
-            add(branch.from_node, branch.carrier, branch.id, "recv[rev]", 1.0)
-            add(branch.to_node, branch.carrier, branch.id, "recv[fwd]", 1.0)
-            add(branch.to_node, branch.carrier, branch.id, "sent[rev]", -1.0)
-        else:
-            add(branch.from_node, branch.carrier, branch.id, "sent", -1.0)
-            add(branch.to_node, branch.carrier, branch.id, "recv", 1.0)
-            if branch.carrier == Carrier.HYDROGEN:
-                add(branch.from_node, Carrier.ELECTRICITY, branch.id, "cons_el", -1.0)
-
     rows: list[Row] = []
     bounds: list[Bound] = []
     for node in sorted(system.nodes, key=lambda n: n.id):
@@ -206,7 +171,7 @@ def emit_energy_balance(system: EnergySystem, index: VariableIndex
             demand = demand_by_key.get(key)
             for t in range(steps):
                 coeffs = [(index.column(entity, role, t), sign)
-                          for entity, role, sign in terms[key]]
+                          for entity, role, sign in participants[key]]
                 if has_import:
                     col = index.column(node.id, f"imp[{carrier.value}]", t)
                     coeffs.append((col, 1.0))

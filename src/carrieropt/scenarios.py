@@ -40,7 +40,6 @@ from .system import (
     is_gas_plant,
     validate_system,
 )
-from .system_io import system_digest
 
 
 @dataclass(frozen=True)
@@ -273,7 +272,7 @@ def run(system: EnergySystem, scenario: ScenarioSpec, mode: ObjectiveMode,
 
 
 class ScenarioRunner:
-    """Caches outcomes by (system digest, scenario id, mode) across calls."""
+    """Caches the outcomes of one system by (scenario id, mode) across calls."""
 
     def __init__(self, system: EnergySystem, options: SolveOptions | None = None):
         violations = validate_system(system)
@@ -281,11 +280,10 @@ class ScenarioRunner:
             raise ValueError("invalid system: " + "; ".join(violations[:5]))
         self.system = system
         self.options = options or SolveOptions()
-        self._digest = system_digest(system)
-        self._cache: dict[tuple[str, str, str], ScenarioOutcome] = {}
+        self._cache: dict[tuple[str, str], ScenarioOutcome] = {}
 
     def run(self, scenario: ScenarioSpec, mode: ObjectiveMode) -> ScenarioOutcome:
-        key = (self._digest, scenario.id, mode.label())
+        key = (scenario.id, mode.label())
         if key not in self._cache:
             self._cache[key] = run(self.system, scenario, mode, self.options)
         return self._cache[key]

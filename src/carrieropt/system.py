@@ -368,32 +368,49 @@ def validate_system(system: EnergySystem) -> list[str]:
 
 # -- balance participation ------------------------------------------------------
 
-def node_carrier_participants(system: EnergySystem) -> dict[tuple[str, Carrier], bool]:
-    """Which (node, carrier) slots interact with any demand, technology or branch.
+def node_carrier_participants(system: EnergySystem
+                              ) -> dict[tuple[str, Carrier], list[tuple[str, str, float]]]:
+    """Balance terms of every (node, carrier) slot with a demand, technology or branch.
 
+    Each term ``(entity, role, sign)`` says that the per-step variable
+    ``entity.role`` enters the slot's balance with coefficient ``sign``; a
+    slot with only a demand has no terms. Keys are sorted by (node, carrier).
     Only these slots receive a balance row and, when the node allows it, an
     import variable; everything else would reduce to ``0 == 0``.
     """
-    active: set[tuple[str, Carrier]] = set()
+    terms: dict[tuple[str, Carrier], list[tuple[str, str, float]]] = {}
+
+    def add(node_id: str, carrier: Carrier, entity: str, role: str, sign: float) -> None:
+        terms.setdefault((node_id, carrier), []).append((entity, role, sign))
+
     for d in system.demands:
-        active.add((d.node, d.carrier))
+        terms.setdefault((d.node, d.carrier), [])
     for t in system.technologies:
         if t.kind in (TechnologyKind.RENEWABLE, TechnologyKind.CONVERSION1):
-            active.add((t.node, Carrier.ELECTRICITY))
+            add(t.node, Carrier.ELECTRICITY, t.id, "out", 1.0)
         elif t.kind == TechnologyKind.CONVERSION2:
-            active.add((t.node, t.performance.output_carrier))
-            for carrier in t.performance.input_carriers:
-                active.add((t.node, carrier))
+            add(t.node, t.performance.output_carrier, t.id, "out", 1.0)
+            for carrier in CARRIERS:
+                if carrier in t.performance.input_carriers:
+                    add(t.node, carrier, t.id, f"in[{carrier.value}]", -1.0)
         else:
-            active.add((t.node, t.performance.carrier))
+            carrier = t.performance.carrier
+            add(t.node, carrier, t.id, "discharge", 1.0)
+            add(t.node, carrier, t.id, "charge", -1.0)
             if t.kind == TechnologyKind.STORAGE2_2:
-                active.add((t.node, Carrier.ELECTRICITY))
+                add(t.node, Carrier.ELECTRICITY, t.id, "compress_el", -1.0)
     for b in system.branches:
-        active.add((b.from_node, b.carrier))
-        active.add((b.to_node, b.carrier))
-        if b.is_pipeline:
-            active.add((b.from_node, Carrier.ELECTRICITY))
-    return {key: True for key in sorted(active, key=lambda k: (k[0], k[1].value))}
+        if b.bidirectional:
+            add(b.from_node, b.carrier, b.id, "sent[fwd]", -1.0)
+            add(b.from_node, b.carrier, b.id, "recv[rev]", 1.0)
+            add(b.to_node, b.carrier, b.id, "recv[fwd]", 1.0)
+            add(b.to_node, b.carrier, b.id, "sent[rev]", -1.0)
+        else:
+            add(b.from_node, b.carrier, b.id, "sent", -1.0)
+            add(b.to_node, b.carrier, b.id, "recv", 1.0)
+            if b.carrier == Carrier.HYDROGEN:
+                add(b.from_node, Carrier.ELECTRICITY, b.id, "cons_el", -1.0)
+    return {key: terms[key] for key in sorted(terms, key=lambda k: (k[0], k[1].value))}
 
 
 # -- variable index --------------------------------------------------------------

@@ -11,6 +11,7 @@ from carrieropt.lp import (
     GE,
     LE,
     INFEASIBLE,
+    ITERATION_LIMIT,
     OPTIMAL,
     UNBOUNDED,
     Row,
@@ -98,6 +99,17 @@ class TestBasics:
         res = solve_lp(p)
         assert res.status == INFEASIBLE
         assert res.infeasible_rows
+
+    def test_infeasibility_threshold(self):
+        # x <= 1 and x >= 1 + eps: a gap below 1e-7 * (1 + max|b|) is round-off
+        near = make_problem([[1.0], [1.0]], [LE, GE], [1.0, 1.0 + 1e-8], [1.0])
+        res = solve_lp(near)
+        assert res.status == OPTIMAL
+        assert_allclose(res.x, [1.0], atol=1e-7)
+        far = make_problem([[1.0], [1.0]], [LE, GE], [1.0, 1.0 + 1e-6], [1.0])
+        res = solve_lp(far)
+        assert res.status == INFEASIBLE
+        assert res.infeasible_rows == ["r1"]
 
     def test_unbounded(self):
         p = make_problem([[1.0, -1.0]], [LE], [1.0], [-1.0, 0.0])
@@ -248,6 +260,20 @@ class TestWarmRestart:
         assert_allclose(relaxed.objective, cold.objective, atol=1e-9)
         assert relaxed.iterations <= cold.iterations + 5
 
+    def test_warm_start_into_tightened_bounds_repairs_in_place(self):
+        # min x0 + 3 x1, x0 + x1 >= 4: x0 = 4. Capping x0 at 1 makes the old
+        # basic value infeasible; phase 1 repairs it from the old basis.
+        p = make_problem([[1.0, 1.0]], [GE], [4.0], [1.0, 3.0])
+        first = solve_lp(p)
+        tight = p.copy()
+        tight.upper[0] = 1.0
+        cold = solve_lp(tight)
+        warm = solve_lp(tight, start=first.basis)
+        assert warm.status == cold.status == OPTIMAL
+        assert warm.objective == cold.objective == 10.0
+        assert warm.iterations < cold.iterations
+        assert warm.basis is not None
+
     def _chain_problem(self):
         rng = np.random.default_rng(11)
         n, m = 8, 6
@@ -262,6 +288,15 @@ class TestOptionsSurface:
         p = make_problem([[1.0, 1.0]], [LE], [4.0], [-1.0, -2.0], upper=[3.0, 2.0])
         res = solve_lp(p, SolveOptions(max_iterations=1))
         assert res.status == "iteration_limit"
+
+    def test_phase1_iteration_limit_status(self):
+        # x0 + x1 >= 4 and x0 - x1 == 1 both start violated; one pass cannot
+        # reach feasibility, and running out is a limit, not infeasibility
+        p = make_problem([[1.0, 1.0], [1.0, -1.0]], [GE, EQ], [4.0, 1.0], [1.0, 1.0])
+        res = solve_lp(p, SolveOptions(max_iterations=1))
+        assert res.status == ITERATION_LIMIT
+        assert res.infeasible_rows == []
+        assert solve_lp(p).status == OPTIMAL
 
     def test_nan_rejected(self):
         p = make_problem([[1.0]], [LE], [1.0], [1.0])
