@@ -3,8 +3,12 @@
 The solver works on the equality form ``A x + s = b`` where each row's slack
 carries bounds encoding the row sense (``<=``: s in [0, inf), ``>=``:
 s in (-inf, 0], ``==``: s fixed at 0). The basis inverse is represented by a
-sparse LU factorization plus a product-form eta file, refactorized
-periodically. Pricing is Dantzig (largest reduced-cost violation, ties broken
+sparse LU factorization plus the product-form etas of the pivots since, held
+as one dense block so that ftran and btran each apply them with one small
+triangular solve; it is refactorized every ``REFACTOR_EVERY`` pivots.
+Columns are read straight from the CSC arrays of the scaled matrix, and
+pricing multiplies by its transpose through the same arrays read as CSR.
+Pricing is Dantzig (largest reduced-cost violation, ties broken
 by lowest column index) with an automatic switch to Bland's rule after a run
 of degenerate steps, which guarantees termination.
 
@@ -22,6 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg.lapack import dtrtrs
 from scipy.sparse.linalg import splu
 
 from .problem import GE, LE, SparseProblem
@@ -83,7 +88,9 @@ class SolveResult:
 
     Every optimal solve carries a ``basis`` that can start a solve of the same
     matrix under any bounds or rhs. On ``infeasible``, ``infeasible_rows``
-    names the rows whose slack still violates its bounds when phase 1 stalls.
+    names, in row order, the rows of the Farkas ray that ends phase 1: the
+    rows with a nonzero phase-1 dual, whose combination proves that no point
+    satisfies them together.
     """
 
     status: str
@@ -134,33 +141,60 @@ def _geometric_scaling(a: sp.csr_matrix, passes: int = 4) -> tuple[np.ndarray, n
 
 
 class _Factorization:
-    """Basis inverse as LU of a snapshot plus a product-form eta file."""
+    """Basis inverse as LU of a snapshot plus a block of product-form etas.
+
+    After k pivots since the last refactorization the basis is
+    ``B = B0 E_1 ... E_k`` with ``E_i = I + eta_i e_{r_i}^T``, where ``d_i`` is
+    the entering column in terms of the basis before pivot i, ``r_i`` its pivot
+    row and ``eta_i = d_i - e_{r_i}``. The etas are the first k columns of the
+    dense m x ``REFACTOR_EVERY`` array ``eta``, their pivot rows the first k
+    entries of ``rows``, and ``tri`` holds the k x k lower-triangular matrix
+    ``T[i, j] = eta_j[r_i]`` (j < i), ``T[i, i] = d_i[r_i]``. Then
+
+    * ``E_k^-1 ... E_1^-1 w = w - eta @ alpha`` with ``T alpha = w[rows]``;
+    * ``E_1^-T ... E_k^-T c = c - sum_i beta_i e_{r_i}`` with
+      ``T^T beta = eta^T c``,
+
+    so ftran and btran take one triangular solve of order k each instead of a
+    loop over the etas.
+    """
 
     def __init__(self, a_csc: sp.csc_matrix):
         self.a_csc = a_csc
         self.lu = None
-        self.etas: list[tuple[int, np.ndarray]] = []
+        self.eta = np.zeros((a_csc.shape[0], REFACTOR_EVERY), order="F")
+        self.tri = np.zeros((REFACTOR_EVERY, REFACTOR_EVERY))
+        self.rows = np.zeros(REFACTOR_EVERY, dtype=np.intp)
+        self.k = 0
 
     def refactor(self, basis: np.ndarray) -> None:
         b = sp.csc_matrix(self.a_csc[:, basis])
         self.lu = splu(b)
-        self.etas = []
+        self.k = 0
 
     def push_eta(self, row: int, column: np.ndarray) -> None:
-        self.etas.append((row, column))
+        k = self.k
+        self.eta[:, k] = column
+        self.eta[row, k] -= 1.0
+        self.tri[k, :k] = self.eta[row, :k]
+        self.tri[k, k] = column[row]
+        self.rows[k] = row
+        self.k = k + 1
 
     def ftran(self, v: np.ndarray) -> np.ndarray:
         w = self.lu.solve(v)
-        for r, d in self.etas:
-            wr = w[r] / d[r]
-            w -= d * wr
-            w[r] = wr
+        k = self.k
+        if k:
+            alpha, _ = dtrtrs(self.tri[:k, :k], w[self.rows[:k]], lower=1)
+            w -= self.eta[:, :k] @ alpha
         return w
 
     def btran(self, c: np.ndarray) -> np.ndarray:
         u = c.astype(float, copy=True)
-        for r, d in reversed(self.etas):
-            u[r] = (u[r] - (d @ u - d[r] * u[r])) / d[r]
+        k = self.k
+        if k:
+            beta, _ = dtrtrs(self.tri[:k, :k], self.eta[:, :k].T @ u, lower=1, trans=1)
+            np.subtract.at(u, self.rows[:k], beta)  # a row may be pivoted more than once
         return self.lu.solve(u, trans="T")
 
 
@@ -179,15 +213,16 @@ class _Simplex:
         self.a = sp.hstack([a_scaled, slack], format="csc")
         self.a_csr = self.a.tocsr()
         self.ncol = n + m
+        # the CSC arrays of A are the CSR arrays of its transpose
+        self.a_t = sp.csr_matrix((self.a.data, self.a.indices, self.a.indptr),
+                                 shape=(self.ncol, m))
 
         self.b = problem.rhs * self.row_scale
         self.lower = np.concatenate([problem.lower / self.col_scale, np.zeros(m)])
         self.upper = np.concatenate([problem.upper / self.col_scale, np.zeros(m)])
-        for i, sense in enumerate(problem.senses):
-            if sense == LE:
-                self.upper[n + i] = np.inf
-            elif sense == GE:
-                self.lower[n + i] = -np.inf
+        self.upper[n:][problem.senses == LE] = np.inf
+        self.lower[n:][problem.senses == GE] = -np.inf
+        self.fixed = self.upper == self.lower
         self.c = np.concatenate([problem.objective * self.col_scale, np.zeros(m)])
 
         self.x = np.zeros(self.ncol)
@@ -197,6 +232,7 @@ class _Simplex:
         self.iterations = 0
         self._degenerate_run = 0
         self._bland = False
+        self.farkas: np.ndarray | None = None  # phase-1 duals when infeasible
 
     # -- start handling -----------------------------------------------------
 
@@ -207,14 +243,11 @@ class _Simplex:
 
     def cold_start(self) -> None:
         n, m = self.n_struct, self.m
-        for j in range(n):
-            lo, up = self.lower[j], self.upper[j]
-            if np.isfinite(lo) and (not np.isfinite(up) or abs(lo) <= abs(up)):
-                self.vstat[j], self.x[j] = AT_LOWER, lo
-            elif np.isfinite(up):
-                self.vstat[j], self.x[j] = AT_UPPER, up
-            else:
-                self.vstat[j], self.x[j] = AT_VALUE, 0.0
+        lo, up = self.lower[:n], self.upper[:n]
+        at_lower = np.isfinite(lo) & (~np.isfinite(up) | (np.abs(lo) <= np.abs(up)))
+        at_upper = ~at_lower & np.isfinite(up)
+        self.vstat[:n] = np.where(at_lower, AT_LOWER, np.where(at_upper, AT_UPPER, AT_VALUE))
+        self.x[:n] = np.where(at_lower, lo, np.where(at_upper, up, 0.0))
         self.basis = np.arange(n, n + m)
         self.vstat[n:n + m] = BASIC
         self.fact.refactor(self.basis)
@@ -231,15 +264,14 @@ class _Simplex:
         self.basis = start.basis.copy()
         self.vstat = start.vstat.copy()
         self.x = start.x.copy()
-        for j in np.flatnonzero(self.vstat != BASIC):
-            value = min(max(self.x[j], self.lower[j]), self.upper[j])
-            self.x[j] = value
-            if value == self.lower[j]:
-                self.vstat[j] = AT_LOWER
-            elif value == self.upper[j]:
-                self.vstat[j] = AT_UPPER
-            else:
-                self.vstat[j] = AT_VALUE
+        nonbasic = np.flatnonzero(self.vstat != BASIC)
+        lo, up = self.lower[nonbasic], self.upper[nonbasic]
+        value = self.x[nonbasic]
+        value = np.where(lo > value, lo, value)
+        value = np.where(up < value, up, value)
+        self.x[nonbasic] = value
+        self.vstat[nonbasic] = np.where(value == lo, AT_LOWER,
+                                        np.where(value == up, AT_UPPER, AT_VALUE))
         try:
             self.fact.refactor(self.basis)
         except RuntimeError:
@@ -283,13 +315,14 @@ class _Simplex:
                 cost, cost_b = self.c, self.c[self.basis]
 
             y = self.fact.btran(cost_b)
-            z = cost - self.a.T @ y
+            z = cost - self.a_t @ y
             j = self._price(z)
             if j < 0:
                 if not phase1:
                     return OPTIMAL
                 violation = (lo_b - xb)[below].sum() + (xb - up_b)[above].sum()
                 if violation > infeasibility_tol:
+                    self.farkas = y
                     return INFEASIBLE
                 # round-off, not infeasibility: put those basics on their bounds
                 self.x[self.basis] = np.clip(xb, lo_b, up_b)
@@ -298,7 +331,7 @@ class _Simplex:
             if self.vstat[j] == AT_UPPER or (self.vstat[j] == AT_VALUE and z[j] > 0):
                 direction = -1.0
 
-            d = self.fact.ftran(self.a[:, j].toarray().ravel())
+            d = self.fact.ftran(self._column(j))
             delta = direction * d
 
             # An infeasible basic value stops at the bound where it becomes
@@ -354,12 +387,19 @@ class _Simplex:
         viol[at_lower] = np.maximum(-z[at_lower], 0.0)
         viol[at_upper] = np.maximum(z[at_upper], 0.0)
         viol[at_value] = np.abs(z[at_value])
-        viol[(self.upper == self.lower) & (self.vstat != BASIC)] = 0.0
+        viol[self.fixed & (self.vstat != BASIC)] = 0.0
         if self._bland:
             eligible = np.flatnonzero(viol > OPT_TOL)
             return int(eligible[0]) if eligible.size else -1
         j = int(np.argmax(viol))
         return j if viol[j] > OPT_TOL else -1
+
+    def _column(self, j: int) -> np.ndarray:
+        a = self.a
+        start, end = a.indptr[j], a.indptr[j + 1]
+        col = np.zeros(self.m)
+        col[a.indices[start:end]] = a.data[start:end]
+        return col
 
     def _pivot(self, entering: int, r: int, d: np.ndarray, delta: np.ndarray,
                step: float, direction: float, to_lower: bool) -> None:
@@ -373,7 +413,7 @@ class _Simplex:
         self.basis[r] = entering
         self.vstat[entering] = BASIC
         self.fact.push_eta(r, d)
-        if len(self.fact.etas) >= REFACTOR_EVERY:
+        if self.fact.k >= REFACTOR_EVERY:
             self.fact.refactor(self.basis)
 
     # -- result extraction ---------------------------------------------------
@@ -386,11 +426,8 @@ class _Simplex:
             if status == ITERATION_LIMIT:
                 res.x = self.x[:n] * self.col_scale
             elif status == INFEASIBLE:
-                xb = self.x[self.basis]
-                out = ((xb < self.lower[self.basis] - PRIMAL_TOL)
-                       | (xb > self.upper[self.basis] + PRIMAL_TOL))
-                rows = self.basis[out & (self.basis >= n)] - n
-                res.infeasible_rows = [problem._row_name(int(i)) for i in np.sort(rows)]
+                rows = np.flatnonzero(np.abs(self.farkas) > OPT_TOL)
+                res.infeasible_rows = [problem._row_name(int(i)) for i in rows]
             return res
 
         self.fact.refactor(self.basis)
@@ -399,11 +436,9 @@ class _Simplex:
         objective = float(problem.objective @ x)
 
         y = self.fact.btran(self.c[self.basis])
-        z = self.c - self.a.T @ y
+        z = self.c - self.a_t @ y
         y_orig = y * self.row_scale
-        duals = np.empty(self.m)
-        for i, sense in enumerate(problem.senses):
-            duals[i] = -y_orig[i] if sense == LE else y_orig[i]
+        duals = np.where(problem.senses == LE, -y_orig, y_orig)
 
         return SolveResult(
             status=OPTIMAL,

@@ -4,6 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
 from carrieropt.lp import (
@@ -20,6 +21,16 @@ from carrieropt.lp import (
     SparseProblem,
     solve_lp,
     verify_solution,
+)
+from carrieropt.lp.simplex import (
+    AT_LOWER,
+    AT_UPPER,
+    AT_VALUE,
+    BASIC,
+    REFACTOR_EVERY,
+    Basis,
+    _Factorization,
+    _Simplex,
 )
 
 
@@ -109,7 +120,7 @@ class TestBasics:
         far = make_problem([[1.0], [1.0]], [LE, GE], [1.0, 1.0 + 1e-6], [1.0])
         res = solve_lp(far)
         assert res.status == INFEASIBLE
-        assert res.infeasible_rows == ["r1"]
+        assert res.infeasible_rows == ["r0", "r1"]  # the two rows conflict
 
     def test_unbounded(self):
         p = make_problem([[1.0, -1.0]], [LE], [1.0], [-1.0, 0.0])
@@ -246,6 +257,80 @@ class TestDeterminismAndInvariants:
         res = SolveResult(status=OPTIMAL, objective=-1.0, x=np.array([1.0]),
                           duals=np.array([1.0]), reduced_costs=np.zeros(1))
         assert verify_solution(p, res).complementarity_residual > 0.3
+
+
+class TestFactorization:
+    """The eta block against dense solves on the explicitly updated basis."""
+
+    @pytest.mark.parametrize("pivots", [1, 2, REFACTOR_EVERY - 1])
+    def test_ftran_btran_match_dense_solves(self, pivots):
+        rng = np.random.default_rng(pivots)
+        m = 12
+        basis = 4.0 * np.eye(m) + rng.uniform(-0.5, 0.5, size=(m, m))
+        fact = _Factorization(sp.csc_matrix(basis))
+        fact.refactor(np.arange(m))
+        rows = rng.integers(0, m, size=pivots)
+        if pivots > 1:
+            rows[1] = rows[0]  # the same row pivoted twice in a row
+        for r in rows:
+            entering = rng.uniform(-0.5, 0.5, size=m)
+            entering[r] += 4.0
+            fact.push_eta(int(r), np.linalg.solve(basis, entering))
+            basis[:, r] = entering
+        assert fact.k == pivots
+        v = rng.uniform(-1.0, 1.0, size=m)
+        assert_allclose(fact.ftran(v), np.linalg.solve(basis, v), rtol=0, atol=1e-10)
+        assert_allclose(fact.btran(v), np.linalg.solve(basis.T, v), rtol=0, atol=1e-10)
+
+
+class TestStartsMatchLoops:
+    """The vectorized start handling against the per-column loops it replaced."""
+
+    def _simplex(self):
+        inf = np.inf
+        lower = [0.0, -inf, -inf, -3.0, -5.0, 2.0, -0.0, 1.0]
+        upper = [inf, 5.0, inf, 2.0, 1.0, 2.0, 0.0, 4.0]
+        a = np.ones((3, len(lower)))
+        return _Simplex(make_problem(a, [LE, GE, EQ], [1.0, 2.0, 3.0], np.ones(len(lower)),
+                                     lower=lower, upper=upper), SolveOptions())
+
+    def test_cold_start_and_slack_bounds(self):
+        sx = self._simplex()
+        sx.cold_start()
+        n = sx.n_struct
+        for j in range(n):
+            lo, up = sx.lower[j], sx.upper[j]
+            if np.isfinite(lo) and (not np.isfinite(up) or abs(lo) <= abs(up)):
+                expected = AT_LOWER, lo
+            elif np.isfinite(up):
+                expected = AT_UPPER, up
+            else:
+                expected = AT_VALUE, 0.0
+            assert (sx.vstat[j], np.float64(sx.x[j]).tobytes()) == (
+                expected[0], np.float64(expected[1]).tobytes())
+        assert sx.lower[n:].tolist() == [0.0, -np.inf, 0.0]
+        assert sx.upper[n:].tolist() == [np.inf, 0.0, 0.0]
+
+    def test_warm_start_clamps_nonbasics(self):
+        sx = self._simplex()
+        n, m = sx.n_struct, sx.m
+        rng = np.random.default_rng(3)
+        x = np.concatenate([rng.uniform(-8.0, 8.0, size=n), np.zeros(m)])
+        x[[1, 5, 6]] = [5.0, 2.0, 0.0]  # on a bound already
+        vstat = np.full(n + m, AT_VALUE, dtype=np.int8)
+        vstat[n:] = BASIC
+        start = Basis(basis=np.arange(n, n + m), vstat=vstat, x=x, fingerprint=sx.fingerprint())
+        assert sx.warm_start(start)
+        for j in range(n):
+            value = min(max(x[j], sx.lower[j]), sx.upper[j])
+            if value == sx.lower[j]:
+                status = AT_LOWER
+            elif value == sx.upper[j]:
+                status = AT_UPPER
+            else:
+                status = AT_VALUE
+            assert (sx.vstat[j], np.float64(sx.x[j]).tobytes()) == (
+                status, np.float64(value).tobytes())
 
 
 class TestWarmRestart:
