@@ -262,24 +262,31 @@ def cmd_matrix(args) -> int:
         _fail("usage", str(err), EXIT_USAGE)
     runner = ScenarioRunner(system)
     jobs = args.jobs or int(os.environ.get(JOBS_ENV, "1"))
-    combos = [(scenario, mode) for scenario in scenarios for mode in modes]
+    # One group per scenario, run in order by one worker: the runner chains
+    # each scenario's capped solves, so the chain is the same at any --jobs.
+    groups: dict[str, list] = {}
+    for scenario in scenarios:
+        groups.setdefault(scenario.id, []).extend((scenario, mode) for mode in modes)
 
-    def one(combo):
-        """(scenario id, mode, outcome), or the error message of a failed run."""
-        scenario, mode = combo
-        _say(args, f"running {scenario.id} [{mode.label()}]")
-        try:
-            return scenario.id, mode, runner.run(scenario, mode)
-        except (InfeasibleCapError, RuntimeError) as err:
-            return str(err)
+    def run_group(group):
+        """Per combination: (scenario id, mode, outcome), or the error message."""
+        out = []
+        for scenario, mode in group:
+            _say(args, f"running {scenario.id} [{mode.label()}]")
+            try:
+                out.append((scenario.id, mode, runner.run(scenario, mode)))
+            except (InfeasibleCapError, RuntimeError) as err:
+                out.append(str(err))
+        return out
 
     # --jobs 1 must stay on the calling thread: per-thread span stacks in
     # perfbench/tracing.py and its calibration between solves rely on it
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            done = list(pool.map(one, combos))
+            parts = list(pool.map(run_group, groups.values()))
     else:
-        done = list(map(one, combos))
+        parts = list(map(run_group, groups.values()))
+    done = [item for part in parts for item in part]
     failures = [item for item in done if isinstance(item, str)]
     results = sorted((item for item in done if not isinstance(item, str)),
                      key=lambda item: (item[0], item[1].label()))

@@ -28,12 +28,12 @@ def _fractionality(x: np.ndarray, cols: np.ndarray) -> np.ndarray:
 
 
 def _solve_with_bounds(problem: SparseProblem, patch: dict[int, tuple[float, float]],
-                       options: SolveOptions) -> SolveResult:
+                       options: SolveOptions, start: Basis) -> SolveResult:
     node = problem.copy()
     for col, (lo, up) in patch.items():
         node.lower[col] = lo
         node.upper[col] = up
-    return solve_lp(node, options)
+    return solve_lp(node, options, start=start)
 
 
 def solve_milp(problem: SparseProblem, options: SolveOptions | None = None,
@@ -46,12 +46,15 @@ def solve_milp(problem: SparseProblem, options: SolveOptions | None = None,
 
     Branching variable: most fractional integer column, ties broken by lowest
     column index. Nodes are explored in (bound, insertion order), which makes
-    the search reproducible. Incumbents are polished by re-solving with the
-    integer columns fixed, so reported solutions are exactly integral.
+    the search reproducible. A child differs from its parent in one column's
+    bounds only, so it is solved from its parent's optimal basis. Incumbents
+    are polished by re-solving, from the node's basis, with the integer
+    columns fixed, so reported solutions are exactly integral.
 
     Returns the incumbent with ``bound_gap <= MIP_GAP`` when optimal;
     on hitting the node limit the best incumbent is returned with its gap and
-    status ``iteration_limit``.
+    status ``iteration_limit``. Its ``iterations`` counts every LP the search
+    solved, the root and the polishes included.
     """
     options = options or SolveOptions()
     problem.validate()
@@ -63,12 +66,14 @@ def solve_milp(problem: SparseProblem, options: SolveOptions | None = None,
     inc: SolveResult | None = None
     inc_obj = np.inf
     counter = 0
-    heap: list[tuple[float, int, dict]] = [(root.objective, counter, {})]
+    # (bound, insertion order, bound patch, parent's basis)
+    heap: list[tuple[float, int, dict, Basis | None]] = [(root.objective, counter, {}, None)]
     nodes = 0
+    iterations = root.iterations
     best_bound = root.objective
 
     while heap:
-        bound, _, patch = heapq.heappop(heap)
+        bound, _, patch, parent = heapq.heappop(heap)
         best_bound = bound
         if inc is not None and bound >= inc_obj - MIP_GAP:
             break
@@ -76,11 +81,15 @@ def solve_milp(problem: SparseProblem, options: SolveOptions | None = None,
             break
         nodes += 1
         # only the root node has no patch, and its LP is already solved
-        res = _solve_with_bounds(problem, patch, options) if patch else root
+        if patch:
+            res = _solve_with_bounds(problem, patch, options, parent)
+            iterations += res.iterations
+        else:
+            res = root
         if res.status in (INFEASIBLE, ITERATION_LIMIT):
             continue
         if res.status == UNBOUNDED:
-            return SolveResult(status=UNBOUNDED, nodes=nodes)
+            return SolveResult(status=UNBOUNDED, iterations=iterations, nodes=nodes)
         if res.objective >= inc_obj - MIP_GAP:
             continue
 
@@ -91,7 +100,8 @@ def solve_milp(problem: SparseProblem, options: SolveOptions | None = None,
             for col in int_cols:
                 v = float(np.round(res.x[col]))
                 fixed[int(col)] = (v, v)
-            polished = _solve_with_bounds(problem, fixed, options)
+            polished = _solve_with_bounds(problem, fixed, options, res.basis)
+            iterations += polished.iterations
             if polished.status == OPTIMAL and polished.objective < inc_obj:
                 inc = polished
                 inc_obj = polished.objective
@@ -109,18 +119,21 @@ def solve_milp(problem: SparseProblem, options: SolveOptions | None = None,
             lo, hi = child[col]
             if lo <= hi:
                 counter += 1
-                heapq.heappush(heap, (res.objective, counter, child))
+                heapq.heappush(heap, (res.objective, counter, child, res.basis))
 
     if inc is None:
         if nodes >= options.max_nodes:
-            return SolveResult(status=ITERATION_LIMIT, nodes=nodes, bound_gap=float("inf"))
-        return SolveResult(status=INFEASIBLE, nodes=nodes)
+            return SolveResult(status=ITERATION_LIMIT, iterations=iterations, nodes=nodes,
+                               bound_gap=float("inf"))
+        return SolveResult(status=INFEASIBLE, iterations=iterations, nodes=nodes)
 
     gap = max(0.0, inc_obj - min(best_bound, inc_obj))
     exhausted = not heap or best_bound >= inc_obj - MIP_GAP
     inc.status = OPTIMAL if exhausted else ITERATION_LIMIT
     inc.bound_gap = 0.0 if exhausted else gap
     inc.nodes = nodes
+    inc.iterations = iterations
+    inc.warm_started = root.warm_started
     inc.duals = None  # duals are meaningful for the LP relaxation only
     inc.reduced_costs = None
     return inc

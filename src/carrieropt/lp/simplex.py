@@ -87,10 +87,14 @@ class SolveResult:
     and for ``==`` rows it is d(objective)/d(rhs) with free sign.
 
     Every optimal solve carries a ``basis`` that can start a solve of the same
-    matrix under any bounds or rhs. On ``infeasible``, ``infeasible_rows``
-    names, in row order, the rows of the Farkas ray that ends phase 1: the
-    rows with a nonzero phase-1 dual, whose combination proves that no point
-    satisfies them together.
+    matrix under any bounds or rhs; ``warm_started`` is true when the solve
+    began from the ``start`` it was given rather than from the slack basis
+    (for a MILP: when its root LP did). On ``infeasible``,
+    ``infeasible_rows`` names the rows of the Farkas ray that ends phase 1:
+    the rows with a nonzero phase-1 dual, whose combination proves that no
+    point satisfies them together. They are ordered by decreasing magnitude
+    of that dual in the problem's own row units, ties by row index, so the
+    rows that weigh most in the proof come first.
     """
 
     status: str
@@ -103,6 +107,7 @@ class SolveResult:
     nodes: int = 0
     infeasible_rows: list[str] = field(default_factory=list)
     basis: Basis | None = None
+    warm_started: bool = False
 
 
 def _power_of_two(values: np.ndarray) -> np.ndarray:
@@ -418,15 +423,18 @@ class _Simplex:
 
     # -- result extraction ---------------------------------------------------
 
-    def finish(self, status: str) -> SolveResult:
+    def finish(self, status: str, warm_started: bool) -> SolveResult:
         problem = self.problem
         n = self.n_struct
         if status != OPTIMAL:
-            res = SolveResult(status=status, iterations=self.iterations)
+            res = SolveResult(status=status, iterations=self.iterations,
+                              warm_started=warm_started)
             if status == ITERATION_LIMIT:
                 res.x = self.x[:n] * self.col_scale
             elif status == INFEASIBLE:
                 rows = np.flatnonzero(np.abs(self.farkas) > OPT_TOL)
+                weight = np.abs(self.farkas[rows] * self.row_scale[rows])
+                rows = rows[np.lexsort((rows, -weight))]
                 res.infeasible_rows = [problem._row_name(int(i)) for i in rows]
             return res
 
@@ -447,6 +455,7 @@ class _Simplex:
             duals=duals,
             reduced_costs=z[:n] / self.col_scale,
             iterations=self.iterations,
+            warm_started=warm_started,
             basis=Basis(
                 basis=self.basis.copy(),
                 vstat=self.vstat.copy(),
@@ -467,10 +476,12 @@ def solve_lp(problem: SparseProblem, options: SolveOptions | None = None,
     options produce identical results.
 
     ``start`` is used when it fits this matrix and is nonsingular, whatever
-    its basic values; otherwise the solve starts from the slack basis.
+    its basic values, and the result's ``warm_started`` says so; otherwise
+    the solve starts from the slack basis.
     """
     options = options or SolveOptions()
     sx = _Simplex(problem, options)
-    if start is None or not sx.warm_start(start):
+    warm = start is not None and sx.warm_start(start)
+    if not warm:
         sx.cold_start()
-    return sx.finish(sx._iterate())
+    return sx.finish(sx._iterate(), warm)

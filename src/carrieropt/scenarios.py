@@ -17,6 +17,7 @@ input is removed so that reference runs stay pure dispatch problems.
 from __future__ import annotations
 
 import dataclasses
+import threading
 from dataclasses import dataclass, replace
 from typing import Iterable, Mapping
 
@@ -28,7 +29,15 @@ from .costing import (
     cost_breakdown,
     total_emissions,
 )
-from .lp import INFEASIBLE, OPTIMAL, SolveOptions, SolveResult, solve_milp, warm_start_solve
+from .lp import (
+    INFEASIBLE,
+    OPTIMAL,
+    Basis,
+    SolveOptions,
+    SolveResult,
+    solve_milp,
+    warm_start_solve,
+)
 from .lp import solve_lp  # unused here; perfbench/tracing.py wraps this module attribute
 from .system import (
     Carrier,
@@ -219,25 +228,43 @@ class ScenarioOutcome:
 
 def run(system: EnergySystem, scenario: ScenarioSpec, mode: ObjectiveMode,
         options: SolveOptions | None = None,
-        warm_from: Mapping[str, float] | None = None) -> ScenarioOutcome:
+        warm_from: Mapping[str, float] | None = None,
+        start: Basis | None = None) -> ScenarioOutcome:
     """Gate, build, solve and post-process one scenario/mode combination.
 
     ``warm_from`` maps size-column names to values, usually a prior outcome's
     :meth:`ScenarioOutcome.size_values`. When given, the solve follows the
     three-stage protocol of :func:`carrieropt.lp.warm_start_solve`: the
     named sizes this problem has start fixed at their values, its other
-    sizes start at zero, and the outcome's ``solver`` block records
-    ``"warm_start": True``.
+    sizes start at zero. ``start`` is a basis of an earlier solve of the same
+    matrix, such as ``outcome.result.basis`` of the same scenario under
+    another emission cap; the solve reoptimizes from it and falls back to a
+    cold start when the matrix differs. The two cannot be combined. The
+    outcome's ``solver`` block records ``"warm_start": True`` when the solve
+    began from either.
 
     Raises :class:`InfeasibleCapError` for caps below the achievable minimum
     (reporting that minimum), and ``RuntimeError`` for any other non-optimal
     solver outcome, including a :class:`carrieropt.lp.WarmStartError`.
     """
+    if warm_from is not None and start is not None:
+        raise ValueError("warm_from and start cannot be combined")
     options = options or SolveOptions()
+    outcome = _solve(system, scenario, mode, options, warm_from, start)
+    if outcome is None:
+        floor = _solve(system, scenario, ObjectiveMode.min_emissions(), options)
+        raise InfeasibleCapError(mode.emission_cap, floor.objective)
+    return outcome
+
+
+def _solve(system: EnergySystem, scenario: ScenarioSpec, mode: ObjectiveMode,
+           options: SolveOptions, warm_from: Mapping[str, float] | None = None,
+           start: Basis | None = None) -> ScenarioOutcome | None:
+    """:func:`run` without the floor search: None when the emission cap is infeasible."""
     gated = apply_scenario(system, scenario)
     built = build_problem(gated, mode)
     if warm_from is None:
-        result = solve_milp(built.problem, options)
+        result = solve_milp(built.problem, options, start=start)
     else:
         names = set(built.problem.col_names)
         prior = {name: value for name, value in warm_from.items() if name in names}
@@ -246,15 +273,14 @@ def run(system: EnergySystem, scenario: ScenarioSpec, mode: ObjectiveMode,
         result = warm_start_solve(built.problem, prior, new_sizes, options).final
     if result.status != OPTIMAL:
         if result.status == INFEASIBLE and mode.kind == "min_cost_with_cap":
-            floor = run(system, scenario, ObjectiveMode.min_emissions(), options)
-            raise InfeasibleCapError(mode.emission_cap, floor.objective)
+            return None
         raise RuntimeError(f"scenario {scenario.id} ({mode.label()}):"
                            f" solver returned {result.status}")
     emissions = total_emissions(gated, built.index, result.x)
     costs = cost_breakdown(gated, built.index, result.x)
     solver = {"iterations": result.iterations, "nodes": result.nodes,
               "bound_gap": result.bound_gap}
-    if warm_from is not None:
+    if warm_from is not None or result.warm_started:
         solver["warm_start"] = True
     return ScenarioOutcome(
         scenario_id=scenario.id,
@@ -272,7 +298,24 @@ def run(system: EnergySystem, scenario: ScenarioSpec, mode: ObjectiveMode,
 
 
 class ScenarioRunner:
-    """Caches the outcomes of one system by (scenario id, mode) across calls."""
+    """Runs the scenarios of one system, caching outcomes by (scenario id, mode).
+
+    The runner also keeps, for each scenario id, the basis of its latest
+    optimal emission-capped outcome, and starts the next capped run of that
+    scenario from it: along a cap sweep each cap reoptimizes from the one
+    before instead of starting cold. Min-cost and min-emissions runs always
+    start cold. The floor reported for an infeasible cap is the scenario's
+    cached min-emissions outcome, so it is solved at most once per runner.
+
+    So a capped outcome's ``solver`` counters depend on which caps of its
+    scenario this runner solved before it, and in which order. A runner may
+    be shared between threads: its cache and bases are read and written
+    under a lock, and solves run outside it. Capped runs of one scenario that
+    overlap in time make its basis chain depend on timing, which can change
+    iteration counts and, where the optimum is not unique, the solution
+    reported; run each scenario's combinations on one thread, in a fixed
+    order, for byte-identical results.
+    """
 
     def __init__(self, system: EnergySystem, options: SolveOptions | None = None):
         violations = validate_system(system)
@@ -281,12 +324,29 @@ class ScenarioRunner:
         self.system = system
         self.options = options or SolveOptions()
         self._cache: dict[tuple[str, str], ScenarioOutcome] = {}
+        self._bases: dict[str, Basis] = {}
+        self._lock = threading.Lock()
 
     def run(self, scenario: ScenarioSpec, mode: ObjectiveMode) -> ScenarioOutcome:
+        """Like :func:`run`, from the cache when this runner has the outcome."""
+        return self._outcome(scenario, mode)
+
+    def _outcome(self, scenario: ScenarioSpec, mode: ObjectiveMode) -> ScenarioOutcome:
         key = (scenario.id, mode.label())
-        if key not in self._cache:
-            self._cache[key] = run(self.system, scenario, mode, self.options)
-        return self._cache[key]
+        capped = mode.kind == "min_cost_with_cap"
+        with self._lock:
+            cached = self._cache.get(key)
+            start = self._bases.get(scenario.id) if capped else None
+        if cached is not None:
+            return cached
+        outcome = _solve(self.system, scenario, mode, self.options, start=start)
+        if outcome is None:
+            floor = self._outcome(scenario, ObjectiveMode.min_emissions())
+            raise InfeasibleCapError(mode.emission_cap, floor.objective)
+        with self._lock:
+            if capped:
+                self._bases[scenario.id] = outcome.result.basis
+            return self._cache.setdefault(key, outcome)
 
 
 def abatement_sweep(system: EnergySystem, scenario: ScenarioSpec,

@@ -4,8 +4,14 @@ import itertools
 
 import numpy as np
 from numpy.testing import assert_allclose
+from scipy.optimize import Bounds, LinearConstraint
+from scipy.optimize import milp as highs_milp
 
-from carrieropt.lp import LE, OPTIMAL, SolveOptions, branch_bound, solve_lp, solve_milp
+from carrieropt.builder import build_problem
+from carrieropt.costing import ObjectiveMode
+from carrieropt.lp import GE, LE, OPTIMAL, SolveOptions, branch_bound, solve_lp, solve_milp
+from carrieropt.scenarios import apply_scenario, standard_scenario
+from carrieropt.system import build_miniature_system
 
 from .test_simplex import make_problem
 
@@ -112,3 +118,41 @@ class TestBranchAndBound:
         assert res.status in (OPTIMAL, "iteration_limit")
         if res.status == "iteration_limit":
             assert res.bound_gap is not None and res.bound_gap >= 0.0
+
+
+class TestWarmChildren:
+    """Children start from their parent's basis, polishes from their node's."""
+
+    def test_dc_blocks_match_highs_and_start_warm(self, monkeypatch):
+        system = build_miniature_system(0, 24, dc_blocks_mw=10.0)
+        gated = apply_scenario(system, standard_scenario("t-all"))
+        problem = build_problem(gated, ObjectiveMode.min_cost()).problem
+        assert problem.integer.any()
+        calls = []
+
+        def recording_solve_lp(problem, *args, start=None, **kwargs):
+            res = solve_lp(problem, *args, start=start, **kwargs)
+            # copied now: solve_milp rewrites the incumbent's fields at the end
+            calls.append((start, res.basis, res.warm_started, res.iterations))
+            return res
+
+        monkeypatch.setattr(branch_bound, "solve_lp", recording_solve_lp)
+        res = solve_milp(problem)
+        assert res.status == OPTIMAL and res.nodes > 1
+        assert res.iterations == sum(iterations for *_, iterations in calls)
+        (root_start, root_basis, root_warm, _), *rest = calls
+        assert root_start is None and not root_warm
+        bases = [root_basis]
+        for start, basis, warm, _ in rest:
+            assert any(start is earlier for earlier in bases)  # shared, not copied
+            assert warm
+            bases.append(basis)
+
+        lo = np.where(problem.senses == LE, -np.inf, problem.rhs)
+        hi = np.where(problem.senses == GE, np.inf, problem.rhs)
+        ref = highs_milp(problem.objective, constraints=LinearConstraint(problem.a, lo, hi),
+                         integrality=problem.integer.astype(np.uint8),
+                         bounds=Bounds(problem.lower, problem.upper),
+                         options={"mip_rel_gap": 0.0})
+        assert ref.status == 0
+        assert abs(res.objective - ref.fun) <= 1e-9 * max(1.0, abs(ref.fun))

@@ -3,7 +3,10 @@
 
 import pytest
 
-from carrieropt.costing import ObjectiveMode
+import carrieropt.scenarios as scenarios
+from carrieropt.builder import build_problem
+from carrieropt.costing import EMISSION_CAP_LABEL, ObjectiveMode
+from carrieropt.lp import INFEASIBLE, OPTIMAL, solve_milp
 from carrieropt.scenarios import (
     InfeasibleCapError,
     ScenarioRunner,
@@ -19,6 +22,8 @@ from carrieropt.system import (
     build_miniature_system,
     validate_system,
 )
+
+from .test_highs_oracle import REL_TOL, highs
 
 TOL = 1e-6
 
@@ -200,6 +205,106 @@ class TestWarmStart:
         assert warm.solver["warm_start"] is True
         assert "warm_start" not in cold.solver
         assert warm.objective == pytest.approx(cold.objective, rel=1e-6)
+
+    def test_warm_from_and_start_are_exclusive(self, mini, runner):
+        base = runner.run(standard_scenario("t-all"), ObjectiveMode.min_cost())
+        with pytest.raises(ValueError, match="cannot be combined"):
+            run(mini, standard_scenario("t-all"), ObjectiveMode.min_cost(),
+                warm_from=base.size_values(), start=base.result.basis)
+
+
+SWEEP_FRACTIONS = tuple(round(0.1 * i, 1) for i in range(1, 10))
+
+
+@pytest.fixture(scope="module")
+def warm_sweep():
+    """synergies at seed 0 under caps 0.1..0.9 of reference emissions, solved
+    in order by one runner, beside the same caps solved cold.
+
+    Records every ``solve_milp`` result of the runner (whether its problem has
+    the cap row) and every problem it builds, by mode kind.
+    """
+    system = build_miniature_system(0, step_count=24)
+    synergies = standard_scenario("synergies")
+    e_ref = run(system, standard_scenario("reference"), ObjectiveMode.min_cost()).emissions.total
+    modes = {f: ObjectiveMode.min_cost_with_cap((1.0 - f) * e_ref) for f in SWEEP_FRACTIONS}
+    solves, builds = [], []
+
+    def recording_solve(problem, *args, **kwargs):
+        res = solve_milp(problem, *args, **kwargs)
+        solves.append((EMISSION_CAP_LABEL in problem.row_names, res))
+        return res
+
+    def recording_build(system, mode):
+        builds.append(mode.kind)
+        return build_problem(system, mode)
+
+    runner = ScenarioRunner(system)
+    warm = {}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scenarios, "solve_milp", recording_solve)
+        patch.setattr(scenarios, "build_problem", recording_build)
+        for f, mode in modes.items():
+            try:
+                warm[f] = runner.run(synergies, mode)
+            except InfeasibleCapError as err:
+                warm[f] = err
+    gated = apply_scenario(system, synergies)
+    cold = {}
+    for f, mode in modes.items():
+        problem = build_problem(gated, mode).problem
+        cold[f] = (problem, solve_milp(problem))
+    floor = run(system, synergies, ObjectiveMode.min_emissions()).objective
+    return dict(warm=warm, cold=cold, floor=floor, solves=solves, builds=builds)
+
+
+class TestWarmSweep:
+    def test_statuses_and_floor_match_cold_solves(self, warm_sweep):
+        for f in SWEEP_FRACTIONS:
+            outcome = warm_sweep["warm"][f]
+            _, cold = warm_sweep["cold"][f]
+            if isinstance(outcome, InfeasibleCapError):
+                assert cold.status == INFEASIBLE, f
+                assert outcome.minimum_achievable == warm_sweep["floor"], f
+            else:
+                assert cold.status == outcome.status == OPTIMAL, f
+        statuses = [warm_sweep["cold"][f][1].status for f in SWEEP_FRACTIONS]
+        assert OPTIMAL in statuses and INFEASIBLE in statuses
+
+    def test_objectives_match_highs(self, warm_sweep):
+        for f in SWEEP_FRACTIONS:
+            outcome = warm_sweep["warm"][f]
+            if isinstance(outcome, InfeasibleCapError):
+                continue
+            status, objective = highs(warm_sweep["cold"][f][0])
+            assert status == OPTIMAL, f
+            assert abs(outcome.objective - objective) <= REL_TOL * max(1.0, abs(objective)), f
+
+    def test_caps_after_the_first_start_warm(self, warm_sweep):
+        caps = [res for is_cap, res in warm_sweep["solves"] if is_cap]
+        assert len(caps) == len(SWEEP_FRACTIONS)
+        assert not caps[0].warm_started
+        assert all(res.warm_started for res in caps[1:])
+        first, *rest = (warm_sweep["warm"][f] for f in SWEEP_FRACTIONS)
+        assert "warm_start" not in first.solver
+        assert all(o.solver["warm_start"] is True for o in rest
+                   if not isinstance(o, InfeasibleCapError))
+
+    def test_infeasible_caps_name_the_cap_first(self, warm_sweep):
+        infeasible = [res for is_cap, res in warm_sweep["solves"]
+                      if is_cap and res.status == INFEASIBLE]
+        assert infeasible
+        for res in infeasible:
+            assert res.infeasible_rows[0] == EMISSION_CAP_LABEL
+
+    def test_warm_chain_halves_the_iterations(self, warm_sweep):
+        warm = sum(res.iterations for is_cap, res in warm_sweep["solves"] if is_cap)
+        cold = sum(res.iterations for _, res in warm_sweep["cold"].values())
+        assert warm < cold / 2
+
+    def test_floor_built_and_solved_once(self, warm_sweep):
+        assert warm_sweep["builds"].count("min_emissions") == 1
+        assert sum(1 for is_cap, _ in warm_sweep["solves"] if not is_cap) == 1
 
 
 class TestSweep:

@@ -122,6 +122,15 @@ class TestBasics:
         assert res.status == INFEASIBLE
         assert res.infeasible_rows == ["r0", "r1"]  # the two rows conflict
 
+    def test_infeasible_rows_ordered_by_farkas_multiplier(self):
+        # 1000 x >= 2000 against x <= 1: the ray weighs x <= 1 a thousand times
+        # more in the problem's own units, although scaling makes the rows alike;
+        # x <= 5 plays no part in the proof
+        p = make_problem([[1000.0], [1.0], [1.0]], [GE, LE, LE], [2000.0, 1.0, 5.0], [1.0])
+        res = solve_lp(p)
+        assert res.status == INFEASIBLE
+        assert res.infeasible_rows == ["r1", "r0"]
+
     def test_unbounded(self):
         p = make_problem([[1.0, -1.0]], [LE], [1.0], [-1.0, 0.0])
         res = solve_lp(p)
@@ -358,6 +367,20 @@ class TestWarmRestart:
         assert warm.objective == cold.objective == 10.0
         assert warm.iterations < cold.iterations
         assert warm.basis is not None
+
+    def test_warm_started_tells_a_used_start_from_a_fallback(self):
+        p = make_problem([[1.0, 1.0]], [GE], [4.0], [1.0, 3.0])
+        first = solve_lp(p)
+        assert not first.warm_started
+        assert solve_lp(p, start=first.basis).warm_started
+        other = make_problem([[1.0, 2.0]], [GE], [4.0], [1.0, 3.0])
+        fallback = solve_lp(other, start=first.basis)  # another matrix: cold
+        assert fallback.status == OPTIMAL and not fallback.warm_started
+        tight = p.copy()  # x0 + x1 >= 9 with x0 <= 5 and x1 <= 1: infeasible
+        tight.rhs[0] = 9.0
+        tight.upper[:] = [5.0, 1.0]
+        res = solve_lp(tight, start=first.basis)
+        assert res.status == INFEASIBLE and res.warm_started
 
     def _chain_problem(self):
         rng = np.random.default_rng(11)
