@@ -262,16 +262,21 @@ def cmd_matrix(args) -> int:
         _fail("usage", str(err), EXIT_USAGE)
     runner = ScenarioRunner(system)
     jobs = args.jobs or int(os.environ.get(JOBS_ENV, "1"))
-    # One group per scenario, run in order by one worker: the runner chains
-    # each scenario's capped solves, so the chain is the same at any --jobs.
-    groups: dict[str, list] = {}
+    # A scenario's capped modes are one task, run in order by one worker: the
+    # runner chains their bases, so the chain is the same at any --jobs. Every
+    # other combination is a task of its own.
+    tasks: list[list] = []
     for scenario in scenarios:
-        groups.setdefault(scenario.id, []).extend((scenario, mode) for mode in modes)
+        tasks.extend([(scenario, mode)] for mode in modes
+                     if mode.kind != "min_cost_with_cap")
+        capped = [(scenario, mode) for mode in modes if mode.kind == "min_cost_with_cap"]
+        if capped:
+            tasks.append(capped)
 
-    def run_group(group):
+    def run_task(task):
         """Per combination: (scenario id, mode, outcome), or the error message."""
         out = []
-        for scenario, mode in group:
+        for scenario, mode in task:
             _say(args, f"running {scenario.id} [{mode.label()}]")
             try:
                 out.append((scenario.id, mode, runner.run(scenario, mode)))
@@ -283,9 +288,9 @@ def cmd_matrix(args) -> int:
     # perfbench/tracing.py and its calibration between solves rely on it
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(run_group, groups.values()))
+            parts = list(pool.map(run_task, tasks))
     else:
-        parts = list(map(run_group, groups.values()))
+        parts = list(map(run_task, tasks))
     done = [item for part in parts for item in part]
     failures = [item for item in done if isinstance(item, str)]
     results = sorted((item for item in done if not isinstance(item, str)),

@@ -19,7 +19,7 @@ from __future__ import annotations
 import dataclasses
 import threading
 from dataclasses import dataclass, replace
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .builder import BuiltProblem, build_problem
 from .costing import (
@@ -228,39 +228,37 @@ class ScenarioOutcome:
 
 def run(system: EnergySystem, scenario: ScenarioSpec, mode: ObjectiveMode,
         options: SolveOptions | None = None,
-        warm_from: Mapping[str, float] | None = None,
-        start: Basis | None = None) -> ScenarioOutcome:
+        warm_from: Mapping[str, float] | None = None) -> ScenarioOutcome:
     """Gate, build, solve and post-process one scenario/mode combination.
 
     ``warm_from`` maps size-column names to values, usually a prior outcome's
     :meth:`ScenarioOutcome.size_values`. When given, the solve follows the
     three-stage protocol of :func:`carrieropt.lp.warm_start_solve`: the
     named sizes this problem has start fixed at their values, its other
-    sizes start at zero. ``start`` is a basis of an earlier solve of the same
-    matrix, such as ``outcome.result.basis`` of the same scenario under
-    another emission cap; the solve reoptimizes from it and falls back to a
-    cold start when the matrix differs. The two cannot be combined. The
-    outcome's ``solver`` block records ``"warm_start": True`` when the solve
-    began from either.
+    sizes start at zero, and the outcome's ``solver`` block records
+    ``"warm_start": True``.
 
     Raises :class:`InfeasibleCapError` for caps below the achievable minimum
     (reporting that minimum), and ``RuntimeError`` for any other non-optimal
     solver outcome, including a :class:`carrieropt.lp.WarmStartError`.
     """
-    if warm_from is not None and start is not None:
-        raise ValueError("warm_from and start cannot be combined")
     options = options or SolveOptions()
-    outcome = _solve(system, scenario, mode, options, warm_from, start)
-    if outcome is None:
-        floor = _solve(system, scenario, ObjectiveMode.min_emissions(), options)
-        raise InfeasibleCapError(mode.emission_cap, floor.objective)
-    return outcome
+
+    def floor() -> ScenarioOutcome:
+        return _solve(system, scenario, ObjectiveMode.min_emissions(), options, floor)
+
+    return _solve(system, scenario, mode, options, floor, warm_from)
 
 
 def _solve(system: EnergySystem, scenario: ScenarioSpec, mode: ObjectiveMode,
-           options: SolveOptions, warm_from: Mapping[str, float] | None = None,
-           start: Basis | None = None) -> ScenarioOutcome | None:
-    """:func:`run` without the floor search: None when the emission cap is infeasible."""
+           options: SolveOptions, floor: Callable[[], ScenarioOutcome],
+           warm_from: Mapping[str, float] | None = None,
+           start: Basis | None = None) -> ScenarioOutcome:
+    """:func:`run`, optionally from a ``start`` basis of an earlier solve.
+
+    ``floor`` gives the scenario's min-emissions outcome, whose objective an
+    :class:`InfeasibleCapError` reports; it is called only for such a cap.
+    """
     gated = apply_scenario(system, scenario)
     built = build_problem(gated, mode)
     if warm_from is None:
@@ -273,7 +271,7 @@ def _solve(system: EnergySystem, scenario: ScenarioSpec, mode: ObjectiveMode,
         result = warm_start_solve(built.problem, prior, new_sizes, options).final
     if result.status != OPTIMAL:
         if result.status == INFEASIBLE and mode.kind == "min_cost_with_cap":
-            return None
+            raise InfeasibleCapError(mode.emission_cap, floor().objective)
         raise RuntimeError(f"scenario {scenario.id} ({mode.label()}):"
                            f" solver returned {result.status}")
     emissions = total_emissions(gated, built.index, result.x)
@@ -313,7 +311,7 @@ class ScenarioRunner:
     under a lock, and solves run outside it. Capped runs of one scenario that
     overlap in time make its basis chain depend on timing, which can change
     iteration counts and, where the optimum is not unique, the solution
-    reported; run each scenario's combinations on one thread, in a fixed
+    reported; run each scenario's capped modes on one thread, in a fixed
     order, for byte-identical results.
     """
 
@@ -339,10 +337,9 @@ class ScenarioRunner:
             start = self._bases.get(scenario.id) if capped else None
         if cached is not None:
             return cached
-        outcome = _solve(self.system, scenario, mode, self.options, start=start)
-        if outcome is None:
-            floor = self._outcome(scenario, ObjectiveMode.min_emissions())
-            raise InfeasibleCapError(mode.emission_cap, floor.objective)
+        outcome = _solve(self.system, scenario, mode, self.options,
+                         lambda: self._outcome(scenario, ObjectiveMode.min_emissions()),
+                         start=start)
         with self._lock:
             if capped:
                 self._bases[scenario.id] = outcome.result.basis

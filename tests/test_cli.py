@@ -174,23 +174,38 @@ class TestMatrix:
             assert (serial_dir / name).read_text() == (parallel_dir / name).read_text()
 
 
-    def test_parallel_cap_chains_match_serial(self, system_dir, tmp_path, capsys):
+    def test_parallel_cap_chains_match_serial(self, system_dir, tmp_path, capsys,
+                                              monkeypatch):
         # each scenario's caps chain bases in order, whichever worker runs them;
         # at 40,000 t h-all is infeasible, so its 60,000 t cap starts cold
+        warm = {}
+        real_run = ScenarioRunner.run
+
+        def recording_run(self, scenario, mode):
+            outcome = real_run(self, scenario, mode)
+            warm[(jobs, scenario.id, mode.label())] = "warm_start" in outcome.solver
+            return outcome
+
+        monkeypatch.setattr(ScenarioRunner, "run", recording_run)
         outputs = []
         for jobs in ("1", "2"):
             out = tmp_path / f"jobs{jobs}"
             code = run_cli(["--quiet", "matrix", str(system_dir),
                             "--scenarios", "synergies,h-all",
-                            "--modes", "cap=40000,cap=60000", "--jobs", jobs,
+                            "--modes", "min-cost,cap=40000,cap=60000", "--jobs", jobs,
                             "--out", str(out)])
             assert code == 5  # the infeasible cap is a failure of the matrix
             files = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
             outputs.append((capsys.readouterr().out, files))
         assert outputs[0] == outputs[1]
-        files = outputs[0][1]
-        assert json.loads(files["synergies_min_cost_with_cap.json"])["solver"]["warm_start"]
-        assert "warm_start" not in json.loads(files["h-all_min_cost_with_cap.json"])["solver"]
+        cap40 = ObjectiveMode.min_cost_with_cap(40000.0).label()
+        cap60 = ObjectiveMode.min_cost_with_cap(60000.0).label()
+        min_cost = ObjectiveMode.min_cost().label()
+        expected = {("synergies", min_cost): False, ("synergies", cap40): False,
+                    ("synergies", cap60): True, ("h-all", min_cost): False,
+                    ("h-all", cap60): False}
+        assert warm == {(jobs, *key): flag for jobs in ("1", "2")
+                        for key, flag in expected.items()}
 
 
 class TestExportMps:

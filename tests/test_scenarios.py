@@ -206,12 +206,6 @@ class TestWarmStart:
         assert "warm_start" not in cold.solver
         assert warm.objective == pytest.approx(cold.objective, rel=1e-6)
 
-    def test_warm_from_and_start_are_exclusive(self, mini, runner):
-        base = runner.run(standard_scenario("t-all"), ObjectiveMode.min_cost())
-        with pytest.raises(ValueError, match="cannot be combined"):
-            run(mini, standard_scenario("t-all"), ObjectiveMode.min_cost(),
-                warm_from=base.size_values(), start=base.result.basis)
-
 
 SWEEP_FRACTIONS = tuple(round(0.1 * i, 1) for i in range(1, 10))
 
