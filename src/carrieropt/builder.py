@@ -10,13 +10,7 @@ import numpy as np
 from .costing import ObjectiveMode, assemble_objective, emission_vector
 from .lp import Row, SparseProblem
 from .network import emit_branch, emit_energy_balance
-from .system import (
-    EnergySystem,
-    StructureError,
-    VariableIndex,
-    assemble_variable_index,
-    validate_system,
-)
+from .system import EnergySystem, VariableIndex, assemble_variable_index
 from .technologies import emit_technology
 
 
@@ -59,18 +53,14 @@ def _default_bounds(system: EnergySystem, index: VariableIndex
     return lower, upper, integer
 
 
-def build_problem(system: EnergySystem, mode: ObjectiveMode,
-                  index: VariableIndex | None = None) -> BuiltProblem:
+def build_problem(system: EnergySystem, mode: ObjectiveMode) -> BuiltProblem:
     """Emit every constraint row, bound and objective for ``system`` in ``mode``.
 
     Row order is deterministic: technology rows (by id), branch rows (by id),
     nodal balances (node, carrier, step), then the optional emission cap.
+    Raises :class:`carrieropt.system.StructureError` for an invalid system.
     """
-    violations = validate_system(system)
-    if violations:
-        raise StructureError("invalid system: " + "; ".join(violations[:5]))
-    if index is None:
-        index = assemble_variable_index(system)
+    index = assemble_variable_index(system)
 
     lower, upper, integer = _default_bounds(system, index)
     rows: list[Row] = []

@@ -130,6 +130,8 @@ def export_results(outcome: ScenarioOutcome, directory: str | Path,
     """Write result JSON and new-capacity CSV (plus frontier CSV for sweeps)."""
     directory = Path(directory)
     stem = f"{outcome.scenario_id}_{outcome.mode.kind}"
+    if outcome.mode.kind == "min_cost_with_cap":
+        stem += f"_{outcome.mode.emission_cap!r}"
     written = []
     payload = json.dumps(outcome_to_json(outcome), indent=1, sort_keys=True) + "\n"
     path = directory / f"{stem}.json"
@@ -260,23 +262,16 @@ def cmd_matrix(args) -> int:
         modes = [_parse_mode(part) for part in args.modes.split(",") if part]
     except (KeyError, ValueError, argparse.ArgumentTypeError) as err:
         _fail("usage", str(err), EXIT_USAGE)
-    runner = ScenarioRunner(system)
-    jobs = args.jobs or int(os.environ.get(JOBS_ENV, "1"))
-    # A scenario's capped modes are one task, run in order by one worker: the
-    # runner chains their bases, so the chain is the same at any --jobs. Every
-    # other combination is a task of its own.
-    tasks: list[list] = []
-    for scenario in scenarios:
-        tasks.extend([(scenario, mode)] for mode in modes
-                     if mode.kind != "min_cost_with_cap")
-        capped = [(scenario, mode) for mode in modes if mode.kind == "min_cost_with_cap"]
-        if capped:
-            tasks.append(capped)
+    try:
+        jobs = args.jobs or int(os.environ.get(JOBS_ENV, "1"))
+    except ValueError as err:
+        _fail("usage", f"{JOBS_ENV}: {err}", EXIT_USAGE)
 
-    def run_task(task):
-        """Per combination: (scenario id, mode, outcome), or the error message."""
+    def run_scenario(scenario):
+        """Per mode, in order: (scenario id, mode, outcome), or the error message."""
+        runner = ScenarioRunner(system)
         out = []
-        for scenario, mode in task:
+        for mode in modes:
             _say(args, f"running {scenario.id} [{mode.label()}]")
             try:
                 out.append((scenario.id, mode, runner.run(scenario, mode)))
@@ -288,9 +283,9 @@ def cmd_matrix(args) -> int:
     # perfbench/tracing.py and its calibration between solves rely on it
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(run_task, tasks))
+            parts = list(pool.map(run_scenario, scenarios))
     else:
-        parts = list(map(run_task, tasks))
+        parts = list(map(run_scenario, scenarios))
     done = [item for part in parts for item in part]
     failures = [item for item in done if isinstance(item, str)]
     results = sorted((item for item in done if not isinstance(item, str)),
@@ -364,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--modes", default="min-cost,min-emissions")
     p.add_argument("--year", type=int, default=2030, choices=(2030, 2040))
     p.add_argument("--jobs", type=int, default=0,
-                   help=f"parallel runs (default ${JOBS_ENV} or 1)")
+                   help=f"scenarios run in parallel (default ${JOBS_ENV} or 1)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_matrix)
 

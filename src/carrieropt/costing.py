@@ -41,7 +41,8 @@ class ObjectiveMode:
         if self.kind not in ("min_emissions", "min_cost", "min_cost_with_cap"):
             raise ValueError(f"unknown objective mode {self.kind!r}")
         if self.kind == "min_cost_with_cap":
-            if self.emission_cap is None or self.emission_cap < 0:
+            if (self.emission_cap is None or math.isnan(self.emission_cap)
+                    or self.emission_cap < 0):
                 raise ValueError("emission cap must be a nonnegative number")
 
     @classmethod

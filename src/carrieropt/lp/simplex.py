@@ -117,15 +117,15 @@ def _power_of_two(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _geometric_scaling(a: sp.csr_matrix, passes: int = 4) -> tuple[np.ndarray, np.ndarray]:
-    """Geometric-mean row/column scale factors, rounded to powers of two."""
+def _geometric_scaling(a: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray]:
+    """Geometric-mean row/column scale factors over four passes, rounded to powers of two."""
     m, n = a.shape
     row_scale = np.ones(m)
     col_scale = np.ones(n)
     if a.nnz == 0:
         return row_scale, col_scale
     work = a.copy().astype(float)
-    for _ in range(passes):
+    for _ in range(4):
         for axis in (1, 0):
             absw = abs(work)
             mx = absw.max(axis=axis).toarray().ravel()

@@ -57,26 +57,17 @@ def warm_start_solve(
             raise WarmStartError(
                 f"base value {value} for {name} violates its bounds", [name])
 
-    stage1 = problem.copy()
-    for col, value in prior_cols.items():
-        stage1.lower[col] = stage1.upper[col] = value
-    for col in new_cols:
-        stage1.lower[col] = stage1.upper[col] = 0.0
-    res1 = solve_milp(stage1, options)
-    if res1.status == INFEASIBLE:
-        raise WarmStartError("stage-1 fixing is infeasible", res1.infeasible_rows)
-    if res1.status != OPTIMAL:
-        raise WarmStartError(f"stage-1 solve ended with status {res1.status}", [])
-
-    stage2 = problem.copy()
-    for col, value in prior_cols.items():
-        stage2.lower[col] = stage2.upper[col] = value
-    res2 = solve_milp(stage2, options, start=res1.basis)
-    if res2.status != OPTIMAL:
-        raise WarmStartError(f"stage-2 solve ended with status {res2.status}", [])
-
-    res3 = solve_milp(problem, options, start=res2.basis)
-    if res3.status != OPTIMAL:
-        raise WarmStartError(f"stage-3 solve ended with status {res3.status}", [])
-
-    return WarmStartResult(stages=[res1, res2, res3])
+    # columns each stage fixes: prior and new sizes, then prior sizes, then none
+    fixings = [{**prior_cols, **dict.fromkeys(new_cols, 0.0)}, prior_cols, {}]
+    stages: list[SolveResult] = []
+    for number, fixed in enumerate(fixings, start=1):
+        stage = problem.copy()
+        for col, value in fixed.items():
+            stage.lower[col] = stage.upper[col] = value
+        res = solve_milp(stage, options, start=stages[-1].basis if stages else None)
+        if number == 1 and res.status == INFEASIBLE:
+            raise WarmStartError("stage-1 fixing is infeasible", res.infeasible_rows)
+        if res.status != OPTIMAL:
+            raise WarmStartError(f"stage-{number} solve ended with status {res.status}", [])
+        stages.append(res)
+    return WarmStartResult(stages=stages)

@@ -17,9 +17,8 @@ input is removed so that reference runs stay pure dispatch problems.
 from __future__ import annotations
 
 import dataclasses
-import threading
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from .builder import BuiltProblem, build_problem
 from .costing import (
@@ -33,7 +32,6 @@ from .lp import (
     INFEASIBLE,
     OPTIMAL,
     Basis,
-    SolveOptions,
     SolveResult,
     solve_milp,
     warm_start_solve,
@@ -227,9 +225,10 @@ class ScenarioOutcome:
 
 
 def run(system: EnergySystem, scenario: ScenarioSpec, mode: ObjectiveMode,
-        options: SolveOptions | None = None,
         warm_from: Mapping[str, float] | None = None) -> ScenarioOutcome:
     """Gate, build, solve and post-process one scenario/mode combination.
+
+    Without ``warm_from`` this runs on a fresh :class:`ScenarioRunner`.
 
     ``warm_from`` maps size-column names to values, usually a prior outcome's
     :meth:`ScenarioOutcome.size_values`. When given, the solve follows the
@@ -242,36 +241,32 @@ def run(system: EnergySystem, scenario: ScenarioSpec, mode: ObjectiveMode,
     (reporting that minimum), and ``RuntimeError`` for any other non-optimal
     solver outcome, including a :class:`carrieropt.lp.WarmStartError`.
     """
-    options = options or SolveOptions()
-
-    def floor() -> ScenarioOutcome:
-        return _solve(system, scenario, ObjectiveMode.min_emissions(), options, floor)
-
-    return _solve(system, scenario, mode, options, floor, warm_from)
+    if warm_from is None:
+        return ScenarioRunner(system).run(scenario, mode)
+    return _solve(system, scenario, mode, warm_from=warm_from)
 
 
 def _solve(system: EnergySystem, scenario: ScenarioSpec, mode: ObjectiveMode,
-           options: SolveOptions, floor: Callable[[], ScenarioOutcome],
            warm_from: Mapping[str, float] | None = None,
-           start: Basis | None = None) -> ScenarioOutcome:
+           start: Basis | None = None) -> ScenarioOutcome | None:
     """:func:`run`, optionally from a ``start`` basis of an earlier solve.
 
-    ``floor`` gives the scenario's min-emissions outcome, whose objective an
-    :class:`InfeasibleCapError` reports; it is called only for such a cap.
+    Returns None when an emission cap makes the problem infeasible; a
+    ``warm_from`` solve raises :class:`carrieropt.lp.WarmStartError` instead.
     """
     gated = apply_scenario(system, scenario)
     built = build_problem(gated, mode)
     if warm_from is None:
-        result = solve_milp(built.problem, options, start=start)
+        result = solve_milp(built.problem, start=start)
     else:
         names = set(built.problem.col_names)
         prior = {name: value for name, value in warm_from.items() if name in names}
         new_sizes = [key.name() for key in built.index.keys()
                      if key.step is None and key.name() not in prior]
-        result = warm_start_solve(built.problem, prior, new_sizes, options).final
+        result = warm_start_solve(built.problem, prior, new_sizes).final
     if result.status != OPTIMAL:
         if result.status == INFEASIBLE and mode.kind == "min_cost_with_cap":
-            raise InfeasibleCapError(mode.emission_cap, floor().objective)
+            return None
         raise RuntimeError(f"scenario {scenario.id} ({mode.label()}):"
                            f" solver returned {result.status}")
     emissions = total_emissions(gated, built.index, result.x)
@@ -306,50 +301,43 @@ class ScenarioRunner:
     cached min-emissions outcome, so it is solved at most once per runner.
 
     So a capped outcome's ``solver`` counters depend on which caps of its
-    scenario this runner solved before it, and in which order. A runner may
-    be shared between threads: its cache and bases are read and written
-    under a lock, and solves run outside it. Capped runs of one scenario that
-    overlap in time make its basis chain depend on timing, which can change
-    iteration counts and, where the optimum is not unique, the solution
-    reported; run each scenario's capped modes on one thread, in a fixed
-    order, for byte-identical results.
+    scenario this runner solved before it, and in which order. A runner is
+    not thread-safe, so use one per thread.
     """
 
-    def __init__(self, system: EnergySystem, options: SolveOptions | None = None):
+    def __init__(self, system: EnergySystem):
         violations = validate_system(system)
         if violations:
             raise ValueError("invalid system: " + "; ".join(violations[:5]))
         self.system = system
-        self.options = options or SolveOptions()
         self._cache: dict[tuple[str, str], ScenarioOutcome] = {}
         self._bases: dict[str, Basis] = {}
-        self._lock = threading.Lock()
 
     def run(self, scenario: ScenarioSpec, mode: ObjectiveMode) -> ScenarioOutcome:
-        """Like :func:`run`, from the cache when this runner has the outcome."""
+        """:func:`run` without ``warm_from``, or this runner's cached outcome;
+        raises as :func:`run` does."""
         return self._outcome(scenario, mode)
 
     def _outcome(self, scenario: ScenarioSpec, mode: ObjectiveMode) -> ScenarioOutcome:
+        """:meth:`run`; the floor recurses here, so one ``run`` call is one outcome."""
         key = (scenario.id, mode.label())
+        if key in self._cache:
+            return self._cache[key]
         capped = mode.kind == "min_cost_with_cap"
-        with self._lock:
-            cached = self._cache.get(key)
-            start = self._bases.get(scenario.id) if capped else None
-        if cached is not None:
-            return cached
-        outcome = _solve(self.system, scenario, mode, self.options,
-                         lambda: self._outcome(scenario, ObjectiveMode.min_emissions()),
-                         start=start)
-        with self._lock:
-            if capped:
-                self._bases[scenario.id] = outcome.result.basis
-            return self._cache.setdefault(key, outcome)
+        outcome = _solve(self.system, scenario, mode,
+                         start=self._bases.get(scenario.id) if capped else None)
+        if outcome is None:
+            floor = self._outcome(scenario, ObjectiveMode.min_emissions())
+            raise InfeasibleCapError(mode.emission_cap, floor.objective)
+        if capped:
+            self._bases[scenario.id] = outcome.result.basis
+        self._cache[key] = outcome
+        return outcome
 
 
 def abatement_sweep(system: EnergySystem, scenario: ScenarioSpec,
                     targets: Iterable[float],
-                    runner: ScenarioRunner | None = None,
-                    reference: ScenarioSpec | None = None) -> list[dict]:
+                    runner: ScenarioRunner | None = None) -> list[dict]:
     """Cost-minimal points under emission caps tightened from the reference.
 
     For each reduction fraction f the cap is (1-f) times the reference
@@ -358,8 +346,7 @@ def abatement_sweep(system: EnergySystem, scenario: ScenarioSpec,
     with the achievable minimum attached rather than raising.
     """
     runner = runner or ScenarioRunner(system)
-    reference = reference or standard_scenario("reference")
-    ref = runner.run(reference, ObjectiveMode.min_cost())
+    ref = runner.run(standard_scenario("reference"), ObjectiveMode.min_cost())
     e_ref = ref.emissions.total
     c_ref = ref.costs.total
     if e_ref <= 0:
@@ -510,6 +497,8 @@ def compute_metrics(system: EnergySystem, index, x) -> dict:
     }
 
 
+_NEW_CAPACITY_MIN = 1e-6  # additions up to this size are not reported as new assets
+
 _TECH_CATEGORY = {
     TechnologyKind.RENEWABLE: "renewable",
     TechnologyKind.CONVERSION1: "dispatchable",
@@ -519,8 +508,7 @@ _TECH_CATEGORY = {
 }
 
 
-def new_capacity_table(system: EnergySystem, index, x,
-                       threshold: float = 1e-6) -> list[dict]:
+def new_capacity_table(system: EnergySystem, index, x) -> list[dict]:
     """New assets only, aggregated like the result tables: existing is not reported."""
     rows: list[dict] = []
     offshore_nodes = {n.id for n in system.nodes if n.offshore}
@@ -528,7 +516,7 @@ def new_capacity_table(system: EnergySystem, index, x,
         if not index.has(tech.id, "size"):
             continue
         added = float(x[index.column(tech.id, "size")])
-        if added <= threshold:
+        if added <= _NEW_CAPACITY_MIN:
             continue
         if tech.kind == TechnologyKind.CONVERSION2:
             category = "electrolyzer" if is_electrolyzer(tech) else (
@@ -546,7 +534,7 @@ def new_capacity_table(system: EnergySystem, index, x,
             added = float(x[index.column(branch.id, "size")])
         else:
             continue
-        if added <= threshold:
+        if added <= _NEW_CAPACITY_MIN:
             continue
         offshore = (branch.from_node in offshore_nodes
                     or branch.to_node in offshore_nodes)

@@ -70,6 +70,10 @@ class TestRun:
                         "--out", out]) == 2
         assert run_cli(["sweep", str(system_dir), "--scenario", "s-all",
                         "--targets", "abc"]) == 2
+        assert run_cli(["run", str(system_dir), "--scenario", "reference",
+                        "--mode", "cap=nan"]) == 2
+        assert run_cli(["matrix", str(system_dir), "--modes", "cap=nan",
+                        "--out", out]) == 2
 
     def test_warm_start_file_errors(self, system_dir, tmp_path, capsys):
         def warm(path):
@@ -158,6 +162,25 @@ class TestMatrix:
                         "--out", str(out)])
         assert code == 0
         assert (out / "reference_min_cost.json").exists()
+
+    def test_jobs_env_not_an_integer(self, system_dir, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("CARRIEROPT_JOBS", "abc")
+        code = run_cli(["--quiet", "matrix", str(system_dir),
+                        "--scenarios", "reference", "--modes", "min-cost",
+                        "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert json.loads(capsys.readouterr().out)["error"] == "usage"
+
+    def test_each_cap_writes_its_own_files(self, system_dir, tmp_path, capsys):
+        out = tmp_path / "caps"
+        assert run_cli(["--quiet", "matrix", str(system_dir), "--scenarios", "synergies",
+                        "--modes", "cap=60000,cap=80000", "--out", str(out)]) == 0
+        caps = ("60000.0", "80000.0")
+        stems = [f"synergies_min_cost_with_cap_{cap}" for cap in caps]
+        assert sorted(path.name for path in out.iterdir()) == [
+            name for stem in stems for name in (f"{stem}.json", f"{stem}_capacities.csv")]
+        for cap, stem in zip(caps, stems):
+            assert json.loads((out / f"{stem}.json").read_text())["mode"] == f"cap={cap}"
 
     def test_parallel_matches_serial(self, system_dir, tmp_path, capsys):
         serial_dir = tmp_path / "serial"
