@@ -258,8 +258,9 @@ def cmd_matrix(args) -> int:
     else:
         ids = [part.strip() for part in args.scenarios.split(",") if part.strip()]
     try:
-        scenarios = [standard_scenario(sid, year=args.year) for sid in ids]
-        modes = [_parse_mode(part) for part in args.modes.split(",") if part]
+        # a repeated scenario or mode runs once, at its first position
+        scenarios = [standard_scenario(sid, year=args.year) for sid in dict.fromkeys(ids)]
+        modes = list(dict.fromkeys(_parse_mode(part) for part in args.modes.split(",") if part))
     except (KeyError, ValueError, argparse.ArgumentTypeError) as err:
         _fail("usage", str(err), EXIT_USAGE)
     try:

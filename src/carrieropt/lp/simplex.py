@@ -2,13 +2,15 @@
 
 The solver works on the equality form ``A x + s = b`` where each row's slack
 carries bounds encoding the row sense (``<=``: s in [0, inf), ``>=``:
-s in (-inf, 0], ``==``: s fixed at 0). The basis inverse is represented by a
-sparse LU factorization plus the product-form etas of the pivots since, held
-as one dense block so that ftran and btran each apply them with one small
-triangular solve; it is refactorized every ``REFACTOR_EVERY`` pivots.
+s in (-inf, 0], ``==``: s fixed at 0). The basis inverse is a sparse LU
+factorization with tight supernodes plus the sparse product-form etas of the
+pivots since; it is refactorized every ``REFACTOR_EVERY`` pivots. The basics'
+values, bounds, costs and bound flags are kept in basis order, and the ratio
+test and their update run over the nonzero rows of the entering column only.
 Columns are read straight from the CSC arrays of the scaled matrix, and
-pricing multiplies by its transpose through the same arrays read as CSR.
-Pricing is Dantzig (largest reduced-cost violation, ties broken
+pricing multiplies by its transpose through the same arrays read as CSR, then
+weighs the reduced costs by two masks of the directions each nonbasic column
+may move in. Pricing is Dantzig (largest reduced-cost violation, ties broken
 by lowest column index) with an automatic switch to Bland's rule after a run
 of degenerate steps, which guarantees termination.
 
@@ -22,6 +24,7 @@ violate new bounds runs phase 1 from where it is instead of starting cold.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -146,43 +149,63 @@ def _geometric_scaling(a: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _Factorization:
-    """Basis inverse as LU of a snapshot plus a block of product-form etas.
+    """Basis inverse as a sparse LU of a snapshot plus sparse product-form etas.
 
-    After k pivots since the last refactorization the basis is
-    ``B = B0 E_1 ... E_k`` with ``E_i = I + eta_i e_{r_i}^T``, where ``d_i`` is
-    the entering column in terms of the basis before pivot i, ``r_i`` its pivot
-    row and ``eta_i = d_i - e_{r_i}``. The etas are the first k columns of the
-    dense m x ``REFACTOR_EVERY`` array ``eta``, their pivot rows the first k
-    entries of ``rows``, and ``tri`` holds the k x k lower-triangular matrix
-    ``T[i, j] = eta_j[r_i]`` (j < i), ``T[i, i] = d_i[r_i]``. Then
+    The LU uses tight supernodes (``relax=1``, ``panel_size=1``): simplex bases
+    are close to triangular, and relaxed supernodes only pad every solve with
+    dense blocks of explicit zeros. After k pivots since the refactorization
+    the basis is ``B = B0 E_1 ... E_k`` with ``E_i = I + eta_i e_{r_i}^T``,
+    where ``d_i`` is the entering column in terms of the basis before pivot i,
+    ``r_i`` its pivot row and ``eta_i = d_i - e_{r_i}``. Eta i keeps the rows
+    where ``d_i`` is nonzero, as entries ``ptr[i]:ptr[i + 1]`` of ``idx`` and
+    ``val``: the arrays of ``eta``, a CSC matrix with the etas as columns, and
+    of its CSR transpose ``eta_t``. ``rows[i]`` is ``r_i``, and ``tri`` holds
+    ``T[i, j] = eta_j[r_i]`` (j < i), ``T[i, i] = d_i[r_i]``, lower-triangular
+    and in Fortran order so that LAPACK reads its first k columns in place. Then
 
     * ``E_k^-1 ... E_1^-1 w = w - eta @ alpha`` with ``T alpha = w[rows]``;
     * ``E_1^-T ... E_k^-T c = c - sum_i beta_i e_{r_i}`` with
       ``T^T beta = eta^T c``,
 
-    so ftran and btran take one triangular solve of order k each instead of a
-    loop over the etas.
+    so ftran and btran take one triangular solve of order k and one sparse
+    product each, whose work follows the etas' nonzeros instead of m x k.
     """
 
     def __init__(self, a_csc: sp.csc_matrix):
+        m = a_csc.shape[0]
         self.a_csc = a_csc
         self.lu = None
-        self.eta = np.zeros((a_csc.shape[0], REFACTOR_EVERY), order="F")
-        self.tri = np.zeros((REFACTOR_EVERY, REFACTOR_EVERY))
+        # room for m entries per eta; pages past the entries in use stay untouched
+        self.idx = np.zeros(m * REFACTOR_EVERY, dtype=np.int32)
+        self.val = np.zeros(self.idx.size)
+        self.ptr = np.zeros(REFACTOR_EVERY + 1, dtype=np.int32)
+        # push_eta points both at the entries in use; columns past k stay empty
+        self.eta = sp.csc_matrix((m, REFACTOR_EVERY))
+        self.eta_t = sp.csr_matrix((REFACTOR_EVERY, m))
+        self.alpha = np.zeros(REFACTOR_EVERY)
+        self.tri = np.zeros((REFACTOR_EVERY, REFACTOR_EVERY), order="F")
         self.rows = np.zeros(REFACTOR_EVERY, dtype=np.intp)
         self.k = 0
 
     def refactor(self, basis: np.ndarray) -> None:
-        b = sp.csc_matrix(self.a_csc[:, basis])
-        self.lu = splu(b)
+        self.lu = splu(sp.csc_matrix(self.a_csc[:, basis]), relax=1, panel_size=1)
         self.k = 0
 
-    def push_eta(self, row: int, column: np.ndarray) -> None:
-        k = self.k
-        self.eta[:, k] = column
-        self.eta[row, k] -= 1.0
-        self.tri[k, :k] = self.eta[row, :k]
-        self.tri[k, k] = column[row]
+    def push_eta(self, row: int, nz: np.ndarray, values: np.ndarray) -> None:
+        """Add a pivot on ``row``; ``d`` is ``values`` on the ascending rows ``nz``, else 0."""
+        k, start = self.k, self.ptr[self.k]
+        end = start + nz.size
+        hits = np.flatnonzero(self.idx[:start] == row)
+        self.tri[k, :k] = 0.0
+        self.tri[k, np.searchsorted(self.ptr[1:k + 1], hits, side="right")] = self.val[hits]
+        at = start + np.searchsorted(nz, row)
+        self.idx[start:end] = nz
+        self.val[start:end] = values
+        self.tri[k, k] = self.val[at]
+        self.val[at] -= 1.0
+        self.ptr[k + 1:] = end
+        for eta in (self.eta, self.eta_t):
+            eta.data, eta.indices, eta.indptr = self.val[:end], self.idx[:end], self.ptr
         self.rows[k] = row
         self.k = k + 1
 
@@ -190,15 +213,15 @@ class _Factorization:
         w = self.lu.solve(v)
         k = self.k
         if k:
-            alpha, _ = dtrtrs(self.tri[:k, :k], w[self.rows[:k]], lower=1)
-            w -= self.eta[:, :k] @ alpha
+            self.alpha[:k], _ = dtrtrs(self.tri[:, :k], w[self.rows[:k]], lower=1)
+            w -= self.eta @ self.alpha  # the empty columns past k read nothing
         return w
 
     def btran(self, c: np.ndarray) -> np.ndarray:
         u = c.astype(float, copy=True)
         k = self.k
         if k:
-            beta, _ = dtrtrs(self.tri[:k, :k], self.eta[:, :k].T @ u, lower=1, trans=1)
+            beta, _ = dtrtrs(self.tri[:, :k], (self.eta_t @ u)[:k], lower=1, trans=1)
             np.subtract.at(u, self.rows[:k], beta)  # a row may be pivoted more than once
         return self.lu.solve(u, trans="T")
 
@@ -285,10 +308,32 @@ class _Simplex:
         return True
 
     def _recompute_basics(self) -> None:
+        """Basic values, and the state kept in basis order: ``xb`` (``x`` of the
+        basics is stale until :meth:`finish` writes ``xb`` back), ``lo_b``,
+        ``up_b``, ``c_b`` and the ``below``/``above`` flags. ``inc`` is -1 on the
+        nonbasic columns that may increase, ``dec`` 1 on those that may decrease."""
         x_nb = self.x.copy()
         x_nb[self.basis] = 0.0
-        resid = self.b - self.a_csr @ x_nb
-        self.x[self.basis] = self.fact.ftran(resid)
+        self.xb = self.fact.ftran(self.b - self.a_csr @ x_nb)
+        self.x[self.basis] = self.xb
+        self.lo_b, self.up_b = self.lower[self.basis], self.upper[self.basis]
+        self.c_b = self.c[self.basis]
+        self.below, self.above = self.xb < self.lo_b - PRIMAL_TOL, self.xb > self.up_b + PRIMAL_TOL
+        free = ~self.fixed
+        self.inc = -(np.isin(self.vstat, (AT_LOWER, AT_VALUE)) & free).astype(float)
+        self.dec = (np.isin(self.vstat, (AT_UPPER, AT_VALUE)) & free).astype(float)
+
+    def _flag(self, rows) -> None:
+        xb = self.xb[rows]
+        self.below[rows] = xb < self.lo_b[rows] - PRIMAL_TOL
+        self.above[rows] = xb > self.up_b[rows] + PRIMAL_TOL
+
+    def _set_status(self, j: int, status: int) -> None:
+        """Set ``vstat[j]`` to ``BASIC``, ``AT_LOWER`` or ``AT_UPPER`` and its masks."""
+        self.vstat[j] = status
+        free = not self.fixed[j]
+        self.inc[j] = -float(free and status == AT_LOWER)
+        self.dec[j] = float(free and status == AT_UPPER)
 
     # -- core iteration -----------------------------------------------------
 
@@ -307,17 +352,13 @@ class _Simplex:
                 return ITERATION_LIMIT
             self.iterations += 1
 
-            xb = self.x[self.basis]
-            lo_b, up_b = self.lower[self.basis], self.upper[self.basis]
-            below = xb < lo_b - PRIMAL_TOL
-            above = xb > up_b + PRIMAL_TOL
-            violated = below | above
-            phase1 = violated.any()
+            below, above = self.below, self.above
+            phase1 = below.any() or above.any()
             if phase1:
                 # nonbasic columns cost nothing in phase 1; pricing skips basic ones
                 cost, cost_b = 0.0, np.subtract(above, below, dtype=float)
             else:
-                cost, cost_b = self.c, self.c[self.basis]
+                cost, cost_b = self.c, self.c_b
 
             y = self.fact.btran(cost_b)
             z = cost - self.a_t @ y
@@ -325,56 +366,59 @@ class _Simplex:
             if j < 0:
                 if not phase1:
                     return OPTIMAL
+                xb, lo_b, up_b = self.xb, self.lo_b, self.up_b
                 violation = (lo_b - xb)[below].sum() + (xb - up_b)[above].sum()
                 if violation > infeasibility_tol:
                     self.farkas = y
                     return INFEASIBLE
                 # round-off, not infeasibility: put those basics on their bounds
-                self.x[self.basis] = np.clip(xb, lo_b, up_b)
+                self.xb = np.clip(xb, lo_b, up_b)
+                self._flag(slice(None))
                 continue
-            direction = 1.0
-            if self.vstat[j] == AT_UPPER or (self.vstat[j] == AT_VALUE and z[j] > 0):
-                direction = -1.0
+            # pricing takes a column at its lower bound only for z < 0, at its upper for z > 0
+            direction = -1.0 if z[j] > 0 else 1.0
 
             d = self.fact.ftran(self._column(j))
-            delta = direction * d
+            rows = np.flatnonzero(d != 0.0)
+            d_rows = d[rows]
+            delta = direction * d_rows
+            xb, lo_stop, up_stop = self.xb[rows], self.lo_b[rows], self.up_b[rows]
 
             # An infeasible basic value stops at the bound where it becomes
             # feasible and is unlimited moving further out.
-            lo_stop, up_stop = lo_b, up_b
-            dec = delta > PIVOT_TOL
-            inc = delta < -PIVOT_TOL
+            dec, inc = delta > PIVOT_TOL, delta < -PIVOT_TOL
             if phase1:
-                lo_stop, up_stop = np.where(above, up_b, lo_b), np.where(below, lo_b, up_b)
-                dec &= ~below
-                inc &= ~above
-            lim = np.full(self.m, np.inf)
-            lim[dec] = (xb[dec] - lo_stop[dec]) / delta[dec]
-            lim[inc] = (up_stop[inc] - xb[inc]) / (-delta[inc])
-            lim = np.maximum(lim, 0.0)
-            min_basic = lim.min() if self.m else np.inf
+                row_below, row_above = below[rows], above[rows]
+                lo_stop, up_stop = (np.where(row_above, up_stop, lo_stop),
+                                    np.where(row_below, lo_stop, up_stop))
+                dec &= ~row_below
+                inc &= ~row_above
+            lim = np.full(rows.size, np.inf)
+            np.divide(xb - lo_stop, delta, out=lim, where=dec)
+            np.divide(up_stop - xb, -delta, out=lim, where=inc)
+            min_basic = np.maximum(lim, 0.0, out=lim).min(initial=np.inf)
 
-            if direction > 0:
-                own = self.upper[j] - self.x[j]
-            else:
-                own = self.x[j] - self.lower[j]
-
+            own = self.upper[j] - self.x[j] if direction > 0 else self.x[j] - self.lower[j]
             step = min(min_basic, own)
-            if not np.isfinite(step):
+            if not math.isfinite(step):
                 return UNBOUNDED
 
-            if min_basic <= own:
+            pivot = min_basic <= own
+            if pivot:
                 ties = np.flatnonzero(lim <= min_basic + 1e-10)
                 if self._bland:
-                    r = int(ties[np.argmin(self.basis[ties])])
+                    t = ties[np.argmin(self.basis[rows[ties]])]
                 else:
-                    r = int(ties[np.argmax(np.abs(delta[ties]))])
-                to_lower = bool(delta[r] > 0) != bool(violated[r])
-                self._pivot(j, r, d, delta, step, direction, to_lower)
+                    t = ties[np.argmax(np.abs(delta[ties]))]
+                r = rows[t]
+                to_lower = bool(delta[t] > 0) != bool(below[r] or above[r])
+            self.x[j] += direction * step
+            self.xb[rows] = xb - step * delta
+            if pivot:
+                self._pivot(j, r, rows, d_rows, to_lower)
             else:
-                self.x[self.basis] = xb - step * delta
-                self.x[j] += direction * step
-                self.vstat[j] = AT_UPPER if direction > 0 else AT_LOWER
+                self._set_status(j, AT_UPPER if direction > 0 else AT_LOWER)
+            self._flag(rows)
 
             if step <= 1e-10:
                 self._degenerate_run += 1
@@ -385,14 +429,7 @@ class _Simplex:
                 self._bland = False
 
     def _price(self, z: np.ndarray) -> int:
-        viol = np.zeros(self.ncol)
-        at_lower = self.vstat == AT_LOWER
-        at_upper = self.vstat == AT_UPPER
-        at_value = self.vstat == AT_VALUE
-        viol[at_lower] = np.maximum(-z[at_lower], 0.0)
-        viol[at_upper] = np.maximum(z[at_upper], 0.0)
-        viol[at_value] = np.abs(z[at_value])
-        viol[self.fixed & (self.vstat != BASIC)] = 0.0
+        viol = np.maximum(z * self.inc, z * self.dec)
         if self._bland:
             eligible = np.flatnonzero(viol > OPT_TOL)
             return int(eligible[0]) if eligible.size else -1
@@ -406,18 +443,20 @@ class _Simplex:
         col[a.indices[start:end]] = a.data[start:end]
         return col
 
-    def _pivot(self, entering: int, r: int, d: np.ndarray, delta: np.ndarray,
-               step: float, direction: float, to_lower: bool) -> None:
-        """Swap ``entering`` into row ``r``; the leaving variable lands on its lower
-        bound when ``to_lower``, else on its upper bound."""
+    def _pivot(self, entering: int, r: int, rows: np.ndarray, d_rows: np.ndarray,
+               to_lower: bool) -> None:
+        """Swap ``entering``, already at its new value, into row ``r``; the leaving
+        variable lands on its lower bound when ``to_lower``, else on its upper
+        bound. ``d_rows`` is the entering column on its nonzero ``rows``."""
         leaving = self.basis[r]
-        self.x[self.basis] = self.x[self.basis] - step * delta
-        self.x[entering] += direction * step
         self.x[leaving] = self.lower[leaving] if to_lower else self.upper[leaving]
-        self.vstat[leaving] = AT_LOWER if to_lower else AT_UPPER
+        self._set_status(leaving, AT_LOWER if to_lower else AT_UPPER)
         self.basis[r] = entering
-        self.vstat[entering] = BASIC
-        self.fact.push_eta(r, d)
+        self._set_status(entering, BASIC)
+        self.xb[r] = self.x[entering]
+        self.lo_b[r], self.up_b[r] = self.lower[entering], self.upper[entering]
+        self.c_b[r] = self.c[entering]
+        self.fact.push_eta(r, rows, d_rows)
         if self.fact.k >= REFACTOR_EVERY:
             self.fact.refactor(self.basis)
 
@@ -426,6 +465,7 @@ class _Simplex:
     def finish(self, status: str, warm_started: bool) -> SolveResult:
         problem = self.problem
         n = self.n_struct
+        self.x[self.basis] = self.xb
         if status != OPTIMAL:
             res = SolveResult(status=status, iterations=self.iterations,
                               warm_started=warm_started)

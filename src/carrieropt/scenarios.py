@@ -33,6 +33,7 @@ from .lp import (
     OPTIMAL,
     Basis,
     SolveResult,
+    WarmStartError,
     solve_milp,
     warm_start_solve,
 )
@@ -238,12 +239,19 @@ def run(system: EnergySystem, scenario: ScenarioSpec, mode: ObjectiveMode,
     ``"warm_start": True``.
 
     Raises :class:`InfeasibleCapError` for caps below the achievable minimum
-    (reporting that minimum), and ``RuntimeError`` for any other non-optimal
-    solver outcome, including a :class:`carrieropt.lp.WarmStartError`.
+    (reporting that minimum), with or without ``warm_from``, and
+    ``RuntimeError`` for any other non-optimal solver outcome, including a
+    :class:`carrieropt.lp.WarmStartError` when a reachable cap makes the
+    fixing infeasible.
     """
+    runner = ScenarioRunner(system)
     if warm_from is None:
-        return ScenarioRunner(system).run(scenario, mode)
-    return _solve(system, scenario, mode, warm_from=warm_from)
+        return runner.run(scenario, mode)
+    outcome = _solve(system, scenario, mode, warm_from=warm_from)
+    if outcome is None:
+        floor = runner.run(scenario, ObjectiveMode.min_emissions())
+        raise InfeasibleCapError(mode.emission_cap, floor.objective)
+    return outcome
 
 
 def _solve(system: EnergySystem, scenario: ScenarioSpec, mode: ObjectiveMode,
@@ -251,8 +259,9 @@ def _solve(system: EnergySystem, scenario: ScenarioSpec, mode: ObjectiveMode,
            start: Basis | None = None) -> ScenarioOutcome | None:
     """:func:`run`, optionally from a ``start`` basis of an earlier solve.
 
-    Returns None when an emission cap makes the problem infeasible; a
-    ``warm_from`` solve raises :class:`carrieropt.lp.WarmStartError` instead.
+    Returns None when an emission cap makes the problem infeasible. A
+    ``warm_from`` solve whose fixing is infeasible raises
+    :class:`carrieropt.lp.WarmStartError` unless the cap alone is to blame.
     """
     gated = apply_scenario(system, scenario)
     built = build_problem(gated, mode)
@@ -263,7 +272,13 @@ def _solve(system: EnergySystem, scenario: ScenarioSpec, mode: ObjectiveMode,
         prior = {name: value for name, value in warm_from.items() if name in names}
         new_sizes = [key.name() for key in built.index.keys()
                      if key.step is None and key.name() not in prior]
-        result = warm_start_solve(built.problem, prior, new_sizes).final
+        try:
+            result = warm_start_solve(built.problem, prior, new_sizes).final
+        except WarmStartError:
+            # no fixing is feasible under an unreachable cap: ask the problem itself
+            if mode.kind == "min_cost_with_cap" and solve_milp(built.problem).status == INFEASIBLE:
+                return None
+            raise
     if result.status != OPTIMAL:
         if result.status == INFEASIBLE and mode.kind == "min_cost_with_cap":
             return None

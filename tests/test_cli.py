@@ -119,6 +119,34 @@ class TestRun:
         cold = json.loads(capsys.readouterr().out)
         assert warm["objective"] == pytest.approx(cold["objective"], abs=1e-6)
 
+    def _reference_result(self, system_dir, tmp_path, capsys):
+        out = tmp_path / "base"
+        assert run_cli(["--quiet", "run", str(system_dir), "--scenario", "reference",
+                        "--out", str(out)]) == 0
+        capsys.readouterr()
+        return str(out / "reference_min_cost.json")
+
+    def test_warm_start_under_unreachable_cap_exit_4(self, system_dir, tmp_path, capsys):
+        # no fixing can meet a 10 t cap: the same answer as the cold run
+        base = self._reference_result(system_dir, tmp_path, capsys)
+        argv = ["--quiet", "run", str(system_dir), "--scenario", "synergies", "--mode", "cap=10"]
+        assert run_cli(argv) == 4
+        cold = json.loads(capsys.readouterr().out)
+        assert run_cli(argv + ["--warm-start", base]) == 4
+        warm = json.loads(capsys.readouterr().out)
+        assert warm == cold
+        assert warm["error"] == "infeasible" and warm["minimum_achievable"] > 10.0
+
+    def test_warm_start_fixing_infeasible_under_reachable_cap_exit_5(self, system_dir,
+                                                                     tmp_path, capsys):
+        # synergies reaches 40,000 t, but not with its new technologies fixed at zero
+        base = self._reference_result(system_dir, tmp_path, capsys)
+        assert run_cli(["--quiet", "run", str(system_dir), "--scenario", "synergies",
+                        "--mode", "cap=40000", "--warm-start", base]) == 5
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["error"] == "solver_limit"
+        assert "stage-1 fixing is infeasible" in payload["detail"]
+
 
 class TestSweep:
     def test_csv_matches_library(self, system_dir, capsys):
@@ -181,6 +209,28 @@ class TestMatrix:
             name for stem in stems for name in (f"{stem}.json", f"{stem}_capacities.csv")]
         for cap, stem in zip(caps, stems):
             assert json.loads((out / f"{stem}.json").read_text())["mode"] == f"cap={cap}"
+
+    def test_repeated_scenarios_and_modes_run_once(self, system_dir, tmp_path, capsys,
+                                                   monkeypatch):
+        calls = []
+        original = ScenarioRunner.run
+
+        def counting_run(self, scenario, mode):
+            calls.append((scenario.id, mode.label()))
+            return original(self, scenario, mode)
+
+        monkeypatch.setattr(ScenarioRunner, "run", counting_run)
+        out = tmp_path / "repeated"
+        assert run_cli(["--quiet", "matrix", str(system_dir),
+                        "--scenarios", "reference,t-1,reference",
+                        "--modes", "min-cost,min-emissions,min-cost", "--out", str(out)]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        runs = [(r["scenario"], r["mode"]) for r in summary["runs"]]
+        assert runs == [(sid, mode) for sid in ("reference", "t-1")
+                        for mode in ("min_cost", "min_emissions")]
+        assert calls == [("reference", "min_cost"), ("reference", "min_emissions"),
+                         ("t-1", "min_cost"), ("t-1", "min_emissions")]
+        assert len(list(out.iterdir())) == 8
 
     def test_parallel_matches_serial(self, system_dir, tmp_path, capsys):
         serial_dir = tmp_path / "serial"

@@ -1,11 +1,14 @@
 """LP kernel tests against brute-force vertex enumeration."""
 
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import assume, given, settings, strategies as st
 from numpy.testing import assert_allclose
+from scipy.optimize import linprog
 
 from carrieropt.lp import (
     EQ,
@@ -22,11 +25,14 @@ from carrieropt.lp import (
     solve_lp,
     verify_solution,
 )
+from carrieropt.lp import simplex
 from carrieropt.lp.simplex import (
     AT_LOWER,
     AT_UPPER,
     AT_VALUE,
     BASIC,
+    OPT_TOL,
+    PRIMAL_TOL,
     REFACTOR_EVERY,
     Basis,
     _Factorization,
@@ -269,27 +275,47 @@ class TestDeterminismAndInvariants:
 
 
 class TestFactorization:
-    """The eta block against dense solves on the explicitly updated basis."""
+    """The sparse eta store against dense solves on the explicitly updated basis."""
+
+    @staticmethod
+    def _pivot_rounds(rng, m, rounds):
+        """Pivot ``rounds[i]`` times in round i, refactorizing between rounds.
+
+        Returns the factorization and the dense basis it should represent.
+        """
+        total = sum(rounds)
+        entering = rng.uniform(-0.5, 0.5, size=(m, total))
+        rows = rng.integers(0, m, size=total)
+        if total > 1:
+            rows[1] = rows[0]  # the same row pivoted twice in a row
+        entering[rows, np.arange(total)] += 4.0
+        pool = np.hstack([4.0 * np.eye(m) + rng.uniform(-0.5, 0.5, size=(m, m)), entering])
+        fact = _Factorization(sp.csc_matrix(pool))
+        basis, col = np.arange(m), m
+        for count in rounds:
+            fact.refactor(basis)
+            for r in rows[col - m:col - m + count]:
+                d = np.linalg.solve(pool[:, basis], pool[:, col])
+                fact.push_eta(int(r), np.flatnonzero(d), d[np.flatnonzero(d)])
+                basis[r], col = col, col + 1
+        assert fact.k == rounds[-1]
+        return fact, pool[:, basis]
+
+    def _assert_solves(self, rng, fact, basis):
+        v = rng.uniform(-1.0, 1.0, size=basis.shape[0])
+        assert_allclose(fact.ftran(v), np.linalg.solve(basis, v), rtol=0, atol=1e-10)
+        assert_allclose(fact.btran(v), np.linalg.solve(basis.T, v), rtol=0, atol=1e-10)
 
     @pytest.mark.parametrize("pivots", [1, 2, REFACTOR_EVERY - 1])
     def test_ftran_btran_match_dense_solves(self, pivots):
         rng = np.random.default_rng(pivots)
-        m = 12
-        basis = 4.0 * np.eye(m) + rng.uniform(-0.5, 0.5, size=(m, m))
-        fact = _Factorization(sp.csc_matrix(basis))
-        fact.refactor(np.arange(m))
-        rows = rng.integers(0, m, size=pivots)
-        if pivots > 1:
-            rows[1] = rows[0]  # the same row pivoted twice in a row
-        for r in rows:
-            entering = rng.uniform(-0.5, 0.5, size=m)
-            entering[r] += 4.0
-            fact.push_eta(int(r), np.linalg.solve(basis, entering))
-            basis[:, r] = entering
-        assert fact.k == pivots
-        v = rng.uniform(-1.0, 1.0, size=m)
-        assert_allclose(fact.ftran(v), np.linalg.solve(basis, v), rtol=0, atol=1e-10)
-        assert_allclose(fact.btran(v), np.linalg.solve(basis.T, v), rtol=0, atol=1e-10)
+        self._assert_solves(rng, *self._pivot_rounds(rng, 12, [pivots]))
+
+    def test_refactorization_starts_a_clean_eta_file(self):
+        # a full eta file, a refactorization on the updated basis, then more
+        # etas whose rows the earlier ones hit: nothing stale may leak in
+        rng = np.random.default_rng(5)
+        self._assert_solves(rng, *self._pivot_rounds(rng, 12, [REFACTOR_EVERY - 1, 6]))
 
 
 class TestStartsMatchLoops:
@@ -411,3 +437,84 @@ class TestOptionsSurface:
         p.rhs[0] = np.nan
         with pytest.raises(Exception):
             solve_lp(p)
+
+
+class _Checked(_Simplex):
+    """A simplex that checks its incrementally kept state before every pricing,
+    which comes after every pivot and bound flip."""
+
+    pivots = 0
+
+    def _pivot(self, *args):
+        self.pivots += 1
+        super()._pivot(*args)
+
+    def _price(self, z):
+        basis, vstat, x = self.basis, self.vstat, self.x
+        assert (vstat[basis] == BASIC).all() and np.count_nonzero(vstat == BASIC) == self.m
+        x_nb = x.copy()
+        x_nb[basis] = 0.0
+        xb = np.linalg.solve(self.a[:, basis].toarray(), self.b - self.a @ x_nb)
+        assert_allclose(self.xb, xb, rtol=1e-9, atol=1e-9 * (1.0 + np.abs(xb).max()))
+        assert (self.lo_b == self.lower[basis]).all() and (self.up_b == self.upper[basis]).all()
+        assert (self.c_b == self.c[basis]).all()
+        assert (self.below == (self.xb < self.lo_b - PRIMAL_TOL)).all()
+        assert (self.above == (self.xb > self.up_b + PRIMAL_TOL)).all()
+        free = ~self.fixed
+        may_increase = free & ((vstat == AT_LOWER) | (vstat == AT_VALUE))
+        may_decrease = free & ((vstat == AT_UPPER) | (vstat == AT_VALUE))
+        assert (self.inc == np.where(may_increase, -1.0, 0.0)).all()
+        assert (self.dec == np.where(may_decrease, 1.0, 0.0)).all()
+        # the reference: pricing by one masked pass per status, as before the masks
+        viol = np.zeros(self.ncol)
+        at_lower, at_upper, at_value = vstat == AT_LOWER, vstat == AT_UPPER, vstat == AT_VALUE
+        viol[at_lower] = np.maximum(-z[at_lower], 0.0)
+        viol[at_upper] = np.maximum(z[at_upper], 0.0)
+        viol[at_value] = np.abs(z[at_value])
+        viol[self.fixed & (vstat != BASIC)] = 0.0
+        eligible = np.flatnonzero(viol > OPT_TOL)
+        expected = int(eligible[0] if self._bland else np.argmax(viol)) if eligible.size else -1
+        j = super()._price(z)
+        assert j == expected
+        return j
+
+
+@st.composite
+def bounded_lps(draw):
+    """Small LPs, some with free columns; most have a feasible point x0 by construction."""
+    m = draw(st.integers(3, 8))
+    n = draw(st.integers(3, 8))
+    coefficient = st.sampled_from([-2.0, -1.0, 0.0, 0.0, 0.5, 1.0, 3.0])
+    a = np.array(draw(st.lists(coefficient, min_size=m * n, max_size=m * n))).reshape(m, n)
+    senses = draw(st.lists(st.sampled_from([LE, GE, EQ]), min_size=m, max_size=m))
+    c = draw(st.lists(st.integers(-5, 5).map(float), min_size=n, max_size=n))
+    lower = np.array(draw(st.lists(st.integers(-3, 0).map(float), min_size=n, max_size=n)))
+    width = np.array(draw(st.lists(st.sampled_from([0.0, 1.0, 2.5, 6.0, np.inf]),
+                                   min_size=n, max_size=n)))
+    share = np.array(draw(st.lists(st.sampled_from([0.0, 0.5, 1.0]), min_size=n, max_size=n)))
+    free = np.isinf(width)  # a free column starts nonbasic strictly inside its bounds
+    x0 = np.where(free, share, lower + np.where(free, 0.0, width) * share)
+    lower, upper = np.where(free, -np.inf, lower), np.where(free, np.inf, lower + width)
+    gap = np.array(draw(st.lists(st.sampled_from([0.0, 1.0, 3.0, -2.0]), min_size=m, max_size=m)))
+    sign = np.select([np.array(senses) == LE, np.array(senses) == GE], [1.0, -1.0], 0.0)
+    rhs = a @ x0 + sign * gap  # a negative gap may leave the LP infeasible
+    return make_problem(a, senses, rhs, c, lower=lower, upper=upper)
+
+
+class TestKernelInvariants:
+    @settings(max_examples=150, deadline=None)
+    @given(problem=bounded_lps())
+    def test_kept_state_matches_recompute_and_highs(self, problem):
+        # a short eta file so that these small LPs refactorize mid-solve
+        with mock.patch.object(simplex, "REFACTOR_EVERY", 3):
+            sx = _Checked(problem, SolveOptions())
+            sx.cold_start()
+            res = sx.finish(sx._iterate(), False)
+        assume(sx.pivots >= 3)
+        sign = np.where(problem.senses == GE, -1.0, 1.0)
+        a, b, eq = sign[:, None] * problem.a.toarray(), sign * problem.rhs, problem.senses == EQ
+        ref = linprog(problem.objective, A_ub=a[~eq], b_ub=b[~eq], A_eq=a[eq], b_eq=b[eq],
+                      bounds=np.column_stack([problem.lower, problem.upper]), method="highs")
+        assert (res.status == OPTIMAL) == (ref.status == 0)
+        if res.status == OPTIMAL:
+            assert abs(res.objective - ref.fun) <= 1e-9 * max(1.0, abs(ref.fun))
