@@ -20,6 +20,11 @@ composite phase 1 of Maros, *Computational Techniques of the Simplex Method*,
 ch. 9), and one loop switches to the true cost once the basis is feasible.
 Cold and warm starts share that loop, so a warm basis whose basic values
 violate new bounds runs phase 1 from where it is instead of starting cold.
+A cold start is a triangular crash basis (Bixby, "Implementing the simplex
+method: the initial basis", 1992): before the first pivot, structural columns
+replace the fixed slacks of equality rows wherever that keeps the basis
+triangular, which saves the pivots that would otherwise move those slacks out
+one at a time.
 """
 
 from __future__ import annotations
@@ -91,13 +96,15 @@ class SolveResult:
 
     Every optimal solve carries a ``basis`` that can start a solve of the same
     matrix under any bounds or rhs; ``warm_started`` is true when the solve
-    began from the ``start`` it was given rather than from the slack basis
+    began from the ``start`` it was given rather than from the crash basis
     (for a MILP: when its root LP did). On ``infeasible``,
     ``infeasible_rows`` names the rows of the Farkas ray that ends phase 1:
     the rows with a nonzero phase-1 dual, whose combination proves that no
-    point satisfies them together. They are ordered by decreasing magnitude
-    of that dual in the problem's own row units, ties by row index, so the
-    rows that weigh most in the proof come first.
+    point satisfies them together. Rows with a nonzero rhs come first, since
+    a row whose rhs is 0 adds nothing to the contradiction ``y.b`` the ray
+    proves; within each group they are ordered by decreasing magnitude of
+    that dual in the problem's own row units, ties by row index, so the rows
+    that weigh most in the proof come first.
     """
 
     status: str
@@ -121,30 +128,26 @@ def _power_of_two(values: np.ndarray) -> np.ndarray:
 
 
 def _geometric_scaling(a: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray]:
-    """Geometric-mean row/column scale factors over four passes, rounded to powers of two."""
+    """Geometric-mean row/column scale factors over four passes, rounded to powers
+    of two, from the nonzero entries; a row or column without one keeps 1."""
     m, n = a.shape
     row_scale = np.ones(m)
     col_scale = np.ones(n)
-    if a.nnz == 0:
-        return row_scale, col_scale
-    work = a.copy().astype(float)
+    coo = a.tocoo()
+    nonzero = coo.data != 0
+    row, col = coo.row[nonzero], coo.col[nonzero]
+    mag = np.abs(coo.data[nonzero]).astype(float)
     for _ in range(4):
-        for axis in (1, 0):
-            absw = abs(work)
-            mx = absw.max(axis=axis).toarray().ravel()
-            recip = absw.copy()
-            recip.data = 1.0 / recip.data
-            mn_inv = recip.max(axis=axis).toarray().ravel()
-            nonzero = (mx > 0) & (mn_inv > 0)
+        for scale, line in ((row_scale, row), (col_scale, col)):
+            # the factors are powers of two, so this product is exact
+            work = mag * row_scale[row] * col_scale[col]
+            mx, mn_inv = np.zeros(scale.size), np.zeros(scale.size)
+            np.maximum.at(mx, line, work)
+            np.maximum.at(mn_inv, line, 1.0 / work)
+            used = mx > 0
             factor = np.ones_like(mx)
-            factor[nonzero] = 1.0 / np.sqrt(mx[nonzero] / mn_inv[nonzero])
-            factor = _power_of_two(factor)
-            if axis == 1:
-                row_scale *= factor
-                work = sp.diags(factor) @ work
-            else:
-                col_scale *= factor
-                work = work @ sp.diags(factor)
+            factor[used] = 1.0 / np.sqrt(mx[used] / mn_inv[used])
+            scale *= _power_of_two(factor)
     return row_scale, col_scale
 
 
@@ -270,14 +273,41 @@ class _Simplex:
                 float(a.data.sum()), float(np.abs(a.data).sum()))
 
     def cold_start(self) -> None:
+        """Nonbasic structurals on their bound nearest zero (or at 0 when free),
+        then the triangular crash of Bixby (1992): columns that are neither
+        fixed nor empty, by increasing ``(upper bound finite) + c_j / max(1,
+        max|c|)``, ties by index, replace the fixed slack of an equality row in
+        which they hold at least 0.99 of their largest magnitude, provided none
+        of their nonzeros lies in a row crashed before. Each crashed column is
+        zero on the rows crashed before it, so the basis is triangular after
+        permutation and nonsingular."""
         n, m = self.n_struct, self.m
         lo, up = self.lower[:n], self.upper[:n]
         at_lower = np.isfinite(lo) & (~np.isfinite(up) | (np.abs(lo) <= np.abs(up)))
         at_upper = ~at_lower & np.isfinite(up)
         self.vstat[:n] = np.where(at_lower, AT_LOWER, np.where(at_upper, AT_UPPER, AT_VALUE))
         self.x[:n] = np.where(at_lower, lo, np.where(at_upper, up, 0.0))
-        self.basis = np.arange(n, n + m)
+
+        a = self.a[:, :n]  # no stored zeros: the scaling products drop them
+        col = np.repeat(np.arange(n), np.diff(a.indptr))
+        mag = np.abs(a.data)
+        col_max = np.zeros(n)
+        np.maximum.at(col_max, col, mag)
+        ok = (mag >= 0.99 * col_max[col]) & self.fixed[n + a.indices] & ~self.fixed[col]
+        cand, first = np.unique(col[ok], return_index=True)  # first such row in CSC order
+        pivot_row = a.indices[ok][first]
+        c_max = max(1.0, np.abs(self.c[:n]).max(initial=0.0))
+        penalty = np.isfinite(up[cand]) + self.c[cand] / c_max
+        order = np.lexsort((cand, penalty))
+        basis, rows, ptr = list(range(n, n + m)), a.indices.tolist(), a.indptr.tolist()
+        for j, r in zip(cand[order].tolist(), pivot_row[order].tolist()):
+            if all(basis[i] >= n for i in rows[ptr[j]:ptr[j + 1]]):
+                basis[r] = j
+        self.basis = np.array(basis)
+        crashed = np.flatnonzero(self.basis < n)
         self.vstat[n:n + m] = BASIC
+        self.vstat[self.basis[crashed]] = BASIC
+        self.vstat[n + crashed], self.x[n + crashed] = AT_LOWER, 0.0
         self.fact.refactor(self.basis)
         self._recompute_basics()
 
@@ -474,7 +504,7 @@ class _Simplex:
             elif status == INFEASIBLE:
                 rows = np.flatnonzero(np.abs(self.farkas) > OPT_TOL)
                 weight = np.abs(self.farkas[rows] * self.row_scale[rows])
-                rows = rows[np.lexsort((rows, -weight))]
+                rows = rows[np.lexsort((rows, -weight, problem.rhs[rows] == 0))]
                 res.infeasible_rows = [problem._row_name(int(i)) for i in rows]
             return res
 
@@ -517,7 +547,7 @@ def solve_lp(problem: SparseProblem, options: SolveOptions | None = None,
 
     ``start`` is used when it fits this matrix and is nonsingular, whatever
     its basic values, and the result's ``warm_started`` says so; otherwise
-    the solve starts from the slack basis.
+    the solve starts from the triangular crash basis of :meth:`_Simplex.cold_start`.
     """
     options = options or SolveOptions()
     sx = _Simplex(problem, options)

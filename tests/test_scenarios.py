@@ -291,6 +291,25 @@ class TestWarmSweep:
         for res in infeasible:
             assert res.infeasible_rows[0] == EMISSION_CAP_LABEL
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_infeasible_caps_name_the_cap_first_on_every_seed(self, seed):
+        # rows whose rhs is 0 add nothing to the contradiction the Farkas ray
+        # proves and come after the cap, however heavily the ray weighs them
+        system = build_miniature_system(seed, step_count=24)
+        infeasible = []
+
+        def recording_solve(problem, *args, **kwargs):
+            res = solve_milp(problem, *args, **kwargs)
+            if EMISSION_CAP_LABEL in problem.row_names and res.status == INFEASIBLE:
+                infeasible.append(res.infeasible_rows[0])
+            return res
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(scenarios, "solve_milp", recording_solve)
+            abatement_sweep(system, standard_scenario("synergies"), SWEEP_FRACTIONS)
+        assert infeasible
+        assert set(infeasible) == {EMISSION_CAP_LABEL}
+
     def test_warm_chain_halves_the_iterations(self, warm_sweep):
         warm = sum(res.iterations for is_cap, res in warm_sweep["solves"] if is_cap)
         cold = sum(res.iterations for _, res in warm_sweep["cold"].values())

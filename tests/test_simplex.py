@@ -333,7 +333,13 @@ class TestStartsMatchLoops:
         sx = self._simplex()
         sx.cold_start()
         n = sx.n_struct
-        for j in range(n):
+        # the crash: columns 0 and 2 have the lowest penalty, as the only
+        # ones without a finite upper bound; the lower index replaces the
+        # slack of the == row, and the slacks of the <= and >= rows stay basic
+        assert sx.basis.tolist() == [n, n + 1, 0]
+        assert sx.vstat[n:].tolist() == [BASIC, BASIC, AT_LOWER]
+        assert sx.x[n + 2] == 0.0
+        for j in range(1, n):
             lo, up = sx.lower[j], sx.upper[j]
             if np.isfinite(lo) and (not np.isfinite(up) or abs(lo) <= abs(up)):
                 expected = AT_LOWER, lo
@@ -518,3 +524,150 @@ class TestKernelInvariants:
         assert (res.status == OPTIMAL) == (ref.status == 0)
         if res.status == OPTIMAL:
             assert abs(res.objective - ref.fun) <= 1e-9 * max(1.0, abs(ref.fun))
+
+
+def _problem_with_stored_zeros(a, senses, rhs, c, lower, upper):
+    """A problem whose matrix keeps the explicit zeros of the dense ``a``."""
+    a = np.asarray(a, dtype=float)
+    m, n = a.shape
+    matrix = sp.csr_matrix((a.ravel(), np.tile(np.arange(n), m), np.arange(0, m * n + 1, n)),
+                           shape=(m, n))
+    return SparseProblem(a=matrix, senses=np.array(senses, dtype=object),
+                         rhs=np.asarray(rhs, dtype=float), lower=np.asarray(lower, dtype=float),
+                         upper=np.asarray(upper, dtype=float), objective=np.asarray(c, dtype=float),
+                         integer=np.zeros(n, dtype=bool))
+
+
+def _assert_crash_basis(sx: _Simplex) -> None:
+    """The crash contract: each basic structural replaced the slack of an == row
+    on an entry of at least 0.99 of its largest magnitude, the crashed block
+    is triangular after permutation, and the nonbasics sit where the all-slack
+    start put them."""
+    n, m = sx.n_struct, sx.m
+    a = sx.a[:, :n].toarray()
+    rows = np.flatnonzero(sx.basis < n)
+    cols = sx.basis[rows]
+    assert sx.basis[~np.isin(np.arange(m), rows)].tolist() == [n + i for i in range(m)
+                                                               if i not in rows]
+    assert sx.fixed[n + rows].all() and not sx.fixed[cols].any()
+    pivots = np.abs(a[rows, cols])
+    assert (pivots > 0).all() and (pivots >= 0.99 * np.abs(a[:, cols]).max(axis=0)).all()
+    assert (sx.vstat[cols] == BASIC).all()
+    assert (sx.vstat[n + rows] == AT_LOWER).all() and (sx.x[n + rows] == 0.0).all()
+    # peel row singletons: a triangular block empties completely
+    block = a[np.ix_(rows, cols)] != 0
+    while block.size:
+        singles = np.flatnonzero(block.sum(axis=1) == 1)
+        assert singles.size, "crashed block is not triangular"
+        i = singles[0]
+        j = np.flatnonzero(block[i])[0]
+        block = np.delete(np.delete(block, i, axis=0), j, axis=1)
+    lo, up = sx.lower[:n], sx.upper[:n]
+    nonbasic = np.flatnonzero(sx.vstat[:n] != BASIC)
+    at_lower = np.isfinite(lo) & (~np.isfinite(up) | (np.abs(lo) <= np.abs(up)))
+    at_upper = ~at_lower & np.isfinite(up)
+    expected = np.where(at_lower, lo, np.where(at_upper, up, 0.0))
+    assert sx.x[nonbasic].tobytes() == expected[nonbasic].tobytes()
+
+
+class TestCrash:
+    def test_fixed_and_empty_columns_never_enter(self):
+        # x0 (fixed) and x1 (empty) have the lowest penalty; x2 and x3 take
+        # the two == rows
+        p = make_problem([[4.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]], [EQ, EQ], [5.0, 2.0],
+                         [-5.0, -5.0, 1.0, 1.0], lower=[1.0, 0.0, 0.0, 0.0],
+                         upper=[1.0, 2.0, np.inf, np.inf])
+        sx = _Simplex(p, SolveOptions())
+        sx.cold_start()
+        assert sx.basis.tolist() == [2, 3]
+        _assert_crash_basis(sx)
+        res = sx.finish(sx._iterate(), False)
+        assert res.status == OPTIMAL and res.objective == -5.0 - 10.0 + 1.0 + 2.0
+
+    def test_penalty_orders_the_columns(self):
+        # penalties (upper bound finite) + c_j / 3: x0 1 - 1/3, x1 1, x2 0.5;
+        # the three share one == row, so only the first of them enters
+        p = make_problem([[1.0, 1.0, 1.0]], [EQ], [1.0], [-1.0, 3.0, 1.5],
+                         upper=[1.0, np.inf, np.inf])
+        sx = _Simplex(p, SolveOptions())
+        sx.cold_start()
+        assert sx.basis.tolist() == [2]
+
+    def test_stored_zero_is_never_a_pivot(self):
+        # x0 holds only a stored zero, in row 0, and costs least; x2's stored
+        # zero lies in the row x1 takes and does not keep x2 out of row 1
+        p = _problem_with_stored_zeros([[0.0, 1.0, 0.0], [0.0, 0.0, 2.0]], [EQ, EQ],
+                                       [3.0, 4.0], [-10.0, -5.0, 0.0],
+                                       lower=[0.0, 0.0, 0.0], upper=[5.0, np.inf, np.inf])
+        sx = _Simplex(p, SolveOptions())
+        sx.cold_start()
+        assert sx.basis.tolist() == [1, 2]
+        _assert_crash_basis(sx)
+        res = solve_lp(p)
+        assert res.status == OPTIMAL and res.objective == -50.0 - 15.0
+        assert verify_solution(p, res).ok()
+
+    @settings(max_examples=150, deadline=None)
+    @given(problem=bounded_lps())
+    def test_crash_contract_on_random_lps(self, problem):
+        sx = _Simplex(problem, SolveOptions())
+        sx.cold_start()
+        _assert_crash_basis(sx)
+
+    def test_cold_synergies_solve_takes_at_most_700_iterations(self):
+        # 1,061 iterations from the all-slack basis, 567 from the crash basis
+        from carrieropt.builder import build_problem
+        from carrieropt.costing import ObjectiveMode
+        from carrieropt.scenarios import apply_scenario, standard_scenario
+        from carrieropt.system import build_miniature_system
+
+        system = apply_scenario(build_miniature_system(0, step_count=24),
+                                standard_scenario("synergies"))
+        p = build_problem(system, ObjectiveMode.min_cost()).problem
+        res = solve_lp(p)
+        assert res.status == OPTIMAL and not res.warm_started
+        assert res.iterations <= 700
+
+
+class TestScaling:
+    @staticmethod
+    def _by_sparse_copies(a):
+        """The scaling as first written: whole sparse copies per pass."""
+        row_scale, col_scale = np.ones(a.shape[0]), np.ones(a.shape[1])
+        if a.nnz == 0:
+            return row_scale, col_scale
+        work = a.copy().astype(float)
+        for _ in range(4):
+            for axis in (1, 0):
+                absw = abs(work)
+                mx = absw.max(axis=axis).toarray().ravel()
+                recip = absw.copy()
+                recip.data = 1.0 / recip.data
+                mn_inv = recip.max(axis=axis).toarray().ravel()
+                nonzero = (mx > 0) & (mn_inv > 0)
+                factor = np.ones_like(mx)
+                factor[nonzero] = 1.0 / np.sqrt(mx[nonzero] / mn_inv[nonzero])
+                factor = simplex._power_of_two(factor)
+                if axis == 1:
+                    row_scale *= factor
+                    work = sp.diags(factor) @ work
+                else:
+                    col_scale *= factor
+                    work = work @ sp.diags(factor)
+        return row_scale, col_scale
+
+    @settings(max_examples=200, deadline=None)
+    @given(m=st.integers(1, 7), n=st.integers(1, 7), data=st.data())
+    def test_matches_sparse_copies_and_ignores_stored_zeros(self, m, n, data):
+        entry = st.sampled_from([0.0, 0.0, 0.0, -1e-3, 0.02, -0.5, 1.0, 3.0, -7.5, 250.0, 4e4])
+        dense = np.array(data.draw(st.lists(entry, min_size=m * n, max_size=m * n))).reshape(m, n)
+        a = sp.csr_matrix(dense)  # no stored zeros
+        rows, cols = simplex._geometric_scaling(a)
+        ref_rows, ref_cols = self._by_sparse_copies(a)
+        assert rows.tobytes() == ref_rows.tobytes() and cols.tobytes() == ref_cols.tobytes()
+        stored = _problem_with_stored_zeros(dense, [LE] * m, np.zeros(m), np.zeros(n),
+                                            np.zeros(n), np.ones(n)).a
+        assert stored.nnz == m * n
+        rows_z, cols_z = simplex._geometric_scaling(stored)
+        assert rows_z.tobytes() == rows.tobytes() and cols_z.tobytes() == cols.tobytes()
+        assert np.isfinite(rows).all() and np.isfinite(cols).all()
