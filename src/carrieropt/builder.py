@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costing import ObjectiveMode, assemble_objective, emission_vector
+from .costing import CostTable, ObjectiveMode, assemble_objective, cost_table
 from .lp import Row, SparseProblem
 from .network import emit_branch, emit_energy_balance
 from .system import EnergySystem, VariableIndex, assemble_variable_index
@@ -21,7 +21,12 @@ class BuiltProblem:
     problem: SparseProblem
     mode: ObjectiveMode
     cap_row: int | None
-    emissions: np.ndarray
+    table: CostTable
+
+    @property
+    def emissions(self) -> np.ndarray:
+        """t CO2 per unit of each column."""
+        return self.table.emissions
 
 
 def _default_bounds(system: EnergySystem, index: VariableIndex
@@ -84,7 +89,8 @@ def build_problem(system: EnergySystem, mode: ObjectiveMode) -> BuiltProblem:
     rows.extend(balance_rows)
     apply_bounds(import_bounds)
 
-    objective, cap = assemble_objective(system, index, mode)
+    table = cost_table(system, index)
+    objective, cap = assemble_objective(table, mode)
     cap_row = None
     if cap is not None:
         cap_row = len(rows)
@@ -100,4 +106,4 @@ def build_problem(system: EnergySystem, mode: ObjectiveMode) -> BuiltProblem:
         col_names=index.names(),
     )
     return BuiltProblem(system=system, index=index, problem=problem, mode=mode,
-                        cap_row=cap_row, emissions=emission_vector(system, index))
+                        cap_row=cap_row, table=table)

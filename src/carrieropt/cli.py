@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -29,7 +30,6 @@ from .scenarios import (
     STANDARD_SCENARIO_IDS,
     abatement_sweep,
     apply_scenario,
-    run,
     standard_scenario,
 )
 from .system import validate_system
@@ -125,26 +125,15 @@ def frontier_csv(rows: list[dict]) -> str:
     return buf.getvalue()
 
 
-def export_results(outcome: ScenarioOutcome, directory: str | Path,
-                   sweep_rows: list[dict] | None = None) -> list[Path]:
-    """Write result JSON and new-capacity CSV (plus frontier CSV for sweeps)."""
+def export_results(outcome: ScenarioOutcome, directory: str | Path) -> None:
+    """Write the result JSON and the new-capacity CSV."""
     directory = Path(directory)
     stem = f"{outcome.scenario_id}_{outcome.mode.kind}"
     if outcome.mode.kind == "min_cost_with_cap":
         stem += f"_{outcome.mode.emission_cap!r}"
-    written = []
     payload = json.dumps(outcome_to_json(outcome), indent=1, sort_keys=True) + "\n"
-    path = directory / f"{stem}.json"
-    _atomic_write(path, payload)
-    written.append(path)
-    path = directory / f"{stem}_capacities.csv"
-    _atomic_write(path, capacities_csv(outcome))
-    written.append(path)
-    if sweep_rows is not None:
-        path = directory / f"{outcome.scenario_id}_frontier.csv"
-        _atomic_write(path, frontier_csv(sweep_rows))
-        written.append(path)
-    return written
+    _atomic_write(directory / f"{stem}.json", payload)
+    _atomic_write(directory / f"{stem}_capacities.csv", capacities_csv(outcome))
 
 
 def _fail(error: str, detail: str, code: int) -> NoReturn:
@@ -177,12 +166,12 @@ def _warm_from(args) -> dict | None:
     except OSError as err:
         _fail("io", str(err), EXIT_IO)
     try:
-        base = json.loads(text)
+        base = json.loads(text, parse_int=float)  # an int too large for a float reads inf
     except ValueError:
         base = None
     sizes = base.get("size_values") if isinstance(base, dict) else None
-    if not (isinstance(sizes, dict)
-            and all(isinstance(v, (int, float)) for v in sizes.values())):
+    if not (isinstance(sizes, dict)  # refuses booleans, NaN and infinities
+            and all(type(v) is float and math.isfinite(v) for v in sizes.values())):
         _fail("usage", f"{args.warm_start}: no size_values object of numbers", EXIT_USAGE)
     return sizes
 
@@ -209,7 +198,7 @@ def cmd_run(args) -> int:
     warm_from = _warm_from(args)
     _say(args, f"running {scenario.id} [{mode.label()}]")
     try:
-        outcome = run(system, scenario, mode, warm_from=warm_from)
+        outcome = ScenarioRunner(system).run(scenario, mode, warm_from=warm_from)
     except InfeasibleCapError as err:
         print(json.dumps({"error": "infeasible", "cap": err.cap,
                           "minimum_achievable": err.minimum_achievable},

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -125,53 +126,6 @@ def network_branch_capex(branch: NetworkBranch, size_mw: float) -> float:
     return max(0.0, value)
 
 
-def technology_cost_terms(system: EnergySystem, index: VariableIndex) -> dict[int, float]:
-    """Objective coefficients (EUR) from technology investment and variable opex."""
-    coeffs: dict[int, float] = {}
-    steps = system.horizon.step_count
-    for tech in system.technologies:
-        if tech.expandable:
-            value = _tech_size_coefficient(tech)
-            if value:
-                coeffs[index.column(tech.id, "size")] = value
-        opex = tech.cost.variable_opex
-        if opex:
-            role = "discharge" if tech.kind in (TechnologyKind.STORAGE1,
-                                                TechnologyKind.STORAGE2_1,
-                                                TechnologyKind.STORAGE2_2) else "out"
-            for t in range(steps):
-                coeffs[index.column(tech.id, role, t)] = opex
-    return coeffs
-
-
-def network_cost_terms(system: EnergySystem, index: VariableIndex) -> dict[int, float]:
-    """Objective coefficients (EUR) from branch expansion and flow opex.
-
-    Bidirectional branches are one physical line: the forward size variable
-    carries the whole investment and the reverse size is tied by the equality
-    row at zero cost. Pipeline pairs are separate branches, each paying.
-    """
-    coeffs: dict[int, float] = {}
-    steps = system.horizon.step_count
-    for branch in system.branches:
-        if branch.expandable:
-            if branch.integer_block_mw is not None:
-                per_mw = _branch_size_coefficient(branch, prorate_fixed=False)
-                coeffs[index.column(branch.id, "blocks")] = per_mw * branch.integer_block_mw
-                if index.has(branch.id, "build"):
-                    coeffs[index.column(branch.id, "build")] = _branch_build_coefficient(branch)
-            else:
-                per_mw = _branch_size_coefficient(branch, prorate_fixed=True)
-                if per_mw:
-                    coeffs[index.column(branch.id, "size")] = per_mw
-        if branch.variable_opex:
-            roles = ("sent[fwd]", "sent[rev]") if branch.bidirectional else ("sent",)
-            for role in roles:
-                for t in range(steps):
-                    coeffs[index.column(branch.id, role, t)] = branch.variable_opex
-    return coeffs
-
-
 def _tech_emission_columns(tech: TechnologyInstance, index: VariableIndex,
                            steps: int):
     """Yield (column, t CO2 per MWh) for a technology's emitting variables."""
@@ -198,67 +152,111 @@ def _tech_emission_columns(tech: TechnologyInstance, index: VariableIndex,
             yield index.column(tech.id, role, t), factor
 
 
-def emission_vector(system: EnergySystem, index: VariableIndex) -> np.ndarray:
-    """t CO2 per unit of each column: technology factors plus import factors."""
+@dataclass(frozen=True)
+class CostTable:
+    """Per-column coefficients of the cost and emission model.
+
+    Each dict maps a column to its coefficient in entity order (technologies,
+    branches and nodes as the system lists them, then roles and steps), the
+    order in which reported totals are summed.
+    """
+
+    columns: int
+    technologies: dict[int, float]      # EUR: investment and variable opex
+    networks: dict[int, float]          # EUR: branch expansion and flow opex
+    imports: dict[int, float]           # EUR: bare import prices
+    tech_emissions: dict[int, float]    # t CO2 per unit of technology flow
+    import_emissions: dict[int, float]  # t CO2 per MWh imported
+    carbon_price: float                 # EUR per t CO2
+
+    def _dense(self, terms: dict[int, float]) -> np.ndarray:
+        vec = np.zeros(self.columns)
+        vec[list(terms)] = list(terms.values())
+        return vec
+
+    @cached_property
+    def emissions(self) -> np.ndarray:
+        """t CO2 per unit of each column."""
+        return self._dense(self.tech_emissions) + self._dense(self.import_emissions)
+
+    @cached_property
+    def costs(self) -> np.ndarray:
+        """EUR per unit of each column, the carbon charge on all emissions included."""
+        return (self._dense(self.technologies) + self._dense(self.networks)
+                + (self._dense(self.imports) + self.carbon_price * self.emissions))
+
+
+def cost_table(system: EnergySystem, index: VariableIndex) -> CostTable:
+    """Walk technologies, branches and node imports once for every coefficient.
+
+    Bidirectional branches are one physical line: the forward size variable
+    carries the whole investment and the reverse size is tied by the equality
+    row at zero cost. Pipeline pairs are separate branches, each paying.
+    """
     steps = system.horizon.step_count
-    vec = np.zeros(len(index))
+    table = CostTable(len(index), {}, {}, {}, {}, {}, system.carbon_price)
     for tech in system.technologies:
+        if tech.expandable:
+            value = _tech_size_coefficient(tech)
+            if value:
+                table.technologies[index.column(tech.id, "size")] = value
+        opex = tech.cost.variable_opex
+        if opex:
+            role = "discharge" if tech.kind in (TechnologyKind.STORAGE1,
+                                                TechnologyKind.STORAGE2_1,
+                                                TechnologyKind.STORAGE2_2) else "out"
+            for t in range(steps):
+                table.technologies[index.column(tech.id, role, t)] = opex
         for col, factor in _tech_emission_columns(tech, index, steps):
-            vec[col] += factor
-    for node in system.nodes:
-        for carrier in CARRIERS:
-            factor = node.import_emission_factor.get(carrier, 0.0)
-            if factor and index.has(node.id, f"imp[{carrier.value}]", 0):
+            table.tech_emissions[col] = factor
+    for branch in system.branches:
+        if branch.expandable:
+            if branch.integer_block_mw is not None:
+                per_mw = _branch_size_coefficient(branch, prorate_fixed=False)
+                table.networks[index.column(branch.id, "blocks")] = \
+                    per_mw * branch.integer_block_mw
+                if index.has(branch.id, "build"):
+                    table.networks[index.column(branch.id, "build")] = \
+                        _branch_build_coefficient(branch)
+            else:
+                per_mw = _branch_size_coefficient(branch, prorate_fixed=True)
+                if per_mw:
+                    table.networks[index.column(branch.id, "size")] = per_mw
+        if branch.variable_opex:
+            roles = ("sent[fwd]", "sent[rev]") if branch.bidirectional else ("sent",)
+            for role in roles:
                 for t in range(steps):
-                    vec[index.column(node.id, f"imp[{carrier.value}]", t)] += factor
-    return vec
-
-
-def import_and_carbon_terms(system: EnergySystem, index: VariableIndex) -> dict[int, float]:
-    """Objective coefficients (EUR): import prices plus carbon on all emissions."""
-    coeffs: dict[int, float] = {}
-    steps = system.horizon.step_count
-    price_co2 = system.carbon_price
+                    table.networks[index.column(branch.id, role, t)] = branch.variable_opex
     for node in system.nodes:
         for carrier in CARRIERS:
-            if not index.has(node.id, f"imp[{carrier.value}]", 0):
+            role = f"imp[{carrier.value}]"
+            if not index.has(node.id, role, 0):
                 continue
             price = node.import_price.get(carrier, 0.0)
-            if price:
-                for t in range(steps):
-                    col = index.column(node.id, f"imp[{carrier.value}]", t)
-                    coeffs[col] = coeffs.get(col, 0.0) + price
-    if price_co2:
-        for col, factor in enumerate(emission_vector(system, index)):
-            if factor:
-                coeffs[col] = coeffs.get(col, 0.0) + price_co2 * factor
-    return coeffs
+            factor = node.import_emission_factor.get(carrier, 0.0)
+            for t in range(steps):
+                col = index.column(node.id, role, t)
+                if price:
+                    table.imports[col] = price
+                if factor:
+                    table.import_emissions[col] = factor
+    return table
 
 
-def cost_vector(system: EnergySystem, index: VariableIndex) -> np.ndarray:
-    vec = np.zeros(len(index))
-    for terms in (technology_cost_terms(system, index),
-                  network_cost_terms(system, index),
-                  import_and_carbon_terms(system, index)):
-        for col, value in terms.items():
-            vec[col] += value
-    return vec
-
-
-def assemble_objective(system: EnergySystem, index: VariableIndex,
+def assemble_objective(table: CostTable,
                        mode: ObjectiveMode) -> tuple[np.ndarray, Row | None]:
     """Objective vector for ``mode`` plus the emission-cap row when applicable."""
-    emissions = emission_vector(system, index)
     if mode.kind == "min_emissions":
-        return emissions, None
-    costs = cost_vector(system, index)
-    if mode.kind == "min_cost":
-        return costs, None
-    cap = mode.emission_cap
-    if math.isinf(cap):
-        return costs, None
-    coeffs = [(col, float(v)) for col, v in enumerate(emissions) if v != 0.0]
-    return costs, Row(coeffs, LE, cap, EMISSION_CAP_LABEL)
+        return table.emissions, None
+    if mode.kind == "min_cost" or math.isinf(mode.emission_cap):
+        return table.costs, None
+    coeffs = [(col, float(v)) for col, v in enumerate(table.emissions) if v != 0.0]
+    return table.costs, Row(coeffs, LE, mode.emission_cap, EMISSION_CAP_LABEL)
+
+
+def _value(terms: dict[int, float], x: np.ndarray, start: float = 0.0) -> float:
+    """Sum of coefficient times value over ``terms``, in entity order."""
+    return sum((v * float(x[c]) for c, v in terms.items()), start)
 
 
 @dataclass(frozen=True)
@@ -271,22 +269,15 @@ class EmissionsReport:
         return self.technologies + self.imports
 
 
+def _emissions(table: CostTable, x: np.ndarray) -> EmissionsReport:
+    return EmissionsReport(technologies=_value(table.tech_emissions, x),
+                           imports=_value(table.import_emissions, x))
+
+
 def total_emissions(system: EnergySystem, index: VariableIndex,
                     x: np.ndarray) -> EmissionsReport:
     """Recompute emission totals from raw variable values."""
-    steps = system.horizon.step_count
-    tec = 0.0
-    for tech in system.technologies:
-        for col, factor in _tech_emission_columns(tech, index, steps):
-            tec += factor * float(x[col])
-    imp = 0.0
-    for node in system.nodes:
-        for carrier in CARRIERS:
-            factor = node.import_emission_factor.get(carrier, 0.0)
-            if factor and index.has(node.id, f"imp[{carrier.value}]", 0):
-                for t in range(steps):
-                    imp += factor * float(x[index.column(node.id, f"imp[{carrier.value}]", t)])
-    return EmissionsReport(technologies=tec, imports=imp)
+    return _emissions(cost_table(system, index), x)
 
 
 @dataclass(frozen=True)
@@ -304,16 +295,9 @@ class CostBreakdown:
 def cost_breakdown(system: EnergySystem, index: VariableIndex,
                    x: np.ndarray) -> CostBreakdown:
     """Recompute the cost split from raw variable values, entity by entity."""
-    tech = sum(v * float(x[c]) for c, v in technology_cost_terms(system, index).items())
-    netw = sum(v * float(x[c]) for c, v in network_cost_terms(system, index).items())
-    steps = system.horizon.step_count
-    imports = 0.0
-    for node in system.nodes:
-        for carrier in CARRIERS:
-            price = node.import_price.get(carrier, 0.0)
-            if price and index.has(node.id, f"imp[{carrier.value}]", 0):
-                for t in range(steps):
-                    imports += price * float(x[index.column(node.id, f"imp[{carrier.value}]", t)])
-    emissions = total_emissions(system, index, x)
-    carbon = system.carbon_price * emissions.total
-    return CostBreakdown(technologies=tech, networks=netw, imports=imports, carbon=carbon)
+    table = cost_table(system, index)
+    # technology and network sums over no terms stay the integer 0
+    return CostBreakdown(technologies=_value(table.technologies, x, 0),
+                         networks=_value(table.networks, x, 0),
+                         imports=_value(table.imports, x),
+                         carbon=table.carbon_price * _emissions(table, x).total)

@@ -52,7 +52,8 @@ def warm_start_solve(
         raise WarmStartError(f"columns appear as both prior and new: {names}", names)
 
     for col, value in prior_cols.items():
-        if value < problem.lower[col] - 1e-9 or value > problem.upper[col] + 1e-9:
+        # worded so that NaN fails the test
+        if not problem.lower[col] - 1e-9 <= value <= problem.upper[col] + 1e-9:
             name = problem._col_name(col)
             raise WarmStartError(
                 f"base value {value} for {name} violates its bounds", [name])

@@ -225,43 +225,14 @@ class ScenarioOutcome:
         return out
 
 
-def run(system: EnergySystem, scenario: ScenarioSpec, mode: ObjectiveMode,
-        warm_from: Mapping[str, float] | None = None) -> ScenarioOutcome:
-    """Gate, build, solve and post-process one scenario/mode combination.
-
-    Without ``warm_from`` this runs on a fresh :class:`ScenarioRunner`.
-
-    ``warm_from`` maps size-column names to values, usually a prior outcome's
-    :meth:`ScenarioOutcome.size_values`. When given, the solve follows the
-    three-stage protocol of :func:`carrieropt.lp.warm_start_solve`: the
-    named sizes this problem has start fixed at their values, its other
-    sizes start at zero, and the outcome's ``solver`` block records
-    ``"warm_start": True``.
-
-    Raises :class:`InfeasibleCapError` for caps below the achievable minimum
-    (reporting that minimum), with or without ``warm_from``, and
-    ``RuntimeError`` for any other non-optimal solver outcome, including a
-    :class:`carrieropt.lp.WarmStartError` when a reachable cap makes the
-    fixing infeasible.
-    """
-    runner = ScenarioRunner(system)
-    if warm_from is None:
-        return runner.run(scenario, mode)
-    outcome = _solve(system, scenario, mode, warm_from=warm_from)
-    if outcome is None:
-        floor = runner.run(scenario, ObjectiveMode.min_emissions())
-        raise InfeasibleCapError(mode.emission_cap, floor.objective)
-    return outcome
-
-
 def _solve(system: EnergySystem, scenario: ScenarioSpec, mode: ObjectiveMode,
            warm_from: Mapping[str, float] | None = None,
            start: Basis | None = None) -> ScenarioOutcome | None:
-    """:func:`run`, optionally from a ``start`` basis of an earlier solve.
+    """Gate, build, solve and post-process one scenario/mode combination.
 
-    Returns None when an emission cap makes the problem infeasible. A
-    ``warm_from`` solve whose fixing is infeasible raises
-    :class:`carrieropt.lp.WarmStartError` unless the cap alone is to blame.
+    The solve starts cold, from a ``start`` basis of an earlier solve, or
+    follows :func:`carrieropt.lp.warm_start_solve` from ``warm_from`` sizes.
+    Returns None when an emission cap makes the problem infeasible.
     """
     gated = apply_scenario(system, scenario)
     built = build_problem(gated, mode)
@@ -272,13 +243,7 @@ def _solve(system: EnergySystem, scenario: ScenarioSpec, mode: ObjectiveMode,
         prior = {name: value for name, value in warm_from.items() if name in names}
         new_sizes = [key.name() for key in built.index.keys()
                      if key.step is None and key.name() not in prior]
-        try:
-            result = warm_start_solve(built.problem, prior, new_sizes).final
-        except WarmStartError:
-            # no fixing is feasible under an unreachable cap: ask the problem itself
-            if mode.kind == "min_cost_with_cap" and solve_milp(built.problem).status == INFEASIBLE:
-                return None
-            raise
+        result = warm_start_solve(built.problem, prior, new_sizes).final
     if result.status != OPTIMAL:
         if result.status == INFEASIBLE and mode.kind == "min_cost_with_cap":
             return None
@@ -328,10 +293,34 @@ class ScenarioRunner:
         self._cache: dict[tuple[str, str], ScenarioOutcome] = {}
         self._bases: dict[str, Basis] = {}
 
-    def run(self, scenario: ScenarioSpec, mode: ObjectiveMode) -> ScenarioOutcome:
-        """:func:`run` without ``warm_from``, or this runner's cached outcome;
-        raises as :func:`run` does."""
-        return self._outcome(scenario, mode)
+    def run(self, scenario: ScenarioSpec, mode: ObjectiveMode,
+            warm_from: Mapping[str, float] | None = None) -> ScenarioOutcome:
+        """Gate, build, solve and post-process one scenario/mode combination,
+        or return this runner's cached outcome of it.
+
+        ``warm_from`` maps size-column names to values, usually a prior
+        outcome's :meth:`ScenarioOutcome.size_values`. The solve then follows
+        :func:`carrieropt.lp.warm_start_solve` from the sizes this problem
+        has (its other sizes start at zero), the outcome's ``solver`` block
+        records ``"warm_start": True``, and the run neither reads nor fills
+        the outcome cache or the basis chain.
+
+        Raises :class:`InfeasibleCapError` for caps below the achievable
+        minimum (reporting that minimum), with or without ``warm_from``, and
+        ``RuntimeError`` for any other non-optimal solver outcome, including
+        a :class:`carrieropt.lp.WarmStartError` when a reachable cap makes
+        the fixing infeasible.
+        """
+        if warm_from is None:
+            return self._outcome(scenario, mode)
+        try:
+            return _solve(self.system, scenario, mode, warm_from=warm_from)
+        except WarmStartError:
+            if mode.kind == "min_cost_with_cap":
+                # no fixing is feasible under an unreachable cap: the cold
+                # (cached) run raises InfeasibleCapError then, and returns otherwise
+                self._outcome(scenario, mode)
+            raise
 
     def _outcome(self, scenario: ScenarioSpec, mode: ObjectiveMode) -> ScenarioOutcome:
         """:meth:`run`; the floor recurses here, so one ``run`` call is one outcome."""

@@ -1,6 +1,7 @@
 """CLI surface: exit codes, determinism, file outputs, warm starts."""
 
 import json
+import math
 
 import pytest
 
@@ -87,6 +88,21 @@ class TestRun:
                      '{"size_values": {"x": "big"}}'):
             bad.write_text(text)
             assert warm(bad) == (2, "usage"), text
+
+    def test_warm_start_rejects_non_finite_and_boolean_sizes(self, system_dir, tmp_path,
+                                                             capsys):
+        out = tmp_path / "base"
+        assert run_cli(["--quiet", "run", str(system_dir), "--scenario", "t-all",
+                        "--out", str(out)]) == 0
+        capsys.readouterr()
+        sizes = json.loads((out / "t-all_min_cost.json").read_text())["size_values"]
+        name = next(iter(sizes))  # a size column of synergies too
+        bad = tmp_path / "bad.json"
+        for value in (math.nan, math.inf, -math.inf, True):
+            bad.write_text(json.dumps({"size_values": {**sizes, name: value}}))
+            code = run_cli(["--quiet", "run", str(system_dir), "--scenario", "synergies",
+                            "--warm-start", str(bad)])
+            assert (code, json.loads(capsys.readouterr().out)["error"]) == (2, "usage"), value
 
     def test_out_files(self, system_dir, tmp_path, capsys):
         out = tmp_path / "results"

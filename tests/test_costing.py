@@ -11,8 +11,7 @@ from carrieropt.costing import (
     ObjectiveMode,
     annualize,
     assemble_objective,
-    cost_vector,
-    emission_vector,
+    cost_table,
     network_branch_capex,
     total_emissions,
 )
@@ -94,31 +93,31 @@ class TestObjectiveCoefficients:
     def test_electricity_import_effective_price(self, mini, index):
         # 1 MWh imported costs the bare price plus the carbon charge:
         # 1000 + 80 * 0.8 = 1064 EUR
-        vec = cost_vector(mini, index)
+        vec = cost_table(mini, index).costs
         col = index.column("n1", "imp[electricity]", 0)
         assert vec[col] == pytest.approx(1064.0)
 
     def test_gas_variable_opex(self, mini, index):
-        vec = cost_vector(mini, index)
+        vec = cost_table(mini, index).costs
         col = index.column("gas1", "out", 5)
         assert vec[col] == pytest.approx(4.2)
 
     def test_electrolyzer_size_coefficient_structure(self, mini, index):
-        vec = cost_vector(mini, index)
+        vec = cost_table(mini, index).costs
         col = index.column("elz1", "size")
         tech = mini.technology("elz1")
         expected = annualize(tech.cost.capex_per_size, 30.0, 0.04) * 1.04 * 1000.0
         assert vec[col] == pytest.approx(expected, rel=1e-12)
 
     def test_zero_size_zero_output_contributes_nothing(self, mini, index):
-        vec = cost_vector(mini, index)
+        vec = cost_table(mini, index).costs
         x = np.zeros(len(index))
         assert float(vec @ x) == 0.0
 
     def test_min_cost_equals_cap_infinity(self, mini, index):
-        costs, cap = assemble_objective(mini, index, ObjectiveMode.min_cost())
-        capped, row = assemble_objective(
-            mini, index, ObjectiveMode.min_cost_with_cap(math.inf))
+        table = cost_table(mini, index)
+        costs, cap = assemble_objective(table, ObjectiveMode.min_cost())
+        capped, row = assemble_objective(table, ObjectiveMode.min_cost_with_cap(math.inf))
         assert row is None and cap is None
         assert (costs == capped).all()
 
@@ -147,9 +146,10 @@ class TestEmissionAccounting:
         assert total_emissions(mini, index, x).total == 0.0
 
     def test_min_emissions_objective_is_emission_vector(self, mini, index):
-        objective, cap = assemble_objective(mini, index, ObjectiveMode.min_emissions())
+        table = cost_table(mini, index)
+        objective, cap = assemble_objective(table, ObjectiveMode.min_emissions())
         assert cap is None
-        assert (objective == emission_vector(mini, index)).all()
+        assert (objective == table.emissions).all()
 
 
 class TestCapDual:

@@ -14,7 +14,12 @@ from scipy.optimize import linprog
 from carrieropt.builder import build_problem
 from carrieropt.costing import EMISSION_CAP_LABEL, ObjectiveMode
 from carrieropt.lp import EQ, GE, INFEASIBLE, OPTIMAL, solve_lp
-from carrieropt.scenarios import STANDARD_SCENARIO_IDS, apply_scenario, run, standard_scenario
+from carrieropt.scenarios import (
+    STANDARD_SCENARIO_IDS,
+    ScenarioRunner,
+    apply_scenario,
+    standard_scenario,
+)
 from carrieropt.system import build_miniature_system
 
 REL_TOL = 1e-9
@@ -28,7 +33,8 @@ def system():
 
 @pytest.fixture(scope="module")
 def reference_emissions(system):
-    return run(system, standard_scenario("reference"), ObjectiveMode.min_cost()).emissions.total
+    runner = ScenarioRunner(system)
+    return runner.run(standard_scenario("reference"), ObjectiveMode.min_cost()).emissions.total
 
 
 def highs(problem):

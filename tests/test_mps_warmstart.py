@@ -167,6 +167,11 @@ class TestWarmStart:
         with pytest.raises(WarmStartError, match="violates its bounds"):
             warm_start_solve(p, base_solution={"size1": 99.0}, new_size_names=[])
 
+    def test_nan_base_value_raises(self):
+        p = self._expansion_problem()
+        with pytest.raises(WarmStartError, match="violates its bounds"):
+            warm_start_solve(p, base_solution={"size1": float("nan")}, new_size_names=[])
+
     def test_stage3_uses_warm_basis(self):
         p = self._expansion_problem()
         restricted = p.copy()

@@ -5,14 +5,18 @@ import pytest
 
 import carrieropt.scenarios as scenarios
 from carrieropt.builder import build_problem
-from carrieropt.costing import EMISSION_CAP_LABEL, ObjectiveMode
+from carrieropt.costing import (
+    EMISSION_CAP_LABEL,
+    ObjectiveMode,
+    cost_breakdown,
+    total_emissions,
+)
 from carrieropt.lp import INFEASIBLE, OPTIMAL, solve_milp
 from carrieropt.scenarios import (
     InfeasibleCapError,
     ScenarioRunner,
     abatement_sweep,
     apply_scenario,
-    run,
     standard_scenario,
     STANDARD_SCENARIO_IDS,
 )
@@ -199,12 +203,67 @@ class TestWarmStart:
         runner = ScenarioRunner(system)
         base = runner.run(standard_scenario("t-all"), ObjectiveMode.min_cost())
         cold = runner.run(standard_scenario("synergies"), ObjectiveMode.min_cost())
-        warm = run(system, standard_scenario("synergies"), ObjectiveMode.min_cost(),
-                   warm_from=base.size_values())
+        warm = runner.run(standard_scenario("synergies"), ObjectiveMode.min_cost(),
+                          warm_from=base.size_values())
         assert warm.built.problem.integer.any() == (dc_blocks_mw is not None)
         assert warm.solver["warm_start"] is True
         assert "warm_start" not in cold.solver
         assert warm.objective == pytest.approx(cold.objective, rel=1e-6)
+
+
+class TestWarmRuns:
+    """``ScenarioRunner.run(..., warm_from=)`` beside the runner's cold runs."""
+
+    def test_warm_run_leaves_cache_and_basis_chain(self, mini):
+        runner = ScenarioRunner(mini)
+        synergies = standard_scenario("synergies")
+        base = runner.run(standard_scenario("t-all"), ObjectiveMode.min_cost())
+        cap = ObjectiveMode.min_cost_with_cap(base.emissions.total)
+        cold = runner.run(synergies, cap)
+        cache, bases = dict(runner._cache), dict(runner._bases)
+        assert bases
+        for mode in (ObjectiveMode.min_cost(), cap):
+            warm = runner.run(synergies, mode, warm_from=base.size_values())
+            assert warm.solver["warm_start"] is True
+        assert warm is not cold
+        assert warm.objective == pytest.approx(cold.objective, rel=1e-6)
+        assert runner._cache.keys() == cache.keys()
+        assert all(runner._cache[key] is cache[key] for key in cache)
+        assert runner._bases.keys() == bases.keys()
+        assert all(runner._bases[key] is bases[key] for key in bases)
+
+    def _unreachable(self, runner):
+        """A warm reference run under a 10 t cap, from t-all sizes."""
+        prior = runner.run(standard_scenario("t-all"), ObjectiveMode.min_cost())
+        with pytest.raises(InfeasibleCapError) as err:
+            runner.run(standard_scenario("reference"), ObjectiveMode.min_cost_with_cap(10.0),
+                       warm_from=prior.size_values())
+        return err.value
+
+    def test_unreachable_cap_reports_the_runners_floor(self, mini):
+        runner = ScenarioRunner(mini)
+        err = self._unreachable(runner)
+        floor = runner.run(standard_scenario("reference"), ObjectiveMode.min_emissions())
+        assert err.cap == 10.0
+        assert err.minimum_achievable == floor.objective
+
+    def test_floor_built_once_per_runner(self, mini):
+        builds = []
+
+        def recording_build(system, mode):
+            builds.append(mode.kind)
+            return build_problem(system, mode)
+
+        runner = ScenarioRunner(mini)
+        reference = standard_scenario("reference")
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(scenarios, "build_problem", recording_build)
+            self._unreachable(runner)
+            self._unreachable(runner)
+            with pytest.raises(InfeasibleCapError):
+                runner.run(reference, ObjectiveMode.min_cost_with_cap(10.0))
+            runner.run(reference, ObjectiveMode.min_emissions())
+        assert builds.count("min_emissions") == 1
 
 
 SWEEP_FRACTIONS = tuple(round(0.1 * i, 1) for i in range(1, 10))
@@ -220,7 +279,8 @@ def warm_sweep():
     """
     system = build_miniature_system(0, step_count=24)
     synergies = standard_scenario("synergies")
-    e_ref = run(system, standard_scenario("reference"), ObjectiveMode.min_cost()).emissions.total
+    e_ref = ScenarioRunner(system).run(standard_scenario("reference"),
+                                       ObjectiveMode.min_cost()).emissions.total
     modes = {f: ObjectiveMode.min_cost_with_cap((1.0 - f) * e_ref) for f in SWEEP_FRACTIONS}
     solves, builds = [], []
 
@@ -248,7 +308,7 @@ def warm_sweep():
     for f, mode in modes.items():
         problem = build_problem(gated, mode).problem
         cold[f] = (problem, solve_milp(problem))
-    floor = run(system, synergies, ObjectiveMode.min_emissions()).objective
+    floor = ScenarioRunner(system).run(synergies, ObjectiveMode.min_emissions()).objective
     return dict(warm=warm, cold=cold, floor=floor, solves=solves, builds=builds)
 
 
@@ -349,6 +409,27 @@ class TestSweep:
         )
         with pytest.raises(ValueError, match="reference emissions are zero"):
             abatement_sweep(clean, standard_scenario("s-all"), targets=[0.1])
+
+
+CLOSURE_MODES = [ObjectiveMode.min_cost(), ObjectiveMode.min_emissions()]
+
+
+@pytest.mark.parametrize("mode", CLOSURE_MODES, ids=lambda mode: mode.label())
+@pytest.mark.parametrize("scenario_id", STANDARD_SCENARIO_IDS)
+def test_reported_totals_close_on_the_objective(runner, scenario_id, mode):
+    """Costs and emissions recomputed from x meet the solver's objective."""
+    outcome = runner.run(standard_scenario(scenario_id), mode)
+    built, x = outcome.built, outcome.result.x
+
+    def close(value, target):
+        return abs(value - target) <= 1e-9 * max(1.0, abs(target))
+
+    emissions = total_emissions(built.system, built.index, x).total
+    assert close(float(built.emissions @ x), emissions)
+    if mode.kind == "min_cost":
+        assert close(cost_breakdown(built.system, built.index, x).total, outcome.objective)
+    else:
+        assert close(emissions, outcome.objective)
 
 
 class TestMetrics:
