@@ -58,6 +58,11 @@ class ObjectiveMode:
     def min_cost_with_cap(cls, cap: float) -> "ObjectiveMode":
         return cls("min_cost_with_cap", emission_cap=cap)
 
+    @property
+    def capped(self) -> bool:
+        """Whether the built problem carries the emission-cap row (an infinite cap does not)."""
+        return self.kind == "min_cost_with_cap" and not math.isinf(self.emission_cap)
+
     def label(self) -> str:
         if self.kind == "min_cost_with_cap":
             return f"cap={self.emission_cap!r}"
@@ -248,15 +253,15 @@ def assemble_objective(table: CostTable,
     """Objective vector for ``mode`` plus the emission-cap row when applicable."""
     if mode.kind == "min_emissions":
         return table.emissions, None
-    if mode.kind == "min_cost" or math.isinf(mode.emission_cap):
+    if not mode.capped:
         return table.costs, None
     coeffs = [(col, float(v)) for col, v in enumerate(table.emissions) if v != 0.0]
     return table.costs, Row(coeffs, LE, mode.emission_cap, EMISSION_CAP_LABEL)
 
 
-def _value(terms: dict[int, float], x: np.ndarray, start: float = 0.0) -> float:
+def _value(terms: dict[int, float], x: np.ndarray) -> float:
     """Sum of coefficient times value over ``terms``, in entity order."""
-    return sum((v * float(x[c]) for c, v in terms.items()), start)
+    return sum((v * float(x[c]) for c, v in terms.items()), 0.0)
 
 
 @dataclass(frozen=True)
@@ -274,10 +279,11 @@ def _emissions(table: CostTable, x: np.ndarray) -> EmissionsReport:
                            imports=_value(table.import_emissions, x))
 
 
-def total_emissions(system: EnergySystem, index: VariableIndex,
-                    x: np.ndarray) -> EmissionsReport:
-    """Recompute emission totals from raw variable values."""
-    return _emissions(cost_table(system, index), x)
+def total_emissions(system: EnergySystem, index: VariableIndex, x: np.ndarray, *,
+                    table: CostTable | None = None) -> EmissionsReport:
+    """Recompute emission totals from raw variable values; ``table`` is
+    ``cost_table(system, index)``, built here when not given."""
+    return _emissions(table or cost_table(system, index), x)
 
 
 @dataclass(frozen=True)
@@ -292,12 +298,12 @@ class CostBreakdown:
         return self.technologies + self.networks + self.imports + self.carbon
 
 
-def cost_breakdown(system: EnergySystem, index: VariableIndex,
-                   x: np.ndarray) -> CostBreakdown:
-    """Recompute the cost split from raw variable values, entity by entity."""
-    table = cost_table(system, index)
-    # technology and network sums over no terms stay the integer 0
-    return CostBreakdown(technologies=_value(table.technologies, x, 0),
-                         networks=_value(table.networks, x, 0),
+def cost_breakdown(system: EnergySystem, index: VariableIndex, x: np.ndarray, *,
+                   table: CostTable | None = None) -> CostBreakdown:
+    """Recompute the cost split from raw variable values, entity by entity;
+    ``table`` is ``cost_table(system, index)``, built here when not given."""
+    table = table or cost_table(system, index)
+    return CostBreakdown(technologies=_value(table.technologies, x),
+                         networks=_value(table.networks, x),
                          imports=_value(table.imports, x),
                          carbon=table.carbon_price * _emissions(table, x).total)

@@ -249,8 +249,8 @@ def _solve(system: EnergySystem, scenario: ScenarioSpec, mode: ObjectiveMode,
             return None
         raise RuntimeError(f"scenario {scenario.id} ({mode.label()}):"
                            f" solver returned {result.status}")
-    emissions = total_emissions(gated, built.index, result.x)
-    costs = cost_breakdown(gated, built.index, result.x)
+    emissions = total_emissions(gated, built.index, result.x, table=built.table)
+    costs = cost_breakdown(gated, built.index, result.x, table=built.table)
     solver = {"iterations": result.iterations, "nodes": result.nodes,
               "bound_gap": result.bound_gap}
     if warm_from is not None or result.warm_started:
@@ -273,16 +273,22 @@ def _solve(system: EnergySystem, scenario: ScenarioSpec, mode: ObjectiveMode,
 class ScenarioRunner:
     """Runs the scenarios of one system, caching outcomes by (scenario id, mode).
 
-    The runner also keeps, for each scenario id, the basis of its latest
-    optimal emission-capped outcome, and starts the next capped run of that
-    scenario from it: along a cap sweep each cap reoptimizes from the one
-    before instead of starting cold. Min-cost and min-emissions runs always
-    start cold. The floor reported for an infeasible cap is the scenario's
-    cached min-emissions outcome, so it is solved at most once per runner.
+    The runner also keeps one basis chain per scenario and matrix: the basis
+    of the latest optimal outcome, keyed by scenario id and whether the
+    problem has the emission-cap row. A run starts from its chain's basis
+    when there is one. Min-cost and min-emissions share a matrix and differ only in the
+    objective, so whichever of them runs second reoptimizes from the first;
+    along a cap sweep each cap reoptimizes from the one before. A capped
+    basis never starts an uncapped run, nor the reverse. The floor reported
+    for an infeasible cap is the scenario's cached min-emissions outcome, so
+    it is solved at most once per runner, from the min-cost basis when the
+    runner has one.
 
-    So a capped outcome's ``solver`` counters depend on which caps of its
-    scenario this runner solved before it, and in which order. A runner is
-    not thread-safe, so use one per thread.
+    So an outcome's ``solver`` counters depend on which runs of its scenario
+    this runner made before it, and in which order; a min-emissions outcome's
+    costs, capacities and metrics may too, as they come from whichever
+    optimal vertex the solve reaches. A runner is not thread-safe, so use
+    one per thread.
     """
 
     def __init__(self, system: EnergySystem):
@@ -291,7 +297,7 @@ class ScenarioRunner:
             raise ValueError("invalid system: " + "; ".join(violations[:5]))
         self.system = system
         self._cache: dict[tuple[str, str], ScenarioOutcome] = {}
-        self._bases: dict[str, Basis] = {}
+        self._bases: dict[tuple[str, bool], Basis] = {}
 
     def run(self, scenario: ScenarioSpec, mode: ObjectiveMode,
             warm_from: Mapping[str, float] | None = None) -> ScenarioOutcome:
@@ -303,7 +309,7 @@ class ScenarioRunner:
         :func:`carrieropt.lp.warm_start_solve` from the sizes this problem
         has (its other sizes start at zero), the outcome's ``solver`` block
         records ``"warm_start": True``, and the run neither reads nor fills
-        the outcome cache or the basis chain.
+        the outcome cache or the basis chains.
 
         Raises :class:`InfeasibleCapError` for caps below the achievable
         minimum (reporting that minimum), with or without ``warm_from``, and
@@ -327,14 +333,12 @@ class ScenarioRunner:
         key = (scenario.id, mode.label())
         if key in self._cache:
             return self._cache[key]
-        capped = mode.kind == "min_cost_with_cap"
-        outcome = _solve(self.system, scenario, mode,
-                         start=self._bases.get(scenario.id) if capped else None)
+        chain = (scenario.id, mode.capped)
+        outcome = _solve(self.system, scenario, mode, start=self._bases.get(chain))
         if outcome is None:
             floor = self._outcome(scenario, ObjectiveMode.min_emissions())
             raise InfeasibleCapError(mode.emission_cap, floor.objective)
-        if capped:
-            self._bases[scenario.id] = outcome.result.basis
+        self._bases[chain] = outcome.result.basis
         self._cache[key] = outcome
         return outcome
 

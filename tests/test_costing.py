@@ -11,6 +11,7 @@ from carrieropt.costing import (
     ObjectiveMode,
     annualize,
     assemble_objective,
+    cost_breakdown,
     cost_table,
     network_branch_capex,
     total_emissions,
@@ -150,6 +151,23 @@ class TestEmissionAccounting:
         objective, cap = assemble_objective(table, ObjectiveMode.min_emissions())
         assert cap is None
         assert (objective == table.emissions).all()
+
+
+class TestReportedTotals:
+    def test_a_given_table_changes_nothing(self, mini, index):
+        x = np.random.default_rng(0).uniform(0.0, 50.0, len(index))
+        table = cost_table(mini, index)
+        assert total_emissions(mini, index, x, table=table) == total_emissions(mini, index, x)
+        assert cost_breakdown(mini, index, x, table=table) == cost_breakdown(mini, index, x)
+
+    def test_sums_over_no_terms_are_float_zeros(self, mini):
+        from carrieropt.scenarios import apply_scenario, standard_scenario
+        gated = apply_scenario(mini, standard_scenario("reference"))
+        index = assemble_variable_index(gated)
+        assert not cost_table(gated, index).networks
+        costs = cost_breakdown(gated, index, np.zeros(len(index)))
+        assert all(type(v) is float for v in vars(costs).values())
+        assert repr(costs.networks) == "0.0"
 
 
 class TestCapDual:

@@ -16,6 +16,16 @@ from carrieropt.system import build_miniature_system
 from .test_simplex import make_problem
 
 
+def highs_milp_reference(problem):
+    """``scipy.optimize.milp`` (HiGHS) on ``problem`` at a zero gap."""
+    lo = np.where(problem.senses == LE, -np.inf, problem.rhs)
+    hi = np.where(problem.senses == GE, np.inf, problem.rhs)
+    return highs_milp(problem.objective, constraints=LinearConstraint(problem.a, lo, hi),
+                      integrality=problem.integer.astype(np.uint8),
+                      bounds=Bounds(problem.lower, problem.upper),
+                      options={"mip_rel_gap": 0.0})
+
+
 def enumerate_integer_optima(problem, int_cols):
     """Oracle: fix every integer assignment, solve the continuous rest."""
     ranges = [range(int(problem.lower[j]), int(problem.upper[j]) + 1) for j in int_cols]
@@ -148,11 +158,6 @@ class TestWarmChildren:
             assert warm
             bases.append(basis)
 
-        lo = np.where(problem.senses == LE, -np.inf, problem.rhs)
-        hi = np.where(problem.senses == GE, np.inf, problem.rhs)
-        ref = highs_milp(problem.objective, constraints=LinearConstraint(problem.a, lo, hi),
-                         integrality=problem.integer.astype(np.uint8),
-                         bounds=Bounds(problem.lower, problem.upper),
-                         options={"mip_rel_gap": 0.0})
+        ref = highs_milp_reference(problem)
         assert ref.status == 0
         assert abs(res.objective - ref.fun) <= 1e-9 * max(1.0, abs(ref.fun))

@@ -28,6 +28,7 @@ from carrieropt.system import (
 )
 
 from .test_highs_oracle import REL_TOL, highs
+from .test_milp import highs_milp_reference
 
 TOL = 1e-6
 
@@ -266,6 +267,119 @@ class TestWarmRuns:
         assert builds.count("min_emissions") == 1
 
 
+def _rel(a, b):
+    return abs(a - b) / max(1.0, abs(b))
+
+
+@pytest.fixture(scope="module")
+def mode_orders(mini):
+    """Per standard scenario, two runners: one runs min-cost then
+    min-emissions, the other min-emissions then min-cost. Each runner's first
+    run is cold, so it is the cold reference for the other's second run."""
+    out = {}
+    for sid in STANDARD_SCENARIO_IDS:
+        scenario = standard_scenario(sid)
+        forward, reverse = ScenarioRunner(mini), ScenarioRunner(mini)
+        out[sid] = {
+            "forward": [forward.run(scenario, ObjectiveMode.min_cost()),
+                        forward.run(scenario, ObjectiveMode.min_emissions())],
+            "reverse": [reverse.run(scenario, ObjectiveMode.min_emissions()),
+                        reverse.run(scenario, ObjectiveMode.min_cost())],
+        }
+    return out
+
+
+class TestBasisChains:
+    """One basis chain per scenario and matrix: min-cost and min-emissions
+    share the uncapped one, emission caps keep their own."""
+
+    def test_min_emissions_after_min_cost_starts_warm(self, mode_orders):
+        warm_total = cold_total = 0
+        for sid, runs in mode_orders.items():
+            cold_cost, warm = runs["forward"]
+            cold, _ = runs["reverse"]
+            assert "warm_start" not in cold_cost.solver, sid
+            assert "warm_start" not in cold.solver, sid
+            assert warm.solver["warm_start"] is True, sid
+            assert _rel(warm.objective, cold.objective) <= 1e-9, sid
+            warm_total += warm.solver["iterations"]
+            cold_total += cold.solver["iterations"]
+        assert warm_total < cold_total
+
+    def test_min_cost_after_min_emissions_starts_warm(self, mode_orders):
+        for sid, runs in mode_orders.items():
+            cold, _ = runs["forward"]
+            _, warm = runs["reverse"]
+            assert warm.solver["warm_start"] is True, sid
+            assert _rel(warm.objective, cold.objective) <= 1e-9, sid
+            assert _rel(warm.costs.total, cold.costs.total) <= 1e-9, sid
+
+    def test_milp_objectives_do_not_depend_on_the_order(self):
+        system = build_miniature_system(0, 24, dc_blocks_mw=10.0)
+        t_all = standard_scenario("t-all")
+        modes = (ObjectiveMode.min_cost(), ObjectiveMode.min_emissions())
+        orders = []
+        for order in (modes, modes[::-1]):
+            runner = ScenarioRunner(system)
+            orders.append({mode.kind: runner.run(t_all, mode) for mode in order})
+        for kind, first in orders[0].items():
+            second = orders[1][kind]
+            problem = first.built.problem
+            assert problem.integer.any()
+            ref = highs_milp_reference(problem)
+            assert ref.status == 0, kind
+            assert _rel(first.objective, ref.fun) <= 1e-9, kind
+            assert _rel(second.objective, ref.fun) <= 1e-9, kind
+        assert orders[0]["min_emissions"].solver["warm_start"] is True
+        assert orders[1]["min_cost"].solver["warm_start"] is True
+
+    def test_a_floor_after_min_cost_starts_warm(self, mini):
+        reference = standard_scenario("reference")
+        runner = ScenarioRunner(mini)
+        runner.run(reference, ObjectiveMode.min_cost())
+        with pytest.raises(InfeasibleCapError) as err:
+            runner.run(reference, ObjectiveMode.min_cost_with_cap(10.0))
+        floor = runner.run(reference, ObjectiveMode.min_emissions())
+        cold = ScenarioRunner(mini).run(reference, ObjectiveMode.min_emissions())
+        assert floor.solver["warm_start"] is True
+        assert "warm_start" not in cold.solver
+        assert err.value.minimum_achievable == floor.objective
+        assert _rel(floor.objective, cold.objective) <= 1e-9
+
+    def test_capped_and_uncapped_chains_stay_apart(self, mini):
+        synergies = standard_scenario("synergies")
+        runner = ScenarioRunner(mini)
+        first_cap = runner.run(synergies, ObjectiveMode.min_cost_with_cap(34_000.0))
+        second_cap = runner.run(synergies, ObjectiveMode.min_cost_with_cap(30_000.0))
+        uncapped = runner.run(synergies, ObjectiveMode.min_cost())
+        cold = ScenarioRunner(mini).run(synergies, ObjectiveMode.min_cost())
+        third_cap = runner.run(synergies, ObjectiveMode.min_cost_with_cap(26_000.0))
+        assert "warm_start" not in first_cap.solver
+        assert second_cap.solver["warm_start"] is True
+        assert cold.emissions.total > 34_000.0  # every cap binds
+        # a capped basis never seeds an uncapped run
+        assert uncapped.solver == cold.solver
+        assert uncapped.objective == cold.objective
+        # and the uncapped run does not break the capped chain
+        assert third_cap.solver["warm_start"] is True
+        assert runner._bases.keys() == {("synergies", True), ("synergies", False)}
+        assert runner._bases[("synergies", True)] is third_cap.result.basis
+        assert runner._bases[("synergies", False)] is uncapped.result.basis
+
+    def test_an_infinite_cap_has_no_cap_row_and_joins_the_uncapped_chain(self, mini):
+        assert ObjectiveMode.min_cost_with_cap(1.0).capped
+        assert not ObjectiveMode.min_cost_with_cap(float("inf")).capped
+        assert not ObjectiveMode.min_cost().capped
+        assert not ObjectiveMode.min_emissions().capped
+        t_all = standard_scenario("t-all")
+        runner = ScenarioRunner(mini)
+        cost = runner.run(t_all, ObjectiveMode.min_cost())
+        unbounded = runner.run(t_all, ObjectiveMode.min_cost_with_cap(float("inf")))
+        assert EMISSION_CAP_LABEL not in unbounded.built.problem.row_names
+        assert unbounded.solver["warm_start"] is True
+        assert _rel(unbounded.objective, cost.objective) <= 1e-9
+
+
 SWEEP_FRACTIONS = tuple(round(0.1 * i, 1) for i in range(1, 10))
 
 
@@ -308,7 +422,7 @@ def warm_sweep():
     for f, mode in modes.items():
         problem = build_problem(gated, mode).problem
         cold[f] = (problem, solve_milp(problem))
-    floor = ScenarioRunner(system).run(synergies, ObjectiveMode.min_emissions()).objective
+    floor = ScenarioRunner(system).run(synergies, ObjectiveMode.min_emissions())
     return dict(warm=warm, cold=cold, floor=floor, solves=solves, builds=builds)
 
 
@@ -319,7 +433,7 @@ class TestWarmSweep:
             _, cold = warm_sweep["cold"][f]
             if isinstance(outcome, InfeasibleCapError):
                 assert cold.status == INFEASIBLE, f
-                assert outcome.minimum_achievable == warm_sweep["floor"], f
+                assert outcome.minimum_achievable == warm_sweep["floor"].objective, f
             else:
                 assert cold.status == outcome.status == OPTIMAL, f
         statuses = [warm_sweep["cold"][f][1].status for f in SWEEP_FRACTIONS]
@@ -378,6 +492,15 @@ class TestWarmSweep:
     def test_floor_built_and_solved_once(self, warm_sweep):
         assert warm_sweep["builds"].count("min_emissions") == 1
         assert sum(1 for is_cap, _ in warm_sweep["solves"] if not is_cap) == 1
+
+    def test_floor_starts_cold_without_an_uncapped_run_before_it(self, warm_sweep):
+        # the runner ran no uncapped synergies problem, so the floor has no
+        # basis to start from: it is the same solve as a fresh runner's
+        (floor,) = [res for is_cap, res in warm_sweep["solves"] if not is_cap]
+        assert not floor.warm_started
+        assert floor.objective == warm_sweep["floor"].objective
+        assert floor.iterations == warm_sweep["floor"].solver["iterations"]
+        assert "warm_start" not in warm_sweep["floor"].solver
 
 
 class TestSweep:
