@@ -84,6 +84,12 @@ class SparseProblem:
             if np.isinf(self.lower[marked]).any() or np.isinf(self.upper[marked]).any():
                 raise ProblemError("integer columns require finite bounds")
 
+    def fingerprint(self) -> tuple:
+        """Shape and sums of the matrix: what a basis is checked against before it
+        starts a solve of this problem."""
+        a = self.a
+        return (*a.shape, a.nnz, float(a.data.sum()), float(np.abs(a.data).sum()))
+
     def _col_name(self, j: int) -> str:
         return self.col_names[j] if self.col_names else f"x{j}"
 

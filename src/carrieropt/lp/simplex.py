@@ -25,6 +25,12 @@ method: the initial basis", 1992): before the first pivot, structural columns
 replace the fixed slacks of equality rows wherever that keeps the basis
 triangular, which saves the pivots that would otherwise move those slacks out
 one at a time.
+
+:func:`solve_lp` presolves every problem first (:mod:`.presolve`): fixed
+columns move into the rhs and the rows they leave empty are dropped, so the
+scaling, the crash and the iterations run on what is left. Postsolve then
+returns the solution, the duals, the reduced costs and the basis in the
+original problem's space.
 """
 
 from __future__ import annotations
@@ -67,7 +73,8 @@ class SolveOptions:
 
     Tolerances and pivoting rules are constants, not options: ``OPT_TOL``,
     ``PIVOT_TOL``, ``PRIMAL_TOL``, ``INFEASIBILITY_TOL``, ``REFACTOR_EVERY`` and
-    ``BLAND_AFTER`` in this module, and ``MIP_GAP`` and ``INTEGRALITY_TOL`` in
+    ``BLAND_AFTER`` in this module, ``EMPTY_ROW_TOL`` in
+    :mod:`carrieropt.lp.presolve`, and ``MIP_GAP`` and ``INTEGRALITY_TOL`` in
     :mod:`carrieropt.lp.branch_bound`.
     """
 
@@ -77,7 +84,13 @@ class SolveOptions:
 
 @dataclass
 class Basis:
-    """Snapshot of a simplex basis for warm starts on the same matrix."""
+    """Snapshot of a simplex basis for warm starts on the same matrix.
+
+    ``x`` holds every column's value and then every row's slack, in problem
+    units, not in the scaled units of one solve: problems with different
+    fixed columns presolve to different reduced problems, which scale
+    differently.
+    """
 
     basis: np.ndarray
     vstat: np.ndarray
@@ -268,9 +281,7 @@ class _Simplex:
     # -- start handling -----------------------------------------------------
 
     def fingerprint(self) -> tuple:
-        a = self.problem.a
-        return (self.m, self.n_struct, a.nnz,
-                float(a.data.sum()), float(np.abs(a.data).sum()))
+        return self.problem.fingerprint()
 
     def cold_start(self) -> None:
         """Nonbasic structurals on their bound nearest zero (or at 0 when free),
@@ -303,7 +314,7 @@ class _Simplex:
         for j, r in zip(cand[order].tolist(), pivot_row[order].tolist()):
             if all(basis[i] >= n for i in rows[ptr[j]:ptr[j + 1]]):
                 basis[r] = j
-        self.basis = np.array(basis)
+        self.basis = np.array(basis, dtype=np.intp)
         crashed = np.flatnonzero(self.basis < n)
         self.vstat[n:n + m] = BASIC
         self.vstat[self.basis[crashed]] = BASIC
@@ -312,16 +323,13 @@ class _Simplex:
         self._recompute_basics()
 
     def warm_start(self, start: Basis) -> bool:
-        """Install ``start`` if it fits this matrix; basic values may violate bounds."""
-        if start.fingerprint != self.fingerprint():
-            return False
-        if len(start.basis) != self.m or len(start.vstat) != self.ncol:
-            return False
-        if start.basis.max(initial=0) >= self.ncol:
-            return False
+        """Install ``start``, a basis of this matrix (:func:`~.presolve.presolve`
+        checks that and maps it); basic values may violate bounds. False when
+        the basis is singular."""
+        n = self.n_struct
         self.basis = start.basis.copy()
         self.vstat = start.vstat.copy()
-        self.x = start.x.copy()
+        self.x = np.concatenate([start.x[:n] / self.col_scale, start.x[n:] * self.row_scale])
         nonbasic = np.flatnonzero(self.vstat != BASIC)
         lo, up = self.lower[nonbasic], self.upper[nonbasic]
         value = self.x[nonbasic]
@@ -463,6 +471,8 @@ class _Simplex:
         if self._bland:
             eligible = np.flatnonzero(viol > OPT_TOL)
             return int(eligible[0]) if eligible.size else -1
+        if not viol.size:  # presolve may leave no column
+            return -1
         j = int(np.argmax(viol))
         return j if viol[j] > OPT_TOL else -1
 
@@ -510,6 +520,11 @@ class _Simplex:
 
         self.fact.refactor(self.basis)
         self._recompute_basics()
+        # round-off, not values: basics within PRIMAL_TOL of a finite bound sit on it
+        xb, lo_b, up_b = self.xb, self.lo_b, self.up_b
+        xb = np.where(np.abs(xb - lo_b) <= PRIMAL_TOL, lo_b,
+                      np.where(np.abs(xb - up_b) <= PRIMAL_TOL, up_b, xb))
+        self.x[self.basis] = xb
         x = self.x[:n] * self.col_scale
         objective = float(problem.objective @ x)
 
@@ -529,7 +544,7 @@ class _Simplex:
             basis=Basis(
                 basis=self.basis.copy(),
                 vstat=self.vstat.copy(),
-                x=self.x.copy(),
+                x=np.concatenate([x, self.x[n:] / self.row_scale]),
                 fingerprint=self.fingerprint(),
             ),
         )
@@ -548,10 +563,25 @@ def solve_lp(problem: SparseProblem, options: SolveOptions | None = None,
     ``start`` is used when it fits this matrix and is nonsingular, whatever
     its basic values, and the result's ``warm_started`` says so; otherwise
     the solve starts from the triangular crash basis of :meth:`_Simplex.cold_start`.
+
+    The solve always runs on the problem :func:`~.presolve.presolve` leaves:
+    columns with ``lower == upper`` are dropped, except those basic in a
+    fitting ``start``, and so are the rows they leave empty. An emptied row
+    whose rhs breaks its sense makes the result ``infeasible`` after no
+    iteration, with ``infeasible_rows`` naming that row. The result is
+    postsolved to this problem: dropped columns at their bound, dropped rows
+    with dual 0 and a basic slack. Basic values within ``PRIMAL_TOL`` of a
+    finite bound are reported on that bound, so round-off does not show as
+    a value.
     """
+    from .presolve import postsolve, presolve  # presolve maps this module's Basis and results
+
     options = options or SolveOptions()
-    sx = _Simplex(problem, options)
-    warm = start is not None and sx.warm_start(start)
+    pre = presolve(problem, start)
+    if pre.reduced is None:
+        return SolveResult(status=INFEASIBLE, infeasible_rows=pre.infeasible_rows)
+    sx = _Simplex(pre.reduced, options)
+    warm = pre.start is not None and sx.warm_start(pre.start)
     if not warm:
         sx.cold_start()
-    return sx.finish(sx._iterate(), warm)
+    return postsolve(pre, sx.finish(sx._iterate(), warm))

@@ -282,7 +282,9 @@ class ScenarioRunner:
     basis never starts an uncapped run, nor the reverse. The floor reported
     for an infeasible cap is the scenario's cached min-emissions outcome, so
     it is solved at most once per runner, from the min-cost basis when the
-    runner has one.
+    runner has one. Once it is cached, a cap below ``floor * (1 - 1e-9)`` is
+    reported infeasible without a build or a solve; caps between that and
+    the floor are solved.
 
     So an outcome's ``solver`` counters depend on which runs of its scenario
     this runner made before it, and in which order; a min-emissions outcome's
@@ -333,6 +335,11 @@ class ScenarioRunner:
         key = (scenario.id, mode.label())
         if key in self._cache:
             return self._cache[key]
+        floor = self._cache.get((scenario.id, ObjectiveMode.min_emissions().label()))
+        # a cap below the known floor by more than round-off needs no solve
+        if (floor is not None and mode.kind == "min_cost_with_cap"
+                and mode.emission_cap < floor.objective * (1.0 - 1e-9)):
+            raise InfeasibleCapError(mode.emission_cap, floor.objective)
         chain = (scenario.id, mode.capped)
         outcome = _solve(self.system, scenario, mode, start=self._bases.get(chain))
         if outcome is None:

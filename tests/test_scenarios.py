@@ -266,6 +266,26 @@ class TestWarmRuns:
             runner.run(reference, ObjectiveMode.min_emissions())
         assert builds.count("min_emissions") == 1
 
+    def test_only_caps_within_round_off_of_the_cached_floor_are_solved(self, mini):
+        builds = []
+
+        def recording_build(system, mode):
+            builds.append(mode.emission_cap)
+            return build_problem(system, mode)
+
+        runner = ScenarioRunner(mini)
+        reference = standard_scenario("reference")
+        floor = runner.run(reference, ObjectiveMode.min_emissions()).objective
+        near = floor * (1.0 - 5e-10)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(scenarios, "build_problem", recording_build)
+            for cap in (floor * (1.0 - 2e-9), near):
+                try:
+                    runner.run(reference, ObjectiveMode.min_cost_with_cap(cap))
+                except InfeasibleCapError as err:
+                    assert err.minimum_achievable == floor
+        assert builds == [near]
+
 
 def _rel(a, b):
     return abs(a - b) / max(1.0, abs(b))
@@ -450,7 +470,8 @@ class TestWarmSweep:
 
     def test_caps_after_the_first_start_warm(self, warm_sweep):
         caps = [res for is_cap, res in warm_sweep["solves"] if is_cap]
-        assert len(caps) == len(SWEEP_FRACTIONS)
+        # 0.8 is the first unreachable cap; 0.9 is decided from the floor cached then
+        assert len(caps) == len(SWEEP_FRACTIONS) - 1
         assert not caps[0].warm_started
         assert all(res.warm_started for res in caps[1:])
         first, *rest = (warm_sweep["warm"][f] for f in SWEEP_FRACTIONS)
@@ -492,6 +513,22 @@ class TestWarmSweep:
     def test_floor_built_and_solved_once(self, warm_sweep):
         assert warm_sweep["builds"].count("min_emissions") == 1
         assert sum(1 for is_cap, _ in warm_sweep["solves"] if not is_cap) == 1
+
+    def test_caps_below_the_cached_floor_are_not_solved(self, warm_sweep):
+        # the builds are the caps solved in order, then the floor after the first
+        # unreachable cap; every cap after that lies below the floor
+        floor = warm_sweep["floor"].objective
+        first = next(f for f in SWEEP_FRACTIONS
+                     if isinstance(warm_sweep["warm"][f], InfeasibleCapError))
+        later = [f for f in SWEEP_FRACTIONS if f > first]
+        assert later
+        for f in later:
+            err = warm_sweep["warm"][f]
+            assert isinstance(err, InfeasibleCapError)
+            assert err.cap < floor * (1.0 - 1e-9)
+            assert err.minimum_achievable == floor
+        assert warm_sweep["builds"] == (["min_cost_with_cap"] * SWEEP_FRACTIONS.index(first)
+                                        + ["min_cost_with_cap", "min_emissions"])
 
     def test_floor_starts_cold_without_an_uncapped_run_before_it(self, warm_sweep):
         # the runner ran no uncapped synergies problem, so the floor has no
