@@ -1,0 +1,78 @@
+"""Record the benchmark's end-to-end results for one checkout into a JSON file.
+
+Run from anywhere:
+
+    python3 scripts/bench_record.py --checkout DIR --section NAME \
+        --seed S --seconds T --out BENCH.json
+
+For each of the four workloads this runs
+
+    python3 perfbench/run.py --workload W --seed S --seconds T --trace 0
+
+inside ``DIR`` and keeps the last line of its output (the JSON result) with
+the exit code. The section ``NAME`` of ``--out`` (for example ``parent`` or
+``change``) is replaced by these results, the seed, ``--seconds`` and the
+host (processor count, python, numpy and scipy versions); other sections of
+an existing file are kept, so a before-and-after record is two calls.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
+
+WORKLOADS = ("expansion-lp", "cap-sweep", "milp-blocks", "scenario-matrix")
+
+
+def host() -> dict:
+    import numpy
+    import scipy
+    return {"nproc": len(os.sched_getaffinity(0)),
+            "python": platform.python_version(),
+            "numpy": numpy.__version__,
+            "scipy": scipy.__version__}
+
+
+def run_workload(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    argv = [sys.executable, "perfbench/run.py", "--workload", workload,
+            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    done = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
+    lines = done.stdout.strip().splitlines()
+    try:
+        result = json.loads(lines[-1])
+    except (IndexError, json.JSONDecodeError):
+        result = None
+    return {"exit": done.returncode, "result": result}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--checkout", type=Path, required=True)
+    parser.add_argument("--section", required=True)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seconds", type=float, default=20.0)
+    parser.add_argument("--out", type=Path, required=True)
+    args = parser.parse_args(argv)
+
+    record = json.loads(args.out.read_text()) if args.out.exists() else {}
+    record[args.section] = {
+        "seed": args.seed,
+        "seconds": args.seconds,
+        "host": host(),
+        "workloads": {w: run_workload(args.checkout, w, args.seed, args.seconds)
+                      for w in WORKLOADS},
+    }
+    args.out.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
+    failed = [w for w, r in record[args.section]["workloads"].items() if r["exit"] != 0]
+    if failed:
+        print(f"exit code not 0 on: {', '.join(failed)}", file=sys.stderr)
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy.sparse as sp
 
 from .costing import CostTable, ObjectiveMode, assemble_objective, cost_table
 from .lp import Row, SparseProblem
@@ -27,6 +28,32 @@ class BuiltProblem:
     def emissions(self) -> np.ndarray:
         """t CO2 per unit of each column."""
         return self.table.emissions
+
+    def for_mode(self, mode: ObjectiveMode) -> "BuiltProblem":
+        """This uncapped problem in ``mode``: the same matrix, bounds, names,
+        index and cost table with the objective of ``mode``, and for a capped
+        mode the emission-cap row appended last.
+
+        The result shares every array it does not replace with this problem,
+        and nothing here writes into one, so problems derived from one build
+        stay independent as long as callers do not write into them either
+        (the solvers copy before they change bounds).
+        """
+        if self.cap_row is not None:
+            raise ValueError("modes are derived from an uncapped problem")
+        objective, cap = assemble_objective(self.table, mode)
+        problem = replace(self.problem, objective=objective)
+        if cap is None:
+            return replace(self, problem=problem, mode=mode)
+        base = self.problem
+        cols = np.array([col for col, _ in cap.coeffs], dtype=base.a.indices.dtype)
+        coeffs = np.array([coef for _, coef in cap.coeffs], dtype=float)
+        row = sp.csr_matrix((coeffs, cols, [0, len(cols)]), shape=(1, base.num_cols))
+        problem = replace(problem, a=sp.vstack([base.a, row], format="csr"),
+                          senses=np.append(base.senses, cap.sense),
+                          rhs=np.append(base.rhs, cap.rhs),
+                          row_names=[*base.row_names, cap.label])
+        return replace(self, problem=problem, mode=mode, cap_row=base.num_rows)
 
 
 def _default_bounds(system: EnergySystem, index: VariableIndex
@@ -63,8 +90,17 @@ def build_problem(system: EnergySystem, mode: ObjectiveMode) -> BuiltProblem:
 
     Row order is deterministic: technology rows (by id), branch rows (by id),
     nodal balances (node, carrier, step), then the optional emission cap.
-    Raises :class:`carrieropt.system.StructureError` for an invalid system.
+    The rows, bounds and cost table do not depend on ``mode``; they are built
+    once, and :meth:`BuiltProblem.for_mode` adds the mode's objective and cap
+    row, so a caller holding an uncapped build derives every other mode from
+    it without building again. Raises
+    :class:`carrieropt.system.StructureError` for an invalid system.
     """
+    return _build(system).for_mode(mode)
+
+
+def _build(system: EnergySystem) -> BuiltProblem:
+    """The rows, bounds, names and cost table of ``system``, as its min-cost problem."""
     index = assemble_variable_index(system)
 
     lower, upper, integer = _default_bounds(system, index)
@@ -90,20 +126,14 @@ def build_problem(system: EnergySystem, mode: ObjectiveMode) -> BuiltProblem:
     apply_bounds(import_bounds)
 
     table = cost_table(system, index)
-    objective, cap = assemble_objective(table, mode)
-    cap_row = None
-    if cap is not None:
-        cap_row = len(rows)
-        rows.append(cap)
-
     problem = SparseProblem.from_rows(
         num_cols=len(index),
         rows=rows,
         lower=lower,
         upper=upper,
-        objective=objective,
+        objective=table.costs,
         integer=integer,
         col_names=index.names(),
     )
-    return BuiltProblem(system=system, index=index, problem=problem, mode=mode,
-                        cap_row=cap_row, table=table)
+    return BuiltProblem(system=system, index=index, problem=problem,
+                        mode=ObjectiveMode.min_cost(), cap_row=None, table=table)

@@ -225,17 +225,18 @@ class ScenarioOutcome:
         return out
 
 
-def _solve(system: EnergySystem, scenario: ScenarioSpec, mode: ObjectiveMode,
+def _solve(base: BuiltProblem, scenario: ScenarioSpec, mode: ObjectiveMode,
            warm_from: Mapping[str, float] | None = None,
            start: Basis | None = None) -> ScenarioOutcome | None:
-    """Gate, build, solve and post-process one scenario/mode combination.
+    """Solve and post-process one scenario/mode combination from ``base``, the
+    scenario's gated system built uncapped.
 
     The solve starts cold, from a ``start`` basis of an earlier solve, or
     follows :func:`carrieropt.lp.warm_start_solve` from ``warm_from`` sizes.
     Returns None when an emission cap makes the problem infeasible.
     """
-    gated = apply_scenario(system, scenario)
-    built = build_problem(gated, mode)
+    gated = base.system
+    built = base.for_mode(mode)
     if warm_from is None:
         result = solve_milp(built.problem, start=start)
     else:
@@ -273,6 +274,12 @@ def _solve(system: EnergySystem, scenario: ScenarioSpec, mode: ObjectiveMode,
 class ScenarioRunner:
     """Runs the scenarios of one system, caching outcomes by (scenario id, mode).
 
+    Each scenario is gated and built once per runner: the runner keeps the
+    gated system and its uncapped :class:`BuiltProblem` by scenario id, and
+    every run of the scenario, warm-started or not, derives its problem from
+    that build through :meth:`BuiltProblem.for_mode`, which swaps the
+    objective and appends the cap row without writing into the build.
+
     The runner also keeps one basis chain per scenario and matrix: the basis
     of the latest optimal outcome, keyed by scenario id and whether the
     problem has the emission-cap row. A run starts from its chain's basis
@@ -283,14 +290,14 @@ class ScenarioRunner:
     for an infeasible cap is the scenario's cached min-emissions outcome, so
     it is solved at most once per runner, from the min-cost basis when the
     runner has one. Once it is cached, a cap below ``floor * (1 - 1e-9)`` is
-    reported infeasible without a build or a solve; caps between that and
-    the floor are solved.
+    reported infeasible without deriving or solving a problem; caps between
+    that and the floor are solved.
 
     So an outcome's ``solver`` counters depend on which runs of its scenario
     this runner made before it, and in which order; a min-emissions outcome's
-    costs, capacities and metrics may too, as they come from whichever
-    optimal vertex the solve reaches. A runner is not thread-safe, so use
-    one per thread.
+    costs, capacities and metrics may too, and so may a min-cost outcome's
+    metrics, as they come from whichever optimal vertex the solve reaches.
+    A runner is not thread-safe, so use one per thread.
     """
 
     def __init__(self, system: EnergySystem):
@@ -298,13 +305,22 @@ class ScenarioRunner:
         if violations:
             raise ValueError("invalid system: " + "; ".join(violations[:5]))
         self.system = system
+        self._built: dict[str, BuiltProblem] = {}
         self._cache: dict[tuple[str, str], ScenarioOutcome] = {}
         self._bases: dict[tuple[str, bool], Basis] = {}
 
+    def _base(self, scenario: ScenarioSpec) -> BuiltProblem:
+        """The scenario's gated system built uncapped, once per runner."""
+        if scenario.id not in self._built:
+            gated = apply_scenario(self.system, scenario)
+            self._built[scenario.id] = build_problem(gated, ObjectiveMode.min_cost())
+        return self._built[scenario.id]
+
     def run(self, scenario: ScenarioSpec, mode: ObjectiveMode,
             warm_from: Mapping[str, float] | None = None) -> ScenarioOutcome:
-        """Gate, build, solve and post-process one scenario/mode combination,
-        or return this runner's cached outcome of it.
+        """Solve and post-process one scenario/mode combination, or return
+        this runner's cached outcome of it; the scenario is gated and built on
+        its first run.
 
         ``warm_from`` maps size-column names to values, usually a prior
         outcome's :meth:`ScenarioOutcome.size_values`. The solve then follows
@@ -322,7 +338,7 @@ class ScenarioRunner:
         if warm_from is None:
             return self._outcome(scenario, mode)
         try:
-            return _solve(self.system, scenario, mode, warm_from=warm_from)
+            return _solve(self._base(scenario), scenario, mode, warm_from=warm_from)
         except WarmStartError:
             if mode.kind == "min_cost_with_cap":
                 # no fixing is feasible under an unreachable cap: the cold
@@ -341,7 +357,8 @@ class ScenarioRunner:
                 and mode.emission_cap < floor.objective * (1.0 - 1e-9)):
             raise InfeasibleCapError(mode.emission_cap, floor.objective)
         chain = (scenario.id, mode.capped)
-        outcome = _solve(self.system, scenario, mode, start=self._bases.get(chain))
+        outcome = _solve(self._base(scenario), scenario, mode,
+                         start=self._bases.get(chain))
         if outcome is None:
             floor = self._outcome(scenario, ObjectiveMode.min_emissions())
             raise InfeasibleCapError(mode.emission_cap, floor.objective)

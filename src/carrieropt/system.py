@@ -459,7 +459,9 @@ class VariableIndex:
 
     def __init__(self, keys: Iterable[VarKey]):
         self._keys: list[VarKey] = list(keys)
-        self._pos: dict[VarKey, int] = {k: i for i, k in enumerate(self._keys)}
+        # plain (entity, role, step) tuples: cheaper to hash than a VarKey per lookup
+        self._pos: dict[tuple[str, str, int | None], int] = {
+            (k.entity, k.role, k.step): i for i, k in enumerate(self._keys)}
         if len(self._pos) != len(self._keys):
             raise StructureError("duplicate variable keys")
 
@@ -467,14 +469,14 @@ class VariableIndex:
         return len(self._keys)
 
     def column(self, entity: str, role: str, step: int | None = None) -> int:
-        key = VarKey(entity, role, step)
         try:
-            return self._pos[key]
+            return self._pos[entity, role, step]
         except KeyError:
-            raise StructureError(f"no variable {key.name()!r}") from None
+            name = VarKey(entity, role, step).name()
+            raise StructureError(f"no variable {name!r}") from None
 
     def has(self, entity: str, role: str, step: int | None = None) -> bool:
-        return VarKey(entity, role, step) in self._pos
+        return (entity, role, step) in self._pos
 
     def key(self, column: int) -> VarKey:
         return self._keys[column]

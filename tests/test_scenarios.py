@@ -4,14 +4,14 @@
 import pytest
 
 import carrieropt.scenarios as scenarios
-from carrieropt.builder import build_problem
+from carrieropt.builder import BuiltProblem, build_problem
 from carrieropt.costing import (
     EMISSION_CAP_LABEL,
     ObjectiveMode,
     cost_breakdown,
     total_emissions,
 )
-from carrieropt.lp import INFEASIBLE, OPTIMAL, solve_milp
+from carrieropt.lp import INFEASIBLE, OPTIMAL, solve_milp, verify_solution
 from carrieropt.scenarios import (
     InfeasibleCapError,
     ScenarioRunner,
@@ -41,6 +41,52 @@ def mini():
 @pytest.fixture(scope="module")
 def runner(mini):
     return ScenarioRunner(mini)
+
+
+class RunnerWork:
+    """What runners build, derive and solve while installed on ``patch``.
+
+    ``builds`` holds the mode of every ``build_problem`` call; ``derived``
+    the mode of every :meth:`BuiltProblem.for_mode` call made outside a
+    build (the problems a runner derives from its cached build); ``solved``
+    the mode of every derived problem passed to ``solve_milp``, in order.
+    """
+
+    def __init__(self, patch):
+        self.builds, self.derived, self.solved = [], [], []
+        # id of a derived problem -> (that problem, kept so the id stays unique; its mode)
+        self._problems = {}
+        self._building = False
+        build, solve = scenarios.build_problem, scenarios.solve_milp
+        for_mode = BuiltProblem.for_mode
+
+        def recording_build(system, mode):
+            self.builds.append(mode)
+            self._building = True
+            try:
+                return build(system, mode)
+            finally:
+                self._building = False
+
+        def recording_for_mode(built, mode):
+            out = for_mode(built, mode)
+            if not self._building:
+                self.derived.append(mode)
+                self._problems[id(out.problem)] = (out.problem, mode)
+            return out
+
+        def recording_solve(problem, *args, **kwargs):
+            if id(problem) in self._problems:
+                self.solved.append(self._problems[id(problem)][1])
+            return solve(problem, *args, **kwargs)
+
+        patch.setattr(scenarios, "build_problem", recording_build)
+        patch.setattr(BuiltProblem, "for_mode", recording_for_mode)
+        patch.setattr(scenarios, "solve_milp", recording_solve)
+
+
+def kinds(modes):
+    return [mode.kind for mode in modes]
 
 
 def expandable_ids(system):
@@ -249,42 +295,35 @@ class TestWarmRuns:
         assert err.minimum_achievable == floor.objective
 
     def test_floor_built_once_per_runner(self, mini):
-        builds = []
-
-        def recording_build(system, mode):
-            builds.append(mode.kind)
-            return build_problem(system, mode)
-
         runner = ScenarioRunner(mini)
         reference = standard_scenario("reference")
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(scenarios, "build_problem", recording_build)
+            work = RunnerWork(patch)
             self._unreachable(runner)
             self._unreachable(runner)
             with pytest.raises(InfeasibleCapError):
                 runner.run(reference, ObjectiveMode.min_cost_with_cap(10.0))
             runner.run(reference, ObjectiveMode.min_emissions())
-        assert builds.count("min_emissions") == 1
+        # one build per scenario: t-all (the warm start's prior) and reference
+        assert len(work.builds) == 2
+        assert kinds(work.derived).count("min_emissions") == 1
+        assert kinds(work.solved).count("min_emissions") == 1
 
     def test_only_caps_within_round_off_of_the_cached_floor_are_solved(self, mini):
-        builds = []
-
-        def recording_build(system, mode):
-            builds.append(mode.emission_cap)
-            return build_problem(system, mode)
-
         runner = ScenarioRunner(mini)
         reference = standard_scenario("reference")
-        floor = runner.run(reference, ObjectiveMode.min_emissions()).objective
-        near = floor * (1.0 - 5e-10)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(scenarios, "build_problem", recording_build)
+            work = RunnerWork(patch)
+            floor = runner.run(reference, ObjectiveMode.min_emissions()).objective
+            near = floor * (1.0 - 5e-10)
             for cap in (floor * (1.0 - 2e-9), near):
                 try:
                     runner.run(reference, ObjectiveMode.min_cost_with_cap(cap))
                 except InfeasibleCapError as err:
                     assert err.minimum_achievable == floor
-        assert builds == [near]
+        assert len(work.builds) == 1
+        modes = [ObjectiveMode.min_emissions(), ObjectiveMode.min_cost_with_cap(near)]
+        assert work.derived == work.solved == modes
 
 
 def _rel(a, b):
@@ -409,29 +448,25 @@ def warm_sweep():
     in order by one runner, beside the same caps solved cold.
 
     Records every ``solve_milp`` result of the runner (whether its problem has
-    the cap row) and every problem it builds, by mode kind.
+    the cap row), and what it builds, derives and solves as a :class:`RunnerWork`.
     """
     system = build_miniature_system(0, step_count=24)
     synergies = standard_scenario("synergies")
     e_ref = ScenarioRunner(system).run(standard_scenario("reference"),
                                        ObjectiveMode.min_cost()).emissions.total
     modes = {f: ObjectiveMode.min_cost_with_cap((1.0 - f) * e_ref) for f in SWEEP_FRACTIONS}
-    solves, builds = [], []
+    solves = []
 
     def recording_solve(problem, *args, **kwargs):
         res = solve_milp(problem, *args, **kwargs)
         solves.append((EMISSION_CAP_LABEL in problem.row_names, res))
         return res
 
-    def recording_build(system, mode):
-        builds.append(mode.kind)
-        return build_problem(system, mode)
-
     runner = ScenarioRunner(system)
     warm = {}
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(scenarios, "solve_milp", recording_solve)
-        patch.setattr(scenarios, "build_problem", recording_build)
+        work = RunnerWork(patch)
         for f, mode in modes.items():
             try:
                 warm[f] = runner.run(synergies, mode)
@@ -443,7 +478,7 @@ def warm_sweep():
         problem = build_problem(gated, mode).problem
         cold[f] = (problem, solve_milp(problem))
     floor = ScenarioRunner(system).run(synergies, ObjectiveMode.min_emissions())
-    return dict(warm=warm, cold=cold, floor=floor, solves=solves, builds=builds)
+    return dict(warm=warm, cold=cold, floor=floor, solves=solves, work=work)
 
 
 class TestWarmSweep:
@@ -511,12 +546,15 @@ class TestWarmSweep:
         assert warm < cold / 2
 
     def test_floor_built_and_solved_once(self, warm_sweep):
-        assert warm_sweep["builds"].count("min_emissions") == 1
+        work = warm_sweep["work"]
+        assert len(work.builds) == 1  # synergies, once for every cap and the floor
+        assert kinds(work.derived).count("min_emissions") == 1
+        assert kinds(work.solved).count("min_emissions") == 1
         assert sum(1 for is_cap, _ in warm_sweep["solves"] if not is_cap) == 1
 
     def test_caps_below_the_cached_floor_are_not_solved(self, warm_sweep):
-        # the builds are the caps solved in order, then the floor after the first
-        # unreachable cap; every cap after that lies below the floor
+        # the derived problems are the caps solved in order, then the floor after
+        # the first unreachable cap; every cap after that lies below the floor
         floor = warm_sweep["floor"].objective
         first = next(f for f in SWEEP_FRACTIONS
                      if isinstance(warm_sweep["warm"][f], InfeasibleCapError))
@@ -527,8 +565,10 @@ class TestWarmSweep:
             assert isinstance(err, InfeasibleCapError)
             assert err.cap < floor * (1.0 - 1e-9)
             assert err.minimum_achievable == floor
-        assert warm_sweep["builds"] == (["min_cost_with_cap"] * SWEEP_FRACTIONS.index(first)
-                                        + ["min_cost_with_cap", "min_emissions"])
+        work = warm_sweep["work"]
+        assert kinds(work.derived) == (["min_cost_with_cap"] * SWEEP_FRACTIONS.index(first)
+                                       + ["min_cost_with_cap", "min_emissions"])
+        assert work.solved == work.derived
 
     def test_floor_starts_cold_without_an_uncapped_run_before_it(self, warm_sweep):
         # the runner ran no uncapped synergies problem, so the floor has no
@@ -551,6 +591,26 @@ class TestSweep:
         abatements = [r["abatement_cost"] for r in feasible
                       if r["abatement_cost"] is not None]
         assert abatements == sorted(abatements), "abatement cost must not decrease"
+
+    def test_every_cached_outcome_keeps_the_problem_it_solved(self, mini):
+        # every cap of the sweep is derived from one cached build; none may
+        # write into what another outcome solved
+        runner = ScenarioRunner(mini)
+        rows = abatement_sweep(mini, standard_scenario("synergies"), SWEEP_FRACTIONS,
+                               runner=runner)
+        assert any(r["feasible"] for r in rows) and not all(r["feasible"] for r in rows)
+        capped = 0
+        for (scenario_id, label), outcome in runner._cache.items():
+            problem, mode = outcome.built.problem, outcome.mode
+            assert verify_solution(problem, outcome.result).ok(), (scenario_id, label)
+            if mode.capped:
+                capped += 1
+                assert problem.row_names[outcome.built.cap_row] == EMISSION_CAP_LABEL
+                assert problem.rhs[outcome.built.cap_row] == mode.emission_cap, label
+            else:
+                assert outcome.built.cap_row is None
+                assert EMISSION_CAP_LABEL not in problem.row_names
+        assert capped == sum(r["feasible"] for r in rows) > 1
 
     def test_unreachable_target_marked_infeasible(self, mini, runner):
         rows = abatement_sweep(mini, standard_scenario("reference"),
