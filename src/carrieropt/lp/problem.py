@@ -65,9 +65,9 @@ class SparseProblem:
             raise ProblemError("col_names length mismatch")
         if self.row_names and len(self.row_names) != m:
             raise ProblemError("row_names length mismatch")
-        for s in self.senses:
-            if s not in _SENSES:
-                raise ProblemError(f"unknown row sense {s!r}")
+        known = np.isin(self.senses, _SENSES)
+        if not known.all():
+            raise ProblemError(f"unknown row sense {self.senses[int(np.argmin(known))]!r}")
         if np.isnan(self.a.data).any():
             raise ProblemError("constraint matrix contains NaN")
         for name, vec in (("rhs", self.rhs), ("lower", self.lower),

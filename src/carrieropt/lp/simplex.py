@@ -10,7 +10,11 @@ test and their update run over the nonzero rows of the entering column only.
 Columns are read straight from the CSC arrays of the scaled matrix, and
 pricing multiplies by its transpose through the same arrays read as CSR, then
 weighs the reduced costs by two masks of the directions each nonbasic column
-may move in. Pricing is Dantzig (largest reduced-cost violation, ties broken
+may move in; this product and those with the etas call scipy's CSR/CSC kernels
+on the stored arrays, not sparse ``@``. A bound flip (a step that ends on the
+entering column's own bound, with no pivot) leaves the basis as it was, so the
+next pass keeps the duals and reduced costs when its pricing costs are those
+of the last. Pricing is Dantzig (largest reduced-cost violation, ties broken
 by lowest column index) with an automatic switch to Bland's rule after a run
 of degenerate steps, which guarantees termination.
 
@@ -41,6 +45,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.lapack import dtrtrs
+# the kernels behind sparse @, private to scipy: the tests pin them to @ bit for bit
+from scipy.sparse._sparsetools import csc_matvec, csr_matvec
 from scipy.sparse.linalg import splu
 
 from .problem import GE, LE, SparseProblem
@@ -174,8 +180,11 @@ class _Factorization:
     where ``d_i`` is the entering column in terms of the basis before pivot i,
     ``r_i`` its pivot row and ``eta_i = d_i - e_{r_i}``. Eta i keeps the rows
     where ``d_i`` is nonzero, as entries ``ptr[i]:ptr[i + 1]`` of ``idx`` and
-    ``val``: the arrays of ``eta``, a CSC matrix with the etas as columns, and
-    of its CSR transpose ``eta_t``. ``rows[i]`` is ``r_i``, and ``tri`` holds
+    ``val``: the CSC arrays of the m x k matrix ``eta`` with the etas as
+    columns, which read as CSR are those of ``eta^T``. ``by_row`` holds them
+    again by row, ``by_row[r, i] = eta_i[r]``, so a pivot on row r reads its
+    row of ``T`` without a search; a refactorization clears only the entries
+    the etas wrote. ``rows[i]`` is ``r_i``, and ``tri`` holds
     ``T[i, j] = eta_j[r_i]`` (j < i), ``T[i, i] = d_i[r_i]``, lower-triangular
     and in Fortran order so that LAPACK reads its first k columns in place. Then
 
@@ -188,16 +197,14 @@ class _Factorization:
     """
 
     def __init__(self, a_csc: sp.csc_matrix):
-        m = a_csc.shape[0]
+        self.m = m = a_csc.shape[0]
         self.a_csc = a_csc
         self.lu = None
         # room for m entries per eta; pages past the entries in use stay untouched
         self.idx = np.zeros(m * REFACTOR_EVERY, dtype=np.int32)
         self.val = np.zeros(self.idx.size)
         self.ptr = np.zeros(REFACTOR_EVERY + 1, dtype=np.int32)
-        # push_eta points both at the entries in use; columns past k stay empty
-        self.eta = sp.csc_matrix((m, REFACTOR_EVERY))
-        self.eta_t = sp.csr_matrix((REFACTOR_EVERY, m))
+        self.by_row = np.zeros((m, REFACTOR_EVERY))
         self.alpha = np.zeros(REFACTOR_EVERY)
         self.tri = np.zeros((REFACTOR_EVERY, REFACTOR_EVERY), order="F")
         self.rows = np.zeros(REFACTOR_EVERY, dtype=np.intp)
@@ -205,23 +212,22 @@ class _Factorization:
 
     def refactor(self, basis: np.ndarray) -> None:
         self.lu = splu(sp.csc_matrix(self.a_csc[:, basis]), relax=1, panel_size=1)
+        k, ptr = self.k, self.ptr
+        self.by_row[self.idx[:ptr[k]], np.repeat(np.arange(k), np.diff(ptr[:k + 1]))] = 0.0
         self.k = 0
 
     def push_eta(self, row: int, nz: np.ndarray, values: np.ndarray) -> None:
         """Add a pivot on ``row``; ``d`` is ``values`` on the ascending rows ``nz``, else 0."""
         k, start = self.k, self.ptr[self.k]
         end = start + nz.size
-        hits = np.flatnonzero(self.idx[:start] == row)
-        self.tri[k, :k] = 0.0
-        self.tri[k, np.searchsorted(self.ptr[1:k + 1], hits, side="right")] = self.val[hits]
+        self.tri[k, :k] = self.by_row[row, :k]
         at = start + np.searchsorted(nz, row)
         self.idx[start:end] = nz
         self.val[start:end] = values
         self.tri[k, k] = self.val[at]
         self.val[at] -= 1.0
+        self.by_row[nz, k] = self.val[start:end]
         self.ptr[k + 1:] = end
-        for eta in (self.eta, self.eta_t):
-            eta.data, eta.indices, eta.indptr = self.val[:end], self.idx[:end], self.ptr
         self.rows[k] = row
         self.k = k + 1
 
@@ -230,21 +236,24 @@ class _Factorization:
         k = self.k
         if k:
             self.alpha[:k], _ = dtrtrs(self.tri[:, :k], w[self.rows[:k]], lower=1)
-            w -= self.eta @ self.alpha  # the empty columns past k read nothing
+            product = np.zeros(self.m)
+            csc_matvec(self.m, k, self.ptr, self.idx, self.val, self.alpha, product)
+            w -= product
         return w
 
     def btran(self, c: np.ndarray) -> np.ndarray:
         u = c.astype(float, copy=True)
         k = self.k
         if k:
-            beta, _ = dtrtrs(self.tri[:, :k], (self.eta_t @ u)[:k], lower=1, trans=1)
+            product = np.zeros(k)
+            csr_matvec(k, self.m, self.ptr, self.idx, self.val, u, product)
+            beta, _ = dtrtrs(self.tri[:, :k], product, lower=1, trans=1)
             np.subtract.at(u, self.rows[:k], beta)  # a row may be pivoted more than once
         return self.lu.solve(u, trans="T")
 
 
 class _Simplex:
     def __init__(self, problem: SparseProblem, options: SolveOptions):
-        problem.validate()
         self.problem = problem
         self.opts = options
         m, n = problem.a.shape
@@ -252,14 +261,17 @@ class _Simplex:
 
         self.row_scale, self.col_scale = _geometric_scaling(problem.a)
 
-        a_scaled = sp.diags(self.row_scale) @ problem.a @ sp.diags(self.col_scale)
-        slack = sp.identity(m, format="csr")
-        self.a = sp.hstack([a_scaled, slack], format="csc")
+        # [diag(row_scale) A diag(col_scale) | I], exact: the factors are powers of two
+        a = problem.a.tocsc()
+        data = a.data * self.row_scale[a.indices] * np.repeat(self.col_scale, np.diff(a.indptr))
+        keep = data != 0.0  # no stored zeros
+        indptr = np.concatenate([[0], np.cumsum(keep)])[a.indptr]
+        self.a = sp.csc_matrix((np.concatenate([data[keep], np.ones(m)]),
+                                np.concatenate([a.indices[keep], np.arange(m)]),
+                                np.concatenate([indptr, indptr[-1] + np.arange(1, m + 1)])),
+                               shape=(m, n + m))
         self.a_csr = self.a.tocsr()
         self.ncol = n + m
-        # the CSC arrays of A are the CSR arrays of its transpose
-        self.a_t = sp.csr_matrix((self.a.data, self.a.indices, self.a.indptr),
-                                 shape=(self.ncol, m))
 
         self.b = problem.rhs * self.row_scale
         self.lower = np.concatenate([problem.lower / self.col_scale, np.zeros(m)])
@@ -385,6 +397,7 @@ class _Simplex:
         """
         limit = self.opts.max_iterations or 20_000 + 40 * (self.m + self.n_struct)
         infeasibility_tol = INFEASIBILITY_TOL * (1.0 + np.abs(self.b).max(initial=0.0))
+        flipped, priced = False, None  # priced: the phase-1 costs y and z belong to, or None
         while True:
             if self.iterations >= limit:
                 return ITERATION_LIMIT
@@ -395,11 +408,15 @@ class _Simplex:
             if phase1:
                 # nonbasic columns cost nothing in phase 1; pricing skips basic ones
                 cost, cost_b = 0.0, np.subtract(above, below, dtype=float)
+                same = priced is not None and np.array_equal(cost_b, priced)
             else:
                 cost, cost_b = self.c, self.c_b
-
-            y = self.fact.btran(cost_b)
-            z = cost - self.a_t @ y
+                same = priced is None
+            # a bound flip leaves the basis as it was: under the same costs y and z stand
+            if not (flipped and same):
+                y = self.fact.btran(cost_b)
+                z = self._reduced_costs(cost, y)
+                priced = cost_b if phase1 else None
             j = self._price(z)
             if j < 0:
                 if not phase1:
@@ -456,6 +473,7 @@ class _Simplex:
                 self._pivot(j, r, rows, d_rows, to_lower)
             else:
                 self._set_status(j, AT_UPPER if direction > 0 else AT_LOWER)
+            flipped = not pivot
             self._flag(rows)
 
             if step <= 1e-10:
@@ -475,6 +493,12 @@ class _Simplex:
             return -1
         j = int(np.argmax(viol))
         return j if viol[j] > OPT_TOL else -1
+
+    def _reduced_costs(self, cost, y: np.ndarray) -> np.ndarray:
+        """``cost - A^T y``; the CSC arrays of A are the CSR arrays of A^T."""
+        a, a_t_y = self.a, np.zeros(self.ncol)
+        csr_matvec(self.ncol, self.m, a.indptr, a.indices, a.data, y, a_t_y)
+        return cost - a_t_y
 
     def _column(self, j: int) -> np.ndarray:
         a = self.a
@@ -518,8 +542,9 @@ class _Simplex:
                 res.infeasible_rows = [problem._row_name(int(i)) for i in rows]
             return res
 
-        self.fact.refactor(self.basis)
-        self._recompute_basics()
+        if self.fact.k:  # with no pivot since the last refactorization its LU stands
+            self.fact.refactor(self.basis)
+        self._recompute_basics()  # bound flips moved xb incrementally
         # round-off, not values: basics within PRIMAL_TOL of a finite bound sit on it
         xb, lo_b, up_b = self.xb, self.lo_b, self.up_b
         xb = np.where(np.abs(xb - lo_b) <= PRIMAL_TOL, lo_b,
@@ -529,7 +554,7 @@ class _Simplex:
         objective = float(problem.objective @ x)
 
         y = self.fact.btran(self.c[self.basis])
-        z = self.c - self.a_t @ y
+        z = self._reduced_costs(self.c, y)
         y_orig = y * self.row_scale
         duals = np.where(problem.senses == LE, -y_orig, y_orig)
 

@@ -8,6 +8,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import assume, given, settings, strategies as st
 from numpy.testing import assert_allclose
+from scipy.linalg.lapack import dtrtrs
 from scipy.optimize import linprog
 
 from carrieropt.lp import (
@@ -18,6 +19,7 @@ from carrieropt.lp import (
     ITERATION_LIMIT,
     OPTIMAL,
     UNBOUNDED,
+    ProblemError,
     Row,
     SolveOptions,
     SolveResult,
@@ -317,6 +319,76 @@ class TestFactorization:
         rng = np.random.default_rng(5)
         self._assert_solves(rng, *self._pivot_rounds(rng, 12, [REFACTOR_EVERY - 1, 6]))
 
+    @staticmethod
+    def _dense_etas(fact):
+        """The etas as the columns of a dense m x REFACTOR_EVERY matrix."""
+        etas = np.zeros((fact.m, REFACTOR_EVERY))
+        for i in range(fact.k):
+            entries = slice(fact.ptr[i], fact.ptr[i + 1])
+            etas[fact.idx[entries], i] = fact.val[entries]
+        return etas
+
+    @pytest.mark.parametrize("rounds", [[3], [REFACTOR_EVERY - 1, 6], [REFACTOR_EVERY]])
+    def test_row_store_holds_the_etas_and_refactor_clears_it(self, rounds):
+        # repeated pivot rows, and a refactorization between rounds
+        rng = np.random.default_rng(len(rounds))
+        fact, basis = self._pivot_rounds(rng, 12, rounds)
+        assert np.unique(fact.rows[:fact.k]).size < fact.k  # a row pivoted more than once
+        assert fact.by_row.tobytes() == self._dense_etas(fact).tobytes()
+        fact.refactor(np.arange(12))
+        assert fact.k == 0 and not fact.by_row.any()
+
+    @staticmethod
+    def _by_matmul(fact, v, transpose):
+        """ftran (btran when ``transpose``) with the eta products taken by sparse ``@``."""
+        k, ptr = fact.k, fact.ptr
+        eta = sp.csc_matrix((fact.val[:ptr[k]], fact.idx[:ptr[k]], ptr[:k + 1]), shape=(fact.m, k))
+        if not transpose:
+            w = fact.lu.solve(v)
+            if k:
+                alpha, _ = dtrtrs(fact.tri[:, :k], w[fact.rows[:k]], lower=1)
+                w -= eta @ alpha
+            return w
+        u = v.copy()
+        if k:
+            beta, _ = dtrtrs(fact.tri[:, :k], eta.T @ u, lower=1, trans=1)
+            np.subtract.at(u, fact.rows[:k], beta)
+        return fact.lu.solve(u, trans="T")
+
+    @pytest.mark.parametrize("pivots", [0, 1, REFACTOR_EVERY])
+    def test_eta_products_match_sparse_matmul_bitwise(self, pivots):
+        rng = np.random.default_rng(40 + pivots)
+        fact, _ = self._pivot_rounds(rng, 12, [pivots])
+        v = rng.uniform(-1.0, 1.0, size=12)
+        assert fact.ftran(v).tobytes() == self._by_matmul(fact, v, False).tobytes()
+        assert fact.btran(v).tobytes() == self._by_matmul(fact, v, True).tobytes()
+
+
+class TestDirectKernels:
+    """scipy's CSR/CSC kernels, called as the solver calls them, against sparse ``@``."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(m=st.integers(1, 30), n=st.integers(1, 30), density=st.sampled_from([0.0, 0.1, 0.5]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_kernels_match_sparse_matmul(self, m, n, density, seed):
+        rng = np.random.default_rng(seed)
+        dense = rng.uniform(-3.0, 3.0, size=(m, n)) * (rng.random((m, n)) < density)
+        dense[rng.integers(m)] = 0.0  # an empty row and an empty column
+        dense[:, rng.integers(n)] = 0.0
+        x = rng.uniform(-1.0, 1.0, size=n)
+        for a, kernel in ((sp.csc_matrix(dense), simplex.csc_matvec),
+                          (sp.csr_matrix(dense), simplex.csr_matvec)):
+            out = np.zeros(m)
+            kernel(m, n, a.indptr, a.indices, a.data, x, out)
+            assert out.tobytes() == (a @ x).tobytes()
+
+    def test_seed0_synergies_pricing_matches_sparse_matmul(self):
+        sx = _Simplex(_synergies_24(), SolveOptions())
+        y = np.random.default_rng(0).uniform(-1.0, 1.0, size=sx.m)
+        a_t = sp.csr_matrix((sx.a.data, sx.a.indices, sx.a.indptr), shape=(sx.ncol, sx.m))
+        assert sx._reduced_costs(sx.c, y).tobytes() == (sx.c - a_t @ y).tobytes()
+        assert sx._reduced_costs(0.0, y).tobytes() == (0.0 - a_t @ y).tobytes()
+
 
 class TestStartsMatchLoops:
     """The vectorized start handling against the per-column loops it replaced."""
@@ -444,12 +516,27 @@ class TestOptionsSurface:
         with pytest.raises(Exception):
             solve_lp(p)
 
+    def test_unknown_sense_rejected_by_one_validation(self):
+        p = make_problem([[1.0], [1.0]], [LE, GE], [1.0, 0.0], [1.0])
+        with mock.patch.object(SparseProblem, "validate", autospec=True,
+                               side_effect=SparseProblem.validate) as validate:
+            assert solve_lp(p).status == OPTIMAL
+        assert validate.call_count == 1
+        p.senses[1] = "=<"
+        with pytest.raises(ProblemError, match="^unknown row sense '=<'$"):
+            solve_lp(p)
+
 
 class _Checked(_Simplex):
     """A simplex that checks its incrementally kept state before every pricing,
-    which comes after every pivot and bound flip."""
+    which comes after every pivot and bound flip. ``reused`` counts the passes
+    that priced with the previous pass's ``z``, per phase."""
 
     pivots = 0
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.reused, self._last_z = {True: 0, False: 0}, None
 
     def _pivot(self, *args):
         self.pivots += 1
@@ -471,6 +558,14 @@ class _Checked(_Simplex):
         may_decrease = free & ((vstat == AT_UPPER) | (vstat == AT_VALUE))
         assert (self.inc == np.where(may_increase, -1.0, 0.0)).all()
         assert (self.dec == np.where(may_decrease, 1.0, 0.0)).all()
+        # a kept z is what pricing afresh would give, bit for bit
+        phase1 = self.below.any() or self.above.any()
+        cost, cost_b = ((0.0, np.subtract(self.above, self.below, dtype=float)) if phase1
+                        else (self.c, self.c_b))
+        assert z.tobytes() == (cost - self.a.T @ self.fact.btran(cost_b)).tobytes()
+        if z is self._last_z:
+            self.reused[phase1] += 1
+        self._last_z = z
         # the reference: pricing by one masked pass per status, as before the masks
         viol = np.zeros(self.ncol)
         at_lower, at_upper, at_value = vstat == AT_LOWER, vstat == AT_UPPER, vstat == AT_VALUE
@@ -508,22 +603,59 @@ def bounded_lps(draw):
 
 
 class TestKernelInvariants:
-    @settings(max_examples=150, deadline=None)
-    @given(problem=bounded_lps())
-    def test_kept_state_matches_recompute_and_highs(self, problem):
-        # a short eta file so that these small LPs refactorize mid-solve
-        with mock.patch.object(simplex, "REFACTOR_EVERY", 3):
-            sx = _Checked(problem, SolveOptions())
-            sx.cold_start()
-            res = sx.finish(sx._iterate(), False)
-        assume(sx.pivots >= 3)
-        sign = np.where(problem.senses == GE, -1.0, 1.0)
-        a, b, eq = sign[:, None] * problem.a.toarray(), sign * problem.rhs, problem.senses == EQ
-        ref = linprog(problem.objective, A_ub=a[~eq], b_ub=b[~eq], A_eq=a[eq], b_eq=b[eq],
-                      bounds=np.column_stack([problem.lower, problem.upper]), method="highs")
-        assert (res.status == OPTIMAL) == (ref.status == 0)
-        if res.status == OPTIMAL:
-            assert abs(res.objective - ref.fun) <= 1e-9 * max(1.0, abs(ref.fun))
+    def test_kept_state_matches_recompute_and_highs(self):
+        reusing = []
+
+        @settings(max_examples=150, deadline=None)
+        @given(problem=bounded_lps())
+        def check(problem):
+            # a short eta file so that these small LPs refactorize mid-solve
+            with mock.patch.object(simplex, "REFACTOR_EVERY", 3):
+                sx = _Checked(problem, SolveOptions())
+                sx.cold_start()
+                res = sx.finish(sx._iterate(), False)
+            assume(sx.pivots >= 3)
+            reusing.append(sum(sx.reused.values()) > 0)
+            sign = np.where(problem.senses == GE, -1.0, 1.0)
+            a, b, eq = sign[:, None] * problem.a.toarray(), sign * problem.rhs, problem.senses == EQ
+            ref = linprog(problem.objective, A_ub=a[~eq], b_ub=b[~eq], A_eq=a[eq], b_eq=b[eq],
+                          bounds=np.column_stack([problem.lower, problem.upper]), method="highs")
+            assert (res.status == OPTIMAL) == (ref.status == 0)
+            if res.status == OPTIMAL:
+                assert abs(res.objective - ref.fun) <= 1e-9 * max(1.0, abs(ref.fun))
+
+        check()
+        # bound flips happen, so the reuse that _Checked verifies is exercised
+        assert sum(reusing) >= 5, (sum(reusing), len(reusing))
+
+    def test_passes_after_bound_flips_reuse_y_and_z_in_both_phases(self):
+        # x0 + x1 + x2 + x3 >= 3.5 on [0, 1] boxes starts violated: x0, x1 and
+        # x2 flip to 1 under unchanged phase-1 costs, and x3 pivots into the
+        # row; then x4 and x5, the two boxes that pay, flip in phase 2
+        p = make_problem([[1.0, 1.0, 1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0, 1.0, 1.0]],
+                         [GE, LE], [3.5, 5.0], [0.0, 0.0, 0.0, 0.0, -1.0, -2.0],
+                         upper=np.ones(6))
+        sx = _Checked(p, SolveOptions())
+        sx.cold_start()
+        res = sx.finish(sx._iterate(), False)
+        assert res.status == OPTIMAL and res.objective == -3.0
+        assert sx.reused[True] >= 1 and sx.reused[False] >= 1, sx.reused
+
+    @pytest.mark.parametrize("a, c, objective", [
+        # row 1 is still violated: the phase-1 costs change
+        ([[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0], 0.0),
+        # no row is violated any more: phase 2 begins, and x1 pays
+        ([[1.0, 0.0], [0.0, 0.0]], [0.0, -1.0], -2.0),
+    ])
+    def test_a_flip_that_clears_a_phase1_flag_prices_afresh(self, a, c, objective):
+        # x0 flips to 1 - 5e-10, which leaves row 0 within PRIMAL_TOL of
+        # feasible: the kept z would be stale (_Checked compares it with a fresh one)
+        p = make_problem(a, [GE, GE], [1.0, a[1][1]], c, upper=[1.0 - 5e-10, 2.0])
+        sx = _Checked(p, SolveOptions())
+        sx.cold_start()
+        res = sx.finish(sx._iterate(), False)
+        assert res.status == OPTIMAL and res.objective == objective
+        assert sx.reused[True] == 0
 
 
 def _problem_with_stored_zeros(a, senses, rhs, c, lower, upper):
@@ -616,17 +748,21 @@ class TestCrash:
 
     def test_cold_synergies_solve_takes_at_most_700_iterations(self):
         # 1,061 iterations from the all-slack basis, 567 from the crash basis
-        from carrieropt.builder import build_problem
-        from carrieropt.costing import ObjectiveMode
-        from carrieropt.scenarios import apply_scenario, standard_scenario
-        from carrieropt.system import build_miniature_system
-
-        system = apply_scenario(build_miniature_system(0, step_count=24),
-                                standard_scenario("synergies"))
-        p = build_problem(system, ObjectiveMode.min_cost()).problem
-        res = solve_lp(p)
+        res = solve_lp(_synergies_24())
         assert res.status == OPTIMAL and not res.warm_started
         assert res.iterations <= 700
+
+
+def _synergies_24() -> SparseProblem:
+    """The seed-0 synergies min-cost LP at 24 steps."""
+    from carrieropt.builder import build_problem
+    from carrieropt.costing import ObjectiveMode
+    from carrieropt.scenarios import apply_scenario, standard_scenario
+    from carrieropt.system import build_miniature_system
+
+    system = apply_scenario(build_miniature_system(0, step_count=24),
+                            standard_scenario("synergies"))
+    return build_problem(system, ObjectiveMode.min_cost()).problem
 
 
 class TestScaling:
@@ -671,3 +807,27 @@ class TestScaling:
         rows_z, cols_z = simplex._geometric_scaling(stored)
         assert rows_z.tobytes() == rows.tobytes() and cols_z.tobytes() == cols.tobytes()
         assert np.isfinite(rows).all() and np.isfinite(cols).all()
+
+    @staticmethod
+    def _assert_scaled_matrix_by_products(problem):
+        """``[diag(row_scale) A diag(col_scale) | I]`` against scipy's products and hstack."""
+        sx = _Simplex(problem, SolveOptions())
+        a = sp.diags(sx.row_scale) @ problem.a @ sp.diags(sx.col_scale)
+        ref = sp.hstack([a, sp.identity(sx.m, format="csr")], format="csc")
+        assert sx.a.format == "csc" and sx.a.shape == ref.shape
+        for name in ("data", "indices", "indptr"):
+            ours, theirs = getattr(sx.a, name), getattr(ref, name)
+            assert ours.dtype == theirs.dtype and ours.tobytes() == theirs.tobytes(), name
+
+    @settings(max_examples=100, deadline=None)
+    @given(m=st.integers(1, 7), n=st.integers(1, 7), data=st.data())
+    def test_scaled_matrix_matches_products_and_hstack(self, m, n, data):
+        entry = st.sampled_from([0.0, 0.0, 0.0, -1e-3, 0.02, -0.5, 1.0, 3.0, -7.5, 250.0, 4e4])
+        dense = np.array(data.draw(st.lists(entry, min_size=m * n, max_size=m * n))).reshape(m, n)
+        # stored zeros included: the products drop them
+        self._assert_scaled_matrix_by_products(
+            _problem_with_stored_zeros(dense, [LE] * m, np.zeros(m), np.zeros(n),
+                                       np.zeros(n), np.ones(n)))
+
+    def test_seed0_synergies_scaled_matrix_matches_products_and_hstack(self):
+        self._assert_scaled_matrix_by_products(_synergies_24())
