@@ -36,8 +36,9 @@ class BuiltProblem:
 
         The result shares every array it does not replace with this problem,
         and nothing here writes into one, so problems derived from one build
-        stay independent as long as callers do not write into them either
-        (the solvers copy before they change bounds).
+        stay independent as long as callers do not write into them either.
+        The solvers do not: to change bounds they derive a new problem with
+        :meth:`carrieropt.lp.SparseProblem.with_bounds`.
         """
         if self.cap_row is not None:
             raise ValueError("modes are derived from an uncapped problem")

@@ -42,8 +42,6 @@ EXIT_INFEASIBLE = 4
 EXIT_SOLVER_LIMIT = 5
 EXIT_IO = 6
 
-JOBS_ENV = "CARRIEROPT_JOBS"
-
 
 def _say(args, message: str) -> None:
     if not args.quiet:
@@ -252,10 +250,6 @@ def cmd_matrix(args) -> int:
         modes = list(dict.fromkeys(_parse_mode(part) for part in args.modes.split(",") if part))
     except (KeyError, ValueError, argparse.ArgumentTypeError) as err:
         _fail("usage", str(err), EXIT_USAGE)
-    try:
-        jobs = args.jobs or int(os.environ.get(JOBS_ENV, "1"))
-    except ValueError as err:
-        _fail("usage", f"{JOBS_ENV}: {err}", EXIT_USAGE)
 
     def run_scenario(scenario):
         """Per mode, in order: (scenario id, mode, outcome), or the error message."""
@@ -271,8 +265,8 @@ def cmd_matrix(args) -> int:
 
     # --jobs 1 must stay on the calling thread: per-thread span stacks in
     # perfbench/tracing.py and its calibration between solves rely on it
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
+    if args.jobs > 1:
+        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
             parts = list(pool.map(run_scenario, scenarios))
     else:
         parts = list(map(run_scenario, scenarios))
@@ -348,8 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="'all' or comma-separated scenario ids")
     p.add_argument("--modes", default="min-cost,min-emissions")
     p.add_argument("--year", type=int, default=2030, choices=(2030, 2040))
-    p.add_argument("--jobs", type=int, default=0,
-                   help=f"scenarios run in parallel (default ${JOBS_ENV} or 1)")
+    p.add_argument("--jobs", type=int, default=1, help="scenarios run in parallel")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_matrix)
 

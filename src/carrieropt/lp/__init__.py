@@ -9,12 +9,11 @@ from .simplex import (
     OPTIMAL,
     UNBOUNDED,
     Basis,
-    SolveOptions,
     SolveResult,
     solve_lp,
 )
 from .verify import VerificationReport, verify_solution
-from .warmstart import WarmStartError, WarmStartResult, warm_start_solve
+from .warmstart import WarmStartError, warm_start_solve
 
 __all__ = [
     "EQ",
@@ -27,12 +26,10 @@ __all__ = [
     "Basis",
     "ProblemError",
     "Row",
-    "SolveOptions",
     "SolveResult",
     "SparseProblem",
     "VerificationReport",
     "WarmStartError",
-    "WarmStartResult",
     "export_mps",
     "read_solution",
     "solve_lp",

@@ -13,13 +13,13 @@ from .simplex import (
     OPTIMAL,
     UNBOUNDED,
     Basis,
-    SolveOptions,
     SolveResult,
     solve_lp,
 )
 
 MIP_GAP = 1e-6          # absolute branch-and-bound gap
 INTEGRALITY_TOL = 1e-6  # largest distance to an integer accepted as integral
+MAX_NODES = 100_000     # nodes explored before the search stops with ``iteration_limit``
 
 
 def _fractionality(x: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -27,17 +27,7 @@ def _fractionality(x: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return np.minimum(frac, 1.0 - frac)
 
 
-def _solve_with_bounds(problem: SparseProblem, patch: dict[int, tuple[float, float]],
-                       options: SolveOptions, start: Basis) -> SolveResult:
-    node = problem.copy()
-    for col, (lo, up) in patch.items():
-        node.lower[col] = lo
-        node.upper[col] = up
-    return solve_lp(node, options, start=start)
-
-
-def solve_milp(problem: SparseProblem, options: SolveOptions | None = None,
-               start: Basis | None = None) -> SolveResult:
+def solve_milp(problem: SparseProblem, start: Basis | None = None) -> SolveResult:
     """Solve ``problem``: the single solve entry for LPs and MILPs alike.
 
     The root LP relaxation is solved from ``start`` when given. Without
@@ -47,19 +37,18 @@ def solve_milp(problem: SparseProblem, options: SolveOptions | None = None,
     Branching variable: most fractional integer column, ties broken by lowest
     column index. Nodes are explored in (bound, insertion order), which makes
     the search reproducible. A child differs from its parent in one column's
-    bounds only, so it is solved from its parent's optimal basis. Incumbents
-    are polished by re-solving, from the node's basis, with the integer
-    columns fixed, so reported solutions are exactly integral.
+    bounds only, so it is solved from its parent's optimal basis on
+    :meth:`SparseProblem.with_bounds` of ``problem``. Incumbents are polished
+    by re-solving, from the node's basis, with the integer columns fixed, so
+    reported solutions are exactly integral.
 
     Returns the incumbent with ``bound_gap <= MIP_GAP`` when optimal;
-    on hitting the node limit the best incumbent is returned with its gap and
+    on hitting ``MAX_NODES`` the best incumbent is returned with its gap and
     status ``iteration_limit``. Its ``iterations`` counts every LP the search
     solved, the root and the polishes included.
     """
-    options = options or SolveOptions()
-    problem.validate()
     int_cols = np.flatnonzero(problem.integer)
-    root = solve_lp(problem, options, start=start)
+    root = solve_lp(problem, start=start)
     if int_cols.size == 0 or root.status != OPTIMAL:
         return root
 
@@ -77,12 +66,12 @@ def solve_milp(problem: SparseProblem, options: SolveOptions | None = None,
         best_bound = bound
         if inc is not None and bound >= inc_obj - MIP_GAP:
             break
-        if nodes >= options.max_nodes:
+        if nodes >= MAX_NODES:
             break
         nodes += 1
         # only the root node has no patch, and its LP is already solved
         if patch:
-            res = _solve_with_bounds(problem, patch, options, parent)
+            res = solve_lp(problem.with_bounds(patch), start=parent)
             iterations += res.iterations
         else:
             res = root
@@ -100,7 +89,7 @@ def solve_milp(problem: SparseProblem, options: SolveOptions | None = None,
             for col in int_cols:
                 v = float(np.round(res.x[col]))
                 fixed[int(col)] = (v, v)
-            polished = _solve_with_bounds(problem, fixed, options, res.basis)
+            polished = solve_lp(problem.with_bounds(fixed), start=res.basis)
             iterations += polished.iterations
             if polished.status == OPTIMAL and polished.objective < inc_obj:
                 inc = polished
@@ -122,7 +111,7 @@ def solve_milp(problem: SparseProblem, options: SolveOptions | None = None,
                 heapq.heappush(heap, (res.objective, counter, child, res.basis))
 
     if inc is None:
-        if nodes >= options.max_nodes:
+        if nodes >= MAX_NODES:
             return SolveResult(status=ITERATION_LIMIT, iterations=iterations, nodes=nodes,
                                bound_gap=float("inf"))
         return SolveResult(status=INFEASIBLE, iterations=iterations, nodes=nodes)

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import Mapping
 
 import numpy as np
 import scipy.sparse as sp
@@ -114,6 +115,15 @@ class SparseProblem:
             col_names=list(self.col_names),
             row_names=list(self.row_names),
         )
+
+    def with_bounds(self, patch: Mapping[int, tuple[float, float]]) -> "SparseProblem":
+        """This problem with column ``j``'s bounds set to ``patch[j]``, a
+        ``(lower, upper)`` pair. Only ``lower`` and ``upper`` are copied; every
+        other field is shared with this problem."""
+        lower, upper = self.lower.copy(), self.upper.copy()
+        for col, (lo, up) in patch.items():
+            lower[col], upper[col] = lo, up
+        return replace(self, lower=lower, upper=upper)
 
     @classmethod
     def from_rows(

@@ -71,21 +71,10 @@ BLAND_AFTER = 400      # consecutive degenerate steps before Bland's rule
 # round-off that feasible basic values pick up from incremental updates.
 PRIMAL_TOL = 1e-9
 INFEASIBILITY_TOL = 1e-7  # phase-1 residual, relative to 1 + max|b|, that proves infeasibility
-
-
-@dataclass
-class SolveOptions:
-    """Work limits of a solve.
-
-    Tolerances and pivoting rules are constants, not options: ``OPT_TOL``,
-    ``PIVOT_TOL``, ``PRIMAL_TOL``, ``INFEASIBILITY_TOL``, ``REFACTOR_EVERY`` and
-    ``BLAND_AFTER`` in this module, ``EMPTY_ROW_TOL`` in
-    :mod:`carrieropt.lp.presolve`, and ``MIP_GAP`` and ``INTEGRALITY_TOL`` in
-    :mod:`carrieropt.lp.branch_bound`.
-    """
-
-    max_iterations: int = 0        # 0: derived from problem size
-    max_nodes: int = 100_000
+# Work limit: a solve of m rows and n columns stops with ``iteration_limit``
+# after ITERATIONS_BASE + ITERATIONS_PER_LINE * (m + n) iterations.
+ITERATIONS_BASE = 20_000
+ITERATIONS_PER_LINE = 40
 
 
 @dataclass
@@ -253,9 +242,8 @@ class _Factorization:
 
 
 class _Simplex:
-    def __init__(self, problem: SparseProblem, options: SolveOptions):
+    def __init__(self, problem: SparseProblem):
         self.problem = problem
-        self.opts = options
         m, n = problem.a.shape
         self.m, self.n_struct = m, n
 
@@ -395,7 +383,7 @@ class _Simplex:
         and +1 on basics above their upper bound; once none does (phase 2) it
         is the true cost.
         """
-        limit = self.opts.max_iterations or 20_000 + 40 * (self.m + self.n_struct)
+        limit = ITERATIONS_BASE + ITERATIONS_PER_LINE * (self.m + self.n_struct)
         infeasibility_tol = INFEASIBILITY_TOL * (1.0 + np.abs(self.b).max(initial=0.0))
         flipped, priced = False, None  # priced: the phase-1 costs y and z belong to, or None
         while True:
@@ -575,15 +563,14 @@ class _Simplex:
         )
 
 
-def solve_lp(problem: SparseProblem, options: SolveOptions | None = None,
-             start: Basis | None = None) -> SolveResult:
+def solve_lp(problem: SparseProblem, start: Basis | None = None) -> SolveResult:
     """Solve the continuous relaxation of ``problem``.
 
     Integrality marks are ignored. The returned status is one of ``optimal``,
     ``infeasible``, ``unbounded`` or ``iteration_limit``; on ``optimal`` the
     primal/dual pair satisfies the residual contract that
-    :func:`carrieropt.lp.verify.verify_solution` checks. Identical inputs and
-    options produce identical results.
+    :func:`carrieropt.lp.verify.verify_solution` checks. Identical inputs
+    produce identical results.
 
     ``start`` is used when it fits this matrix and is nonsingular, whatever
     its basic values, and the result's ``warm_started`` says so; otherwise
@@ -601,11 +588,10 @@ def solve_lp(problem: SparseProblem, options: SolveOptions | None = None,
     """
     from .presolve import postsolve, presolve  # presolve maps this module's Basis and results
 
-    options = options or SolveOptions()
     pre = presolve(problem, start)
     if pre.reduced is None:
         return SolveResult(status=INFEASIBLE, infeasible_rows=pre.infeasible_rows)
-    sx = _Simplex(pre.reduced, options)
+    sx = _Simplex(pre.reduced)
     warm = pre.start is not None and sx.warm_start(pre.start)
     if not warm:
         sx.cold_start()

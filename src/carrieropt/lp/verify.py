@@ -44,17 +44,11 @@ def verify_solution(problem: SparseProblem, result: SolveResult) -> Verification
 
     ax = problem.a @ x
     scale = 1.0 + np.maximum(np.abs(ax), np.abs(problem.rhs))
-    for i, sense in enumerate(problem.senses):
-        if sense == LE:
-            viol = (ax[i] - problem.rhs[i]) / scale[i]
-        elif sense == GE:
-            viol = (problem.rhs[i] - ax[i]) / scale[i]
-        else:
-            viol = abs(ax[i] - problem.rhs[i]) / scale[i]
-        if viol > report.max_row_violation:
-            report.max_row_violation = viol
-        if viol > 1e-7:
-            report.violated_rows.append(problem._row_name(i))
+    le, ge = problem.senses == LE, problem.senses == GE
+    viol = np.where(le, ax - problem.rhs,
+                    np.where(ge, problem.rhs - ax, np.abs(ax - problem.rhs))) / scale
+    report.max_row_violation = float(np.max(viol, initial=0.0, where=viol > 0.0))
+    report.violated_rows = [problem._row_name(i) for i in np.flatnonzero(viol > 1e-7).tolist()]
 
     bscale = 1.0 + np.abs(x)
     below = np.maximum(problem.lower - x, 0.0) / bscale
@@ -69,9 +63,7 @@ def verify_solution(problem: SparseProblem, result: SolveResult) -> Verification
     report.objective_error = abs(recomputed - result.objective) / (1.0 + abs(recomputed))
 
     if result.duals is not None:
-        y_raw = np.empty(problem.num_rows)
-        for i, sense in enumerate(problem.senses):
-            y_raw[i] = -result.duals[i] if sense == LE else result.duals[i]
+        y_raw = np.where(le, -result.duals, result.duals)
         z = problem.objective - problem.a.T @ y_raw
 
         # complementary slackness on inequality rows: dual * slack ~ 0. On an
@@ -81,7 +73,6 @@ def verify_solution(problem: SparseProblem, result: SolveResult) -> Verification
         comp_rows = float(np.max(np.abs(result.duals[ineq]) * slack
                                  / (1.0 + np.abs(problem.rhs[ineq])), initial=0.0))
         # reduced-cost sign consistency and column complementarity
-        comp_cols = 0.0
         at_lower = np.isfinite(problem.lower) & (np.abs(x - problem.lower) <= 1e-6 * bscale)
         at_upper = np.isfinite(problem.upper) & (np.abs(x - problem.upper) <= 1e-6 * bscale)
         interior = ~(at_lower | at_upper)

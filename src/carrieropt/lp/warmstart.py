@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .branch_bound import solve_milp
 from .problem import SparseProblem
-from .simplex import INFEASIBLE, OPTIMAL, SolveOptions, SolveResult
+from .simplex import INFEASIBLE, OPTIMAL, SolveResult
 
 
 class WarmStartError(RuntimeError):
@@ -18,32 +17,24 @@ class WarmStartError(RuntimeError):
         self.rows = rows
 
 
-@dataclass
-class WarmStartResult:
-    stages: list[SolveResult]
-
-    @property
-    def final(self) -> SolveResult:
-        return self.stages[-1]
-
-
 def warm_start_solve(
     problem: SparseProblem,
     base_solution: Mapping[str, float],
     new_size_names: Sequence[str],
-    options: SolveOptions | None = None,
-) -> WarmStartResult:
+) -> list[SolveResult]:
     """Three-stage solve seeded from a prior solution.
 
     Stage 1 fixes the columns named in ``base_solution`` to their prior values
     and the columns in ``new_size_names`` to zero; a feasible solve here
     certifies the starting point. Stage 2 releases the new columns, stage 3
     releases everything; stages 2 and 3 resume from the previous stage's
-    basis, which stays primal feasible because bounds are only relaxed.
+    basis, which stays primal feasible because bounds are only relaxed. Each
+    stage solves :meth:`SparseProblem.with_bounds` of ``problem``.
+
+    Returns the three stages' results; the last is the answer.
 
     Objectives are monotone: stage3 <= stage2 <= stage1 (+1e-9).
     """
-    options = options or SolveOptions()
     prior_cols = {problem.column_index(name): value for name, value in base_solution.items()}
     new_cols = [problem.column_index(name) for name in new_size_names]
     overlap = set(prior_cols) & set(new_cols)
@@ -62,13 +53,11 @@ def warm_start_solve(
     fixings = [{**prior_cols, **dict.fromkeys(new_cols, 0.0)}, prior_cols, {}]
     stages: list[SolveResult] = []
     for number, fixed in enumerate(fixings, start=1):
-        stage = problem.copy()
-        for col, value in fixed.items():
-            stage.lower[col] = stage.upper[col] = value
-        res = solve_milp(stage, options, start=stages[-1].basis if stages else None)
+        stage = problem.with_bounds({col: (value, value) for col, value in fixed.items()})
+        res = solve_milp(stage, start=stages[-1].basis if stages else None)
         if number == 1 and res.status == INFEASIBLE:
             raise WarmStartError("stage-1 fixing is infeasible", res.infeasible_rows)
         if res.status != OPTIMAL:
             raise WarmStartError(f"stage-{number} solve ended with status {res.status}", [])
         stages.append(res)
-    return WarmStartResult(stages=stages)
+    return stages

@@ -244,7 +244,7 @@ def _solve(base: BuiltProblem, scenario: ScenarioSpec, mode: ObjectiveMode,
         prior = {name: value for name, value in warm_from.items() if name in names}
         new_sizes = [key.name() for key in built.index.keys()
                      if key.step is None and key.name() not in prior]
-        result = warm_start_solve(built.problem, prior, new_sizes).final
+        result = warm_start_solve(built.problem, prior, new_sizes)[-1]
     if result.status != OPTIMAL:
         if result.status == INFEASIBLE and mode.kind == "min_cost_with_cap":
             return None

@@ -297,8 +297,8 @@ class TestCriterion07WarmStart:
         new_sizes = [key.name() for key in built.index.keys()
                      if key.step is None and key.name() not in prior]
         ws = warm_start_solve(built.problem, prior, new_sizes)
-        s1, s2, s3 = (stage.objective for stage in ws.stages)
-        assert all(stage.status == OPTIMAL for stage in ws.stages)
+        s1, s2, s3 = (stage.objective for stage in ws)
+        assert all(stage.status == OPTIMAL for stage in ws)
         assert s2 <= s1 + 1e-9 * max(1.0, abs(s1))
         assert s3 <= s2 + 1e-9 * max(1.0, abs(s2))
         cold = _timed("synergies", ObjectiveMode.min_cost())

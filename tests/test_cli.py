@@ -198,23 +198,6 @@ class TestMatrix:
         assert (out / "reference_min_cost.json").exists()
         assert (out / "synergies_min_cost_capacities.csv").exists()
 
-    def test_jobs_env_default(self, system_dir, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("CARRIEROPT_JOBS", "2")
-        out = tmp_path / "envjobs"
-        code = run_cli(["--quiet", "matrix", str(system_dir),
-                        "--scenarios", "reference", "--modes", "min-cost",
-                        "--out", str(out)])
-        assert code == 0
-        assert (out / "reference_min_cost.json").exists()
-
-    def test_jobs_env_not_an_integer(self, system_dir, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("CARRIEROPT_JOBS", "abc")
-        code = run_cli(["--quiet", "matrix", str(system_dir),
-                        "--scenarios", "reference", "--modes", "min-cost",
-                        "--out", str(tmp_path / "out")])
-        assert code == 2
-        assert json.loads(capsys.readouterr().out)["error"] == "usage"
-
     def test_each_cap_writes_its_own_files(self, system_dir, tmp_path, capsys):
         out = tmp_path / "caps"
         assert run_cli(["--quiet", "matrix", str(system_dir), "--scenarios", "synergies",

@@ -9,7 +9,8 @@ from scipy.optimize import milp as highs_milp
 
 from carrieropt.builder import build_problem
 from carrieropt.costing import ObjectiveMode
-from carrieropt.lp import GE, LE, OPTIMAL, SolveOptions, branch_bound, solve_lp, solve_milp
+from carrieropt.lp import (GE, LE, OPTIMAL, branch_bound, solve_lp, solve_milp,
+                           warm_start_solve)
 from carrieropt.scenarios import apply_scenario, standard_scenario
 from carrieropt.system import build_miniature_system
 
@@ -116,7 +117,7 @@ class TestBranchAndBound:
         assert (r1.x == r2.x).all()
         assert r1.nodes == r2.nodes
 
-    def test_node_limit_reports_gap(self):
+    def test_node_limit_reports_gap(self, monkeypatch):
         rng = np.random.default_rng(3)
         n = 8
         a = np.vstack([rng.uniform(0.1, 2, size=(4, n)), np.ones(n)])
@@ -124,7 +125,8 @@ class TestBranchAndBound:
         c = rng.uniform(-5, -1, size=n)
         p = make_problem(a, [LE] * 5, b, c, upper=np.full(n, 3.0),
                          integer=np.ones(n, dtype=bool))
-        res = solve_milp(p, SolveOptions(max_nodes=2))
+        monkeypatch.setattr(branch_bound, "MAX_NODES", 2)
+        res = solve_milp(p)
         assert res.status in (OPTIMAL, "iteration_limit")
         if res.status == "iteration_limit":
             assert res.bound_gap is not None and res.bound_gap >= 0.0
@@ -164,3 +166,48 @@ class TestWarmChildren:
         ref = highs_milp_reference(problem)
         assert ref.status == 0
         assert abs(res.objective - ref.fun) <= 1e-9 * max(1.0, abs(ref.fun))
+
+
+def _arrays(problem) -> dict[str, np.ndarray]:
+    """Every array ``problem`` holds, the matrix's and the names included."""
+    return {"a.data": problem.a.data, "a.indices": problem.a.indices,
+            "a.indptr": problem.a.indptr, "senses": problem.senses, "rhs": problem.rhs,
+            "lower": problem.lower, "upper": problem.upper, "objective": problem.objective,
+            "integer": problem.integer, "col_names": np.array(problem.col_names),
+            "row_names": np.array(problem.row_names)}
+
+
+class TestSolvesLeaveTheirProblem:
+    """No solve writes into the problem it is given: ``BuiltProblem.for_mode``
+    shares arrays between the problems it derives, and relies on this."""
+
+    @staticmethod
+    def _solve_unchanged(problem, solve):
+        before = {name: array.copy() for name, array in _arrays(problem).items()}
+        result = solve()
+        for name, array in _arrays(problem).items():
+            assert array.dtype == before[name].dtype and np.array_equal(array, before[name]), name
+        return result
+
+    def test_lp_milp_and_warm_start(self, monkeypatch):
+        system = build_miniature_system(0, 24, dc_blocks_mw=10.0)
+        built = build_problem(apply_scenario(system, standard_scenario("t-all")),
+                              ObjectiveMode.min_cost())
+        problem = built.problem
+        node_matrices = []
+
+        def recording_solve_lp(node, *args, **kwargs):
+            node_matrices.append(node.a)
+            return solve_lp(node, *args, **kwargs)
+
+        monkeypatch.setattr(branch_bound, "solve_lp", recording_solve_lp)
+        assert self._solve_unchanged(problem, lambda: solve_lp(problem)).status == OPTIMAL
+        res = self._solve_unchanged(problem, lambda: solve_milp(problem))
+        assert res.status == OPTIMAL and res.nodes == 3
+        sizes = {key.name(): float(res.x[col]) for col, key in enumerate(built.index.keys())
+                 if key.step is None}
+        stages = self._solve_unchanged(problem, lambda: warm_start_solve(problem, sizes, []))
+        assert [stage.status for stage in stages] == [OPTIMAL] * 3
+        # every node, polish and stage solves a problem derived from this one's bounds
+        assert len(node_matrices) > 4
+        assert all(a is problem.a for a in node_matrices)

@@ -9,7 +9,6 @@ from numpy.testing import assert_allclose
 from carrieropt.lp import (
     LE,
     OPTIMAL,
-    SolveOptions,
     export_mps,
     read_solution,
     solve_lp,
@@ -136,7 +135,7 @@ class TestWarmStart:
             base_solution={"size1": float(cold.x[0]), "size2": float(cold.x[1])},
             new_size_names=[],
         )
-        assert_allclose(ws.final.objective, cold.objective, atol=1e-9)
+        assert_allclose(ws[-1].objective, cold.objective, atol=1e-9)
 
     def test_stagewise_monotone_objectives(self):
         p = self._expansion_problem()
@@ -148,7 +147,7 @@ class TestWarmStart:
             base_solution={"size1": float(prior.x[0])},
             new_size_names=["size2"],
         )
-        s1, s2, s3 = (stage.objective for stage in ws.stages)
+        s1, s2, s3 = (stage.objective for stage in ws)
         assert s2 <= s1 + 1e-9
         assert s3 <= s2 + 1e-9
         cold = solve_lp(p)
@@ -178,8 +177,7 @@ class TestWarmStart:
         restricted.upper[1] = 0.0
         prior = solve_lp(restricted)
         ws = warm_start_solve(p, base_solution={"size1": float(prior.x[0])},
-                              new_size_names=["size2"],
-                              options=SolveOptions())
-        assert ws.stages[2].status == OPTIMAL
+                              new_size_names=["size2"])
+        assert ws[2].status == OPTIMAL
         # stage 3 resumes from a feasible basis: few extra pivots
-        assert ws.stages[2].iterations <= solve_lp(p).iterations + 10
+        assert ws[2].iterations <= solve_lp(p).iterations + 10

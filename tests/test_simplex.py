@@ -21,7 +21,6 @@ from carrieropt.lp import (
     UNBOUNDED,
     ProblemError,
     Row,
-    SolveOptions,
     SolveResult,
     SparseProblem,
     solve_lp,
@@ -383,7 +382,7 @@ class TestDirectKernels:
             assert out.tobytes() == (a @ x).tobytes()
 
     def test_seed0_synergies_pricing_matches_sparse_matmul(self):
-        sx = _Simplex(_synergies_24(), SolveOptions())
+        sx = _Simplex(_synergies_24())
         y = np.random.default_rng(0).uniform(-1.0, 1.0, size=sx.m)
         a_t = sp.csr_matrix((sx.a.data, sx.a.indices, sx.a.indptr), shape=(sx.ncol, sx.m))
         assert sx._reduced_costs(sx.c, y).tobytes() == (sx.c - a_t @ y).tobytes()
@@ -399,7 +398,7 @@ class TestStartsMatchLoops:
         upper = [inf, 5.0, inf, 2.0, 1.0, 2.0, 0.0, 4.0]
         a = np.ones((3, len(lower)))
         return _Simplex(make_problem(a, [LE, GE, EQ], [1.0, 2.0, 3.0], np.ones(len(lower)),
-                                     lower=lower, upper=upper), SolveOptions())
+                                     lower=lower, upper=upper))
 
     def test_cold_start_and_slack_bounds(self):
         sx = self._simplex()
@@ -495,17 +494,26 @@ class TestWarmRestart:
         return make_problem(a, [LE] * (m + 1), b, c)
 
 
+def _limit_iterations(monkeypatch, limit: int) -> None:
+    """Make every solve stop after ``limit`` iterations, whatever its size."""
+    monkeypatch.setattr(simplex, "ITERATIONS_BASE", limit)
+    monkeypatch.setattr(simplex, "ITERATIONS_PER_LINE", 0)
+
+
 class TestOptionsSurface:
-    def test_iteration_limit_status(self):
+    def test_iteration_limit_status(self, monkeypatch):
+        _limit_iterations(monkeypatch, 1)
         p = make_problem([[1.0, 1.0]], [LE], [4.0], [-1.0, -2.0], upper=[3.0, 2.0])
-        res = solve_lp(p, SolveOptions(max_iterations=1))
+        res = solve_lp(p)
         assert res.status == "iteration_limit"
 
-    def test_phase1_iteration_limit_status(self):
+    def test_phase1_iteration_limit_status(self, monkeypatch):
         # x0 + x1 >= 4 and x0 - x1 == 1 both start violated; one pass cannot
         # reach feasibility, and running out is a limit, not infeasibility
         p = make_problem([[1.0, 1.0], [1.0, -1.0]], [GE, EQ], [4.0, 1.0], [1.0, 1.0])
-        res = solve_lp(p, SolveOptions(max_iterations=1))
+        with monkeypatch.context() as patch:
+            _limit_iterations(patch, 1)
+            res = solve_lp(p)
         assert res.status == ITERATION_LIMIT
         assert res.infeasible_rows == []
         assert solve_lp(p).status == OPTIMAL
@@ -611,7 +619,7 @@ class TestKernelInvariants:
         def check(problem):
             # a short eta file so that these small LPs refactorize mid-solve
             with mock.patch.object(simplex, "REFACTOR_EVERY", 3):
-                sx = _Checked(problem, SolveOptions())
+                sx = _Checked(problem)
                 sx.cold_start()
                 res = sx.finish(sx._iterate(), False)
             assume(sx.pivots >= 3)
@@ -635,7 +643,7 @@ class TestKernelInvariants:
         p = make_problem([[1.0, 1.0, 1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0, 1.0, 1.0]],
                          [GE, LE], [3.5, 5.0], [0.0, 0.0, 0.0, 0.0, -1.0, -2.0],
                          upper=np.ones(6))
-        sx = _Checked(p, SolveOptions())
+        sx = _Checked(p)
         sx.cold_start()
         res = sx.finish(sx._iterate(), False)
         assert res.status == OPTIMAL and res.objective == -3.0
@@ -651,7 +659,7 @@ class TestKernelInvariants:
         # x0 flips to 1 - 5e-10, which leaves row 0 within PRIMAL_TOL of
         # feasible: the kept z would be stale (_Checked compares it with a fresh one)
         p = make_problem(a, [GE, GE], [1.0, a[1][1]], c, upper=[1.0 - 5e-10, 2.0])
-        sx = _Checked(p, SolveOptions())
+        sx = _Checked(p)
         sx.cold_start()
         res = sx.finish(sx._iterate(), False)
         assert res.status == OPTIMAL and res.objective == objective
@@ -709,7 +717,7 @@ class TestCrash:
         p = make_problem([[4.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]], [EQ, EQ], [5.0, 2.0],
                          [-5.0, -5.0, 1.0, 1.0], lower=[1.0, 0.0, 0.0, 0.0],
                          upper=[1.0, 2.0, np.inf, np.inf])
-        sx = _Simplex(p, SolveOptions())
+        sx = _Simplex(p)
         sx.cold_start()
         assert sx.basis.tolist() == [2, 3]
         _assert_crash_basis(sx)
@@ -721,7 +729,7 @@ class TestCrash:
         # the three share one == row, so only the first of them enters
         p = make_problem([[1.0, 1.0, 1.0]], [EQ], [1.0], [-1.0, 3.0, 1.5],
                          upper=[1.0, np.inf, np.inf])
-        sx = _Simplex(p, SolveOptions())
+        sx = _Simplex(p)
         sx.cold_start()
         assert sx.basis.tolist() == [2]
 
@@ -731,7 +739,7 @@ class TestCrash:
         p = _problem_with_stored_zeros([[0.0, 1.0, 0.0], [0.0, 0.0, 2.0]], [EQ, EQ],
                                        [3.0, 4.0], [-10.0, -5.0, 0.0],
                                        lower=[0.0, 0.0, 0.0], upper=[5.0, np.inf, np.inf])
-        sx = _Simplex(p, SolveOptions())
+        sx = _Simplex(p)
         sx.cold_start()
         assert sx.basis.tolist() == [1, 2]
         _assert_crash_basis(sx)
@@ -742,7 +750,7 @@ class TestCrash:
     @settings(max_examples=150, deadline=None)
     @given(problem=bounded_lps())
     def test_crash_contract_on_random_lps(self, problem):
-        sx = _Simplex(problem, SolveOptions())
+        sx = _Simplex(problem)
         sx.cold_start()
         _assert_crash_basis(sx)
 
@@ -811,7 +819,7 @@ class TestScaling:
     @staticmethod
     def _assert_scaled_matrix_by_products(problem):
         """``[diag(row_scale) A diag(col_scale) | I]`` against scipy's products and hstack."""
-        sx = _Simplex(problem, SolveOptions())
+        sx = _Simplex(problem)
         a = sp.diags(sx.row_scale) @ problem.a @ sp.diags(sx.col_scale)
         ref = sp.hstack([a, sp.identity(sx.m, format="csr")], format="csc")
         assert sx.a.format == "csc" and sx.a.shape == ref.shape
