@@ -10,7 +10,12 @@ For each of the four workloads this runs
     python3 perfbench/run.py --workload W --seed S --seconds T --trace 0
 
 inside ``DIR`` and keeps the last line of its output (the JSON result) with
-the exit code. The section ``NAME`` of ``--out`` (for example ``parent`` or
+the exit code. It then runs the workload once more with ``--trace 1
+--seconds 1`` and keeps, as ``counters``, the deterministic counts
+``lp.iterations``, ``lp.solve_calls`` and ``builder.build_calls`` of its
+first traced pass, with that run's exit code as ``traced_exit``; a change
+that cuts iterations shows there as a count, apart from the host's noise.
+The section ``NAME`` of ``--out`` (for example ``parent`` or
 ``change``) is replaced by these results, the seed, ``--seconds`` and the
 host (processor count, python, numpy and scipy versions); other sections of
 an existing file are kept, so a before-and-after record is two calls.
@@ -38,16 +43,29 @@ def host() -> dict:
             "scipy": scipy.__version__}
 
 
-def run_workload(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+COUNTERS = ("lp.iterations", "lp.solve_calls", "builder.build_calls")
+
+
+def perfbench(checkout: Path, workload: str, seed: int, seconds: float,
+              trace: int) -> tuple[int, dict | None]:
+    """Exit code and JSON result of one ``perfbench/run.py`` call in ``checkout``."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload,
-            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+            "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     done = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
     lines = done.stdout.strip().splitlines()
     try:
         result = json.loads(lines[-1])
     except (IndexError, json.JSONDecodeError):
         result = None
-    return {"exit": done.returncode, "result": result}
+    return done.returncode, result
+
+
+def run_workload(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    code, result = perfbench(checkout, workload, seed, seconds, trace=0)
+    traced_code, traced = perfbench(checkout, workload, seed, 1, trace=1)
+    metrics = traced["metrics"] if traced else {}
+    counters = {name: metrics[name]["value"] for name in COUNTERS if name in metrics}
+    return {"exit": code, "result": result, "traced_exit": traced_code, "counters": counters}
 
 
 def main(argv=None) -> int:
@@ -68,7 +86,8 @@ def main(argv=None) -> int:
                       for w in WORKLOADS},
     }
     args.out.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
-    failed = [w for w, r in record[args.section]["workloads"].items() if r["exit"] != 0]
+    failed = [w for w, r in record[args.section]["workloads"].items()
+              if r["exit"] != 0 or r["traced_exit"] != 0]
     if failed:
         print(f"exit code not 0 on: {', '.join(failed)}", file=sys.stderr)
     return 1 if failed else 0

@@ -239,6 +239,21 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_matrix(args) -> int:
+    """Run every listed scenario in every listed mode and write their files.
+
+    Each scenario runs its modes in the order given, on a
+    :class:`ScenarioRunner` of its own, and ``--jobs`` runs scenarios in
+    parallel. Every runner gets the same root: the ``reference`` min-cost
+    outcome of ``--year``, solved once on the calling thread before any
+    worker starts, also when reference is not listed (it is then neither
+    exported nor summarized). Reference itself runs on the runner that solved
+    the root, whose min-cost outcome it is. Every other run starts from its
+    scenario's chain or from that root, so a scenario's files do not depend
+    on ``--jobs``, on the listing order, or on which other scenarios are
+    listed. A min-cost file may report another optimal vertex than ``run``
+    does: ``objective`` and ``costs.total`` are equal, ``metrics`` and
+    capacities may differ.
+    """
     system = _load_system(args)
     if args.scenarios == "all":
         ids = list(STANDARD_SCENARIO_IDS)
@@ -251,17 +266,28 @@ def cmd_matrix(args) -> int:
     except (KeyError, ValueError, argparse.ArgumentTypeError) as err:
         _fail("usage", str(err), EXIT_USAGE)
 
+    def attempt(runner, scenario, mode):
+        """(scenario id, mode, outcome), or the error message."""
+        _say(args, f"running {scenario.id} [{mode.label()}]")
+        try:
+            return scenario.id, mode, runner.run(scenario, mode)
+        except (InfeasibleCapError, RuntimeError) as err:
+            return str(err)
+
+    # the root every runner starts from: reference min-cost, solved before any
+    # worker starts, whether or not reference is listed
+    reference, min_cost = standard_scenario("reference", year=args.year), ObjectiveMode.min_cost()
+    root_runner = ScenarioRunner(system)
+    root = attempt(root_runner, reference, min_cost)
+    shared = root_runner.root  # None when the root failed: the runs then start cold
+
     def run_scenario(scenario):
-        """Per mode, in order: (scenario id, mode, outcome), or the error message."""
-        runner = ScenarioRunner(system)
-        out = []
-        for mode in modes:
-            _say(args, f"running {scenario.id} [{mode.label()}]")
-            try:
-                out.append((scenario.id, mode, runner.run(scenario, mode)))
-            except (InfeasibleCapError, RuntimeError) as err:
-                out.append(str(err))
-        return out
+        """Per mode, in order: what :func:`attempt` returns; reference reuses the root."""
+        if scenario == reference:
+            return [root if mode == min_cost else attempt(root_runner, scenario, mode)
+                    for mode in modes]
+        runner = ScenarioRunner(system, root=shared)
+        return [attempt(runner, scenario, mode) for mode in modes]
 
     # --jobs 1 must stay on the calling thread: per-thread span stacks in
     # perfbench/tracing.py and its calibration between solves rely on it

@@ -2,6 +2,7 @@
 
 from .branch_bound import solve_milp
 from .mps import export_mps, read_solution
+from .presolve import map_basis
 from .problem import EQ, GE, LE, ProblemError, Row, SparseProblem
 from .simplex import (
     INFEASIBLE,
@@ -31,6 +32,7 @@ __all__ = [
     "VerificationReport",
     "WarmStartError",
     "export_mps",
+    "map_basis",
     "read_solution",
     "solve_lp",
     "solve_milp",

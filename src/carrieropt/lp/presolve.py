@@ -21,6 +21,12 @@ dual 0. The objective is ``c.x`` on the original data. In the basis, dropped
 columns are nonbasic at their bound and dropped rows' slacks are basic, and
 its fingerprint is the original matrix's, so it can start any later solve of
 that matrix.
+
+:func:`map_basis` carries an optimal basis over to another problem by column
+and row name: an advanced basis in the sense of Bixby (1992). A problem that
+adds columns and rows to another and only relaxes its bounds starts from the
+other's optimum, primal feasible, with the new columns nonbasic and the new
+rows' slacks basic.
 """
 
 from __future__ import annotations
@@ -102,6 +108,42 @@ def presolve(problem: SparseProblem, start: Basis | None = None) -> Presolved:
                        vstat=start.vstat[keep], x=start.x[keep],
                        fingerprint=reduced.fingerprint())
     return Presolved(problem, reduced, cols, rows, x_fixed, rhs, mapped)
+
+
+def map_basis(start: Basis, source: SparseProblem, target: SparseProblem) -> Basis | None:
+    """``start``, an optimal basis of ``source``, as a basis of ``target``,
+    matched by column and row name.
+
+    Shared columns and rows keep their status and value. Target columns that
+    ``source`` lacks are nonbasic at their lower bound (at 0 when it is
+    infinite), and target rows that it lacks get a basic slack, so the basis
+    matrix stays block-triangular over ``source``'s. The result carries
+    ``target``'s fingerprint. When ``target``'s shared block has ``source``'s
+    coefficients and only relaxes its bounds, the mapped basis is nonsingular
+    and primal feasible. None when ``start`` does not fit ``source`` or when
+    ``source`` has a column or row name that ``target`` lacks.
+    """
+    if not _fits(source, start):
+        return None
+    m, n = target.a.shape
+    col_at = {target._col_name(j): j for j in range(n)}
+    row_at = {target._row_name(i): i for i in range(m)}
+    try:
+        cols = [col_at[source._col_name(j)] for j in range(source.num_cols)]
+        rows = [n + row_at[source._row_name(i)] for i in range(source.num_rows)]
+    except KeyError:
+        return None
+    where = np.array(cols + rows, dtype=np.intp)  # a source position's target position
+    vstat = np.full(n + m, AT_LOWER, dtype=start.vstat.dtype)
+    vstat[n:] = BASIC
+    vstat[where] = start.vstat
+    x = np.zeros(n + m)
+    x[:n] = np.where(np.isfinite(target.lower), target.lower, 0.0)
+    x[where] = start.x
+    new_rows = np.setdiff1d(np.arange(n, n + m), where[source.num_cols:])
+    x[new_rows] = target.rhs[new_rows - n] - target.a[new_rows - n] @ x[:n]
+    return Basis(basis=np.concatenate([where[start.basis], new_rows]), vstat=vstat, x=x,
+                 fingerprint=target.fingerprint())
 
 
 def postsolve(pre: Presolved, result: SolveResult) -> SolveResult:

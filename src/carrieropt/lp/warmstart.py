@@ -29,11 +29,13 @@ def warm_start_solve(
     certifies the starting point. Stage 2 releases the new columns, stage 3
     releases everything; stages 2 and 3 resume from the previous stage's
     basis, which stays primal feasible because bounds are only relaxed. Each
-    stage solves :meth:`SparseProblem.with_bounds` of ``problem``.
+    stage solves :meth:`SparseProblem.with_bounds` of ``problem``. Without
+    new columns stage 2 has stage 1's bounds, so it is skipped.
 
-    Returns the three stages' results; the last is the answer.
+    Returns the results of the stages solved, three or two; the last is the
+    answer.
 
-    Objectives are monotone: stage3 <= stage2 <= stage1 (+1e-9).
+    Objectives are monotone: each stage's is at most the one before's (+1e-9).
     """
     prior_cols = {problem.column_index(name): value for name, value in base_solution.items()}
     new_cols = [problem.column_index(name) for name in new_size_names]
@@ -49,10 +51,13 @@ def warm_start_solve(
             raise WarmStartError(
                 f"base value {value} for {name} violates its bounds", [name])
 
-    # columns each stage fixes: prior and new sizes, then prior sizes, then none
-    fixings = [{**prior_cols, **dict.fromkeys(new_cols, 0.0)}, prior_cols, {}]
+    # columns each stage fixes: prior and new sizes, then prior sizes, then none;
+    # without new sizes stage 2 would repeat stage 1
+    fixings = {1: {**prior_cols, **dict.fromkeys(new_cols, 0.0)}, 2: prior_cols, 3: {}}
+    if not new_cols:
+        del fixings[2]
     stages: list[SolveResult] = []
-    for number, fixed in enumerate(fixings, start=1):
+    for number, fixed in fixings.items():
         stage = problem.with_bounds({col: (value, value) for col, value in fixed.items()})
         res = solve_milp(stage, start=stages[-1].basis if stages else None)
         if number == 1 and res.status == INFEASIBLE:

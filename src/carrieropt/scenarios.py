@@ -34,6 +34,7 @@ from .lp import (
     Basis,
     SolveResult,
     WarmStartError,
+    map_basis,
     solve_milp,
     warm_start_solve,
 )
@@ -113,6 +114,10 @@ def standard_scenario(scenario_id: str, year: int = 2030) -> ScenarioSpec:
     if year == 2040:
         spec = replace(spec, id=f"{key}-2040", vres_expandable=True)
     return spec
+
+
+# the scenarios whose min-cost outcome becomes a runner's root
+_ROOTS = (standard_scenario("reference"), standard_scenario("reference", 2040))
 
 
 def _strip_capex(tech: TechnologyInstance) -> TechnologyInstance:
@@ -225,18 +230,16 @@ class ScenarioOutcome:
         return out
 
 
-def _solve(base: BuiltProblem, scenario: ScenarioSpec, mode: ObjectiveMode,
+def _solve(built: BuiltProblem, scenario: ScenarioSpec,
            warm_from: Mapping[str, float] | None = None,
            start: Basis | None = None) -> ScenarioOutcome | None:
-    """Solve and post-process one scenario/mode combination from ``base``, the
-    scenario's gated system built uncapped.
+    """Solve and post-process ``built``, one scenario's problem in one mode.
 
     The solve starts cold, from a ``start`` basis of an earlier solve, or
     follows :func:`carrieropt.lp.warm_start_solve` from ``warm_from`` sizes.
     Returns None when an emission cap makes the problem infeasible.
     """
-    gated = base.system
-    built = base.for_mode(mode)
+    gated, mode = built.system, built.mode
     if warm_from is None:
         result = solve_milp(built.problem, start=start)
     else:
@@ -280,31 +283,50 @@ class ScenarioRunner:
     that build through :meth:`BuiltProblem.for_mode`, which swaps the
     objective and appends the cap row without writing into the build.
 
-    The runner also keeps one basis chain per scenario and matrix: the basis
-    of the latest optimal outcome, keyed by scenario id and whether the
-    problem has the emission-cap row. A run starts from its chain's basis
-    when there is one. Min-cost and min-emissions share a matrix and differ only in the
-    objective, so whichever of them runs second reoptimizes from the first;
-    along a cap sweep each cap reoptimizes from the one before. A capped
-    basis never starts an uncapped run, nor the reverse. The floor reported
-    for an infeasible cap is the scenario's cached min-emissions outcome, so
-    it is solved at most once per runner, from the min-cost basis when the
-    runner has one. Once it is cached, a cap below ``floor * (1 - 1e-9)`` is
+    A run that is not warm-started from sizes starts from the first of:
+
+    1. its chain's basis. The runner keeps one basis chain per scenario and
+       matrix: the basis of the latest optimal outcome, keyed by scenario id
+       and whether the problem has the emission-cap row. Min-cost and
+       min-emissions share a matrix and differ only in the objective, so
+       whichever of them runs second reoptimizes from the first; along a cap
+       sweep each cap reoptimizes from the one before. A capped basis never
+       starts an uncapped run, nor the reverse.
+    2. the runner's root, mapped onto the run's problem by column and row
+       name (:func:`carrieropt.lp.map_basis`). The root is the ``reference``
+       min-cost outcome (of either year) that the runner solved, or the
+       ``root`` it was given. Every standard scenario only relaxes
+       reference's bounds, so reference's optimal basis is a primal-feasible
+       start for each of them; a cap row that reference lacks gets a basic
+       slack.
+    3. the crash basis, cold.
+
+    The ``matrix`` command gives every runner the same root, and
+    :func:`abatement_sweep` solves reference first, so its runner has one;
+    ``run`` makes one run on a runner without a root.
+
+    The floor reported for an infeasible cap is the scenario's cached
+    min-emissions outcome, so it is solved at most once per runner, by the
+    same rule. Once it is cached, a cap below ``floor * (1 - 1e-9)`` is
     reported infeasible without deriving or solving a problem; caps between
     that and the floor are solved.
 
     So an outcome's ``solver`` counters depend on which runs of its scenario
-    this runner made before it, and in which order; a min-emissions outcome's
-    costs, capacities and metrics may too, and so may a min-cost outcome's
-    metrics, as they come from whichever optimal vertex the solve reaches.
-    A runner is not thread-safe, so use one per thread.
+    this runner made before it, and in which order, and on whether the runner
+    has a root; a min-emissions outcome's costs, capacities and metrics may
+    too, and so may a min-cost outcome's metrics and capacities, as they come
+    from whichever optimal vertex the solve reaches. ``objective`` and
+    ``costs.total`` of a min-cost outcome do not.
+    A runner is not thread-safe, so use one per thread; runners may share a
+    root, which none of them writes into.
     """
 
-    def __init__(self, system: EnergySystem):
+    def __init__(self, system: EnergySystem, root: ScenarioOutcome | None = None):
         violations = validate_system(system)
         if violations:
             raise ValueError("invalid system: " + "; ".join(violations[:5]))
         self.system = system
+        self.root = root
         self._built: dict[str, BuiltProblem] = {}
         self._cache: dict[tuple[str, str], ScenarioOutcome] = {}
         self._bases: dict[tuple[str, bool], Basis] = {}
@@ -327,7 +349,7 @@ class ScenarioRunner:
         :func:`carrieropt.lp.warm_start_solve` from the sizes this problem
         has (its other sizes start at zero), the outcome's ``solver`` block
         records ``"warm_start": True``, and the run neither reads nor fills
-        the outcome cache or the basis chains.
+        the outcome cache, the basis chains or the root.
 
         Raises :class:`InfeasibleCapError` for caps below the achievable
         minimum (reporting that minimum), with or without ``warm_from``, and
@@ -338,7 +360,7 @@ class ScenarioRunner:
         if warm_from is None:
             return self._outcome(scenario, mode)
         try:
-            return _solve(self._base(scenario), scenario, mode, warm_from=warm_from)
+            return _solve(self._base(scenario).for_mode(mode), scenario, warm_from=warm_from)
         except WarmStartError:
             if mode.kind == "min_cost_with_cap":
                 # no fixing is feasible under an unreachable cap: the cold
@@ -357,13 +379,19 @@ class ScenarioRunner:
                 and mode.emission_cap < floor.objective * (1.0 - 1e-9)):
             raise InfeasibleCapError(mode.emission_cap, floor.objective)
         chain = (scenario.id, mode.capped)
-        outcome = _solve(self._base(scenario), scenario, mode,
-                         start=self._bases.get(chain))
+        built = self._base(scenario).for_mode(mode)
+        start = self._bases.get(chain)
+        if start is None and self.root is not None:
+            root = self.root
+            start = map_basis(root.result.basis, root.built.problem, built.problem)
+        outcome = _solve(built, scenario, start=start)
         if outcome is None:
             floor = self._outcome(scenario, ObjectiveMode.min_emissions())
             raise InfeasibleCapError(mode.emission_cap, floor.objective)
         self._bases[chain] = outcome.result.basis
         self._cache[key] = outcome
+        if self.root is None and scenario in _ROOTS and mode.kind == "min_cost":
+            self.root = outcome
         return outcome
 
 

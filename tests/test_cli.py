@@ -227,9 +227,20 @@ class TestMatrix:
         runs = [(r["scenario"], r["mode"]) for r in summary["runs"]]
         assert runs == [(sid, mode) for sid in ("reference", "t-1")
                         for mode in ("min_cost", "min_emissions")]
+        # reference's min-cost run is the root, solved first and not run again
         assert calls == [("reference", "min_cost"), ("reference", "min_emissions"),
                          ("t-1", "min_cost"), ("t-1", "min_emissions")]
         assert len(list(out.iterdir())) == 8
+        # unlisted, reference still runs once as the root, and writes nothing
+        calls.clear()
+        out = tmp_path / "unlisted"
+        assert run_cli(["--quiet", "matrix", str(system_dir), "--scenarios", "t-1,t-1",
+                        "--modes", "min-cost", "--out", str(out)]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert [(r["scenario"], r["mode"]) for r in summary["runs"]] == [("t-1", "min_cost")]
+        assert calls == [("reference", "min_cost"), ("t-1", "min_cost")]
+        assert sorted(path.name for path in out.iterdir()) == [
+            "t-1_min_cost.json", "t-1_min_cost_capacities.csv"]
 
     def test_parallel_matches_serial(self, system_dir, tmp_path, capsys):
         serial_dir = tmp_path / "serial"
@@ -245,11 +256,27 @@ class TestMatrix:
         for name in ("reference_min_cost.json", "t-1_min_cost.json"):
             assert (serial_dir / name).read_text() == (parallel_dir / name).read_text()
 
+    def test_scenario_files_do_not_depend_on_the_listing(self, system_dir, tmp_path, capsys):
+        # every runner starts from the same root, whatever else is listed and in
+        # which order, so synergies writes the same bytes in each listing
+        names = [f"synergies_{mode}{suffix}" for mode in ("min_cost", "min_emissions")
+                 for suffix in (".json", "_capacities.csv")]
+        files = []
+        for listing in ("synergies", "h-all,synergies", "synergies,h-all"):
+            out = tmp_path / listing.replace(",", "-")
+            assert run_cli(["--quiet", "matrix", str(system_dir), "--scenarios", listing,
+                            "--out", str(out)]) == 0
+            capsys.readouterr()
+            files.append({name: (out / name).read_bytes() for name in names})
+        assert files[0] == files[1] == files[2]
 
     def test_parallel_cap_chains_match_serial(self, system_dir, tmp_path, capsys,
                                               monkeypatch):
-        # each scenario's caps chain bases in order, whichever worker runs them;
-        # at 40,000 t h-all is infeasible, so its 60,000 t cap starts cold
+        # each scenario's caps chain bases in order, whichever worker runs them,
+        # and a run with an empty chain starts from the root, reference's
+        # min-cost basis, solved cold before the workers start and not
+        # exported; at 40,000 t h-all is infeasible, so its 60,000 t cap
+        # starts from the root
         warm = {}
         real_run = ScenarioRunner.run
 
@@ -273,9 +300,9 @@ class TestMatrix:
         cap40 = ObjectiveMode.min_cost_with_cap(40000.0).label()
         cap60 = ObjectiveMode.min_cost_with_cap(60000.0).label()
         min_cost = ObjectiveMode.min_cost().label()
-        expected = {("synergies", min_cost): False, ("synergies", cap40): False,
-                    ("synergies", cap60): True, ("h-all", min_cost): False,
-                    ("h-all", cap60): False}
+        expected = {("reference", min_cost): False, ("synergies", min_cost): True,
+                    ("synergies", cap40): True, ("synergies", cap60): True,
+                    ("h-all", min_cost): True, ("h-all", cap60): True}
         assert warm == {(jobs, *key): flag for jobs in ("1", "2")
                         for key, flag in expected.items()}
 

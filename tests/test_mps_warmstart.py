@@ -181,3 +181,47 @@ class TestWarmStart:
         assert ws[2].status == OPTIMAL
         # stage 3 resumes from a feasible basis: few extra pivots
         assert ws[2].iterations <= solve_lp(p).iterations + 10
+
+    def _count_stage_solves(self, monkeypatch):
+        from carrieropt.lp import warmstart
+        calls = []
+
+        def counting_solve(problem, *args, **kwargs):
+            calls.append(problem)
+            return solve_milp(problem, *args, **kwargs)
+
+        monkeypatch.setattr(warmstart, "solve_milp", counting_solve)
+        return calls
+
+    def test_stage2_solved_only_for_new_sizes(self, monkeypatch):
+        p = self._expansion_problem()
+        cold = solve_lp(p)
+        restricted = p.copy()
+        restricted.upper[1] = 0.0
+        prior = solve_lp(restricted)
+        cases = [({"size1": float(cold.x[0]), "size2": float(cold.x[1])}, [], 2),
+                 ({"size1": float(prior.x[0])}, ["size2"], 3)]
+        for base, new, solves in cases:
+            calls = self._count_stage_solves(monkeypatch)
+            ws = warm_start_solve(p, base_solution=base, new_size_names=new)
+            assert len(calls) == len(ws) == solves
+            assert abs(ws[-1].objective - cold.objective) <= 1e-9 * max(1.0, abs(cold.objective))
+
+    def test_own_sizes_skip_stage2_on_scenario_problem(self, monkeypatch):
+        # seed-0 t-all min-cost, warm-started from the sizes of its own optimum
+        from carrieropt.builder import build_problem
+        from carrieropt.costing import ObjectiveMode
+        from carrieropt.scenarios import apply_scenario, standard_scenario
+        from carrieropt.system import build_miniature_system
+
+        built = build_problem(apply_scenario(build_miniature_system(0),
+                                             standard_scenario("t-all")),
+                              ObjectiveMode.min_cost())
+        cold = solve_milp(built.problem)
+        sizes = {key.name(): float(cold.x[col]) for col, key in enumerate(built.index.keys())
+                 if key.step is None}
+        calls = self._count_stage_solves(monkeypatch)
+        ws = warm_start_solve(built.problem, sizes, [])
+        assert len(calls) == len(ws) == 2
+        assert [stage.status for stage in ws] == [OPTIMAL] * 2
+        assert abs(ws[-1].objective - cold.objective) <= 1e-9 * abs(cold.objective)

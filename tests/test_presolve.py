@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose
 from carrieropt.builder import build_problem
 from carrieropt.costing import ObjectiveMode
 from carrieropt.lp import EQ, GE, INFEASIBLE, LE, OPTIMAL, UNBOUNDED, solve_lp, verify_solution
-from carrieropt.lp.presolve import presolve
+from carrieropt.lp.presolve import map_basis, presolve
 from carrieropt.lp.simplex import AT_LOWER, BASIC
 from carrieropt.scenarios import (
     STANDARD_SCENARIO_IDS,
@@ -184,14 +184,106 @@ class TestRandomLps:
             assert again.objective == res.objective
 
 
+def _mapping_pair():
+    """A source LP and a target that adds column z and row rz and lists its
+    columns and rows in another order; the shared block is the source's.
+
+    source: min -2x - y  s.t.  ra: x + y <= 4,  rb: x <= 3
+    target: min -3z - 2x - y  s.t.  rz: x + z <= 5,  ra,  rb,  z <= 1
+    """
+    source = make_problem([[1.0, 1.0], [1.0, 0.0]], [LE, LE], [4.0, 3.0], [-2.0, -1.0],
+                          names=["x", "y"])
+    source.row_names = ["ra", "rb"]
+    target = make_problem([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [0.0, 1.0, 0.0]],
+                          [LE, LE, LE], [5.0, 4.0, 3.0], [-3.0, -2.0, -1.0],
+                          upper=[1.0, np.inf, np.inf], names=["z", "x", "y"])
+    target.row_names = ["rz", "ra", "rb"]
+    return source, target
+
+
+class TestMapBasis:
+    def test_shared_entries_keep_status_and_value(self):
+        source, target = _mapping_pair()
+        res = solve_lp(source)
+        mapped = map_basis(res.basis, source, target)
+        # target positions of x, y, ra's and rb's slacks
+        where = [1, 2, 3 + 1, 3 + 2]
+        assert mapped.vstat[where].tolist() == res.basis.vstat.tolist()
+        assert mapped.x[where].tolist() == res.basis.x.tolist()
+        assert sorted(mapped.basis.tolist()) == sorted(
+            [where[j] for j in res.basis.basis.tolist()] + [3])
+
+    def test_extra_column_is_nonbasic_at_its_lower_bound(self):
+        source, target = _mapping_pair()
+        mapped = map_basis(solve_lp(source).basis, source, target)
+        assert 0 not in mapped.basis.tolist()
+        assert mapped.vstat[0] == AT_LOWER and mapped.x[0] == 0.0
+
+    def test_extra_row_has_its_slack_basic(self):
+        source, target = _mapping_pair()
+        res = solve_lp(source)
+        assert res.x.tolist() == [3.0, 1.0]
+        mapped = map_basis(res.basis, source, target)
+        assert 3 in mapped.basis.tolist() and mapped.vstat[3] == BASIC
+        assert mapped.x[3] == 5.0 - 3.0  # rz's slack at the mapped point
+
+    def test_carries_the_target_fingerprint_and_starts_it_warm(self):
+        source, target = _mapping_pair()
+        mapped = map_basis(solve_lp(source).basis, source, target)
+        assert mapped.fingerprint == target.fingerprint() != source.fingerprint()
+        warm, cold = solve_lp(target, start=mapped), solve_lp(target)
+        assert warm.warm_started and warm.status == OPTIMAL
+        assert warm.objective == cold.objective
+        assert warm.iterations <= cold.iterations
+
+    def test_none_when_the_target_lacks_a_source_name(self):
+        source, target = _mapping_pair()
+        basis = solve_lp(source).basis
+        no_y = target.copy()
+        no_y.col_names = ["z", "x", "w"]
+        no_rb = target.copy()
+        no_rb.row_names = ["rz", "ra", "rc"]
+        assert map_basis(basis, source, no_y) is None
+        assert map_basis(basis, source, no_rb) is None
+        # nor does a basis that does not fit its source map
+        assert map_basis(basis, target, source) is None
+
+    def test_reference_basis_starts_every_seed0_scenario(self):
+        # every standard scenario only relaxes reference's bounds: its optimal
+        # basis maps onto each min-cost problem, nonsingular and primal feasible
+        system = build_miniature_system(seed=0)
+        min_cost = ObjectiveMode.min_cost()
+
+        def problem(scenario_id):
+            return build_problem(apply_scenario(system, standard_scenario(scenario_id)),
+                                 min_cost).problem
+
+        source = problem("reference")
+        root = solve_lp(source)
+        iterations = 0
+        for scenario_id in STANDARD_SCENARIO_IDS[1:]:
+            target = problem(scenario_id)
+            warm = solve_lp(target, start=map_basis(root.basis, source, target))
+            cold = solve_lp(target)
+            assert warm.warm_started and warm.status == OPTIMAL, scenario_id
+            assert abs(warm.objective - cold.objective) <= 1e-9 * abs(cold.objective), scenario_id
+            iterations += warm.iterations
+        assert STANDARD_SCENARIO_IDS[0] == "reference" and len(STANDARD_SCENARIO_IDS) == 15
+        assert iterations <= 1300  # 6,307 cold
+
+
 @pytest.fixture(scope="module")
 def matrix_outcomes():
-    """What ``matrix fixtures/miniature --scenarios all`` solves: per scenario one
-    runner, min-cost cold, then min-emissions from its basis."""
+    """What ``matrix fixtures/miniature --scenarios all`` solves: reference
+    min-cost cold as the root, then per scenario one runner given that root,
+    min-cost from the root's basis and min-emissions from the min-cost one."""
     system = parse_system_files(Path(__file__).parent.parent / "fixtures" / "miniature")
+    root_runner = ScenarioRunner(system)
+    root = root_runner.run(standard_scenario("reference"), ObjectiveMode.min_cost())
     outcomes = []
     for scenario_id in STANDARD_SCENARIO_IDS:
-        runner = ScenarioRunner(system)
+        runner = (root_runner if scenario_id == "reference"
+                  else ScenarioRunner(system, root=root))
         for mode in (ObjectiveMode.min_cost(), ObjectiveMode.min_emissions()):
             outcomes.append(runner.run(standard_scenario(scenario_id), mode))
     return outcomes

@@ -580,6 +580,66 @@ class TestWarmSweep:
         assert "warm_start" not in warm_sweep["floor"].solver
 
 
+class TestRoot:
+    """A run with an empty chain starts from the runner's root: reference's
+    min-cost basis mapped onto the run's problem."""
+
+    def test_sweep_starts_its_first_cap_and_floor_from_reference(self, warm_sweep):
+        system = build_miniature_system(0, step_count=24)
+        solves = []
+
+        def recording_solve(problem, *args, **kwargs):
+            res = solve_milp(problem, *args, **kwargs)
+            solves.append((problem.row_names, res))
+            return res
+
+        runner = ScenarioRunner(system)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(scenarios, "solve_milp", recording_solve)
+            rows = abatement_sweep(system, standard_scenario("synergies"), SWEEP_FRACTIONS,
+                                   runner=runner)
+        assert runner.root is runner.run(standard_scenario("reference"),
+                                         ObjectiveMode.min_cost())
+        (_, reference), *rest = solves
+        assert not reference.warm_started
+        assert [res.warm_started for _, res in rest] == [True] * len(rest)
+        floors = [res for names, res in rest if EMISSION_CAP_LABEL not in names]
+        assert len(floors) == 1 and floors[0].objective == pytest.approx(
+            warm_sweep["floor"].objective, rel=1e-9)
+        for row, f in zip(rows, SWEEP_FRACTIONS):
+            rootless = warm_sweep["warm"][f]
+            if isinstance(rootless, InfeasibleCapError):
+                assert not row["feasible"]
+            else:
+                assert row["cost"] == pytest.approx(rootless.objective, rel=1e-9)
+        # at seed 0 the caps and the floor take 1,112 iterations; without the root, 1,882
+        rootless = sum(res.iterations for _, res in warm_sweep["solves"])
+        assert sum(res.iterations for _, res in rest) < rootless * 0.7
+
+    def test_only_a_reference_min_cost_run_becomes_the_root(self, mini):
+        runner = ScenarioRunner(mini)
+        runner.run(standard_scenario("t-1"), ObjectiveMode.min_cost())
+        runner.run(standard_scenario("reference"), ObjectiveMode.min_emissions())
+        assert runner.root is None
+        root = runner.run(standard_scenario("reference"), ObjectiveMode.min_cost())
+        assert runner.root is root
+        # a root the runner is given is kept
+        given = ScenarioRunner(mini, root=root)
+        given.run(standard_scenario("reference", 2040), ObjectiveMode.min_cost())
+        assert given.root is root
+
+    def test_given_root_starts_a_scenario_warm_at_the_cold_objective(self, mini):
+        root = ScenarioRunner(mini).run(standard_scenario("reference"),
+                                        ObjectiveMode.min_cost())
+        h_all = standard_scenario("h-all")
+        warm = ScenarioRunner(mini, root=root).run(h_all, ObjectiveMode.min_cost())
+        cold = ScenarioRunner(mini).run(h_all, ObjectiveMode.min_cost())
+        assert warm.solver["warm_start"] is True and "warm_start" not in cold.solver
+        assert warm.objective == pytest.approx(cold.objective, rel=1e-9)
+        assert warm.costs.total == pytest.approx(cold.costs.total, rel=1e-9)
+        assert warm.solver["iterations"] < cold.solver["iterations"]
+
+
 class TestSweep:
     def test_curve_shape(self, mini, runner):
         rows = abatement_sweep(mini, standard_scenario("s-all"),
