@@ -11,10 +11,20 @@ For each of the four workloads this runs
 
 inside ``DIR`` and keeps the last line of its output (the JSON result) with
 the exit code. It then runs the workload once more with ``--trace 1
---seconds 1`` and keeps, as ``counters``, the deterministic counts
-``lp.iterations``, ``lp.solve_calls`` and ``builder.build_calls`` of its
-first traced pass, with that run's exit code as ``traced_exit``; a change
-that cuts iterations shows there as a count, apart from the host's noise.
+--seconds 1``, keeps that run's exit code as ``traced_exit`` and, from its
+first traced pass:
+
+* as ``counters``, the deterministic counts ``COUNTERS``: iterations, solve
+  and build calls, rows and nonzeros of the built matrices, and the
+  iterations of the horizon ladder (run by ``expansion-lp`` only, 0
+  elsewhere). A change that cuts iterations shows there as a count, apart
+  from the host's noise; a change that must not alter the matrices or the
+  pivots shows there that it did not;
+* as ``traced_s``, the seconds ``TRACED_TIMES`` (build, the HiGHS reference
+  solve and the ladder's solves). These are one sample of one traced pass,
+  with the tracer's overhead in them: noisy, for orientation only, never a
+  basis for claiming a gain.
+
 The section ``NAME`` of ``--out`` (for example ``parent`` or
 ``change``) is replaced by these results, the seed, ``--seconds`` and the
 host (processor count, python, numpy and scipy versions); other sections of
@@ -43,7 +53,11 @@ def host() -> dict:
             "scipy": scipy.__version__}
 
 
-COUNTERS = ("lp.iterations", "lp.solve_calls", "builder.build_calls")
+LADDER_STEPS = (24, 48, 96, 168)
+COUNTERS = ("lp.iterations", "lp.solve_calls", "builder.build_calls", "builder.rows",
+            "builder.nnz", *(f"ladder.iterations_{steps}" for steps in LADDER_STEPS))
+TRACED_TIMES = ("builder.build_s", "ref.highs_s",
+                *(f"ladder.solve_s_{steps}" for steps in LADDER_STEPS))
 
 
 def perfbench(checkout: Path, workload: str, seed: int, seconds: float,
@@ -64,8 +78,9 @@ def run_workload(checkout: Path, workload: str, seed: int, seconds: float) -> di
     code, result = perfbench(checkout, workload, seed, seconds, trace=0)
     traced_code, traced = perfbench(checkout, workload, seed, 1, trace=1)
     metrics = traced["metrics"] if traced else {}
-    counters = {name: metrics[name]["value"] for name in COUNTERS if name in metrics}
-    return {"exit": code, "result": result, "traced_exit": traced_code, "counters": counters}
+    return {"exit": code, "result": result, "traced_exit": traced_code,
+            "counters": {n: metrics[n]["value"] for n in COUNTERS if n in metrics},
+            "traced_s": {n: metrics[n]["value"] for n in TRACED_TIMES if n in metrics}}
 
 
 def main(argv=None) -> int:

@@ -8,8 +8,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.sparse as sp
 
-from .costing import CostTable, ObjectiveMode, assemble_objective, cost_table
-from .lp import Row, SparseProblem
+from .costing import EMISSION_CAP_LABEL, CostTable, ObjectiveMode, cost_table
+from .lp import LE, Row, SparseProblem
 from .network import emit_branch, emit_energy_balance
 from .system import EnergySystem, VariableIndex, assemble_variable_index
 from .technologies import emit_technology
@@ -24,15 +24,12 @@ class BuiltProblem:
     cap_row: int | None
     table: CostTable
 
-    @property
-    def emissions(self) -> np.ndarray:
-        """t CO2 per unit of each column."""
-        return self.table.emissions
-
     def for_mode(self, mode: ObjectiveMode) -> "BuiltProblem":
         """This uncapped problem in ``mode``: the same matrix, bounds, names,
-        index and cost table with the objective of ``mode``, and for a capped
-        mode the emission-cap row appended last.
+        index and cost table with the objective ``table.emissions`` (min
+        emissions) or ``table.costs`` (otherwise), and for a capped mode the
+        row ``table.emissions . x <= cap``, named ``EMISSION_CAP_LABEL``,
+        stacked last with the emissions vector's nonzeros as its entries.
 
         The result shares every array it does not replace with this problem,
         and nothing here writes into one, so problems derived from one build
@@ -42,18 +39,16 @@ class BuiltProblem:
         """
         if self.cap_row is not None:
             raise ValueError("modes are derived from an uncapped problem")
-        objective, cap = assemble_objective(self.table, mode)
-        problem = replace(self.problem, objective=objective)
-        if cap is None:
+        table, base = self.table, self.problem
+        objective = table.emissions if mode.kind == "min_emissions" else table.costs
+        problem = replace(base, objective=objective)
+        if not mode.capped:
             return replace(self, problem=problem, mode=mode)
-        base = self.problem
-        cols = np.array([col for col, _ in cap.coeffs], dtype=base.a.indices.dtype)
-        coeffs = np.array([coef for _, coef in cap.coeffs], dtype=float)
-        row = sp.csr_matrix((coeffs, cols, [0, len(cols)]), shape=(1, base.num_cols))
-        problem = replace(problem, a=sp.vstack([base.a, row], format="csr"),
-                          senses=np.append(base.senses, cap.sense),
-                          rhs=np.append(base.rhs, cap.rhs),
-                          row_names=[*base.row_names, cap.label])
+        problem = replace(problem,
+                          a=sp.vstack([base.a, sp.csr_matrix(table.emissions)], format="csr"),
+                          senses=np.append(base.senses, LE),
+                          rhs=np.append(base.rhs, mode.emission_cap),
+                          row_names=[*base.row_names, EMISSION_CAP_LABEL])
         return replace(self, problem=problem, mode=mode, cap_row=base.num_rows)
 
 

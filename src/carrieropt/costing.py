@@ -1,4 +1,4 @@
-"""Objective assembly and emission accounting for the three optimization modes.
+"""Cost and emission coefficients, the three optimization modes, and accounting.
 
 Cost model (all EUR per year): annualized capex on size additions plus a
 fixed-opex share of that annualized capex, variable opex per MWh of output,
@@ -19,7 +19,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .lp import LE, Row
 from .system import (
     CARRIERS,
     Carrier,
@@ -248,17 +247,6 @@ def cost_table(system: EnergySystem, index: VariableIndex) -> CostTable:
     return table
 
 
-def assemble_objective(table: CostTable,
-                       mode: ObjectiveMode) -> tuple[np.ndarray, Row | None]:
-    """Objective vector for ``mode`` plus the emission-cap row when applicable."""
-    if mode.kind == "min_emissions":
-        return table.emissions, None
-    if not mode.capped:
-        return table.costs, None
-    coeffs = [(col, float(v)) for col, v in enumerate(table.emissions) if v != 0.0]
-    return table.costs, Row(coeffs, LE, mode.emission_cap, EMISSION_CAP_LABEL)
-
-
 def _value(terms: dict[int, float], x: np.ndarray) -> float:
     """Sum of coefficient times value over ``terms``, in entity order."""
     return sum((v * float(x[c]) for c, v in terms.items()), 0.0)
@@ -274,16 +262,11 @@ class EmissionsReport:
         return self.technologies + self.imports
 
 
-def _emissions(table: CostTable, x: np.ndarray) -> EmissionsReport:
+def total_emissions(table: CostTable, x: np.ndarray) -> EmissionsReport:
+    """Recompute emission totals from raw variable values of a build whose
+    cost table is ``table``."""
     return EmissionsReport(technologies=_value(table.tech_emissions, x),
                            imports=_value(table.import_emissions, x))
-
-
-def total_emissions(system: EnergySystem, index: VariableIndex, x: np.ndarray, *,
-                    table: CostTable | None = None) -> EmissionsReport:
-    """Recompute emission totals from raw variable values; ``table`` is
-    ``cost_table(system, index)``, built here when not given."""
-    return _emissions(table or cost_table(system, index), x)
 
 
 @dataclass(frozen=True)
@@ -298,12 +281,10 @@ class CostBreakdown:
         return self.technologies + self.networks + self.imports + self.carbon
 
 
-def cost_breakdown(system: EnergySystem, index: VariableIndex, x: np.ndarray, *,
-                   table: CostTable | None = None) -> CostBreakdown:
-    """Recompute the cost split from raw variable values, entity by entity;
-    ``table`` is ``cost_table(system, index)``, built here when not given."""
-    table = table or cost_table(system, index)
+def cost_breakdown(table: CostTable, x: np.ndarray) -> CostBreakdown:
+    """Recompute the cost split from raw variable values of a build whose
+    cost table is ``table``, entity by entity."""
     return CostBreakdown(technologies=_value(table.technologies, x),
                          networks=_value(table.networks, x),
                          imports=_value(table.imports, x),
-                         carbon=table.carbon_price * _emissions(table, x).total)
+                         carbon=table.carbon_price * total_emissions(table, x).total)

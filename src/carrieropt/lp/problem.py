@@ -1,4 +1,5 @@
-"""Sparse LP/MILP container and row-based assembly helpers."""
+"""Sparse LP/MILP container; constraint rows become its CSR matrix in one
+array conversion (:meth:`SparseProblem.from_rows`)."""
 
 from __future__ import annotations
 
@@ -136,36 +137,38 @@ class SparseProblem:
         integer: np.ndarray | None = None,
         col_names: list[str] | None = None,
     ) -> "SparseProblem":
-        data, ri, ci = [], [], []
-        senses = np.empty(len(rows), dtype=object)
-        rhs = np.empty(len(rows))
-        row_names = []
-        for i, row in enumerate(rows):
-            merged: dict[int, float] = {}
-            for col, coef in row.coeffs:
-                if col < 0 or col >= num_cols:
-                    raise ProblemError(f"row {row.label!r} references column {col} out of range")
-                merged[col] = merged.get(col, 0.0) + coef
-            for col, coef in sorted(merged.items()):
-                if coef != 0.0:
-                    ri.append(i)
-                    ci.append(col)
-                    data.append(coef)
-            senses[i] = row.sense
-            rhs[i] = row.rhs
-            row_names.append(row.label or f"r{i}")
+        """The problem whose ``i``-th constraint is ``rows[i]``, validated.
+
+        All coefficients are flattened into one COO triplet and converted to
+        CSR: entries a row lists twice for one column are summed, column
+        indices come out sorted, and entries that sum to zero are not stored.
+        A row without a label is named ``r<i>``. Raises :class:`ProblemError`
+        naming the first row that references a column outside
+        ``range(num_cols)``.
+        """
+        ri = np.repeat(np.arange(len(rows)), [len(row.coeffs) for row in rows])
+        ci = np.fromiter((col for row in rows for col, _ in row.coeffs),
+                         dtype=np.intp, count=len(ri))
+        data = np.fromiter((coef for row in rows for _, coef in row.coeffs),
+                           dtype=float, count=len(ri))
+        outside = (ci < 0) | (ci >= num_cols)
+        if outside.any():
+            k = int(np.argmax(outside))
+            raise ProblemError(f"row {rows[ri[k]].label!r} references column"
+                               f" {int(ci[k])} out of range")
         a = sp.csr_matrix((data, (ri, ci)), shape=(len(rows), num_cols))
+        a.eliminate_zeros()
         problem = cls(
             a=a,
-            senses=senses,
-            rhs=rhs,
+            senses=np.array([row.sense for row in rows], dtype=object),
+            rhs=np.array([row.rhs for row in rows], dtype=float),
             lower=np.asarray(lower, dtype=float).copy(),
             upper=np.asarray(upper, dtype=float).copy(),
             objective=np.asarray(objective, dtype=float).copy(),
             integer=(np.zeros(num_cols, dtype=bool) if integer is None
                      else np.asarray(integer, dtype=bool).copy()),
             col_names=list(col_names) if col_names else [],
-            row_names=row_names,
+            row_names=[row.label or f"r{i}" for i, row in enumerate(rows)],
         )
         problem.validate()
         return problem

@@ -2,12 +2,12 @@
 
 A scenario is a set of booleans saying which asset classes may expand:
 grid corridors by location and border crossing, batteries by location (with
-an energy cap per offshore node and a configurable power-to-energy ratio),
-and the hydrogen chain (electrolysis by location, storage, fuel cells,
-pipelines). Renewables expand only in the medium-term variants. Applying a
-scenario clears the ``expandable`` flag (and the then-inert capex) on
-everything the scenario disallows, so gated entities cannot receive size
-variables at all.
+a fixed energy cap per offshore node and a configurable power-to-energy
+ratio), and the hydrogen chain (electrolysis by location, storage, fuel
+cells, pipelines). Renewables expand only in the medium-term variants.
+Applying a scenario clears the ``expandable`` flag (and the then-inert
+capex) on everything the scenario disallows, so gated entities cannot
+receive size variables at all.
 
 Hydrogen admixture into gas plants is available whenever the scenario
 enables electrolysis somewhere; without carbon-free production the admix
@@ -51,6 +51,10 @@ from .system import (
 )
 
 
+# energy cap on new battery storage per offshore node, in every scenario
+OFFSHORE_STORAGE_CAP_MWH = 140_000.0
+
+
 @dataclass(frozen=True)
 class ScenarioSpec:
     id: str
@@ -60,7 +64,6 @@ class ScenarioSpec:
     storage_onshore: bool = False
     storage_offshore: bool = False
     storage_power_to_energy: float = 0.333
-    offshore_storage_cap_mwh: float = 140_000.0
     h2_electrolysis_onshore: bool = False
     h2_electrolysis_offshore: bool = False
     h2_storage: bool = False
@@ -160,7 +163,7 @@ def apply_scenario(system: EnergySystem, spec: ScenarioSpec) -> EnergySystem:
                 new.performance, max_charge_rate=ratio, max_discharge_rate=ratio))
             if offshore:
                 capped = max(new.existing_size,
-                             min(new.max_size, spec.offshore_storage_cap_mwh))
+                             min(new.max_size, OFFSHORE_STORAGE_CAP_MWH))
                 new = replace(new, max_size=capped)
         if is_gas_plant(tech) and not spec.h2_production:
             p = new.performance
@@ -253,8 +256,8 @@ def _solve(built: BuiltProblem, scenario: ScenarioSpec,
             return None
         raise RuntimeError(f"scenario {scenario.id} ({mode.label()}):"
                            f" solver returned {result.status}")
-    emissions = total_emissions(gated, built.index, result.x, table=built.table)
-    costs = cost_breakdown(gated, built.index, result.x, table=built.table)
+    emissions = total_emissions(built.table, result.x)
+    costs = cost_breakdown(built.table, result.x)
     solver = {"iterations": result.iterations, "nodes": result.nodes,
               "bound_gap": result.bound_gap}
     if warm_from is not None or result.warm_started:

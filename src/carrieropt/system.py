@@ -200,11 +200,19 @@ def is_gas_plant(tech: TechnologyInstance) -> bool:
 
 # -- validation ----------------------------------------------------------------
 
+def _non_finite(where: str, values: Mapping[str, float]) -> list[str]:
+    """One message per entry of ``values`` that is NaN or infinite."""
+    return [f"{where}{name} must be finite" for name, value in values.items()
+            if not math.isfinite(value)]
+
+
 def validate_system(system: EnergySystem) -> list[str]:
     """Check every structural invariant; return one message per violation.
 
     Violations are data, not exceptions: an empty list means the system is
-    well formed and safe to hand to the problem builder.
+    well formed and safe to hand to the problem builder. Every number that
+    enters the objective must be finite; import limits, maximum sizes and
+    maximum capacities may be infinite.
     """
     out: list[str] = []
     steps = system.horizon.step_count
@@ -214,6 +222,8 @@ def validate_system(system: EnergySystem) -> list[str]:
         out.append("horizon: hours_per_step must be positive")
     if system.carbon_price < 0:
         out.append("carbon_price must be nonnegative")
+    out += _non_finite("", {"carbon_price": system.carbon_price,
+                            "horizon: hours_per_step": system.horizon.hours_per_step})
 
     node_ids = [n.id for n in system.nodes]
     if len(set(node_ids)) != len(node_ids):
@@ -225,6 +235,11 @@ def validate_system(system: EnergySystem) -> list[str]:
         for carrier, limit in n.import_limit.items():
             if limit < 0:
                 out.append(f"node {n.id}: import limit for {carrier.value} is negative")
+        for label, mapping in (("price", n.import_price),
+                               ("emission factor", n.import_emission_factor)):
+            out += _non_finite(f"node {n.id}: ", {
+                f"import {label} for {carrier.value}": value
+                for carrier, value in mapping.items()})
         ng = n.import_limit.get(Carrier.NATURAL_GAS, 0.0)
         if 0.0 < ng < math.inf:
             out.append(f"node {n.id}: natural-gas import is either closed (0) or unbounded")
@@ -262,6 +277,10 @@ def validate_system(system: EnergySystem) -> list[str]:
             out.append(f"{pre}: lifetime must be positive when capex is set")
         if not 0 <= t.cost.fixed_opex_share <= 1:
             out.append(f"{pre}: fixed_opex_share outside [0, 1]")
+        out += _non_finite(f"{pre}: ", vars(t.cost))
+        out += _non_finite(f"{pre}: ", {
+            f"emission factor {direction}/{carrier.value}": factor
+            for (direction, carrier), factor in t.emission_factors.items()})
         if t.kind == TechnologyKind.RENEWABLE:
             profile = system.renewable_profiles.get(t.id)
             if profile is None:
@@ -356,6 +375,10 @@ def validate_system(system: EnergySystem) -> list[str]:
             out.append(f"{pre}: integer block size must be positive")
         if not 0 <= b.fixed_opex_share <= 1:
             out.append(f"{pre}: fixed_opex_share outside [0, 1]")
+        out += _non_finite(f"{pre}: ", {
+            **{f"gamma{k}": g for k, g in enumerate(b.cost_poly, start=1)},
+            "variable_opex": b.variable_opex, "lifetime": b.lifetime,
+            "discount_rate": b.discount_rate, "fixed_opex_share": b.fixed_opex_share})
         if b.compression is not None:
             c = b.compression
             if min(c.outlet_pressure_bar, c.specific_heat, c.temperature_k,

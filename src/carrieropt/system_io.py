@@ -100,6 +100,23 @@ def _parse_float(cell: str, where: str) -> float:
     return value
 
 
+def _manifest_number(value, field: str) -> float:
+    """A manifest value as a float: a JSON number or a numeric string.
+    Infinities and NaN pass here; :func:`validate_system` rejects them."""
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise SchemaError(f"manifest.json: {field} {value!r} is not a number")
+
+
+def _manifest_object(value, field: str) -> dict:
+    if not isinstance(value, dict):
+        raise SchemaError(f"manifest.json: {field} {value!r} is not an object")
+    return value
+
+
 def _parse_bool(cell: str, where: str) -> bool:
     if cell == "true":
         return True
@@ -294,7 +311,8 @@ def _parse_nodes(path: Path, defaults: dict) -> tuple[Node, ...]:
                 if cell:
                     target[c] = _parse_float(cell, f"{where} import_{field}_{c.value}")
                 elif c.value in defaults.get(field, {}):
-                    target[c] = float(defaults[field][c.value])
+                    target[c] = _manifest_number(defaults[field][c.value],
+                                                 f"import_defaults.{field}.{c.value}")
         nodes.append(Node(
             id=_cell(row, "id"), country=_cell(row, "country"),
             location_kind=_cell(row, "location_kind"),
@@ -430,7 +448,12 @@ def _parse_series_file(path: Path, steps: int) -> dict[str, tuple[float, ...]]:
         for i, row in enumerate(reader, start=2):
             if len(row) != len(header):
                 raise SchemaError(f"{path.name} row {i}: expected {len(header)} cells")
-            if int(row[0]) != i - 2:
+            try:
+                step = int(row[0])
+            except ValueError:
+                raise SchemaError(f"{path.name} row {i}: step {row[0]!r} is not an integer"
+                                  ) from None
+            if step != i - 2:
                 raise SchemaError(f"{path.name} row {i}: steps must run 0..{steps - 1}")
             for name, cell in zip(names, row[1:]):
                 columns[name].append(_parse_float(cell, f"{path.name} row {i} {name}"))
@@ -449,24 +472,32 @@ def parse_system_files(directory: str | Path) -> EnergySystem:
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as err:
         raise SchemaError(f"manifest.json: {err}") from None
+    if not isinstance(manifest, dict):
+        raise SchemaError("manifest.json: expected a JSON object")
     known_keys = {"carbon_price", "horizon", "units", "import_defaults"}
     unknown = set(manifest) - known_keys
     if unknown:
         raise SchemaError(f"manifest.json: unknown key {sorted(unknown)[0]!r}")
-    for key, unit in manifest.get("units", {}).items():
+    for key, unit in _manifest_object(manifest.get("units", {}), "units").items():
         if SUPPORTED_UNITS.get(key) != unit:
             raise SchemaError(f"manifest.json: unsupported unit {unit!r} for {key!r}")
-    horizon = manifest.get("horizon", {})
-    steps = int(horizon.get("step_count", 0))
+    defaults = _manifest_object(manifest.get("import_defaults", {}), "import_defaults")
+    for field, values in defaults.items():
+        _manifest_object(values, f"import_defaults.{field}")
+    horizon = _manifest_object(manifest.get("horizon", {}), "horizon")
+    step_count = _manifest_number(horizon.get("step_count", 0), "horizon.step_count")
+    if not step_count.is_integer():
+        raise SchemaError(f"manifest.json: horizon.step_count {horizon['step_count']!r}"
+                          " is not an integer")
+    steps = int(step_count)
     system = EnergySystem(
-        horizon=TimeHorizon(step_count=steps,
-                            hours_per_step=float(horizon.get("hours_per_step", 1.0))),
-        nodes=_parse_nodes(directory / "nodes.csv",
-                           manifest.get("import_defaults", {})),
+        horizon=TimeHorizon(step_count=steps, hours_per_step=_manifest_number(
+            horizon.get("hours_per_step", 1.0), "horizon.hours_per_step")),
+        nodes=_parse_nodes(directory / "nodes.csv", defaults),
         technologies=_parse_technologies(directory / "technologies.csv"),
         branches=_parse_branches(directory / "branches.csv"),
         demands=_parse_demands(directory, steps),
-        carbon_price=float(manifest.get("carbon_price", 0.0)),
+        carbon_price=_manifest_number(manifest.get("carbon_price", 0.0), "carbon_price"),
         renewable_profiles=(_parse_series_file(directory / "profiles.csv", steps)
                             if (directory / "profiles.csv").exists() else {}),
         hydro_inflows=(_parse_series_file(directory / "inflows.csv", steps)

@@ -11,7 +11,7 @@ import numpy as np
 from numpy.testing import assert_allclose
 
 from carrieropt.builder import build_problem
-from carrieropt.costing import ObjectiveMode, cost_breakdown, total_emissions
+from carrieropt.costing import ObjectiveMode, cost_breakdown, cost_table, total_emissions
 from carrieropt.lp import (
     LE,
     OPTIMAL,
@@ -313,15 +313,15 @@ class TestCriterion08CostClosure:
         for sid in ("reference", "t-all", "synergies"):
             outcome = _timed(sid, ObjectiveMode.min_cost())
             gated = outcome.built.system
-            again = cost_breakdown(gated, outcome.built.index, outcome.result.x)
+            again = cost_breakdown(cost_table(gated, outcome.built.index), outcome.result.x)
             rel = abs(again.total - outcome.objective) / max(1.0, abs(outcome.objective))
             assert rel <= 1e-6, sid
         base = _timed("s-all", ObjectiveMode.min_cost())
         cap_value = base.emissions.total * 0.995
         capped = RUNNER.run(standard_scenario("s-all"),
                             ObjectiveMode.min_cost_with_cap(cap_value))
-        activity = float(capped.built.emissions @ capped.result.x)
-        recomputed = total_emissions(capped.built.system, capped.built.index,
+        activity = float(capped.built.table.emissions @ capped.result.x)
+        recomputed = total_emissions(cost_table(capped.built.system, capped.built.index),
                                      capped.result.x).total
         assert abs(activity - recomputed) <= 1e-9 * max(1.0, activity)
         assert activity <= cap_value + 1e-6

@@ -35,6 +35,22 @@ class TestValidate:
     def test_missing_directory_exit(self, tmp_path):
         assert run_cli(["validate", str(tmp_path / "nope")]) == 3
 
+    @pytest.mark.parametrize("old, new", [
+        ('"step_count": 24', '"step_count": "abc"'),
+        ('"carbon_price": 80.0', '"carbon_price": "high"'),
+        ('"carbon_price": 80.0', '"carbon_price": NaN'),
+    ])
+    def test_malformed_or_non_finite_manifest_exit_3(self, system_dir, tmp_path, capsys,
+                                                      old, new):
+        import shutil
+        broken = tmp_path / "broken"
+        shutil.copytree(system_dir, broken)
+        path = broken / "manifest.json"
+        path.write_text(path.read_text().replace(old, new))
+        assert run_cli(["validate", str(broken)]) == 3
+        assert capsys.readouterr().out.startswith("1 violation\n")
+        assert run_cli(["--quiet", "run", str(broken), "--scenario", "reference"]) == 3
+
 
 class TestRun:
     def test_matches_library(self, system_dir, capsys):

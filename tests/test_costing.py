@@ -10,12 +10,12 @@ from numpy.testing import assert_allclose
 from carrieropt.costing import (
     ObjectiveMode,
     annualize,
-    assemble_objective,
     cost_breakdown,
     cost_table,
     network_branch_capex,
     total_emissions,
 )
+from carrieropt.builder import build_problem
 from carrieropt.system import (
     Carrier,
     NetworkBranch,
@@ -32,6 +32,11 @@ def mini():
 @pytest.fixture(scope="module")
 def index(mini):
     return assemble_variable_index(mini)
+
+
+@pytest.fixture(scope="module")
+def table(mini, index):
+    return cost_table(mini, index)
 
 
 class TestAnnualize:
@@ -115,57 +120,51 @@ class TestObjectiveCoefficients:
         x = np.zeros(len(index))
         assert float(vec @ x) == 0.0
 
-    def test_min_cost_equals_cap_infinity(self, mini, index):
-        table = cost_table(mini, index)
-        costs, cap = assemble_objective(table, ObjectiveMode.min_cost())
-        capped, row = assemble_objective(table, ObjectiveMode.min_cost_with_cap(math.inf))
-        assert row is None and cap is None
-        assert (costs == capped).all()
+    def test_min_cost_equals_cap_infinity(self, mini):
+        base = build_problem(mini, ObjectiveMode.min_cost())
+        capped = base.for_mode(ObjectiveMode.min_cost_with_cap(math.inf))
+        assert base.cap_row is None and capped.cap_row is None
+        assert capped.problem.a is base.problem.a
+        assert (capped.problem.objective == base.table.costs).all()
 
 
 class TestEmissionAccounting:
-    def test_gas_output_bookkeeping(self, mini, index):
+    def test_gas_output_bookkeeping(self, index, table):
         # 100 MWh of gas input at 61% efficiency: 61 MWh out, 18.422 t CO2
         x = np.zeros(len(index))
         x[index.column("gas1", "in[natural_gas]", 0)] = 100.0
         x[index.column("gas1", "out", 0)] = 61.0
-        report = total_emissions(mini, index, x)
+        report = total_emissions(table, x)
         assert report.technologies == pytest.approx(18.4220, rel=1e-12)
         assert report.imports == 0.0
 
-    def test_import_emission_factor(self, mini, index):
+    def test_import_emission_factor(self, index, table):
         x = np.zeros(len(index))
         x[index.column("n2", "imp[electricity]", 3)] = 10.0
-        report = total_emissions(mini, index, x)
+        report = total_emissions(table, x)
         assert report.imports == pytest.approx(8.0)
 
-    def test_all_renewable_dispatch_is_zero(self, mini, index):
+    def test_all_renewable_dispatch_is_zero(self, mini, index, table):
         x = np.zeros(len(index))
         for t in range(mini.horizon.step_count):
             x[index.column("wind1", "out", t)] = 100.0
             x[index.column("hydro1", "discharge", t)] = 5.0
-        assert total_emissions(mini, index, x).total == 0.0
+        assert total_emissions(table, x).total == 0.0
 
-    def test_min_emissions_objective_is_emission_vector(self, mini, index):
-        table = cost_table(mini, index)
-        objective, cap = assemble_objective(table, ObjectiveMode.min_emissions())
-        assert cap is None
-        assert (objective == table.emissions).all()
+    def test_min_emissions_objective_is_emission_vector(self, mini):
+        built = build_problem(mini, ObjectiveMode.min_emissions())
+        assert built.cap_row is None
+        assert (built.problem.objective == built.table.emissions).all()
 
 
 class TestReportedTotals:
-    def test_a_given_table_changes_nothing(self, mini, index):
-        x = np.random.default_rng(0).uniform(0.0, 50.0, len(index))
-        table = cost_table(mini, index)
-        assert total_emissions(mini, index, x, table=table) == total_emissions(mini, index, x)
-        assert cost_breakdown(mini, index, x, table=table) == cost_breakdown(mini, index, x)
-
     def test_sums_over_no_terms_are_float_zeros(self, mini):
         from carrieropt.scenarios import apply_scenario, standard_scenario
         gated = apply_scenario(mini, standard_scenario("reference"))
         index = assemble_variable_index(gated)
-        assert not cost_table(gated, index).networks
-        costs = cost_breakdown(gated, index, np.zeros(len(index)))
+        table = cost_table(gated, index)
+        assert not table.networks
+        costs = cost_breakdown(table, np.zeros(len(index)))
         assert all(type(v) is float for v in vars(costs).values())
         assert repr(costs.networks) == "0.0"
 
@@ -180,7 +179,7 @@ class TestCapDual:
                             ObjectiveMode.min_cost_with_cap(cap))
         built, res = capped.built, capped.result
         assert built.cap_row is not None
-        activity = float(built.emissions @ res.x)
+        activity = float(built.table.emissions @ res.x)
         assert activity == pytest.approx(cap, rel=1e-6)  # binding
         dual = res.duals[built.cap_row]
         assert dual >= -1e-9  # shadow carbon price

@@ -1,5 +1,6 @@
 """Serialization round-trips and schema rejection."""
 
+import csv
 import json
 
 import pytest
@@ -107,6 +108,105 @@ class TestSchemaRejection:
         loaded = parse_system_files(tmp_path)
         from carrieropt.system import Carrier
         assert loaded.node("n1").import_price[Carrier.NATURAL_GAS] == 40.0
+
+
+def _edit_manifest(directory, **changes):
+    path = directory / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest.update(changes)
+    path.write_text(json.dumps(manifest))
+
+
+def _set_cell(path, column, value, row=0):
+    with path.open(newline="") as handle:
+        reader = csv.DictReader(handle)
+        fields, rows = reader.fieldnames, list(reader)
+    rows[row][column] = value
+    with path.open("w", newline="") as handle:
+        writer = csv.DictWriter(handle, fieldnames=fields, lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
+
+
+class TestMalformedManifestAndSeries:
+    @pytest.mark.parametrize("changes, message", [
+        ({"horizon": {"step_count": "abc", "hours_per_step": 365.0}},
+         r"manifest.json: horizon.step_count 'abc' is not a number"),
+        ({"horizon": {"step_count": 24.5, "hours_per_step": 365.0}},
+         r"manifest.json: horizon.step_count 24.5 is not an integer"),
+        ({"horizon": [24, 365.0]}, r"manifest.json: horizon \[24, 365.0\] is not an object"),
+        ({"carbon_price": "high"}, r"manifest.json: carbon_price 'high' is not a number"),
+        ({"carbon_price": True}, r"manifest.json: carbon_price True is not a number"),
+        ({"units": ["MW"]}, r"manifest.json: units \['MW'\] is not an object"),
+        ({"import_defaults": {"price": 5}},
+         r"manifest.json: import_defaults.price 5 is not an object"),
+        ({"import_defaults": {"price": {"electricity": "cheap"}}},
+         r"manifest.json: import_defaults.price.electricity 'cheap' is not a number"),
+    ], ids=["step-count-text", "step-count-fraction", "horizon-list", "carbon-price-text",
+            "carbon-price-bool", "units-list", "defaults-number", "defaults-text"])
+    def test_bad_manifest_value_names_file_and_field(self, mini, tmp_path, changes, message):
+        write_system_files(mini, tmp_path)
+        _edit_manifest(tmp_path, **changes)
+        with pytest.raises(SchemaError, match=message):
+            parse_system_files(tmp_path)
+
+    def test_numeric_strings_still_parse(self, mini, tmp_path):
+        write_system_files(mini, tmp_path)
+        _edit_manifest(tmp_path, carbon_price=repr(mini.carbon_price),
+                       horizon={"step_count": str(mini.horizon.step_count),
+                                "hours_per_step": mini.horizon.hours_per_step})
+        assert parse_system_files(tmp_path) == mini
+
+    @pytest.mark.parametrize("cell", ["a", "1.5"])
+    def test_non_integer_step_cell(self, mini, tmp_path, cell):
+        write_system_files(mini, tmp_path)
+        _set_cell(tmp_path / "profiles.csv", "step", cell, row=1)
+        with pytest.raises(SchemaError, match=f"profiles.csv row 3: step '{cell}' is not an"
+                                              " integer"):
+            parse_system_files(tmp_path)
+
+
+class TestNonFiniteCostData:
+    """Every number that enters the objective must be finite."""
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+    def test_carbon_price(self, mini, tmp_path, value):
+        write_system_files(mini, tmp_path)
+        path = tmp_path / "manifest.json"
+        path.write_text(path.read_text().replace('"carbon_price": 80.0',
+                                                 f'"carbon_price": {value}'))
+        with pytest.raises(SchemaError, match="carbon_price must be finite"):
+            parse_system_files(tmp_path)
+
+    def test_hours_per_step(self, mini, tmp_path):
+        write_system_files(mini, tmp_path)
+        _edit_manifest(tmp_path, horizon={"step_count": mini.horizon.step_count,
+                                          "hours_per_step": "inf"})
+        with pytest.raises(SchemaError, match="horizon: hours_per_step must be finite"):
+            parse_system_files(tmp_path)
+
+    @pytest.mark.parametrize("file, column, message", [
+        ("technologies.csv", "capex_per_size", "technology batt1: capex_per_size must be finite"),
+        ("technologies.csv", "lifetime", "technology batt1: lifetime must be finite"),
+        ("technologies.csv", "variable_opex", "technology batt1: variable_opex must be finite"),
+        ("technologies.csv", "discount_rate", "technology batt1: discount_rate must be finite"),
+        ("technologies.csv", "ef_out_electricity",
+         "technology batt1: emission factor out/electricity must be finite"),
+        ("nodes.csv", "import_price_hydrogen",
+         "node n1: import price for hydrogen must be finite"),
+        ("nodes.csv", "import_emission_factor_electricity",
+         "node n1: import emission factor for electricity must be finite"),
+        ("branches.csv", "gamma2", "branch ac1: gamma2 must be finite"),
+        ("branches.csv", "variable_opex", "branch ac1: variable_opex must be finite"),
+        ("branches.csv", "lifetime", "branch ac1: lifetime must be finite"),
+        ("branches.csv", "discount_rate", "branch ac1: discount_rate must be finite"),
+        ("branches.csv", "fixed_opex_share", "branch ac1: fixed_opex_share must be finite"),
+    ])
+    def test_infinite_cost_cell(self, mini, tmp_path, file, column, message):
+        write_system_files(mini, tmp_path)
+        _set_cell(tmp_path / file, column, "inf")
+        with pytest.raises(SchemaError, match=message):
+            parse_system_files(tmp_path)
 
 
 class TestShippedFixture:
