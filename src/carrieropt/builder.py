@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -65,19 +64,18 @@ def _default_bounds(system: EnergySystem, index: VariableIndex
     for branch in system.branches:
         if not branch.expandable:
             continue
-        headroom = branch.max_capacity - branch.existing_capacity
         if branch.integer_block_mw is not None:
             col = index.column(branch.id, "blocks")
-            upper[col] = math.floor(headroom / branch.integer_block_mw)
+            upper[col] = branch.max_blocks
             integer[col] = True
             if index.has(branch.id, "build"):
                 bcol = index.column(branch.id, "build")
                 upper[bcol] = 1.0
                 integer[bcol] = True
         else:
-            upper[index.column(branch.id, "size")] = headroom
+            upper[index.column(branch.id, "size")] = branch.headroom
         if branch.bidirectional:
-            upper[index.column(branch.id, "size[rev]")] = headroom
+            upper[index.column(branch.id, "size[rev]")] = branch.headroom
     return lower, upper, integer
 
 

@@ -220,6 +220,8 @@ def cmd_sweep(args) -> int:
     scenario = _scenario(args)
     try:
         targets = [float(part) for part in args.targets.split(",") if part]
+        if not targets:
+            raise ValueError("--targets lists no reduction fraction")
     except ValueError as err:
         _fail("usage", str(err), EXIT_USAGE)
     runner = ScenarioRunner(system)
@@ -263,6 +265,10 @@ def cmd_matrix(args) -> int:
         # a repeated scenario or mode runs once, at its first position
         scenarios = [standard_scenario(sid, year=args.year) for sid in dict.fromkeys(ids)]
         modes = list(dict.fromkeys(_parse_mode(part) for part in args.modes.split(",") if part))
+        if args.jobs < 1:
+            raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
+        if not scenarios or not modes:
+            raise ValueError("--scenarios and --modes each need at least one entry")
     except (KeyError, ValueError, argparse.ArgumentTypeError) as err:
         _fail("usage", str(err), EXIT_USAGE)
 

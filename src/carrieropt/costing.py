@@ -22,11 +22,13 @@ import numpy as np
 from .system import (
     CARRIERS,
     Carrier,
+    CostParams,
     EnergySystem,
     NetworkBranch,
     TechnologyInstance,
     TechnologyKind,
     VariableIndex,
+    output_role,
 )
 
 EMISSION_CAP_LABEL = "emission_cap"
@@ -81,38 +83,37 @@ def annualize(capex: float, lifetime: float, discount_rate: float) -> float:
     return capex * discount_rate * (growth_minus_one + 1.0) / growth_minus_one
 
 
+def _annual_cost(capex: float, terms: CostParams | NetworkBranch) -> float:
+    """EUR per year for ``capex`` kEUR: the annuity over ``terms``' lifetime and
+    discount rate plus its fixed-opex share."""
+    annual = annualize(capex, terms.lifetime, terms.discount_rate)
+    return annual * (1.0 + terms.fixed_opex_share) * 1000.0
+
+
 def _tech_size_coefficient(tech: TechnologyInstance) -> float:
     """EUR per unit of new size per year."""
     if tech.cost.capex_per_size == 0:
         return 0.0
-    annual = annualize(tech.cost.capex_per_size, tech.cost.lifetime,
-                       tech.cost.discount_rate)
-    return annual * (1.0 + tech.cost.fixed_opex_share) * 1000.0
+    return _annual_cost(tech.cost.capex_per_size, tech.cost)
 
 
 def _branch_size_coefficient(branch: NetworkBranch, prorate_fixed: bool) -> float:
     """EUR per MW of new capacity per year, fixed terms prorated if requested."""
-    g1, g2, g3, g4 = branch.cost_poly
+    _, g2, _, g4 = branch.cost_poly
     marginal = g2 + g4 * branch.length_km
-    if prorate_fixed:
-        fixed = g1 + g3 * branch.length_km
-        headroom = branch.max_capacity - branch.existing_capacity
-        if fixed > 0 and headroom > 0:
-            marginal += fixed / headroom
-    annual = annualize(marginal, branch.lifetime, branch.discount_rate) \
-        if marginal != 0 else 0.0
+    if prorate_fixed and branch.fixed_cost > 0 and branch.headroom > 0:
+        marginal += branch.fixed_cost / branch.headroom
+    if marginal == 0:
+        return 0.0
     # economies of scale can push the polynomial negative at short distances;
     # free capacity would be unbounded, so the coefficient floors at zero
-    return max(0.0, annual * (1.0 + branch.fixed_opex_share) * 1000.0)
+    return max(0.0, _annual_cost(marginal, branch))
 
 
 def _branch_build_coefficient(branch: NetworkBranch) -> float:
-    g1, _, g3, _ = branch.cost_poly
-    fixed = g1 + g3 * branch.length_km
-    if fixed <= 0:
+    if branch.fixed_cost <= 0:
         return 0.0
-    annual = annualize(fixed, branch.lifetime, branch.discount_rate)
-    return annual * (1.0 + branch.fixed_opex_share) * 1000.0
+    return _annual_cost(branch.fixed_cost, branch)
 
 
 def network_branch_capex(branch: NetworkBranch, size_mw: float) -> float:
@@ -125,8 +126,8 @@ def network_branch_capex(branch: NetworkBranch, size_mw: float) -> float:
         raise ValueError("size must be nonnegative")
     if size_mw == 0:
         return 0.0
-    g1, g2, g3, g4 = branch.cost_poly
-    value = g1 + g2 * size_mw + g3 * branch.length_km + g4 * branch.length_km * size_mw
+    _, g2, _, g4 = branch.cost_poly
+    value = branch.fixed_cost + g2 * size_mw + g4 * branch.length_km * size_mw
     return max(0.0, value)
 
 
@@ -206,9 +207,7 @@ def cost_table(system: EnergySystem, index: VariableIndex) -> CostTable:
                 table.technologies[index.column(tech.id, "size")] = value
         opex = tech.cost.variable_opex
         if opex:
-            role = "discharge" if tech.kind in (TechnologyKind.STORAGE1,
-                                                TechnologyKind.STORAGE2_1,
-                                                TechnologyKind.STORAGE2_2) else "out"
+            role = output_role(tech)
             for t in range(steps):
                 table.technologies[index.column(tech.id, role, t)] = opex
         for col, factor in _tech_emission_columns(tech, index, steps):

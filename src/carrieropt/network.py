@@ -24,11 +24,10 @@ from .system import (
     CompressionParams,
     EnergySystem,
     NetworkBranch,
-    StructureError,
     VariableIndex,
     node_carrier_participants,
 )
-from .technologies import Bound, DataError
+from .technologies import Bound, DataError, size_limit
 
 
 def pipeline_compression_factor(params: CompressionParams) -> float:
@@ -46,10 +45,12 @@ def pipeline_compression_factor(params: CompressionParams) -> float:
     return k
 
 
-def _size_term(branch: NetworkBranch, index: VariableIndex, reverse: bool):
-    """(column, MW-per-unit) of the direction's size variable, or None if fixed."""
+def _size_term(branch: NetworkBranch, index: VariableIndex, reverse: bool
+               ) -> tuple[int | None, float]:
+    """(column, MW per unit) of the direction's size variable; the column is None,
+    and the rate 0, while the size is fixed."""
     if not branch.expandable:
-        return None
+        return None, 0.0
     if reverse:
         return index.column(branch.id, "size[rev]"), 1.0
     if branch.integer_block_mw is not None:
@@ -61,58 +62,47 @@ def emit_branch_capacity_and_loss(branch: NetworkBranch, index: VariableIndex,
                                   system: EnergySystem) -> tuple[list[Row], list[Bound]]:
     """Per direction and step: sent <= capacity, recv = (1 - mu*d) * sent."""
     transfer = 1.0 - branch.loss_factor_per_km * branch.length_km
-    if transfer <= 0.0:
-        raise DataError(f"branch {branch.id}: losses consume the entire flow")
     h = system.horizon.hours_per_step
+    cap = branch.existing_capacity * h
     directions = [("sent[fwd]", "recv[fwd]", False), ("sent[rev]", "recv[rev]", True)] \
         if branch.bidirectional else [("sent", "recv", False)]
     rows: list[Row] = []
     bounds: list[Bound] = []
     for sent_role, recv_role, reverse in directions:
-        size = _size_term(branch, index, reverse)
+        size, per_unit = _size_term(branch, index, reverse)
+        rate, name = per_unit * h, f"{branch.id}.cap[{sent_role}]"
         for t in range(system.horizon.step_count):
             sent = index.column(branch.id, sent_role, t)
             recv = index.column(branch.id, recv_role, t)
-            if size is None:
-                bounds.append((sent, 0.0, branch.existing_capacity * h))
-            else:
-                col, per_unit = size
-                rows.append(Row([(sent, 1.0), (col, -per_unit * h)], LE,
-                                branch.existing_capacity * h,
-                                f"{branch.id}.cap[{sent_role}][{t}]"))
+            size_limit(rows, bounds, sent, cap, rate, size, name, t)
             rows.append(Row([(recv, 1.0), (sent, -transfer)], EQ, 0.0,
                             f"{branch.id}.loss[{sent_role}][{t}]"))
     return rows, bounds
 
 
 def emit_bidirectional_coupling(branch: NetworkBranch, index: VariableIndex,
-                                system: EnergySystem) -> tuple[list[Row], list[Bound]]:
+                                system: EnergySystem) -> list[Row]:
     """Equal sizes per direction and a single-direction-per-step cut."""
-    if not branch.bidirectional:
-        raise StructureError(f"branch {branch.id} is unidirectional")
     h = system.horizon.hours_per_step
     rows: list[Row] = []
-    if branch.expandable:
-        fwd_col, per_unit = _size_term(branch, index, reverse=False)
+    fwd_col, per_unit = _size_term(branch, index, reverse=False)
+    if fwd_col is not None:
         rev_col, _ = _size_term(branch, index, reverse=True)
         rows.append(Row([(fwd_col, per_unit), (rev_col, -1.0)], EQ, 0.0,
                         f"{branch.id}.size_eq"))
     for t in range(system.horizon.step_count):
         coeffs = [(index.column(branch.id, "sent[fwd]", t), 1.0),
                   (index.column(branch.id, "sent[rev]", t), 1.0)]
-        if branch.expandable:
-            fwd_col, per_unit = _size_term(branch, index, reverse=False)
+        if fwd_col is not None:
             coeffs.append((fwd_col, -per_unit * h))
         rows.append(Row(coeffs, LE, branch.existing_capacity * h,
                         f"{branch.id}.dircut[{t}]"))
-    return rows, []
+    return rows
 
 
 def emit_pipeline_consumption(branch: NetworkBranch, index: VariableIndex,
-                              system: EnergySystem) -> tuple[list[Row], list[Bound]]:
+                              system: EnergySystem) -> list[Row]:
     """Compression electricity at the sending node, proportional to flow."""
-    if branch.carrier != Carrier.HYDROGEN:
-        raise StructureError(f"branch {branch.id} carries no hydrogen")
     k = pipeline_compression_factor(branch.compression)
     rows = []
     for t in range(system.horizon.step_count):
@@ -120,7 +110,7 @@ def emit_pipeline_consumption(branch: NetworkBranch, index: VariableIndex,
         sent = index.column(branch.id, "sent", t)
         rows.append(Row([(cons, 1.0), (sent, -k)], EQ, 0.0,
                         f"{branch.id}.compression[{t}]"))
-    return rows, []
+    return rows
 
 
 def emit_block_build_link(branch: NetworkBranch, index: VariableIndex) -> list[Row]:
@@ -129,9 +119,7 @@ def emit_block_build_link(branch: NetworkBranch, index: VariableIndex) -> list[R
         return []
     blocks = index.column(branch.id, "blocks")
     build = index.column(branch.id, "build")
-    max_blocks = math.floor((branch.max_capacity - branch.existing_capacity)
-                            / branch.integer_block_mw)
-    return [Row([(blocks, 1.0), (build, -float(max_blocks))], LE, 0.0,
+    return [Row([(blocks, 1.0), (build, -float(branch.max_blocks))], LE, 0.0,
                 f"{branch.id}.build_gate")]
 
 
@@ -139,11 +127,9 @@ def emit_branch(branch: NetworkBranch, index: VariableIndex,
                 system: EnergySystem) -> tuple[list[Row], list[Bound]]:
     rows, bounds = emit_branch_capacity_and_loss(branch, index, system)
     if branch.bidirectional:
-        more, _ = emit_bidirectional_coupling(branch, index, system)
-        rows.extend(more)
+        rows.extend(emit_bidirectional_coupling(branch, index, system))
     if branch.carrier == Carrier.HYDROGEN:
-        more, _ = emit_pipeline_consumption(branch, index, system)
-        rows.extend(more)
+        rows.extend(emit_pipeline_consumption(branch, index, system))
     rows.extend(emit_block_build_link(branch, index))
     return rows, bounds
 

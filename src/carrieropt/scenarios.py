@@ -47,6 +47,7 @@ from .system import (
     is_electrolyzer,
     is_fuel_cell,
     is_gas_plant,
+    output_role,
     validate_system,
 )
 
@@ -470,30 +471,22 @@ def compute_metrics(system: EnergySystem, index, x) -> dict:
     capacity_factors: dict[str, float] = {}
     for tech in system.technologies:
         country = countries[tech.node]
-        out = _sum_role(index, x, tech.id, "out", steps)
+        produced = _sum_role(index, x, tech.id, output_role(tech), steps)
         if tech.kind == TechnologyKind.RENEWABLE:
             scale = (sizes[tech.id] / tech.existing_size if tech.existing_size > 0
                      else sizes[tech.id])
             available_renewable += scale * sum(system.renewable_profiles[tech.id])
-            dispatched_renewable += out
-            bump(country, "renewable", out)
+            dispatched_renewable += produced
+            bump(country, "renewable", produced)
         elif tech.kind == TechnologyKind.CONVERSION1:
-            bump(country, "conversion", out)
+            bump(country, "conversion", produced)
         elif tech.kind == TechnologyKind.CONVERSION2:
             if tech.performance.output_carrier == Carrier.ELECTRICITY:
-                bump(country, "conversion", out)
-        else:
-            if tech.performance.carrier == Carrier.ELECTRICITY:
-                bump(country, "storage_discharge",
-                     _sum_role(index, x, tech.id, "discharge", steps))
-        if sizes[tech.id] > 1e-9 and tech.kind != TechnologyKind.RENEWABLE:
-            reference_role = ("discharge" if tech.kind in (
-                TechnologyKind.STORAGE1, TechnologyKind.STORAGE2_1,
-                TechnologyKind.STORAGE2_2) else "out")
-            produced = _sum_role(index, x, tech.id, reference_role, steps)
+                bump(country, "conversion", produced)
+        elif tech.performance.carrier == Carrier.ELECTRICITY:
+            bump(country, "storage_discharge", produced)
+        if sizes[tech.id] > 1e-9:
             capacity_factors[tech.id] = produced / (sizes[tech.id] * hours)
-        elif tech.kind == TechnologyKind.RENEWABLE and sizes[tech.id] > 1e-9:
-            capacity_factors[tech.id] = out / (sizes[tech.id] * hours)
 
     total_import = 0.0
     for node in system.nodes:

@@ -36,6 +36,9 @@ class TechnologyKind(str, Enum):
     STORAGE2_2 = "storage2_2"        # storage drawing electricity when charging
 
 
+STORAGE_KINDS = (TechnologyKind.STORAGE1, TechnologyKind.STORAGE2_1, TechnologyKind.STORAGE2_2)
+
+
 @dataclass(frozen=True)
 class TimeHorizon:
     step_count: int
@@ -148,6 +151,22 @@ class NetworkBranch:
     def is_pipeline(self) -> bool:
         return self.network_kind.startswith("pipeline")
 
+    @property
+    def headroom(self) -> float:
+        """MW that expansion may add."""
+        return self.max_capacity - self.existing_capacity
+
+    @property
+    def fixed_cost(self) -> float:
+        """kEUR of the size-independent cost terms, gamma1 + gamma3 * length."""
+        g1, _, g3, _ = self.cost_poly
+        return g1 + g3 * self.length_km
+
+    @property
+    def max_blocks(self) -> int:
+        """Whole integer blocks that fit in the headroom."""
+        return math.floor(self.headroom / self.integer_block_mw)
+
 
 @dataclass(frozen=True)
 class EnergySystem:
@@ -196,6 +215,11 @@ def is_gas_plant(tech: TechnologyInstance) -> bool:
     return (tech.kind == TechnologyKind.CONVERSION2
             and tech.performance.output_carrier == Carrier.ELECTRICITY
             and Carrier.NATURAL_GAS in tech.performance.input_carriers)
+
+
+def output_role(tech: TechnologyInstance) -> str:
+    """The per-step role that delivers a technology's product: storage discharges."""
+    return "discharge" if tech.kind in STORAGE_KINDS else "out"
 
 
 # -- validation ----------------------------------------------------------------
@@ -305,8 +329,7 @@ def validate_system(system: EnergySystem) -> list[str]:
                         out.append(f"{pre}: admix limit on non-input {carrier.value}")
                     if not 0 <= share <= 1:
                         out.append(f"{pre}: admix share outside [0, 1]")
-        elif t.kind in (TechnologyKind.STORAGE1, TechnologyKind.STORAGE2_1,
-                        TechnologyKind.STORAGE2_2):
+        elif t.kind in STORAGE_KINDS:
             p = t.performance
             if not isinstance(p, StorageParams):
                 out.append(f"{pre}: storage requires StorageParams")
@@ -386,6 +409,8 @@ def validate_system(system: EnergySystem) -> list[str]:
                 out.append(f"{pre}: compression parameters must be positive")
             if c.heat_capacity_ratio <= 1:
                 out.append(f"{pre}: heat capacity ratio must exceed 1")
+            if c.outlet_pressure_bar < c.reference_pressure_bar:
+                out.append(f"{pre}: outlet pressure below the reference pressure")
     return out
 
 
@@ -550,18 +575,13 @@ def assemble_variable_index(system: EnergySystem) -> VariableIndex:
         if branch.expandable:
             if branch.integer_block_mw is not None:
                 keys.append(VarKey(branch.id, "blocks"))
-                if _branch_fixed_cost(branch) > 0:
+                if branch.fixed_cost > 0:
                     keys.append(VarKey(branch.id, "build"))
             else:
                 keys.append(VarKey(branch.id, "size"))
             if branch.bidirectional:
                 keys.append(VarKey(branch.id, "size[rev]"))
     return VariableIndex(keys)
-
-
-def _branch_fixed_cost(branch: NetworkBranch) -> float:
-    g1, _, g3, _ = branch.cost_poly
-    return g1 + g3 * branch.length_km
 
 
 # -- miniature test system --------------------------------------------------------

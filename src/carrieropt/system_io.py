@@ -28,6 +28,7 @@ from pathlib import Path
 
 from .system import (
     CARRIERS,
+    STORAGE_KINDS,
     Carrier,
     CompressionParams,
     Conversion2Params,
@@ -355,8 +356,7 @@ def _parse_technologies(path: Path) -> tuple[TechnologyInstance, ...]:
                 output_carrier=_parse_carrier(_cell(row, "output_carrier"), where),
                 admix_limits=admix,
             )
-        elif kind in (TechnologyKind.STORAGE1, TechnologyKind.STORAGE2_1,
-                      TechnologyKind.STORAGE2_2):
+        elif kind in STORAGE_KINDS:
             performance = StorageParams(
                 carrier=_parse_carrier(_cell(row, "storage_carrier"), where),
                 max_charge_rate=_parse_float(_cell(row, "max_charge_rate"), where),

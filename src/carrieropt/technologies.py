@@ -2,10 +2,13 @@
 
 Emitters return ``(rows, bounds)``: rows reference columns of a
 :class:`~carrieropt.system.VariableIndex`, bounds are (column, lower, upper)
-tightenings. Constraints that involve only a single variable (a fixed-size
-asset's rate or capacity limit) become bounds instead of rows, which keeps
-the working problems small; as soon as a size delta participates the limit is
-emitted as a proper row.
+tightenings. Every flow limited by an asset's size, here and in
+:mod:`carrieropt.network`, is emitted by :func:`size_limit`: ``flow <= cap +
+rate * size`` becomes the bound ``(flow, 0, cap)`` while the size is fixed,
+which keeps the working problems small, and a row on the size column once the
+size may grow. Emitters take a system that passes
+:func:`~carrieropt.system.validate_system`, which the builder checks first,
+and do not check its rules again.
 
 Sizes are power ratings in MW except for storage, whose size is the energy
 capacity in MWh. With ``h`` hours per step a rating of S MW allows S*h MWh of
@@ -40,33 +43,39 @@ def _require_kind(tech: TechnologyInstance, kind: TechnologyKind) -> None:
         raise StructureError(f"technology {tech.id} is {tech.kind.value}, not {kind.value}")
 
 
+def size_limit(rows: list[Row], bounds: list[Bound], col: int, cap: float, rate: float,
+               size: int | None, name: str, t: int) -> None:
+    """Limit ``col <= cap + rate * size``: append the bound ``(col, 0, cap)`` when
+    the size is fixed (``size`` is None), otherwise the row ``name[t]`` with
+    ``-rate`` on the size column."""
+    if size is None:
+        bounds.append((col, 0.0, cap))
+    else:
+        rows.append(Row([(col, 1.0), (size, -rate)], LE, cap, f"{name}[{t}]"))
+
+
+def _size_column(tech: TechnologyInstance, index: VariableIndex) -> int | None:
+    return index.column(tech.id, "size") if tech.expandable else None
+
+
 def emit_renewable(tech: TechnologyInstance, index: VariableIndex,
                    system: EnergySystem) -> tuple[list[Row], list[Bound]]:
     """Availability limit per step; curtailment is implicitly profile - output.
 
     Profiles are stored as energy per step at the existing size and scale
     linearly with installed size; for greenfield instances (existing size 0)
-    the stored values are interpreted per MW of installed capacity.
+    the stored values are interpreted per MW of installed capacity, so a
+    greenfield instance whose size is fixed delivers nothing.
     """
     _require_kind(tech, TechnologyKind.RENEWABLE)
-    profile = system.renewable_profiles.get(tech.id)
-    if not profile:
-        raise DataError(f"renewable {tech.id} has no availability profile")
-    if len(profile) != system.horizon.step_count:
-        raise DataError(f"renewable {tech.id}: profile length {len(profile)}"
-                        f" does not match the horizon")
     rows: list[Row] = []
     bounds: list[Bound] = []
     existing = tech.existing_size
-    for t, available in enumerate(profile):
-        out = index.column(tech.id, "out", t)
-        if not tech.expandable:
-            bounds.append((out, 0.0, available))
-            continue
-        per_mw = available / existing if existing > 0 else available
-        size = index.column(tech.id, "size")
-        rows.append(Row([(out, 1.0), (size, -per_mw)], LE, per_mw * existing,
-                        f"{tech.id}.avail[{t}]"))
+    size = _size_column(tech, index)
+    name = f"{tech.id}.avail"
+    for t, available in enumerate(system.renewable_profiles[tech.id]):
+        cap, per_mw = (available, available / existing) if existing > 0 else (0.0, available)
+        size_limit(rows, bounds, index.column(tech.id, "out", t), cap, per_mw, size, name, t)
     return rows, bounds
 
 
@@ -75,16 +84,11 @@ def emit_conversion1(tech: TechnologyInstance, index: VariableIndex,
     """Output limited by size only; fuel cost lives in the variable opex."""
     _require_kind(tech, TechnologyKind.CONVERSION1)
     h = system.horizon.hours_per_step
+    size, cap, name = _size_column(tech, index), tech.existing_size * h, f"{tech.id}.cap"
     rows: list[Row] = []
     bounds: list[Bound] = []
     for t in range(system.horizon.step_count):
-        out = index.column(tech.id, "out", t)
-        if tech.expandable:
-            size = index.column(tech.id, "size")
-            rows.append(Row([(out, 1.0), (size, -h)], LE, tech.existing_size * h,
-                            f"{tech.id}.cap[{t}]"))
-        else:
-            bounds.append((out, 0.0, tech.existing_size * h))
+        size_limit(rows, bounds, index.column(tech.id, "out", t), cap, h, size, name, t)
     return rows, bounds
 
 
@@ -93,21 +97,15 @@ def emit_conversion2(tech: TechnologyInstance, index: VariableIndex,
     """Size cap on output, fixed-efficiency input/output link, admix limits."""
     _require_kind(tech, TechnologyKind.CONVERSION2)
     params = tech.performance
-    if params.output_carrier in params.input_carriers:
-        raise DataError(f"conversion {tech.id}: output carrier among inputs")
     h = system.horizon.hours_per_step
+    size, cap, name = _size_column(tech, index), tech.existing_size * h, f"{tech.id}.cap"
     alpha = params.efficiency
     inputs = [c for c in CARRIERS if c in params.input_carriers]
     rows: list[Row] = []
     bounds: list[Bound] = []
     for t in range(system.horizon.step_count):
         out = index.column(tech.id, "out", t)
-        if tech.expandable:
-            size = index.column(tech.id, "size")
-            rows.append(Row([(out, 1.0), (size, -h)], LE, tech.existing_size * h,
-                            f"{tech.id}.cap[{t}]"))
-        else:
-            bounds.append((out, 0.0, tech.existing_size * h))
+        size_limit(rows, bounds, out, cap, h, size, name, t)
         in_cols = [index.column(tech.id, f"in[{c.value}]", t) for c in inputs]
         rows.append(Row([(out, 1.0)] + [(col, -alpha) for col in in_cols], EQ, 0.0,
                         f"{tech.id}.inout[{t}]"))
@@ -128,25 +126,23 @@ def _storage_common(tech: TechnologyInstance, index: VariableIndex,
     h = system.horizon.hours_per_step
     steps = system.horizon.step_count
     decay = (1.0 - params.self_discharge) ** h
-    size_col = index.column(tech.id, "size") if tech.expandable else None
+    size_col = _size_column(tech, index)
     existing = tech.existing_size
+    charge_rate = params.max_charge_rate * h
+    discharge_rate = params.max_discharge_rate * h
+    charge_name, discharge_name = f"{tech.id}.max_charge", f"{tech.id}.max_discharge"
+    soc_name = f"{tech.id}.soc_cap"
     rows: list[Row] = []
     bounds: list[Bound] = []
-
-    def limit(col: int, rate: float, label: str, t: int) -> None:
-        if size_col is None:
-            bounds.append((col, 0.0, rate * existing))
-        else:
-            rows.append(Row([(col, 1.0), (size_col, -rate)], LE, rate * existing,
-                            f"{tech.id}.{label}[{t}]"))
-
     for t in range(steps):
         charge = index.column(tech.id, "charge", t)
         discharge = index.column(tech.id, "discharge", t)
         soc = index.column(tech.id, "soc", t)
-        limit(charge, params.max_charge_rate * h, "max_charge", t)
-        limit(discharge, params.max_discharge_rate * h, "max_discharge", t)
-        limit(soc, 1.0, "soc_cap", t)
+        size_limit(rows, bounds, charge, charge_rate * existing, charge_rate, size_col,
+                   charge_name, t)
+        size_limit(rows, bounds, discharge, discharge_rate * existing, discharge_rate,
+                   size_col, discharge_name, t)
+        size_limit(rows, bounds, soc, existing, 1.0, size_col, soc_name, t)
 
         prev = index.column(tech.id, "soc", (t - 1) % steps)
         coeffs = [(soc, 1.0), (prev, -decay),
@@ -161,8 +157,7 @@ def _storage_common(tech: TechnologyInstance, index: VariableIndex,
 
         # discourage simultaneous charge/discharge: both at full rate need the
         # whole installed size (weaker than a binary, always valid)
-        cut = [(charge, 1.0 / (params.max_charge_rate * h)),
-               (discharge, 1.0 / (params.max_discharge_rate * h))]
+        cut = [(charge, 1.0 / charge_rate), (discharge, 1.0 / discharge_rate)]
         if size_col is not None:
             cut.append((size_col, -1.0))
         rows.append(Row(cut, LE, existing, f"{tech.id}.cut[{t}]"))
@@ -186,14 +181,8 @@ def emit_storage_open_loop(tech: TechnologyInstance, index: VariableIndex,
                            system: EnergySystem) -> tuple[list[Row], list[Bound]]:
     """Storage with exogenous inflow; nonnegative spill keeps full reservoirs feasible."""
     _require_kind(tech, TechnologyKind.STORAGE2_1)
-    inflow = system.hydro_inflows.get(tech.id)
-    if inflow is None:
-        raise DataError(f"storage {tech.id} has no inflow series")
-    if len(inflow) != system.horizon.step_count:
-        raise DataError(f"storage {tech.id}: inflow length {len(inflow)}"
-                        f" does not match the horizon")
-    return _storage_common(tech, index, system, inflow=inflow, spill=True,
-                           compression=False)
+    return _storage_common(tech, index, system, inflow=system.hydro_inflows[tech.id],
+                           spill=True, compression=False)
 
 
 def emit_storage_compressed(tech: TechnologyInstance, index: VariableIndex,

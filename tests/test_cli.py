@@ -32,6 +32,17 @@ class TestValidate:
         path.write_text(path.read_text().replace("7e-05", "0.9", 1))
         assert run_cli(["validate", str(broken)]) == 3
 
+    def test_outlet_pressure_below_reference_exit_3(self, system_dir, tmp_path, capsys):
+        import shutil
+        broken = tmp_path / "broken"
+        shutil.copytree(system_dir, broken)
+        path = broken / "branches.csv"
+        # pp1 is the first branch with a 140 bar outlet pressure
+        path.write_text(path.read_text().replace(",140.0,", ",10.0,", 1))
+        assert run_cli(["validate", str(broken)]) == 3
+        assert "pp1: outlet pressure below the reference pressure" in capsys.readouterr().out
+        assert run_cli(["--quiet", "run", str(broken), "--scenario", "reference"]) == 3
+
     def test_missing_directory_exit(self, tmp_path):
         assert run_cli(["validate", str(tmp_path / "nope")]) == 3
 
@@ -76,7 +87,7 @@ class TestRun:
         assert payload["error"] == "infeasible"
         assert payload["minimum_achievable"] > 10.0
 
-    def test_usage_error_exit_2(self, system_dir, tmp_path):
+    def test_usage_error_exit_2(self, system_dir, tmp_path, monkeypatch):
         assert run_cli(["run", str(system_dir), "--scenario", "reference",
                         "--mode", "bogus"]) == 2
         assert run_cli(["run", str(system_dir), "--scenario", "no-such"]) == 2
@@ -91,6 +102,16 @@ class TestRun:
                         "--mode", "cap=nan"]) == 2
         assert run_cli(["matrix", str(system_dir), "--modes", "cap=nan",
                         "--out", out]) == 2
+        # a worker count below one or an empty list fails before any solve
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a usage error must stop before any solve")
+
+        monkeypatch.setattr("carrieropt.cli.ScenarioRunner", no_solve)
+        for extra in (["--jobs", "0"], ["--jobs", "-3"], ["--modes", ","],
+                      ["--scenarios", ","]):
+            assert run_cli(["matrix", str(system_dir), *extra, "--out", out]) == 2, extra
+        assert run_cli(["sweep", str(system_dir), "--scenario", "s-all",
+                        "--targets", ","]) == 2
 
     def test_warm_start_file_errors(self, system_dir, tmp_path, capsys):
         def warm(path):

@@ -7,12 +7,14 @@ from numpy.testing import assert_allclose
 
 from carrieropt.builder import build_problem
 from carrieropt.costing import ObjectiveMode
-from carrieropt.lp import OPTIMAL, solve_lp, verify_solution
-from carrieropt.network import pipeline_compression_factor
+from carrieropt.lp import LE, OPTIMAL, solve_lp, verify_solution
+from carrieropt.network import emit_branch, pipeline_compression_factor
+from carrieropt.scenarios import apply_scenario, standard_scenario
 from carrieropt.system import (
     Carrier,
     CompressionParams,
     StorageParams,
+    StructureError,
     assemble_variable_index,
     build_miniature_system,
 )
@@ -22,6 +24,7 @@ from carrieropt.technologies import (
     emit_conversion2,
     emit_renewable,
     emit_storage1,
+    emit_technology,
     simulate_state_of_charge,
 )
 
@@ -67,10 +70,80 @@ class TestRenewable:
         assert coefs[index.column("wind1", "size")] == pytest.approx(
             -profile[0] / wind.existing_size)
 
-    def test_missing_profile_is_data_error(self, mini, index):
+    def test_missing_profile_is_structure_error(self, mini):
         broken = dataclasses.replace(mini, renewable_profiles={})
-        with pytest.raises(DataError, match="wind1"):
-            emit_renewable(mini.technology("wind1"), index, broken)
+        with pytest.raises(StructureError, match="wind1: renewable without a profile"):
+            build_problem(broken, ObjectiveMode.min_cost())
+
+    def test_closed_greenfield_renewable_delivers_nothing(self, mini):
+        wind2 = dataclasses.replace(mini.technology("wind1"), id="wind2", existing_size=0.0,
+                                    max_size=100.0)
+        system = dataclasses.replace(
+            mini, technologies=mini.technologies + (wind2,),
+            renewable_profiles={**mini.renewable_profiles,
+                                "wind2": (0.5,) * mini.horizon.step_count})
+        built = build_problem(apply_scenario(system, standard_scenario("reference")),
+                              ObjectiveMode.min_cost())
+        res = solve_lp(built.problem)
+        assert res.status == OPTIMAL
+        delivered = sum(res.x[built.index.column("wind2", "out", t)]
+                        for t in range(mini.horizon.step_count))
+        assert delivered == 0.0
+
+
+def _replace_entity(system, entity, **changes):
+    """``system`` with the technology or branch ``entity`` changed."""
+    return dataclasses.replace(
+        system,
+        technologies=tuple(dataclasses.replace(t, **changes) if t.id == entity else t
+                           for t in system.technologies),
+        branches=tuple(dataclasses.replace(b, **changes) if b.id == entity else b
+                       for b in system.branches))
+
+
+def _emit(system, entity):
+    """(index, rows, bounds) of ``entity``'s emitter in ``system``."""
+    index = assemble_variable_index(system)
+    if any(b.id == entity for b in system.branches):
+        rows, bounds = emit_branch(system.branch(entity), index, system)
+    else:
+        rows, bounds = emit_technology(system.technology(entity), index, system)
+    return index, rows, bounds
+
+
+@pytest.mark.parametrize("open_system, entity, label", [
+    pytest.param(lambda m: m, "wind1", "wind1.avail[", id="renewable"),
+    pytest.param(lambda m: _replace_entity(m, "wind1", existing_size=0.0), "wind1",
+                 "wind1.avail[", id="renewable-greenfield"),
+    pytest.param(lambda m: _replace_entity(m, "nuc1", expandable=True, max_size=50.0),
+                 "nuc1", "nuc1.cap[", id="conversion1"),
+    pytest.param(lambda m: _replace_entity(m, "gas1", expandable=True, max_size=100.0),
+                 "gas1", "gas1.cap[", id="conversion2"),
+    pytest.param(lambda m: m, "batt1", "batt1.max_charge[", id="storage-charge"),
+    pytest.param(lambda m: m, "batt1", "batt1.max_discharge[", id="storage-discharge"),
+    pytest.param(lambda m: m, "batt1", "batt1.soc_cap[", id="storage-soc"),
+    pytest.param(lambda m: m, "ac1", "ac1.cap[", id="branch"),
+    pytest.param(lambda m: build_miniature_system(seed=0, dc_blocks_mw=10.0), "dc1",
+                 "dc1.cap[", id="branch-blocks"),
+])
+def test_fixed_size_bound_equals_row_at_size_zero(mini, open_system, entity, label):
+    """A size-limited flow of a fixed asset gets the bound its row reads at size 0."""
+    system = open_system(mini)
+    index, rows, _ = _emit(system, entity)
+    limits = [r for r in rows if r.label.startswith(label)]
+    assert len(limits) >= system.horizon.step_count
+    fixed = _replace_entity(system, entity, expandable=False)
+    if any(t.id == entity for t in fixed.technologies):
+        cost = dataclasses.replace(fixed.technology(entity).cost, capex_per_size=0.0)
+        fixed = _replace_entity(fixed, entity, cost=cost)
+    fixed_index, fixed_rows, bounds = _emit(fixed, entity)
+    assert not [r for r in fixed_rows if r.label.startswith(label)]
+    bound_of = {fixed_index.key(col).name(): (lo, hi) for col, lo, hi in bounds}
+    for row in limits:
+        (flow, one), (size, _) = row.coeffs
+        assert (one, row.sense, index.key(size).step) == (1.0, LE, None)
+        assert index.key(size).entity == entity
+        assert bound_of[index.key(flow).name()] == (0.0, row.rhs), row.label
 
 
 class TestConversion:

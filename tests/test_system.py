@@ -55,6 +55,14 @@ class TestValidation:
         messages = validate_system(dataclasses.replace(mini, technologies=techs))
         assert any("wind1" in m and "finite max_size" in m for m in messages)
 
+    def test_outlet_pressure_below_reference_flagged(self, mini):
+        pp1 = mini.branch("pp1")
+        bad_pp1 = dataclasses.replace(pp1, compression=dataclasses.replace(
+            pp1.compression, outlet_pressure_bar=10.0))
+        branches = tuple(bad_pp1 if b.id == "pp1" else b for b in mini.branches)
+        messages = validate_system(dataclasses.replace(mini, branches=branches))
+        assert messages == ["branch pp1: outlet pressure below the reference pressure"]
+
 
 def count_variables_independently(system) -> int:
     """Counting oracle: per-entity closed-form variable counts."""
