@@ -20,7 +20,6 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import NoReturn
 
-from .builder import build_problem
 from .costing import ObjectiveMode
 from .lp import export_mps
 from .scenarios import (
@@ -29,7 +28,6 @@ from .scenarios import (
     ScenarioRunner,
     STANDARD_SCENARIO_IDS,
     abatement_sweep,
-    apply_scenario,
     standard_scenario,
 )
 from .system import validate_system
@@ -224,10 +222,9 @@ def cmd_sweep(args) -> int:
             raise ValueError("--targets lists no reduction fraction")
     except ValueError as err:
         _fail("usage", str(err), EXIT_USAGE)
-    runner = ScenarioRunner(system)
     _say(args, f"sweeping {scenario.id} over {targets}")
     try:
-        rows = abatement_sweep(system, scenario, targets, runner=runner)
+        rows = abatement_sweep(system, scenario, targets)
     except ValueError as err:
         _fail("usage", str(err), EXIT_USAGE)
     text = frontier_csv(rows)
@@ -243,18 +240,16 @@ def cmd_sweep(args) -> int:
 def cmd_matrix(args) -> int:
     """Run every listed scenario in every listed mode and write their files.
 
-    Each scenario runs its modes in the order given, on a
-    :class:`ScenarioRunner` of its own, and ``--jobs`` runs scenarios in
-    parallel. Every runner gets the same root: the ``reference`` min-cost
-    outcome of ``--year``, solved once on the calling thread before any
-    worker starts, also when reference is not listed (it is then neither
-    exported nor summarized). Reference itself runs on the runner that solved
-    the root, whose min-cost outcome it is. Every other run starts from its
-    scenario's chain or from that root, so a scenario's files do not depend
-    on ``--jobs``, on the listing order, or on which other scenarios are
-    listed. A min-cost file may report another optimal vertex than ``run``
-    does: ``objective`` and ``costs.total`` are equal, ``metrics`` and
-    capacities may differ.
+    Every run is made on one :class:`ScenarioRunner`. It first solves the
+    ``reference`` min-cost outcome of ``--year``, also when reference is not
+    listed (it is then neither exported nor summarized); then each scenario
+    runs its modes in the order given, and ``--jobs`` runs scenarios in
+    parallel threads. A run starts from its scenario's previous outcome or
+    from that reference outcome, so a scenario's files do not depend on
+    ``--jobs``, on the listing order, or on which other scenarios are listed.
+    A min-cost file may report another optimal vertex than ``run`` does:
+    ``objective`` and ``costs.total`` are equal, ``metrics`` and capacities
+    may differ.
     """
     system = _load_system(args)
     if args.scenarios == "all":
@@ -272,7 +267,9 @@ def cmd_matrix(args) -> int:
     except (KeyError, ValueError, argparse.ArgumentTypeError) as err:
         _fail("usage", str(err), EXIT_USAGE)
 
-    def attempt(runner, scenario, mode):
+    runner = ScenarioRunner(system)
+
+    def attempt(scenario, mode):
         """(scenario id, mode, outcome), or the error message."""
         _say(args, f"running {scenario.id} [{mode.label()}]")
         try:
@@ -280,20 +277,15 @@ def cmd_matrix(args) -> int:
         except (InfeasibleCapError, RuntimeError) as err:
             return str(err)
 
-    # the root every runner starts from: reference min-cost, solved before any
-    # worker starts, whether or not reference is listed
+    # reference min-cost is cached before any worker starts, so that every
+    # worker finds it; each worker then runs only its own scenarios
     reference, min_cost = standard_scenario("reference", year=args.year), ObjectiveMode.min_cost()
-    root_runner = ScenarioRunner(system)
-    root = attempt(root_runner, reference, min_cost)
-    shared = root_runner.root  # None when the root failed: the runs then start cold
+    root = attempt(reference, min_cost)
 
     def run_scenario(scenario):
-        """Per mode, in order: what :func:`attempt` returns; reference reuses the root."""
-        if scenario == reference:
-            return [root if mode == min_cost else attempt(root_runner, scenario, mode)
-                    for mode in modes]
-        runner = ScenarioRunner(system, root=shared)
-        return [attempt(runner, scenario, mode) for mode in modes]
+        """Per mode, in order: what :func:`attempt` returns; reference reuses ``root``."""
+        return [root if (scenario, mode) == (reference, min_cost) else attempt(scenario, mode)
+                for mode in modes]
 
     # --jobs 1 must stay on the calling thread: per-thread span stacks in
     # perfbench/tracing.py and its calibration between solves rely on it
@@ -326,10 +318,9 @@ def cmd_matrix(args) -> int:
 def cmd_export_mps(args) -> int:
     system = _load_system(args)
     scenario = _scenario(args)
-    gated = apply_scenario(system, scenario)
-    built = build_problem(gated, args.mode)
+    problem = ScenarioRunner(system).problem(scenario, args.mode).problem
     try:
-        path = export_mps(built.problem, args.out,
+        path = export_mps(problem, args.out,
                           name=f"{scenario.id}-{args.mode.kind}".upper())
     except OSError as err:
         _fail("io", str(err), EXIT_IO)

@@ -120,8 +120,8 @@ def standard_scenario(scenario_id: str, year: int = 2030) -> ScenarioSpec:
     return spec
 
 
-# the scenarios whose min-cost outcome becomes a runner's root
-_ROOTS = (standard_scenario("reference"), standard_scenario("reference", 2040))
+# the scenarios whose min-cost outcome starts a run that has no basis of its own
+_ROOT_IDS = ("reference", "reference-2040")
 
 
 def _strip_capex(tech: TechnologyInstance) -> TechnologyInstance:
@@ -227,11 +227,8 @@ class ScenarioOutcome:
 
     def size_values(self) -> dict[str, float]:
         """Final size-variable values by column name (for warm starts)."""
-        out = {}
-        for col, key in enumerate(self.built.index.keys()):
-            if key.step is None:
-                out[key.name()] = float(self.result.x[col])
-        return out
+        return {name: float(self.result.x[col])
+                for name, col in self.built.index.size_columns().items()}
 
 
 def _solve(built: BuiltProblem, scenario: ScenarioSpec,
@@ -240,18 +237,19 @@ def _solve(built: BuiltProblem, scenario: ScenarioSpec,
     """Solve and post-process ``built``, one scenario's problem in one mode.
 
     The solve starts cold, from a ``start`` basis of an earlier solve, or
-    follows :func:`carrieropt.lp.warm_start_solve` from ``warm_from`` sizes.
+    follows :func:`carrieropt.lp.warm_start_solve` from the sizes ``warm_from``
+    names (other names are ignored); ``solver`` counts the work of every stage.
     Returns None when an emission cap makes the problem infeasible.
     """
     gated, mode = built.system, built.mode
     if warm_from is None:
-        result = solve_milp(built.problem, start=start)
+        stages = [solve_milp(built.problem, start=start)]
     else:
-        names = set(built.problem.col_names)
-        prior = {name: value for name, value in warm_from.items() if name in names}
-        new_sizes = [key.name() for key in built.index.keys()
-                     if key.step is None and key.name() not in prior]
-        result = warm_start_solve(built.problem, prior, new_sizes)[-1]
+        sizes = built.index.size_columns()
+        prior = {name: value for name, value in warm_from.items() if name in sizes}
+        new_sizes = [name for name in sizes if name not in prior]
+        stages = warm_start_solve(built.problem, prior, new_sizes)
+    result = stages[-1]
     if result.status != OPTIMAL:
         if result.status == INFEASIBLE and mode.kind == "min_cost_with_cap":
             return None
@@ -259,7 +257,8 @@ def _solve(built: BuiltProblem, scenario: ScenarioSpec,
                            f" solver returned {result.status}")
     emissions = total_emissions(built.table, result.x)
     costs = cost_breakdown(built.table, result.x)
-    solver = {"iterations": result.iterations, "nodes": result.nodes,
+    solver = {"iterations": sum(stage.iterations for stage in stages),
+              "nodes": sum(stage.nodes for stage in stages),
               "bound_gap": result.bound_gap}
     if warm_from is not None or result.warm_started:
         solver["warm_start"] = True
@@ -281,33 +280,23 @@ def _solve(built: BuiltProblem, scenario: ScenarioSpec,
 class ScenarioRunner:
     """Runs the scenarios of one system, caching outcomes by (scenario id, mode).
 
-    Each scenario is gated and built once per runner: the runner keeps the
-    gated system and its uncapped :class:`BuiltProblem` by scenario id, and
-    every run of the scenario, warm-started or not, derives its problem from
-    that build through :meth:`BuiltProblem.for_mode`, which swaps the
-    objective and appends the cap row without writing into the build.
+    Each scenario is gated and built once per runner, uncapped, and every
+    run of it derives its problem from that build through :meth:`problem`.
 
-    A run that is not warm-started from sizes starts from the first of:
+    A run that is not warm-started from sizes starts from the basis of, in
+    this order (:meth:`_start`):
 
-    1. its chain's basis. The runner keeps one basis chain per scenario and
-       matrix: the basis of the latest optimal outcome, keyed by scenario id
-       and whether the problem has the emission-cap row. Min-cost and
-       min-emissions share a matrix and differ only in the objective, so
-       whichever of them runs second reoptimizes from the first; along a cap
-       sweep each cap reoptimizes from the one before. A capped basis never
-       starts an uncapped run, nor the reverse.
-    2. the runner's root, mapped onto the run's problem by column and row
-       name (:func:`carrieropt.lp.map_basis`). The root is the ``reference``
-       min-cost outcome (of either year) that the runner solved, or the
-       ``root`` it was given. Every standard scenario only relaxes
-       reference's bounds, so reference's optimal basis is a primal-feasible
-       start for each of them; a cap row that reference lacks gets a basic
-       slack.
+    1. the latest cached outcome of its scenario whose problem, like the
+       run's, has or lacks the emission-cap row. Min-cost and min-emissions
+       differ only in the objective, so whichever runs second reoptimizes
+       from the first, and along a cap sweep each cap reoptimizes from the
+       one before;
+    2. the first cached ``reference`` min-cost outcome (of either year),
+       mapped onto the run's problem by column and row name
+       (:func:`carrieropt.lp.map_basis`). Every standard scenario only
+       relaxes reference's bounds, so that basis is a primal-feasible start;
+       a cap row reference lacks gets a basic slack;
     3. the crash basis, cold.
-
-    The ``matrix`` command gives every runner the same root, and
-    :func:`abatement_sweep` solves reference first, so its runner has one;
-    ``run`` makes one run on a runner without a root.
 
     The floor reported for an infeasible cap is the scenario's cached
     min-emissions outcome, so it is solved at most once per runner, by the
@@ -315,32 +304,43 @@ class ScenarioRunner:
     reported infeasible without deriving or solving a problem; caps between
     that and the floor are solved.
 
-    So an outcome's ``solver`` counters depend on which runs of its scenario
-    this runner made before it, and in which order, and on whether the runner
-    has a root; a min-emissions outcome's costs, capacities and metrics may
-    too, and so may a min-cost outcome's metrics and capacities, as they come
-    from whichever optimal vertex the solve reaches. ``objective`` and
-    ``costs.total`` of a min-cost outcome do not.
-    A runner is not thread-safe, so use one per thread; runners may share a
-    root, which none of them writes into.
+    So an outcome's ``solver`` counters depend on which runs this runner
+    made before it, and in which order; a min-emissions outcome's costs,
+    capacities and metrics may too, and so may a min-cost outcome's metrics
+    and capacities, as they come from whichever optimal vertex the solve
+    reaches. ``objective`` and ``costs.total`` of a min-cost outcome do not.
+    Threads may share a runner as long as each runs only scenarios no other
+    thread runs, after every ``reference`` run they rely on is cached: a run
+    writes only its own scenario's cache and build entries.
     """
 
-    def __init__(self, system: EnergySystem, root: ScenarioOutcome | None = None):
+    def __init__(self, system: EnergySystem):
         violations = validate_system(system)
         if violations:
             raise ValueError("invalid system: " + "; ".join(violations[:5]))
         self.system = system
-        self.root = root
         self._built: dict[str, BuiltProblem] = {}
         self._cache: dict[tuple[str, str], ScenarioOutcome] = {}
-        self._bases: dict[tuple[str, bool], Basis] = {}
 
-    def _base(self, scenario: ScenarioSpec) -> BuiltProblem:
-        """The scenario's gated system built uncapped, once per runner."""
+    def problem(self, scenario: ScenarioSpec, mode: ObjectiveMode) -> BuiltProblem:
+        """The problem every run of ``scenario`` in ``mode`` solves, derived
+        from the scenario's uncapped build; the first call gates and builds it."""
         if scenario.id not in self._built:
             gated = apply_scenario(self.system, scenario)
             self._built[scenario.id] = build_problem(gated, ObjectiveMode.min_cost())
-        return self._built[scenario.id]
+        return self._built[scenario.id].for_mode(mode)
+
+    def _start(self, scenario: ScenarioSpec, mode: ObjectiveMode,
+               problem: BuiltProblem) -> Basis | None:
+        """The basis a run of ``problem`` starts from, by the class's rule."""
+        outcomes = list(self._cache.values())  # a snapshot: other threads may add to it
+        for outcome in reversed(outcomes):
+            if outcome.scenario_id == scenario.id and outcome.mode.capped == mode.capped:
+                return outcome.result.basis
+        for outcome in outcomes:
+            if outcome.scenario_id in _ROOT_IDS and outcome.mode.kind == "min_cost":
+                return map_basis(outcome.result.basis, outcome.built.problem, problem.problem)
+        return None
 
     def run(self, scenario: ScenarioSpec, mode: ObjectiveMode,
             warm_from: Mapping[str, float] | None = None) -> ScenarioOutcome:
@@ -351,9 +351,10 @@ class ScenarioRunner:
         ``warm_from`` maps size-column names to values, usually a prior
         outcome's :meth:`ScenarioOutcome.size_values`. The solve then follows
         :func:`carrieropt.lp.warm_start_solve` from the sizes this problem
-        has (its other sizes start at zero), the outcome's ``solver`` block
-        records ``"warm_start": True``, and the run neither reads nor fills
-        the outcome cache, the basis chains or the root.
+        has (its other sizes start at zero; names that are not sizes of this
+        problem are ignored), the outcome's ``solver`` block records
+        ``"warm_start": True`` and counts the work of every stage, and the
+        run neither reads nor fills the outcome cache.
 
         Raises :class:`InfeasibleCapError` for caps below the achievable
         minimum (reporting that minimum), with or without ``warm_from``, and
@@ -364,7 +365,7 @@ class ScenarioRunner:
         if warm_from is None:
             return self._outcome(scenario, mode)
         try:
-            return _solve(self._base(scenario).for_mode(mode), scenario, warm_from=warm_from)
+            return _solve(self.problem(scenario, mode), scenario, warm_from=warm_from)
         except WarmStartError:
             if mode.kind == "min_cost_with_cap":
                 # no fixing is feasible under an unreachable cap: the cold
@@ -382,20 +383,12 @@ class ScenarioRunner:
         if (floor is not None and mode.kind == "min_cost_with_cap"
                 and mode.emission_cap < floor.objective * (1.0 - 1e-9)):
             raise InfeasibleCapError(mode.emission_cap, floor.objective)
-        chain = (scenario.id, mode.capped)
-        built = self._base(scenario).for_mode(mode)
-        start = self._bases.get(chain)
-        if start is None and self.root is not None:
-            root = self.root
-            start = map_basis(root.result.basis, root.built.problem, built.problem)
-        outcome = _solve(built, scenario, start=start)
+        built = self.problem(scenario, mode)
+        outcome = _solve(built, scenario, start=self._start(scenario, mode, built))
         if outcome is None:
             floor = self._outcome(scenario, ObjectiveMode.min_emissions())
             raise InfeasibleCapError(mode.emission_cap, floor.objective)
-        self._bases[chain] = outcome.result.basis
         self._cache[key] = outcome
-        if self.root is None and scenario in _ROOTS and mode.kind == "min_cost":
-            self.root = outcome
         return outcome
 
 

@@ -352,12 +352,15 @@ def validate_system(system: EnergySystem) -> list[str]:
                 elif len(inflow) != steps:
                     out.append(f"{pre}: inflow length {len(inflow)}, expected {steps}")
 
-    for name in system.renewable_profiles:
-        if name not in set(tech_ids):
-            out.append(f"profile {name}: unknown technology")
-    for name in system.hydro_inflows:
-        if name not in set(tech_ids):
-            out.append(f"inflow {name}: unknown technology")
+    # a series on any other kind of technology would go unused
+    kinds = {t.id: t.kind for t in system.technologies}
+    for what, series, kind in (("profile", system.renewable_profiles, TechnologyKind.RENEWABLE),
+                               ("inflow", system.hydro_inflows, TechnologyKind.STORAGE2_1)):
+        for name in series:
+            if name not in kinds:
+                out.append(f"{what} {name}: unknown technology")
+            elif kinds[name] != kind:
+                out.append(f"{what} {name}: technology is {kinds[name].value}, not {kind.value}")
 
     branch_ids = [b.id for b in system.branches]
     if len(set(branch_ids)) != len(branch_ids):
@@ -534,6 +537,11 @@ class VariableIndex:
 
     def keys(self) -> list[VarKey]:
         return list(self._keys)
+
+    def size_columns(self) -> dict[str, int]:
+        """Column by name of every variable without a step: the sizes (and
+        integer blocks and build flags) a warm start fixes."""
+        return {k.name(): i for i, k in enumerate(self._keys) if k.step is None}
 
 
 def assemble_variable_index(system: EnergySystem) -> VariableIndex:

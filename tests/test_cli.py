@@ -43,6 +43,22 @@ class TestValidate:
         assert "pp1: outlet pressure below the reference pressure" in capsys.readouterr().out
         assert run_cli(["--quiet", "run", str(broken), "--scenario", "reference"]) == 3
 
+    def test_series_on_the_wrong_kind_of_technology_exit_3(self, system_dir, tmp_path,
+                                                           capsys):
+        import shutil
+        broken = tmp_path / "broken"
+        shutil.copytree(system_dir, broken)
+        for name, column in (("profiles.csv", "nuc1"), ("inflows.csv", "batt1")):
+            path = broken / name
+            header, *rows = path.read_text().splitlines()
+            path.write_text("".join(f"{line}\n" for line in
+                                    [f"{header},{column}", *(f"{row},1.0" for row in rows)]))
+        assert run_cli(["validate", str(broken)]) == 3
+        out = capsys.readouterr().out
+        assert "profile nuc1: technology is conversion1, not renewable" in out
+        assert "inflow batt1: technology is storage1, not storage2_1" in out
+        assert run_cli(["--quiet", "run", str(broken), "--scenario", "reference"]) == 3
+
     def test_missing_directory_exit(self, tmp_path):
         assert run_cli(["validate", str(tmp_path / "nope")]) == 3
 
@@ -171,6 +187,17 @@ class TestRun:
                         "--scenario", "synergies"]) == 0
         cold = json.loads(capsys.readouterr().out)
         assert warm["objective"] == pytest.approx(cold["objective"], abs=1e-6)
+
+    def test_warm_start_fixes_only_sizes(self, system_dir, tmp_path, capsys):
+        # a dispatch column the file names is ignored, as a name the problem lacks is
+        outputs = []
+        for sizes in ({}, {"nuc1.out[0]": 9000.0}):
+            prior = tmp_path / "prior.json"
+            prior.write_text(json.dumps({"size_values": sizes}))
+            assert run_cli(["--quiet", "run", str(system_dir), "--scenario", "reference",
+                            "--warm-start", str(prior)]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
 
     def _reference_result(self, system_dir, tmp_path, capsys):
         out = tmp_path / "base"

@@ -274,16 +274,14 @@ class TestMapBasis:
 
 @pytest.fixture(scope="module")
 def matrix_outcomes():
-    """What ``matrix fixtures/miniature --scenarios all`` solves: reference
-    min-cost cold as the root, then per scenario one runner given that root,
-    min-cost from the root's basis and min-emissions from the min-cost one."""
+    """What ``matrix fixtures/miniature --scenarios all`` solves on its one
+    runner: reference min-cost cold as the root, then per scenario min-cost
+    from the root's basis and min-emissions from the min-cost one."""
     system = parse_system_files(Path(__file__).parent.parent / "fixtures" / "miniature")
-    root_runner = ScenarioRunner(system)
-    root = root_runner.run(standard_scenario("reference"), ObjectiveMode.min_cost())
+    runner = ScenarioRunner(system)
+    runner.run(standard_scenario("reference"), ObjectiveMode.min_cost())
     outcomes = []
     for scenario_id in STANDARD_SCENARIO_IDS:
-        runner = (root_runner if scenario_id == "reference"
-                  else ScenarioRunner(system, root=root))
         for mode in (ObjectiveMode.min_cost(), ObjectiveMode.min_emissions()):
             outcomes.append(runner.run(standard_scenario(scenario_id), mode))
     return outcomes

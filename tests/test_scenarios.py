@@ -1,10 +1,13 @@
 """Scenario gates, dominance orderings, sweeps and metrics."""
 
+import json
 
+import numpy as np
 import pytest
 
 import carrieropt.scenarios as scenarios
 from carrieropt.builder import BuiltProblem, build_problem
+from carrieropt.cli import outcome_to_json
 from carrieropt.costing import (
     EMISSION_CAP_LABEL,
     ObjectiveMode,
@@ -12,7 +15,7 @@ from carrieropt.costing import (
     cost_table,
     total_emissions,
 )
-from carrieropt.lp import INFEASIBLE, OPTIMAL, solve_milp, verify_solution
+from carrieropt.lp import INFEASIBLE, OPTIMAL, map_basis, solve_milp, verify_solution
 from carrieropt.scenarios import (
     InfeasibleCapError,
     ScenarioRunner,
@@ -84,6 +87,24 @@ class RunnerWork:
         patch.setattr(scenarios, "build_problem", recording_build)
         patch.setattr(BuiltProblem, "for_mode", recording_for_mode)
         patch.setattr(scenarios, "solve_milp", recording_solve)
+
+
+def record_starts(patch):
+    """The ``start`` of every ``solve_milp`` call a runner makes while ``patch`` is active."""
+    starts, solve = [], scenarios.solve_milp
+
+    def recording_solve(problem, start=None):
+        starts.append(start)
+        return solve(problem, start=start)
+
+    patch.setattr(scenarios, "solve_milp", recording_solve)
+    return starts
+
+
+def same_basis(a, b):
+    """Whether two bases, neither None, hold equal statuses and values."""
+    return a is not None and b is not None and all(
+        np.array_equal(getattr(a, field), getattr(b, field)) for field in ("basis", "vstat", "x"))
 
 
 def kinds(modes):
@@ -258,6 +279,25 @@ class TestWarmStart:
         assert "warm_start" not in cold.solver
         assert warm.objective == pytest.approx(cold.objective, rel=1e-6)
 
+    @pytest.mark.parametrize("dc_blocks_mw", [None, 10.0])
+    def test_solver_counts_every_stage(self, dc_blocks_mw, monkeypatch):
+        runner = ScenarioRunner(build_miniature_system(0, 24, dc_blocks_mw))
+        prior = runner.run(standard_scenario("t-all"), ObjectiveMode.min_cost())
+        stages, solve = [], scenarios.warm_start_solve
+
+        def recording(*args):
+            stages.extend(solve(*args))
+            return stages
+
+        monkeypatch.setattr(scenarios, "warm_start_solve", recording)
+        warm = runner.run(standard_scenario("synergies"), ObjectiveMode.min_cost(),
+                          warm_from=prior.size_values())
+        assert len(stages) == 3
+        # at seed 0 without blocks: 543 + 91 + 40 iterations
+        assert warm.solver["iterations"] == sum(s.iterations for s in stages)
+        assert warm.solver["iterations"] > stages[-1].iterations
+        assert warm.solver["nodes"] == sum(s.nodes for s in stages)
+
 
 class TestWarmRuns:
     """``ScenarioRunner.run(..., warm_from=)`` beside the runner's cold runs."""
@@ -268,17 +308,20 @@ class TestWarmRuns:
         base = runner.run(standard_scenario("t-all"), ObjectiveMode.min_cost())
         cap = ObjectiveMode.min_cost_with_cap(base.emissions.total)
         cold = runner.run(synergies, cap)
-        cache, bases = dict(runner._cache), dict(runner._bases)
-        assert bases
         for mode in (ObjectiveMode.min_cost(), cap):
             warm = runner.run(synergies, mode, warm_from=base.size_values())
             assert warm.solver["warm_start"] is True
         assert warm is not cold
         assert warm.objective == pytest.approx(cold.objective, rel=1e-6)
-        assert runner._cache.keys() == cache.keys()
-        assert all(runner._cache[key] is cache[key] for key in cache)
-        assert runner._bases.keys() == bases.keys()
-        assert all(runner._bases[key] is bases[key] for key in bases)
+        assert runner.run(synergies, cap) is cold
+        with pytest.MonkeyPatch.context() as patch:
+            starts = record_starts(patch)
+            runner.run(synergies, ObjectiveMode.min_cost_with_cap(0.99 * base.emissions.total))
+            runner.run(synergies, ObjectiveMode.min_cost())
+        # the next cap starts from the cold one; no uncapped run was cached to start from
+        assert len(starts) == 2
+        assert starts[0] is cold.result.basis
+        assert starts[1] is None
 
     def _unreachable(self, runner):
         """A warm reference run under a 10 t cap, from t-all sizes."""
@@ -422,9 +465,13 @@ class TestBasisChains:
         assert uncapped.objective == cold.objective
         # and the uncapped run does not break the capped chain
         assert third_cap.solver["warm_start"] is True
-        assert runner._bases.keys() == {("synergies", True), ("synergies", False)}
-        assert runner._bases[("synergies", True)] is third_cap.result.basis
-        assert runner._bases[("synergies", False)] is uncapped.result.basis
+        with pytest.MonkeyPatch.context() as patch:
+            starts = record_starts(patch)
+            runner.run(synergies, ObjectiveMode.min_cost_with_cap(38_000.0))
+            runner.run(synergies, ObjectiveMode.min_emissions())
+        assert len(starts) == 2
+        assert starts[0] is third_cap.result.basis
+        assert starts[1] is uncapped.result.basis
 
     def test_an_infinite_cap_has_no_cap_row_and_joins_the_uncapped_chain(self, mini):
         assert ObjectiveMode.min_cost_with_cap(1.0).capped
@@ -582,16 +629,16 @@ class TestWarmSweep:
 
 
 class TestRoot:
-    """A run with an empty chain starts from the runner's root: reference's
-    min-cost basis mapped onto the run's problem."""
+    """A run with an empty chain starts from the runner's root: its first
+    cached reference min-cost basis, mapped onto the run's problem."""
 
     def test_sweep_starts_its_first_cap_and_floor_from_reference(self, warm_sweep):
         system = build_miniature_system(0, step_count=24)
         solves = []
 
-        def recording_solve(problem, *args, **kwargs):
-            res = solve_milp(problem, *args, **kwargs)
-            solves.append((problem.row_names, res))
+        def recording_solve(problem, start=None):
+            res = solve_milp(problem, start=start)
+            solves.append((problem, start, res))
             return res
 
         runner = ScenarioRunner(system)
@@ -599,12 +646,23 @@ class TestRoot:
             patch.setattr(scenarios, "solve_milp", recording_solve)
             rows = abatement_sweep(system, standard_scenario("synergies"), SWEEP_FRACTIONS,
                                    runner=runner)
-        assert runner.root is runner.run(standard_scenario("reference"),
-                                         ObjectiveMode.min_cost())
-        (_, reference), *rest = solves
-        assert not reference.warm_started
-        assert [res.warm_started for _, res in rest] == [True] * len(rest)
-        floors = [res for names, res in rest if EMISSION_CAP_LABEL not in names]
+        root = runner.run(standard_scenario("reference"), ObjectiveMode.min_cost())
+        (_, start, reference), *rest = solves
+        assert start is None and not reference.warm_started
+        assert root.result is reference  # cached: the sweep solved it first
+        assert [res.warm_started for _, _, res in rest] == [True] * len(rest)
+        previous_cap = None
+        for problem, start, res in rest:
+            capped = EMISSION_CAP_LABEL in problem.row_names
+            if capped and previous_cap is not None:
+                assert start is previous_cap.basis
+            else:  # the first cap and the floor
+                assert same_basis(start, map_basis(root.result.basis, root.built.problem,
+                                                   problem))
+            if capped and res.status == OPTIMAL:
+                previous_cap = res
+        floors = [res for problem, _, res in rest
+                  if EMISSION_CAP_LABEL not in problem.row_names]
         assert len(floors) == 1 and floors[0].objective == pytest.approx(
             warm_sweep["floor"].objective, rel=1e-9)
         for row, f in zip(rows, SWEEP_FRACTIONS):
@@ -615,30 +673,62 @@ class TestRoot:
                 assert row["cost"] == pytest.approx(rootless.objective, rel=1e-9)
         # at seed 0 the caps and the floor take 1,112 iterations; without the root, 1,882
         rootless = sum(res.iterations for _, res in warm_sweep["solves"])
-        assert sum(res.iterations for _, res in rest) < rootless * 0.7
+        assert sum(res.iterations for _, _, res in rest) < rootless * 0.7
 
     def test_only_a_reference_min_cost_run_becomes_the_root(self, mini):
         runner = ScenarioRunner(mini)
-        runner.run(standard_scenario("t-1"), ObjectiveMode.min_cost())
-        runner.run(standard_scenario("reference"), ObjectiveMode.min_emissions())
-        assert runner.root is None
-        root = runner.run(standard_scenario("reference"), ObjectiveMode.min_cost())
-        assert runner.root is root
-        # a root the runner is given is kept
-        given = ScenarioRunner(mini, root=root)
-        given.run(standard_scenario("reference", 2040), ObjectiveMode.min_cost())
-        assert given.root is root
+        min_cost = ObjectiveMode.min_cost()
+        with pytest.MonkeyPatch.context() as patch:
+            starts = record_starts(patch)
+            runner.run(standard_scenario("t-1"), min_cost)
+            runner.run(standard_scenario("reference"), ObjectiveMode.min_emissions())
+            runner.run(standard_scenario("h-all"), min_cost)
+            root = runner.run(standard_scenario("reference"), min_cost)
+            later = runner.run(standard_scenario("reference", 2040), min_cost)
+            s_1 = runner.run(standard_scenario("s-1"), min_cost)
+        # neither t-1's nor reference's min-emissions basis starts h-all
+        assert starts[:3] == [None, None, None]
+        assert starts[3] is runner.run(standard_scenario("reference"),
+                                       ObjectiveMode.min_emissions()).result.basis
+        # the first reference min-cost run is the root: s-1 starts from the 2030
+        # basis, which the 2040 reference's extra size columns would not map onto
+        assert same_basis(starts[4], map_basis(root.result.basis, root.built.problem,
+                                               later.built.problem))
+        assert same_basis(starts[5], map_basis(root.result.basis, root.built.problem,
+                                               s_1.built.problem))
 
     def test_given_root_starts_a_scenario_warm_at_the_cold_objective(self, mini):
-        root = ScenarioRunner(mini).run(standard_scenario("reference"),
-                                        ObjectiveMode.min_cost())
+        runner = ScenarioRunner(mini)
+        runner.run(standard_scenario("reference"), ObjectiveMode.min_cost())
         h_all = standard_scenario("h-all")
-        warm = ScenarioRunner(mini, root=root).run(h_all, ObjectiveMode.min_cost())
+        warm = runner.run(h_all, ObjectiveMode.min_cost())
         cold = ScenarioRunner(mini).run(h_all, ObjectiveMode.min_cost())
         assert warm.solver["warm_start"] is True and "warm_start" not in cold.solver
         assert warm.objective == pytest.approx(cold.objective, rel=1e-9)
         assert warm.costs.total == pytest.approx(cold.costs.total, rel=1e-9)
         assert warm.solver["iterations"] < cold.solver["iterations"]
+
+    def test_scenarios_sharing_a_runner_get_their_outcomes_alone(self, mini):
+        # what matrix relies on to run every scenario, in any order, on one runner
+        reference = standard_scenario("reference")
+        modes = (ObjectiveMode.min_cost(), ObjectiveMode.min_emissions())
+        trio = [standard_scenario(sid) for sid in ("t-1", "t-all", "synergies")]
+
+        def files(runner, scenario):
+            return [json.dumps(outcome_to_json(runner.run(scenario, mode)), sort_keys=True)
+                    for mode in modes]
+
+        def rooted():
+            runner = ScenarioRunner(mini)
+            runner.run(reference, modes[0])
+            return runner
+
+        alone = {scenario.id: files(rooted(), scenario) for scenario in trio}
+        assert all('"warm_start": true' in text for texts in alone.values() for text in texts)
+        for order in (trio, trio[::-1]):
+            runner = rooted()
+            for scenario in order:
+                assert files(runner, scenario) == alone[scenario.id], scenario.id
 
 
 class TestSweep:

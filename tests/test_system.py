@@ -63,6 +63,16 @@ class TestValidation:
         messages = validate_system(dataclasses.replace(mini, branches=branches))
         assert messages == ["branch pp1: outlet pressure below the reference pressure"]
 
+    def test_series_on_the_wrong_kind_of_technology_flagged(self, mini):
+        # neither series would enter the problem
+        steps = mini.horizon.step_count
+        bad = dataclasses.replace(
+            mini, renewable_profiles={**mini.renewable_profiles, "nuc1": (1.0,) * steps},
+            hydro_inflows={**mini.hydro_inflows, "batt1": (1.0,) * steps})
+        assert validate_system(bad) == [
+            "profile nuc1: technology is conversion1, not renewable",
+            "inflow batt1: technology is storage1, not storage2_1"]
+
 
 def count_variables_independently(system) -> int:
     """Counting oracle: per-entity closed-form variable counts."""
