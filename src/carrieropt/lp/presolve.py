@@ -26,7 +26,11 @@ that matrix.
 and row name: an advanced basis in the sense of Bixby (1992). A problem that
 adds columns and rows to another and only relaxes its bounds starts from the
 other's optimum, primal feasible, with the new columns nonbasic and the new
-rows' slacks basic.
+rows' slacks basic. A problem that lacks some of the other's rows starts from
+the same point: each dropped row leaves with its slack, and a dropped row
+whose slack is nonbasic also takes out the basic that keeps the rest of the
+basis nonsingular (the largest entry of its column of the basis inverse),
+which stays nonbasic at its value.
 """
 
 from __future__ import annotations
@@ -34,9 +38,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 from .problem import GE, LE, SparseProblem
-from .simplex import AT_LOWER, BASIC, OPTIMAL, Basis, SolveResult
+from .simplex import AT_LOWER, AT_UPPER, AT_VALUE, BASIC, OPTIMAL, Basis, SolveResult
 
 EMPTY_ROW_TOL = 1e-9  # relative amount by which an emptied row's rhs may break its sense
 
@@ -117,33 +123,83 @@ def map_basis(start: Basis, source: SparseProblem, target: SparseProblem) -> Bas
     Shared columns and rows keep their status and value. Target columns that
     ``source`` lacks are nonbasic at their lower bound (at 0 when it is
     infinite), and target rows that it lacks get a basic slack, so the basis
-    matrix stays block-triangular over ``source``'s. The result carries
-    ``target``'s fingerprint. When ``target``'s shared block has ``source``'s
-    coefficients and only relaxes its bounds, the mapped basis is nonsingular
-    and primal feasible. None when ``start`` does not fit ``source`` or when
-    ``source`` has a column or row name that ``target`` lacks.
+    matrix stays block-triangular over ``source``'s. Source rows that
+    ``target`` lacks leave with their slack; when that slack is nonbasic (a
+    binding row), the basic at the position p with the largest
+    ``|(B^-1 e_i)_p|`` (ties to the lowest p) leaves too, nonbasic at its
+    value, which keeps the basis nonsingular. The result carries ``target``'s
+    fingerprint. When ``target``'s shared block has ``source``'s coefficients
+    and only relaxes its bounds, the mapped basis is nonsingular and primal
+    feasible. None when ``start`` does not fit ``source``, when ``source``
+    has a column name that ``target`` lacks, or when a binding row is dropped
+    and ``start`` is singular.
     """
     if not _fits(source, start):
         return None
     m, n = target.a.shape
+    ms, ns = source.a.shape
     col_at = {target._col_name(j): j for j in range(n)}
-    row_at = {target._row_name(i): i for i in range(m)}
+    row_at = {target._row_name(i): n + i for i in range(m)}
     try:
-        cols = [col_at[source._col_name(j)] for j in range(source.num_cols)]
-        rows = [n + row_at[source._row_name(i)] for i in range(source.num_rows)]
+        cols = [col_at[source._col_name(j)] for j in range(ns)]
     except KeyError:
         return None
+    rows = [row_at.get(source._row_name(i), -1) for i in range(ms)]  # -1: a dropped row
     where = np.array(cols + rows, dtype=np.intp)  # a source position's target position
+    kept = where >= 0
+    leaving = _leaving(start, source, np.flatnonzero(~kept[ns:]))
+    if leaving is None:
+        return None
+    stays = kept[start.basis]
+    stays[leaving] = False
     vstat = np.full(n + m, AT_LOWER, dtype=start.vstat.dtype)
     vstat[n:] = BASIC
-    vstat[where] = start.vstat
+    vstat[where[kept]] = start.vstat[kept]
     x = np.zeros(n + m)
     x[:n] = np.where(np.isfinite(target.lower), target.lower, 0.0)
-    x[where] = start.x
-    new_rows = np.setdiff1d(np.arange(n, n + m), where[source.num_cols:])
+    x[where[kept]] = start.x[kept]
+    out = where[start.basis[leaving]]  # nonbasic now, at the value they had
+    lower = np.concatenate([target.lower, np.where(target.senses == GE, -np.inf, 0.0)])
+    upper = np.concatenate([target.upper, np.where(target.senses == LE, np.inf, 0.0)])
+    vstat[out] = np.where(x[out] == lower[out], AT_LOWER,
+                          np.where(x[out] == upper[out], AT_UPPER, AT_VALUE))
+    new_rows = np.setdiff1d(np.arange(n, n + m), where[ns:])
     x[new_rows] = target.rhs[new_rows - n] - target.a[new_rows - n] @ x[:n]
-    return Basis(basis=np.concatenate([where[start.basis], new_rows]), vstat=vstat, x=x,
-                 fingerprint=target.fingerprint())
+    return Basis(basis=np.concatenate([where[start.basis[stays]], new_rows]), vstat=vstat,
+                 x=x, fingerprint=target.fingerprint())
+
+
+def _leaving(start: Basis, source: SparseProblem, dropped: np.ndarray) -> list[int] | None:
+    """The basis positions that leave with the ``dropped`` source rows whose
+    slack is nonbasic, one each, so that the basis minus the dropped rows and
+    the leaving columns stays nonsingular; None when ``start`` is singular.
+
+    Removing rows I and basis positions P from B keeps a nonsingular matrix
+    when ``(B^-1)[P, I]`` is nonsingular (Jacobi's complementary minor). A
+    dropped row's basic slack takes its own position out, so P is chosen by
+    partial pivoting over the other positions of ``B^-1 e_i``, row by row.
+    """
+    ns = source.num_cols
+    binding = dropped[start.vstat[ns + dropped] != BASIC]
+    if not binding.size:
+        return []
+    ms = source.num_rows
+    try:
+        lu = splu(sp.hstack([source.a, sp.identity(ms)], format="csc")[:, start.basis])
+    except RuntimeError:
+        return None
+    unit = np.zeros((ms, binding.size))
+    unit[binding, np.arange(binding.size)] = 1.0
+    w = lu.solve(unit)  # the columns of B^-1 at the binding rows
+    w[np.isin(start.basis, ns + dropped)] = 0.0  # those positions leave with their rows
+    leaving = []
+    for k in range(binding.size):
+        p = int(np.argmax(np.abs(w[:, k])))
+        if w[p, k] == 0.0:
+            return None
+        leaving.append(p)
+        w[:, k + 1:] -= np.outer(w[:, k] / w[p, k], w[p, k + 1:])  # zeroes row p there
+    return leaving
 
 
 def postsolve(pre: Presolved, result: SolveResult) -> SolveResult:

@@ -286,16 +286,19 @@ class ScenarioRunner:
     A run that is not warm-started from sizes starts from the basis of, in
     this order (:meth:`_start`):
 
-    1. the latest cached outcome of its scenario whose problem, like the
-       run's, has or lacks the emission-cap row. Min-cost and min-emissions
-       differ only in the objective, so whichever runs second reoptimizes
-       from the first, and along a cap sweep each cap reoptimizes from the
-       one before;
-    2. the first cached ``reference`` min-cost outcome (of either year),
+    1. the latest cached outcome of its scenario, in any mode: as is when
+       its problem, like the run's, has or lacks the emission-cap row, else
        mapped onto the run's problem by column and row name
-       (:func:`carrieropt.lp.map_basis`). Every standard scenario only
-       relaxes reference's bounds, so that basis is a primal-feasible start;
-       a cap row reference lacks gets a basic slack;
+       (:func:`carrieropt.lp.map_basis`), which adds a cap row with a basic
+       slack or drops it with its slack or, when the cap binds, with one
+       basic. Min-cost and min-emissions differ only in the objective, so
+       whichever runs second reoptimizes from the first; along a cap sweep
+       each cap reoptimizes from the one before, and the floor from the last
+       feasible cap;
+    2. the first cached ``reference`` min-cost outcome (of either year),
+       mapped the same way. Every standard scenario only relaxes
+       reference's bounds, so that basis is a primal-feasible start; a cap
+       row reference lacks gets a basic slack;
     3. the crash basis, cold.
 
     The floor reported for an infeasible cap is the scenario's cached
@@ -334,9 +337,13 @@ class ScenarioRunner:
                problem: BuiltProblem) -> Basis | None:
         """The basis a run of ``problem`` starts from, by the class's rule."""
         outcomes = list(self._cache.values())  # a snapshot: other threads may add to it
-        for outcome in reversed(outcomes):
-            if outcome.scenario_id == scenario.id and outcome.mode.capped == mode.capped:
-                return outcome.result.basis
+        latest = next((o for o in reversed(outcomes) if o.scenario_id == scenario.id), None)
+        if latest is not None:
+            if latest.mode.capped == mode.capped:
+                return latest.result.basis
+            mapped = map_basis(latest.result.basis, latest.built.problem, problem.problem)
+            if mapped is not None:
+                return mapped
         for outcome in outcomes:
             if outcome.scenario_id in _ROOT_IDS and outcome.mode.kind == "min_cost":
                 return map_basis(outcome.result.basis, outcome.built.problem, problem.problem)

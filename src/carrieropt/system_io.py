@@ -46,7 +46,15 @@ from .system import (
 
 
 class SchemaError(ValueError):
-    """Input files do not follow the documented layout."""
+    """Input files do not follow the documented layout.
+
+    ``violations`` lists every defect found, one message each; a defect that
+    stops parsing is the only one.
+    """
+
+    def __init__(self, message: str, violations: list[str] | None = None):
+        super().__init__(message)
+        self.violations = violations or [message]
 
 
 SUPPORTED_UNITS = {"power": "MW", "energy": "MWh", "currency": "EUR",
@@ -505,7 +513,7 @@ def parse_system_files(directory: str | Path) -> EnergySystem:
     )
     violations = validate_system(system)
     if violations:
-        raise SchemaError("invalid system: " + "; ".join(violations[:8]))
+        raise SchemaError("invalid system: " + "; ".join(violations[:8]), violations)
     return system
 
 

@@ -59,6 +59,23 @@ class TestValidate:
         assert "inflow batt1: technology is storage1, not storage2_1" in out
         assert run_cli(["--quiet", "run", str(broken), "--scenario", "reference"]) == 3
 
+    def test_every_violation_is_counted_and_listed_on_its_own_line(self, tmp_path, capsys):
+        import shutil
+        from pathlib import Path
+        broken = tmp_path / "broken"
+        shutil.copytree(Path(__file__).parent.parent / "fixtures" / "miniature", broken)
+        for name, column in (("profiles.csv", "nuc1"), ("inflows.csv", "batt1")):
+            path = broken / name
+            header, *rows = path.read_text().splitlines()
+            path.write_text("".join(f"{line}\n" for line in
+                                    [f"{header},{column}", *(f"{row},1.0" for row in rows)]))
+        assert run_cli(["validate", str(broken)]) == 3
+        assert capsys.readouterr().out.splitlines() == [
+            "2 violations",
+            "profile nuc1: technology is conversion1, not renewable",
+            "inflow batt1: technology is storage1, not storage2_1",
+        ]
+
     def test_missing_directory_exit(self, tmp_path):
         assert run_cli(["validate", str(tmp_path / "nope")]) == 3
 

@@ -4,14 +4,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import scipy.sparse as sp
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from carrieropt.builder import build_problem
 from carrieropt.costing import ObjectiveMode
-from carrieropt.lp import EQ, GE, INFEASIBLE, LE, OPTIMAL, UNBOUNDED, solve_lp, verify_solution
+from carrieropt.lp import (
+    EQ, GE, INFEASIBLE, LE, OPTIMAL, UNBOUNDED, SparseProblem, solve_lp, verify_solution,
+)
 from carrieropt.lp.presolve import map_basis, presolve
-from carrieropt.lp.simplex import AT_LOWER, BASIC
+from carrieropt.lp.simplex import AT_LOWER, AT_UPPER, AT_VALUE, BASIC
 from carrieropt.scenarios import (
     STANDARD_SCENARIO_IDS,
     ScenarioRunner,
@@ -236,15 +240,18 @@ class TestMapBasis:
         assert warm.objective == cold.objective
         assert warm.iterations <= cold.iterations
 
-    def test_none_when_the_target_lacks_a_source_name(self):
+    def test_none_when_the_target_lacks_a_source_column(self):
         source, target = _mapping_pair()
         basis = solve_lp(source).basis
         no_y = target.copy()
         no_y.col_names = ["z", "x", "w"]
+        assert map_basis(basis, source, no_y) is None
+        # a source row the target lacks leaves instead, as TestRowDrop checks
         no_rb = target.copy()
         no_rb.row_names = ["rz", "ra", "rc"]
-        assert map_basis(basis, source, no_y) is None
-        assert map_basis(basis, source, no_rb) is None
+        mapped = map_basis(basis, source, no_rb)
+        assert mapped is not None and mapped.fingerprint == no_rb.fingerprint()
+        assert _is_start(no_rb, mapped)
         # nor does a basis that does not fit its source map
         assert map_basis(basis, target, source) is None
 
@@ -270,6 +277,135 @@ class TestMapBasis:
             iterations += warm.iterations
         assert STANDARD_SCENARIO_IDS[0] == "reference" and len(STANDARD_SCENARIO_IDS) == 15
         assert iterations <= 1300  # 6,307 cold
+
+
+def _without_rows(problem, drop):
+    """``problem`` without the rows named in ``drop``."""
+    keep = [i for i, name in enumerate(problem.row_names) if name not in drop]
+    return SparseProblem(a=problem.a[keep], senses=problem.senses[keep],
+                         rhs=problem.rhs[keep], lower=problem.lower, upper=problem.upper,
+                         objective=problem.objective, integer=problem.integer,
+                         col_names=problem.col_names,
+                         row_names=[problem.row_names[i] for i in keep])
+
+
+def _bounds(problem):
+    """The bounds of every column and then every row's slack, as the simplex
+    sees them: ``A x + s = b`` with ``s >= 0`` on ``<=`` rows, ``s <= 0`` on
+    ``>=`` rows and ``s = 0`` on ``==`` rows."""
+    return (np.concatenate([problem.lower, np.where(problem.senses == GE, -np.inf, 0.0)]),
+            np.concatenate([problem.upper, np.where(problem.senses == LE, np.inf, 0.0)]))
+
+
+def _is_start(target, mapped, tol=1e-9):
+    """Whether ``mapped`` is a nonsingular, primal-feasible basis of ``target``:
+    its basic values are what its nonbasic values give, within every bound."""
+    m, n = target.a.shape
+    full = sp.hstack([target.a, sp.identity(m)], format="csc")
+    b = full[:, mapped.basis].toarray()
+    nonbasic = np.setdiff1d(np.arange(n + m), mapped.basis)
+    if (len(mapped.basis) != m or np.linalg.matrix_rank(b) < m
+            or (mapped.vstat[mapped.basis] != BASIC).any()
+            or (mapped.vstat[nonbasic] == BASIC).any()):
+        return False
+    xb = np.linalg.solve(b, target.rhs - full[:, nonbasic] @ mapped.x[nonbasic])
+    lower, upper = _bounds(target)
+    scale = 1.0 + np.abs(mapped.x)
+    return bool(np.all(np.abs(xb - mapped.x[mapped.basis]) <= tol * scale[mapped.basis])
+                and np.all(mapped.x >= lower - tol * scale)
+                and np.all(mapped.x <= upper + tol * scale))
+
+
+def _capped_triple():
+    """min -2x - y  s.t.  cap: x + y <= 4,  rx: x <= 3,  ry: y <= 3.
+
+    The optimum x = 3, y = 1 binds cap and rx; ry's slack (2) is basic. Without
+    cap the optimum is x = y = 3."""
+    p = make_problem([[1.0, 1.0], [1.0, 0.0], [0.0, 1.0]], [LE, LE, LE], [4.0, 3.0, 3.0],
+                     [-2.0, -1.0], names=["x", "y"])
+    p.row_names = ["cap", "rx", "ry"]
+    return p
+
+
+class TestRowDrop:
+    """``map_basis`` onto a target that lacks some of the source's rows."""
+
+    def test_a_row_with_a_basic_slack_leaves_with_it(self):
+        source = _capped_triple()
+        res = solve_lp(source)
+        assert res.basis.vstat[2 + 2] == BASIC  # ry's slack
+        target = _without_rows(source, {"ry"})
+        mapped = map_basis(res.basis, source, target)
+        assert sorted(mapped.basis.tolist()) == [0, 1]  # x and y, nothing else leaves
+        assert mapped.x.tolist() == [3.0, 1.0, 0.0, 0.0]
+        assert mapped.vstat.tolist() == res.basis.vstat[[0, 1, 2, 3]].tolist()
+        assert _is_start(target, mapped)
+        warm = solve_lp(target, start=mapped)
+        assert warm.warm_started and warm.iterations <= 1  # one pricing pass proves it optimal
+        assert warm.objective == solve_lp(target).objective == -7.0
+
+    def test_a_binding_row_takes_the_largest_entry_of_its_inverse_column(self):
+        source = _capped_triple()
+        res = solve_lp(source)
+        basis = res.basis.basis
+        assert res.basis.vstat[2] != BASIC  # cap binds: its slack is nonbasic
+        target = _without_rows(source, {"cap"})
+        mapped = map_basis(res.basis, source, target)
+        full = np.hstack([source.a.toarray(), np.eye(3)])
+        w = np.linalg.solve(full[:, basis], np.eye(3)[:, 0])  # B^-1 e_cap
+        p = int(np.argmax(np.abs(w)))
+        leaving = basis[p]
+        assert leaving < 2 and abs(w[p]) > 0  # a structural leaves, here y
+        assert sorted(mapped.basis.tolist()) == sorted(
+            {0: 0, 1: 1, 3: 2, 4: 3}[j] for j in basis.tolist() if j not in (leaving, 2))
+        # the leaving column stays at its value, strictly inside its bounds
+        assert mapped.x[leaving] == res.x[leaving] == 1.0
+        assert mapped.vstat[leaving] == AT_VALUE
+        assert _is_start(target, mapped)
+        warm, cold = solve_lp(target, start=mapped), solve_lp(target)
+        assert warm.warm_started and cold.status == warm.status == OPTIMAL
+        assert abs(warm.objective - cold.objective) <= 1e-9 * abs(cold.objective)
+        assert warm.x.tolist() == [3.0, 3.0]
+
+    def test_the_choice_is_the_same_on_every_call(self):
+        source = _capped_triple()
+        basis = solve_lp(source).basis
+        target = _without_rows(source, {"cap"})
+        first = map_basis(basis, source, target)
+        for _ in range(3):
+            again = map_basis(basis, source, target)
+            for name in ("basis", "vstat", "x"):
+                assert np.array_equal(getattr(first, name), getattr(again, name))
+
+    @settings(max_examples=100, deadline=None)
+    @given(problem=bounded_lps(), data=st.data())
+    def test_random_lps_start_feasible_and_reach_the_cold_objective(self, problem, data):
+        res = solve_lp(problem)
+        assume(res.status == OPTIMAL)
+        names = problem.row_names
+        drop = set(data.draw(st.lists(st.sampled_from(names), min_size=1, max_size=len(names) - 1,
+                                      unique=True)))
+        target = _without_rows(problem, drop)
+        mapped = map_basis(res.basis, problem, target)
+        assert mapped is not None and _is_start(target, mapped)
+        # one basic leaves per dropped row whose slack is nonbasic, at its value
+        n = problem.num_cols
+        rows = [n + target.row_names.index(name) if name not in drop else -1 for name in names]
+        where = np.array(list(range(n)) + rows)
+        binding = sum(res.basis.vstat[n + i] != BASIC for i, name in enumerate(names)
+                      if name in drop)
+        left = np.setdiff1d(where[res.basis.basis], np.append(mapped.basis, -1))
+        assert left.size == binding
+        lower, upper = _bounds(target)
+        for j in left.tolist():
+            expected = (AT_LOWER if mapped.x[j] == lower[j] else
+                        AT_UPPER if mapped.x[j] == upper[j] else AT_VALUE)
+            assert mapped.vstat[j] == expected
+        warm, cold = solve_lp(target, start=mapped), solve_lp(target)
+        assert warm.warm_started
+        assert warm.status == cold.status
+        if cold.status == OPTIMAL:
+            assert abs(warm.objective - cold.objective) <= 1e-9 * max(1.0, abs(cold.objective))
 
 
 @pytest.fixture(scope="module")
