@@ -8,10 +8,10 @@ import numpy as np
 import scipy.sparse as sp
 
 from .costing import EMISSION_CAP_LABEL, CostTable, ObjectiveMode, cost_table
-from .lp import LE, Row, SparseProblem
+from .lp import LE, RowBlock, SparseProblem
 from .network import emit_branch, emit_energy_balance
 from .system import EnergySystem, VariableIndex, assemble_variable_index
-from .technologies import emit_technology
+from .technologies import Bounds, emit_technology
 
 
 @dataclass
@@ -98,31 +98,29 @@ def _build(system: EnergySystem) -> BuiltProblem:
     index = assemble_variable_index(system)
 
     lower, upper, integer = _default_bounds(system, index)
-    rows: list[Row] = []
+    blocks: list[RowBlock] = []
+    bounds: list[Bounds] = []
 
-    def apply_bounds(bounds) -> None:
-        for col, lo, hi in bounds:
-            lower[col] = max(lower[col], lo)
-            upper[col] = min(upper[col], hi)
+    def emitted(block: RowBlock, block_bounds: list[Bounds]) -> None:
+        blocks.append(block)
+        bounds.extend(block_bounds)
 
     for tech in sorted(system.technologies, key=lambda t: t.id):
-        tech_rows, tech_bounds = emit_technology(tech, index, system)
-        rows.extend(tech_rows)
-        apply_bounds(tech_bounds)
-
+        emitted(*emit_technology(tech, index, system))
     for branch in sorted(system.branches, key=lambda b: b.id):
-        branch_rows, branch_bounds = emit_branch(branch, index, system)
-        rows.extend(branch_rows)
-        apply_bounds(branch_bounds)
+        emitted(*emit_branch(branch, index, system))
+    emitted(*emit_energy_balance(system, index))
 
-    balance_rows, import_bounds = emit_energy_balance(system, index)
-    rows.extend(balance_rows)
-    apply_bounds(import_bounds)
+    if bounds:
+        # each column is bounded at most once; fmin keeps the default where
+        # a cap is NaN, as Python's min(default, cap) does
+        cols = np.concatenate([col for col, _ in bounds])
+        upper[cols] = np.fmin(upper[cols], np.concatenate([cap for _, cap in bounds]))
 
     table = cost_table(system, index)
-    problem = SparseProblem.from_rows(
+    problem = SparseProblem.from_block(
         num_cols=len(index),
-        rows=rows,
+        block=RowBlock.concat(blocks),
         lower=lower,
         upper=upper,
         objective=table.costs,

@@ -3,7 +3,7 @@
 from .branch_bound import solve_milp
 from .mps import export_mps, read_solution
 from .presolve import map_basis
-from .problem import EQ, GE, LE, ProblemError, Row, SparseProblem
+from .problem import EQ, GE, LE, ProblemError, Row, RowBlock, SparseProblem
 from .simplex import (
     INFEASIBLE,
     ITERATION_LIMIT,
@@ -27,6 +27,7 @@ __all__ = [
     "Basis",
     "ProblemError",
     "Row",
+    "RowBlock",
     "SolveResult",
     "SparseProblem",
     "VerificationReport",

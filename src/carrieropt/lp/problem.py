@@ -1,9 +1,10 @@
-"""Sparse LP/MILP container; constraint rows become its CSR matrix in one
-array conversion (:meth:`SparseProblem.from_rows`)."""
+"""Sparse LP/MILP container; a :class:`RowBlock` of constraint rows becomes its
+CSR matrix in one array conversion (:meth:`SparseProblem.from_block`)."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import chain
 from typing import Mapping
 
 import numpy as np
@@ -28,6 +29,61 @@ class Row:
     sense: str
     rhs: float
     label: str = ""
+
+
+@dataclass
+class RowBlock:
+    """Constraint rows as arrays.
+
+    Entry ``k`` puts ``coefs[k]`` on column ``cols[k]`` of row ``rows[k]``,
+    counted from the block's first row; row ``i`` reads ``senses[i]`` ``rhs[i]``
+    and is named ``names[i]``. Entries of one row may lie anywhere in the
+    arrays; their order among themselves is the order duplicates are summed in.
+    """
+
+    rows: np.ndarray
+    cols: np.ndarray
+    coefs: np.ndarray
+    senses: list[str]
+    rhs: np.ndarray
+    names: list[str]
+
+    def __len__(self) -> int:
+        return len(self.names)
+
+    @classmethod
+    def from_rows(cls, rows: list[Row]) -> "RowBlock":
+        """``rows`` as a block; a row without a label is named ``r<i>``."""
+        counts = [len(row.coeffs) for row in rows]
+        entries = sum(counts)
+        return cls(
+            rows=np.repeat(np.arange(len(rows)), counts),
+            cols=np.fromiter((col for row in rows for col, _ in row.coeffs),
+                             dtype=np.intp, count=entries),
+            coefs=np.fromiter((coef for row in rows for _, coef in row.coeffs),
+                              dtype=float, count=entries),
+            senses=[row.sense for row in rows],
+            rhs=np.array([row.rhs for row in rows], dtype=float),
+            names=[row.label or f"r{i}" for i, row in enumerate(rows)],
+        )
+
+    @classmethod
+    def concat(cls, blocks: list["RowBlock"]) -> "RowBlock":
+        """The rows of ``blocks``, each block's after the previous one's."""
+        if not blocks:
+            return cls.from_rows([])
+        rows, offset = [], 0
+        for block in blocks:
+            rows.append(block.rows + offset)
+            offset += len(block)
+        return cls(
+            rows=np.concatenate(rows),
+            cols=np.concatenate([block.cols for block in blocks]),
+            coefs=np.concatenate([block.coefs for block in blocks]),
+            senses=list(chain.from_iterable(block.senses for block in blocks)),
+            rhs=np.concatenate([block.rhs for block in blocks]),
+            names=list(chain.from_iterable(block.names for block in blocks)),
+        )
 
 
 @dataclass
@@ -67,8 +123,8 @@ class SparseProblem:
             raise ProblemError("col_names length mismatch")
         if self.row_names and len(self.row_names) != m:
             raise ProblemError("row_names length mismatch")
-        known = np.isin(self.senses, _SENSES)
-        if not known.all():
+        if not set(self.senses.tolist()) <= set(_SENSES):
+            known = np.isin(self.senses, _SENSES)
             raise ProblemError(f"unknown row sense {self.senses[int(np.argmin(known))]!r}")
         if np.isnan(self.a.data).any():
             raise ProblemError("constraint matrix contains NaN")
@@ -127,6 +183,49 @@ class SparseProblem:
         return replace(self, lower=lower, upper=upper)
 
     @classmethod
+    def from_block(
+        cls,
+        num_cols: int,
+        block: RowBlock,
+        lower: np.ndarray,
+        upper: np.ndarray,
+        objective: np.ndarray,
+        integer: np.ndarray | None = None,
+        col_names: list[str] | None = None,
+    ) -> "SparseProblem":
+        """The problem whose ``i``-th constraint is row ``i`` of ``block``, validated.
+
+        The block's entries are one COO triplet, converted to CSR: entries a
+        row lists twice for one column are summed, column indices come out
+        sorted, and entries that sum to zero are not stored. Raises
+        :class:`ProblemError` naming the first row that references a column
+        outside ``range(num_cols)``.
+        """
+        ri, ci = block.rows, block.cols
+        outside = (ci < 0) | (ci >= num_cols)
+        if outside.any():
+            bad = np.flatnonzero(outside)
+            k = bad[np.argmin(ri[bad])]
+            raise ProblemError(f"row {block.names[ri[k]]!r} references column"
+                               f" {int(ci[k])} out of range")
+        a = sp.csr_matrix((block.coefs, (ri, ci)), shape=(len(block), num_cols))
+        a.eliminate_zeros()
+        problem = cls(
+            a=a,
+            senses=np.array(block.senses, dtype=object),
+            rhs=np.asarray(block.rhs, dtype=float),
+            lower=np.asarray(lower, dtype=float).copy(),
+            upper=np.asarray(upper, dtype=float).copy(),
+            objective=np.asarray(objective, dtype=float).copy(),
+            integer=(np.zeros(num_cols, dtype=bool) if integer is None
+                     else np.asarray(integer, dtype=bool).copy()),
+            col_names=list(col_names) if col_names else [],
+            row_names=list(block.names),
+        )
+        problem.validate()
+        return problem
+
+    @classmethod
     def from_rows(
         cls,
         num_cols: int,
@@ -137,38 +236,7 @@ class SparseProblem:
         integer: np.ndarray | None = None,
         col_names: list[str] | None = None,
     ) -> "SparseProblem":
-        """The problem whose ``i``-th constraint is ``rows[i]``, validated.
-
-        All coefficients are flattened into one COO triplet and converted to
-        CSR: entries a row lists twice for one column are summed, column
-        indices come out sorted, and entries that sum to zero are not stored.
-        A row without a label is named ``r<i>``. Raises :class:`ProblemError`
-        naming the first row that references a column outside
-        ``range(num_cols)``.
-        """
-        ri = np.repeat(np.arange(len(rows)), [len(row.coeffs) for row in rows])
-        ci = np.fromiter((col for row in rows for col, _ in row.coeffs),
-                         dtype=np.intp, count=len(ri))
-        data = np.fromiter((coef for row in rows for _, coef in row.coeffs),
-                           dtype=float, count=len(ri))
-        outside = (ci < 0) | (ci >= num_cols)
-        if outside.any():
-            k = int(np.argmax(outside))
-            raise ProblemError(f"row {rows[ri[k]].label!r} references column"
-                               f" {int(ci[k])} out of range")
-        a = sp.csr_matrix((data, (ri, ci)), shape=(len(rows), num_cols))
-        a.eliminate_zeros()
-        problem = cls(
-            a=a,
-            senses=np.array([row.sense for row in rows], dtype=object),
-            rhs=np.array([row.rhs for row in rows], dtype=float),
-            lower=np.asarray(lower, dtype=float).copy(),
-            upper=np.asarray(upper, dtype=float).copy(),
-            objective=np.asarray(objective, dtype=float).copy(),
-            integer=(np.zeros(num_cols, dtype=bool) if integer is None
-                     else np.asarray(integer, dtype=bool).copy()),
-            col_names=list(col_names) if col_names else [],
-            row_names=[row.label or f"r{i}" for i, row in enumerate(rows)],
-        )
-        problem.validate()
-        return problem
+        """:meth:`from_block` of ``RowBlock.from_rows(rows)``: the problem whose
+        ``i``-th constraint is ``rows[i]``, for problems written row by row."""
+        return cls.from_block(num_cols, RowBlock.from_rows(rows), lower, upper,
+                              objective, integer, col_names)

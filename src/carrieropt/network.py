@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import math
 
-from .lp import EQ, LE, Row
+import numpy as np
+
+from .lp import EQ, LE, Row, RowBlock
 from .system import (
     CARRIERS,
     Carrier,
@@ -27,7 +29,7 @@ from .system import (
     VariableIndex,
     node_carrier_participants,
 )
-from .technologies import Bound, DataError, size_limit
+from .technologies import Bounds, DataError, Emitted, StepRows, size_limit, step_block
 
 
 def pipeline_compression_factor(params: CompressionParams) -> float:
@@ -58,62 +60,53 @@ def _size_term(branch: NetworkBranch, index: VariableIndex, reverse: bool
     return index.column(branch.id, "size"), 1.0
 
 
-def emit_branch_capacity_and_loss(branch: NetworkBranch, index: VariableIndex,
-                                  system: EnergySystem) -> tuple[list[Row], list[Bound]]:
-    """Per direction and step: sent <= capacity, recv = (1 - mu*d) * sent."""
+def branch_capacity_and_loss(branch: NetworkBranch, index: VariableIndex, h: float,
+                             bounds: list[Bounds]) -> list[list[StepRows]]:
+    """Per direction and step: sent <= capacity, recv = (1 - mu*d) * sent; one
+    group of row kinds per direction. Capacity bounds go to ``bounds``."""
     transfer = 1.0 - branch.loss_factor_per_km * branch.length_km
-    h = system.horizon.hours_per_step
     cap = branch.existing_capacity * h
     directions = [("sent[fwd]", "recv[fwd]", False), ("sent[rev]", "recv[rev]", True)] \
         if branch.bidirectional else [("sent", "recv", False)]
-    rows: list[Row] = []
-    bounds: list[Bound] = []
+    groups: list[list[StepRows]] = []
     for sent_role, recv_role, reverse in directions:
         size, per_unit = _size_term(branch, index, reverse)
-        rate, name = per_unit * h, f"{branch.id}.cap[{sent_role}]"
-        for t in range(system.horizon.step_count):
-            sent = index.column(branch.id, sent_role, t)
-            recv = index.column(branch.id, recv_role, t)
-            size_limit(rows, bounds, sent, cap, rate, size, name, t)
-            rows.append(Row([(recv, 1.0), (sent, -transfer)], EQ, 0.0,
-                            f"{branch.id}.loss[{sent_role}][{t}]"))
-    return rows, bounds
+        sent = index.columns(branch.id, sent_role)
+        recv = index.columns(branch.id, recv_role)
+        kinds: list[StepRows] = []
+        size_limit(kinds, bounds, sent, cap, per_unit * h, size,
+                   f"{branch.id}.cap[{sent_role}]")
+        kinds.append(StepRows(f"{branch.id}.loss[{sent_role}]",
+                              [(recv, 1.0), (sent, -transfer)], EQ))
+        groups.append(kinds)
+    return groups
 
 
-def emit_bidirectional_coupling(branch: NetworkBranch, index: VariableIndex,
-                                system: EnergySystem) -> list[Row]:
-    """Equal sizes per direction and a single-direction-per-step cut."""
-    h = system.horizon.hours_per_step
-    rows: list[Row] = []
+def bidirectional_coupling(branch: NetworkBranch, index: VariableIndex, h: float
+                           ) -> tuple[list[Row], StepRows]:
+    """Equal sizes per direction (a row while the size may grow) and a
+    single-direction-per-step cut."""
+    size_eq: list[Row] = []
+    cut = [(index.columns(branch.id, "sent[fwd]"), 1.0),
+           (index.columns(branch.id, "sent[rev]"), 1.0)]
     fwd_col, per_unit = _size_term(branch, index, reverse=False)
     if fwd_col is not None:
         rev_col, _ = _size_term(branch, index, reverse=True)
-        rows.append(Row([(fwd_col, per_unit), (rev_col, -1.0)], EQ, 0.0,
-                        f"{branch.id}.size_eq"))
-    for t in range(system.horizon.step_count):
-        coeffs = [(index.column(branch.id, "sent[fwd]", t), 1.0),
-                  (index.column(branch.id, "sent[rev]", t), 1.0)]
-        if fwd_col is not None:
-            coeffs.append((fwd_col, -per_unit * h))
-        rows.append(Row(coeffs, LE, branch.existing_capacity * h,
-                        f"{branch.id}.dircut[{t}]"))
-    return rows
+        size_eq.append(Row([(fwd_col, per_unit), (rev_col, -1.0)], EQ, 0.0,
+                           f"{branch.id}.size_eq"))
+        cut.append((fwd_col, -per_unit * h))
+    return size_eq, StepRows(f"{branch.id}.dircut", cut, LE, branch.existing_capacity * h)
 
 
-def emit_pipeline_consumption(branch: NetworkBranch, index: VariableIndex,
-                              system: EnergySystem) -> list[Row]:
+def pipeline_consumption(branch: NetworkBranch, index: VariableIndex) -> StepRows:
     """Compression electricity at the sending node, proportional to flow."""
     k = pipeline_compression_factor(branch.compression)
-    rows = []
-    for t in range(system.horizon.step_count):
-        cons = index.column(branch.id, "cons_el", t)
-        sent = index.column(branch.id, "sent", t)
-        rows.append(Row([(cons, 1.0), (sent, -k)], EQ, 0.0,
-                        f"{branch.id}.compression[{t}]"))
-    return rows
+    return StepRows(f"{branch.id}.compression",
+                    [(index.columns(branch.id, "cons_el"), 1.0),
+                     (index.columns(branch.id, "sent"), -k)], EQ)
 
 
-def emit_block_build_link(branch: NetworkBranch, index: VariableIndex) -> list[Row]:
+def block_build_link(branch: NetworkBranch, index: VariableIndex) -> list[Row]:
     """Gate integer blocks behind the build indicator carrying fixed costs."""
     if not index.has(branch.id, "build"):
         return []
@@ -124,49 +117,51 @@ def emit_block_build_link(branch: NetworkBranch, index: VariableIndex) -> list[R
 
 
 def emit_branch(branch: NetworkBranch, index: VariableIndex,
-                system: EnergySystem) -> tuple[list[Row], list[Bound]]:
-    rows, bounds = emit_branch_capacity_and_loss(branch, index, system)
+                system: EnergySystem) -> Emitted:
+    """Capacity and loss rows per direction, then the coupling of a
+    bidirectional branch or the compression of a pipeline, then the build gate."""
+    steps, h = system.horizon.step_count, system.horizon.hours_per_step
+    bounds: list[Bounds] = []
+    blocks = [step_block(steps, *branch_capacity_and_loss(branch, index, h, bounds))]
     if branch.bidirectional:
-        rows.extend(emit_bidirectional_coupling(branch, index, system))
+        size_eq, dircut = bidirectional_coupling(branch, index, h)
+        if size_eq:
+            blocks.append(RowBlock.from_rows(size_eq))
+        blocks.append(step_block(steps, [dircut]))
     if branch.carrier == Carrier.HYDROGEN:
-        rows.extend(emit_pipeline_consumption(branch, index, system))
-    rows.extend(emit_block_build_link(branch, index))
-    return rows, bounds
+        blocks.append(step_block(steps, [pipeline_consumption(branch, index)]))
+    build_gate = block_build_link(branch, index)
+    if build_gate:
+        blocks.append(RowBlock.from_rows(build_gate))
+    return RowBlock.concat(blocks), bounds
 
 
-def balance_label(node_id: str, carrier: Carrier, t: int) -> str:
-    return f"balance[{node_id}][{carrier.value}][{t}]"
-
-
-def emit_energy_balance(system: EnergySystem, index: VariableIndex
-                        ) -> tuple[list[Row], list[Bound]]:
-    """Equality balance per participating (node, carrier, step) plus import caps."""
+def emit_energy_balance(system: EnergySystem, index: VariableIndex) -> Emitted:
+    """Equality balance per participating (node, carrier, step), named
+    ``balance[node][carrier][step]``, plus import caps. Slots follow one another
+    in (node, carrier) order; within one, step by step."""
     steps = system.horizon.step_count
     h = system.horizon.hours_per_step
     demand_by_key = {(d.node, d.carrier): d.values for d in system.demands}
     participants = node_carrier_participants(system)
 
-    rows: list[Row] = []
-    bounds: list[Bound] = []
+    slots: list[StepRows] = []
+    bounds: list[Bounds] = []
     for node in sorted(system.nodes, key=lambda n: n.id):
         for carrier in CARRIERS:
             key = (node.id, carrier)
             if key not in participants:
                 continue
-            has_import = index.has(node.id, f"imp[{carrier.value}]", 0)
+            terms = [(index.columns(entity, role), sign)
+                     for entity, role, sign in participants[key]]
+            imports = f"imp[{carrier.value}]"
+            if index.has(node.id, imports, 0):
+                cols = index.columns(node.id, imports)
+                terms.append((cols, 1.0))
+                limit = node.import_limit.get(carrier, 0.0)
+                cap = limit * h if math.isfinite(limit) else math.inf
+                bounds.append((cols, np.full(steps, cap)))
             demand = demand_by_key.get(key)
-            for t in range(steps):
-                coeffs = [(index.column(entity, role, t), sign)
-                          for entity, role, sign in participants[key]]
-                if has_import:
-                    col = index.column(node.id, f"imp[{carrier.value}]", t)
-                    coeffs.append((col, 1.0))
-                    if t == 0:
-                        limit = node.import_limit.get(carrier, 0.0)
-                        cap = limit * h if math.isfinite(limit) else math.inf
-                        for step in range(steps):
-                            bounds.append((index.column(node.id, f"imp[{carrier.value}]",
-                                                        step), 0.0, cap))
-                rows.append(Row(coeffs, EQ, demand[t] if demand else 0.0,
-                                balance_label(node.id, carrier, t)))
-    return rows, bounds
+            slots.append(StepRows(f"balance[{node.id}][{carrier.value}]", terms, EQ,
+                                  demand if demand else 0.0))
+    return step_block(steps, *([slot] for slot in slots)), bounds

@@ -8,7 +8,9 @@ column layout that the problem builder and all post-processing rely on.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import lru_cache
 from enum import Enum
 from typing import Iterable, Mapping
 
@@ -230,13 +232,22 @@ def _non_finite(where: str, values: Mapping[str, float]) -> list[str]:
             if not math.isfinite(value)]
 
 
+def _non_finite_steps(where: str, values: Iterable[float]) -> list[str]:
+    """One message per step of the series ``values`` that is NaN or infinite."""
+    if all(map(math.isfinite, values)):
+        return []
+    return [f"{where}: step {t} must be finite" for t, value in enumerate(values)
+            if not math.isfinite(value)]
+
+
 def validate_system(system: EnergySystem) -> list[str]:
     """Check every structural invariant; return one message per violation.
 
     Violations are data, not exceptions: an empty list means the system is
     well formed and safe to hand to the problem builder. Every number that
     enters the objective must be finite; import limits, maximum sizes and
-    maximum capacities may be infinite.
+    maximum capacities may be infinite, but no step of a demand, renewable
+    profile or hydro inflow may.
     """
     out: list[str] = []
     steps = system.horizon.step_count
@@ -281,6 +292,7 @@ def validate_system(system: EnergySystem) -> list[str]:
                        f" expected {steps}")
         if any(v < 0 for v in d.values):
             out.append(f"demand {d.node}/{d.carrier.value}: negative values")
+        out += _non_finite_steps(f"demand {d.node}/{d.carrier.value}", d.values)
 
     tech_ids = [t.id for t in system.technologies]
     if len(set(tech_ids)) != len(tech_ids):
@@ -311,8 +323,10 @@ def validate_system(system: EnergySystem) -> list[str]:
                 out.append(f"{pre}: renewable without a profile")
             elif len(profile) != steps:
                 out.append(f"{pre}: profile length {len(profile)}, expected {steps}")
-            elif any(v < 0 for v in profile):
-                out.append(f"{pre}: profile has negative values")
+            else:
+                if any(v < 0 for v in profile):
+                    out.append(f"{pre}: profile has negative values")
+                out += _non_finite_steps(f"{pre}: profile", profile)
         elif t.kind == TechnologyKind.CONVERSION2:
             p = t.performance
             if not isinstance(p, Conversion2Params):
@@ -351,6 +365,8 @@ def validate_system(system: EnergySystem) -> list[str]:
                     out.append(f"{pre}: storage2_1 without an inflow series")
                 elif len(inflow) != steps:
                     out.append(f"{pre}: inflow length {len(inflow)}, expected {steps}")
+                else:
+                    out += _non_finite_steps(f"{pre}: inflow", inflow)
 
     # a series on any other kind of technology would go unused
     kinds = {t.id: t.kind for t in system.technologies}
@@ -499,6 +515,14 @@ class StructureError(ValueError):
     """Unknown entity references or inconsistent index requests."""
 
 
+@lru_cache(maxsize=1024)
+def step_names(prefix: str, steps: int) -> tuple[str, ...]:
+    """``prefix[0]``, ..., ``prefix[steps - 1]``: the names of a per-step column
+    or row at every step. Cached: the builds of one system's scenarios name
+    mostly the same columns and rows."""
+    return tuple(f"{prefix}[{t}]" for t in range(steps))
+
+
 class VariableIndex:
     """Deterministic, gap-free map (entity, role, step) <-> column index.
 
@@ -506,42 +530,87 @@ class VariableIndex:
     carriers; per technology (sorted by id) the per-step roles then the size
     delta; per branch (sorted by id) the per-step flow roles then the size
     variables (a `blocks`/`build` pair when integer blocks are active).
+
+    Each per-step role takes ``steps`` contiguous columns, step 0 first, so
+    its columns at every step are ``first + arange(steps)``
+    (:meth:`columns`); the index keeps only each role's first column.
     """
 
-    def __init__(self, keys: Iterable[VarKey]):
-        self._keys: list[VarKey] = list(keys)
-        # plain (entity, role, step) tuples: cheaper to hash than a VarKey per lookup
-        self._pos: dict[tuple[str, str, int | None], int] = {
-            (k.entity, k.role, k.step): i for i, k in enumerate(self._keys)}
-        if len(self._pos) != len(self._keys):
+    def __init__(self, steps: int, roles: Iterable[tuple[str, str, bool]]):
+        """``roles`` lists ``(entity, role, per_step)`` in column order; a
+        per-step role takes ``steps`` columns, any other role one."""
+        self._steps = steps
+        self._arange = np.arange(steps)
+        self._roles: list[tuple[str, str, bool]] = list(roles)
+        self._starts: list[int] = []
+        # first column of each per-step role, and the column of each other role
+        self._per_step: dict[tuple[str, str], int] = {}
+        self._fixed: dict[tuple[str, str], int] = {}
+        n = 0
+        for entity, role, per_step in self._roles:
+            self._starts.append(n)
+            (self._per_step if per_step else self._fixed)[entity, role] = n
+            n += steps if per_step else 1
+        self._size = n
+        if len(self._per_step) + len(self._fixed) != len(self._roles):
             raise StructureError("duplicate variable keys")
 
     def __len__(self) -> int:
-        return len(self._keys)
+        return self._size
+
+    def _find(self, entity: str, role: str, step: int | None) -> int | None:
+        if step is None:
+            return self._fixed.get((entity, role))
+        first = self._per_step.get((entity, role))
+        if first is None or not 0 <= step < self._steps:
+            return None
+        return first + step
 
     def column(self, entity: str, role: str, step: int | None = None) -> int:
-        try:
-            return self._pos[entity, role, step]
-        except KeyError:
+        col = self._find(entity, role, step)
+        if col is None:
             name = VarKey(entity, role, step).name()
-            raise StructureError(f"no variable {name!r}") from None
+            raise StructureError(f"no variable {name!r}")
+        return col
+
+    def columns(self, entity: str, role: str) -> np.ndarray:
+        """The columns of the per-step role ``entity.role`` at steps 0, 1, ..."""
+        return self.column(entity, role, 0) + self._arange
 
     def has(self, entity: str, role: str, step: int | None = None) -> bool:
-        return (entity, role, step) in self._pos
+        return self._find(entity, role, step) is not None
 
     def key(self, column: int) -> VarKey:
-        return self._keys[column]
+        if column < 0:
+            column += self._size
+        if not 0 <= column < self._size:
+            raise IndexError("column index out of range")
+        i = bisect_right(self._starts, column) - 1
+        entity, role, per_step = self._roles[i]
+        return VarKey(entity, role, column - self._starts[i] if per_step else None)
 
     def names(self) -> list[str]:
-        return [k.name() for k in self._keys]
+        names: list[str] = []
+        for entity, role, per_step in self._roles:
+            if per_step:
+                names += step_names(f"{entity}.{role}", self._steps)
+            else:
+                names.append(f"{entity}.{role}")
+        return names
 
     def keys(self) -> list[VarKey]:
-        return list(self._keys)
+        keys: list[VarKey] = []
+        for entity, role, per_step in self._roles:
+            if per_step:
+                keys += (VarKey(entity, role, t) for t in range(self._steps))
+            else:
+                keys.append(VarKey(entity, role))
+        return keys
 
     def size_columns(self) -> dict[str, int]:
         """Column by name of every variable without a step: the sizes (and
         integer blocks and build flags) a warm start fixes."""
-        return {k.name(): i for i, k in enumerate(self._keys) if k.step is None}
+        return {f"{entity}.{role}": col for (entity, role), col in self._fixed.items()}
 
 
 def assemble_variable_index(system: EnergySystem) -> VariableIndex:
@@ -553,43 +622,39 @@ def assemble_variable_index(system: EnergySystem) -> VariableIndex:
     if violations:
         raise StructureError("invalid system: " + "; ".join(violations[:5]))
 
-    steps = range(system.horizon.step_count)
     participants = node_carrier_participants(system)
-    keys: list[VarKey] = []
+    roles: list[tuple[str, str, bool]] = []
 
     for node in sorted(system.nodes, key=lambda n: n.id):
         for carrier in CARRIERS:
             if (node.id, carrier) not in participants:
                 continue
             if node.import_limit.get(carrier, 0.0) > 0.0:
-                keys.extend(VarKey(node.id, f"imp[{carrier.value}]", t) for t in steps)
+                roles.append((node.id, f"imp[{carrier.value}]", True))
 
     for tech in sorted(system.technologies, key=lambda t: t.id):
-        for role in tech_step_roles(tech):
-            keys.extend(VarKey(tech.id, role, t) for t in steps)
+        roles += ((tech.id, role, True) for role in tech_step_roles(tech))
         if tech.expandable:
-            keys.append(VarKey(tech.id, "size"))
+            roles.append((tech.id, "size", False))
 
     for branch in sorted(system.branches, key=lambda b: b.id):
         if branch.bidirectional:
-            for role in ("sent[fwd]", "recv[fwd]", "sent[rev]", "recv[rev]"):
-                keys.extend(VarKey(branch.id, role, t) for t in steps)
+            flows = ["sent[fwd]", "recv[fwd]", "sent[rev]", "recv[rev]"]
         else:
-            roles = ["sent", "recv"]
+            flows = ["sent", "recv"]
             if branch.carrier == Carrier.HYDROGEN:
-                roles.append("cons_el")
-            for role in roles:
-                keys.extend(VarKey(branch.id, role, t) for t in steps)
+                flows.append("cons_el")
+        roles += ((branch.id, role, True) for role in flows)
         if branch.expandable:
             if branch.integer_block_mw is not None:
-                keys.append(VarKey(branch.id, "blocks"))
+                roles.append((branch.id, "blocks", False))
                 if branch.fixed_cost > 0:
-                    keys.append(VarKey(branch.id, "build"))
+                    roles.append((branch.id, "build", False))
             else:
-                keys.append(VarKey(branch.id, "size"))
+                roles.append((branch.id, "size", False))
             if branch.bidirectional:
-                keys.append(VarKey(branch.id, "size[rev]"))
-    return VariableIndex(keys)
+                roles.append((branch.id, "size[rev]", False))
+    return VariableIndex(system.horizon.step_count, roles)
 
 
 # -- miniature test system --------------------------------------------------------

@@ -1,14 +1,18 @@
 """Linear constraint rows for the six technology performance models.
 
-Emitters return ``(rows, bounds)``: rows reference columns of a
-:class:`~carrieropt.system.VariableIndex`, bounds are (column, lower, upper)
-tightenings. Every flow limited by an asset's size, here and in
-:mod:`carrieropt.network`, is emitted by :func:`size_limit`: ``flow <= cap +
-rate * size`` becomes the bound ``(flow, 0, cap)`` while the size is fixed,
-which keeps the working problems small, and a row on the size column once the
-size may grow. Emitters take a system that passes
-:func:`~carrieropt.system.validate_system`, which the builder checks first,
-and do not check its rules again.
+Emitters write every step of a row kind at once and return ``(block,
+bounds)``: ``block`` is a :class:`~carrieropt.lp.RowBlock` whose entries
+reference columns of a :class:`~carrieropt.system.VariableIndex`, and
+``bounds`` lists ``(columns, upper)`` array pairs that tighten those columns'
+upper bounds (lower bounds stay 0). A row kind repeated over the steps is a
+:class:`StepRows`; :func:`step_block` lays a group of kinds out step by step,
+so step t's rows come in the order the emitter lists its kinds. Every flow limited by
+an asset's size, here and in :mod:`carrieropt.network`, is emitted by
+:func:`size_limit`: ``flow <= cap + rate * size`` becomes the bound ``(flow,
+cap)`` while the size is fixed, which keeps the working problems small, and a
+row kind on the size column once the size may grow. Emitters take a system
+that passes :func:`~carrieropt.system.validate_system`, which the builder
+checks first, and do not check its rules again.
 
 Sizes are power ratings in MW except for storage, whose size is the energy
 capacity in MWh. With ``h`` hours per step a rating of S MW allows S*h MWh of
@@ -20,8 +24,11 @@ initial energy exists.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 
-from .lp import EQ, LE, Row
+import numpy as np
+
+from .lp import EQ, LE, RowBlock
 from .system import (
     CARRIERS,
     EnergySystem,
@@ -29,13 +36,63 @@ from .system import (
     TechnologyInstance,
     TechnologyKind,
     VariableIndex,
+    step_names,
 )
 
-Bound = tuple[int, float, float]
+Bounds = tuple[np.ndarray, np.ndarray]   # (columns, upper bounds)
+Emitted = tuple[RowBlock, list[Bounds]]
 
 
 class DataError(ValueError):
     """Required series or parameters are missing or unusable."""
+
+
+@dataclass
+class StepRows:
+    """One row per step ``t``, named ``name[t]``: the sum of ``coef * x[col]``
+    over ``terms``, ``sense`` ``rhs``.
+
+    A term's column is a per-step array (:meth:`VariableIndex.columns`) or one
+    column that every step's row reads, such as a size; a coefficient, like
+    ``rhs``, is a number or a per-step array.
+    """
+
+    name: str
+    terms: list[tuple[np.ndarray | int, np.ndarray | float]]
+    sense: str
+    rhs: np.ndarray | float = 0.0
+
+
+def step_block(steps: int, *groups: list[StepRows]) -> RowBlock:
+    """The rows of every kind of ``groups`` at every step, one group after the
+    other. Within a group, step ``t``'s rows come in the order of its kinds,
+    after all rows of step ``t - 1``; each row's entries keep the order of its
+    kind's terms."""
+    terms, first_row, stride = [], [], []
+    count = steps * sum(len(kinds) for kinds in groups)
+    senses, names, rhs = [""] * count, [""] * count, np.empty(count)
+    offset = 0
+    for kinds in groups:
+        k = len(kinds)
+        for j, kind in enumerate(kinds):
+            terms += kind.terms
+            first_row += [offset + j] * len(kind.terms)
+            stride += [k] * len(kind.terms)
+            rows = slice(offset + j, offset + k * steps, k)
+            senses[rows] = [kind.sense] * steps
+            names[rows] = step_names(kind.name, steps)
+            rhs[rows] = kind.rhs
+        offset += k * steps
+    cols = np.empty((len(terms), steps), dtype=np.intp)
+    coefs = np.empty((len(terms), steps))
+    for i, (col, coef) in enumerate(terms):
+        cols[i] = col
+        coefs[i] = coef
+    # term-major entries: within each row, the entries follow the kind's terms
+    rows = (np.array(first_row, dtype=np.intp)[:, None]
+            + np.array(stride, dtype=np.intp)[:, None] * np.arange(steps))
+    return RowBlock(rows=rows.ravel(), cols=cols.ravel(), coefs=coefs.ravel(),
+                    senses=senses, rhs=rhs, names=names)
 
 
 def _require_kind(tech: TechnologyInstance, kind: TechnologyKind) -> None:
@@ -43,15 +100,16 @@ def _require_kind(tech: TechnologyInstance, kind: TechnologyKind) -> None:
         raise StructureError(f"technology {tech.id} is {tech.kind.value}, not {kind.value}")
 
 
-def size_limit(rows: list[Row], bounds: list[Bound], col: int, cap: float, rate: float,
-               size: int | None, name: str, t: int) -> None:
-    """Limit ``col <= cap + rate * size``: append the bound ``(col, 0, cap)`` when
-    the size is fixed (``size`` is None), otherwise the row ``name[t]`` with
-    ``-rate`` on the size column."""
+def size_limit(kinds: list[StepRows], bounds: list[Bounds], flow: np.ndarray,
+               cap: np.ndarray | float, rate: np.ndarray | float, size: int | None,
+               name: str) -> None:
+    """Limit ``flow <= cap + rate * size`` at every step: append the bounds
+    ``(flow, cap)`` when the size is fixed (``size`` is None), otherwise the
+    row kind ``name`` with ``-rate`` on the size column."""
     if size is None:
-        bounds.append((col, 0.0, cap))
+        bounds.append((flow, np.full(len(flow), cap, dtype=float)))
     else:
-        rows.append(Row([(col, 1.0), (size, -rate)], LE, cap, f"{name}[{t}]"))
+        kinds.append(StepRows(name, [(flow, 1.0), (size, -rate)], LE, cap))
 
 
 def _size_column(tech: TechnologyInstance, index: VariableIndex) -> int | None:
@@ -59,7 +117,7 @@ def _size_column(tech: TechnologyInstance, index: VariableIndex) -> int | None:
 
 
 def emit_renewable(tech: TechnologyInstance, index: VariableIndex,
-                   system: EnergySystem) -> tuple[list[Row], list[Bound]]:
+                   system: EnergySystem) -> Emitted:
     """Availability limit per step; curtailment is implicitly profile - output.
 
     Profiles are stored as energy per step at the existing size and scale
@@ -68,109 +126,99 @@ def emit_renewable(tech: TechnologyInstance, index: VariableIndex,
     greenfield instance whose size is fixed delivers nothing.
     """
     _require_kind(tech, TechnologyKind.RENEWABLE)
-    rows: list[Row] = []
-    bounds: list[Bound] = []
+    kinds: list[StepRows] = []
+    bounds: list[Bounds] = []
     existing = tech.existing_size
-    size = _size_column(tech, index)
-    name = f"{tech.id}.avail"
-    for t, available in enumerate(system.renewable_profiles[tech.id]):
-        cap, per_mw = (available, available / existing) if existing > 0 else (0.0, available)
-        size_limit(rows, bounds, index.column(tech.id, "out", t), cap, per_mw, size, name, t)
-    return rows, bounds
+    available = np.array(system.renewable_profiles[tech.id], dtype=float)
+    cap, per_mw = (available, available / existing) if existing > 0 else (0.0, available)
+    size_limit(kinds, bounds, index.columns(tech.id, "out"), cap, per_mw,
+               _size_column(tech, index), f"{tech.id}.avail")
+    return step_block(system.horizon.step_count, kinds), bounds
 
 
 def emit_conversion1(tech: TechnologyInstance, index: VariableIndex,
-                     system: EnergySystem) -> tuple[list[Row], list[Bound]]:
+                     system: EnergySystem) -> Emitted:
     """Output limited by size only; fuel cost lives in the variable opex."""
     _require_kind(tech, TechnologyKind.CONVERSION1)
     h = system.horizon.hours_per_step
-    size, cap, name = _size_column(tech, index), tech.existing_size * h, f"{tech.id}.cap"
-    rows: list[Row] = []
-    bounds: list[Bound] = []
-    for t in range(system.horizon.step_count):
-        size_limit(rows, bounds, index.column(tech.id, "out", t), cap, h, size, name, t)
-    return rows, bounds
+    kinds: list[StepRows] = []
+    bounds: list[Bounds] = []
+    size_limit(kinds, bounds, index.columns(tech.id, "out"), tech.existing_size * h, h,
+               _size_column(tech, index), f"{tech.id}.cap")
+    return step_block(system.horizon.step_count, kinds), bounds
 
 
 def emit_conversion2(tech: TechnologyInstance, index: VariableIndex,
-                     system: EnergySystem) -> tuple[list[Row], list[Bound]]:
+                     system: EnergySystem) -> Emitted:
     """Size cap on output, fixed-efficiency input/output link, admix limits."""
     _require_kind(tech, TechnologyKind.CONVERSION2)
     params = tech.performance
     h = system.horizon.hours_per_step
-    size, cap, name = _size_column(tech, index), tech.existing_size * h, f"{tech.id}.cap"
     alpha = params.efficiency
     inputs = [c for c in CARRIERS if c in params.input_carriers]
-    rows: list[Row] = []
-    bounds: list[Bound] = []
-    for t in range(system.horizon.step_count):
-        out = index.column(tech.id, "out", t)
-        size_limit(rows, bounds, out, cap, h, size, name, t)
-        in_cols = [index.column(tech.id, f"in[{c.value}]", t) for c in inputs]
-        rows.append(Row([(out, 1.0)] + [(col, -alpha) for col in in_cols], EQ, 0.0,
-                        f"{tech.id}.inout[{t}]"))
-        for carrier, share in sorted(params.admix_limits.items(),
-                                     key=lambda kv: kv[0].value):
-            limited = index.column(tech.id, f"in[{carrier.value}]", t)
-            coeffs = [(col, (1.0 - share) if col == limited else -share)
-                      for col in in_cols]
-            rows.append(Row(coeffs, LE, 0.0, f"{tech.id}.admix[{carrier.value}][{t}]"))
-    return rows, bounds
+    kinds: list[StepRows] = []
+    bounds: list[Bounds] = []
+    out = index.columns(tech.id, "out")
+    size_limit(kinds, bounds, out, tech.existing_size * h, h, _size_column(tech, index),
+               f"{tech.id}.cap")
+    in_cols = [index.columns(tech.id, f"in[{c.value}]") for c in inputs]
+    kinds.append(StepRows(f"{tech.id}.inout",
+                          [(out, 1.0)] + [(col, -alpha) for col in in_cols], EQ))
+    for carrier, share in sorted(params.admix_limits.items(), key=lambda kv: kv[0].value):
+        kinds.append(StepRows(f"{tech.id}.admix[{carrier.value}]",
+                              [(col, (1.0 - share) if c == carrier else -share)
+                               for c, col in zip(inputs, in_cols)], LE))
+    return step_block(system.horizon.step_count, kinds), bounds
 
 
 def _storage_common(tech: TechnologyInstance, index: VariableIndex,
                     system: EnergySystem,
                     inflow: tuple[float, ...] | None,
-                    spill: bool, compression: bool) -> tuple[list[Row], list[Bound]]:
+                    spill: bool, compression: bool) -> Emitted:
     params = tech.performance
     h = system.horizon.hours_per_step
-    steps = system.horizon.step_count
     decay = (1.0 - params.self_discharge) ** h
     size_col = _size_column(tech, index)
     existing = tech.existing_size
     charge_rate = params.max_charge_rate * h
     discharge_rate = params.max_discharge_rate * h
-    charge_name, discharge_name = f"{tech.id}.max_charge", f"{tech.id}.max_discharge"
-    soc_name = f"{tech.id}.soc_cap"
-    rows: list[Row] = []
-    bounds: list[Bound] = []
-    for t in range(steps):
-        charge = index.column(tech.id, "charge", t)
-        discharge = index.column(tech.id, "discharge", t)
-        soc = index.column(tech.id, "soc", t)
-        size_limit(rows, bounds, charge, charge_rate * existing, charge_rate, size_col,
-                   charge_name, t)
-        size_limit(rows, bounds, discharge, discharge_rate * existing, discharge_rate,
-                   size_col, discharge_name, t)
-        size_limit(rows, bounds, soc, existing, 1.0, size_col, soc_name, t)
+    charge, discharge, soc = (index.columns(tech.id, role)
+                              for role in ("charge", "discharge", "soc"))
+    kinds: list[StepRows] = []
+    bounds: list[Bounds] = []
+    size_limit(kinds, bounds, charge, charge_rate * existing, charge_rate, size_col,
+               f"{tech.id}.max_charge")
+    size_limit(kinds, bounds, discharge, discharge_rate * existing, discharge_rate,
+               size_col, f"{tech.id}.max_discharge")
+    size_limit(kinds, bounds, soc, existing, 1.0, size_col, f"{tech.id}.soc_cap")
 
-        prev = index.column(tech.id, "soc", (t - 1) % steps)
-        coeffs = [(soc, 1.0), (prev, -decay),
-                  (charge, -params.charge_efficiency),
-                  (discharge, 1.0 / params.discharge_efficiency)]
-        rhs = 0.0
-        if inflow is not None:
-            rhs = inflow[t]
-        if spill:
-            coeffs.append((index.column(tech.id, "spill", t), 1.0))
-        rows.append(Row(coeffs, EQ, rhs, f"{tech.id}.soc_balance[{t}]"))
+    # step t's balance reads the state of charge of step (t - 1) % steps
+    prev = soc - 1
+    prev[0] = soc[-1]
+    terms = [(soc, 1.0), (prev, -decay),
+             (charge, -params.charge_efficiency),
+             (discharge, 1.0 / params.discharge_efficiency)]
+    if spill:
+        terms.append((index.columns(tech.id, "spill"), 1.0))
+    kinds.append(StepRows(f"{tech.id}.soc_balance", terms, EQ,
+                          0.0 if inflow is None else inflow))
 
-        # discourage simultaneous charge/discharge: both at full rate need the
-        # whole installed size (weaker than a binary, always valid)
-        cut = [(charge, 1.0 / charge_rate), (discharge, 1.0 / discharge_rate)]
-        if size_col is not None:
-            cut.append((size_col, -1.0))
-        rows.append(Row(cut, LE, existing, f"{tech.id}.cut[{t}]"))
+    # discourage simultaneous charge/discharge: both at full rate need the
+    # whole installed size (weaker than a binary, always valid)
+    cut = [(charge, 1.0 / charge_rate), (discharge, 1.0 / discharge_rate)]
+    if size_col is not None:
+        cut.append((size_col, -1.0))
+    kinds.append(StepRows(f"{tech.id}.cut", cut, LE, existing))
 
-        if compression:
-            el = index.column(tech.id, "compress_el", t)
-            rows.append(Row([(el, 1.0), (charge, -params.compression_electricity)],
-                            EQ, 0.0, f"{tech.id}.compression[{t}]"))
-    return rows, bounds
+    if compression:
+        kinds.append(StepRows(f"{tech.id}.compression",
+                              [(index.columns(tech.id, "compress_el"), 1.0),
+                               (charge, -params.compression_electricity)], EQ))
+    return step_block(system.horizon.step_count, kinds), bounds
 
 
 def emit_storage1(tech: TechnologyInstance, index: VariableIndex,
-                  system: EnergySystem) -> tuple[list[Row], list[Bound]]:
+                  system: EnergySystem) -> Emitted:
     """Rate and capacity limits, cyclic state of charge, simultaneity cut."""
     _require_kind(tech, TechnologyKind.STORAGE1)
     return _storage_common(tech, index, system, inflow=None, spill=False,
@@ -178,7 +226,7 @@ def emit_storage1(tech: TechnologyInstance, index: VariableIndex,
 
 
 def emit_storage_open_loop(tech: TechnologyInstance, index: VariableIndex,
-                           system: EnergySystem) -> tuple[list[Row], list[Bound]]:
+                           system: EnergySystem) -> Emitted:
     """Storage with exogenous inflow; nonnegative spill keeps full reservoirs feasible."""
     _require_kind(tech, TechnologyKind.STORAGE2_1)
     return _storage_common(tech, index, system, inflow=system.hydro_inflows[tech.id],
@@ -186,7 +234,7 @@ def emit_storage_open_loop(tech: TechnologyInstance, index: VariableIndex,
 
 
 def emit_storage_compressed(tech: TechnologyInstance, index: VariableIndex,
-                            system: EnergySystem) -> tuple[list[Row], list[Bound]]:
+                            system: EnergySystem) -> Emitted:
     """Storage whose charging draws electricity at the node balance."""
     _require_kind(tech, TechnologyKind.STORAGE2_2)
     return _storage_common(tech, index, system, inflow=None, spill=False,
@@ -204,7 +252,7 @@ _EMITTERS = {
 
 
 def emit_technology(tech: TechnologyInstance, index: VariableIndex,
-                    system: EnergySystem) -> tuple[list[Row], list[Bound]]:
+                    system: EnergySystem) -> Emitted:
     return _EMITTERS[tech.kind](tech, index, system)
 
 

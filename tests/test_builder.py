@@ -6,7 +6,7 @@ import pytest
 
 from carrieropt.builder import build_problem
 from carrieropt.costing import EMISSION_CAP_LABEL, ObjectiveMode
-from carrieropt.lp import EQ, GE, LE, ProblemError, Row, SparseProblem
+from carrieropt.lp import EQ, GE, LE, ProblemError, Row, RowBlock, SparseProblem
 from carrieropt.scenarios import STANDARD_SCENARIO_IDS, apply_scenario, standard_scenario
 from carrieropt.system import build_miniature_system
 
@@ -138,6 +138,34 @@ class TestFromRows:
                 Row([(9, 1.0)], LE, 1.0, "later")]
         with pytest.raises(ProblemError, match=f"row 'bad' references column {col} out of range"):
             from_rows(rows)
+
+    def test_out_of_range_column_names_the_first_row_of_a_block(self):
+        # a block may list a later row's entries first
+        block = RowBlock(rows=np.array([2, 1, 0, 1]), cols=np.array([9, 7, 0, 8]),
+                         coefs=np.ones(4), senses=[LE] * 3, rhs=np.zeros(3),
+                         names=["a", "b", "c"])
+        with pytest.raises(ProblemError, match="row 'b' references column 7 out of range"):
+            SparseProblem.from_block(4, block, np.zeros(4), np.full(4, np.inf), np.zeros(4))
+
+    def test_block_entries_in_any_order_match_rows(self):
+        """Entries grouped by term rather than by row give the rows' matrix."""
+        rows = [Row([(3, 1.0), (1, 2.0), (3, 0.5)], LE, 1.0, "a"), Row([], EQ, 0.0, "b"),
+                Row([(0, -1.0), (2, 4.0)], GE, 2.0, "c")]
+        block = RowBlock.from_rows(rows)
+        order = np.argsort(np.arange(len(block.rows)) % 2, kind="stable")
+        shuffled = RowBlock(block.rows[order], block.cols[order], block.coefs[order],
+                            block.senses, block.rhs, block.names)
+        assert_same_problem(
+            SparseProblem.from_block(4, shuffled, np.zeros(4), np.full(4, np.inf), np.zeros(4)),
+            from_rows(rows))
+
+    def test_concatenated_blocks_follow_one_another(self):
+        first = RowBlock.from_rows([Row([(0, 1.0)], LE, 1.0, "a")])
+        second = RowBlock.from_rows([Row([(1, 2.0)], GE, 2.0, "b"), Row([(2, 3.0)], EQ, 3.0)])
+        block = RowBlock.concat([first, RowBlock.concat([]), second])
+        assert block.rows.tolist() == [0, 1, 2]
+        assert block.names == ["a", "b", "r1"]
+        assert block.senses == [LE, GE, EQ] and block.rhs.tolist() == [1.0, 2.0, 3.0]
 
     def test_dtypes(self):
         p = from_rows([Row([(3, 1.0), (1, 2.0)], LE, 1.0, "a"), Row([], EQ, 0.0, "b")])

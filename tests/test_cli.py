@@ -76,6 +76,27 @@ class TestValidate:
             "inflow batt1: technology is storage1, not storage2_1",
         ]
 
+    @pytest.mark.parametrize("name, column, message", [
+        ("demand_electricity.csv", "n1", "demand n1/electricity: step 1 must be finite"),
+        ("profiles.csv", "wind1", "technology wind1: profile: step 1 must be finite"),
+        ("inflows.csv", "hydro1", "technology hydro1: inflow: step 1 must be finite"),
+    ])
+    def test_infinite_series_cell_exit_3(self, tmp_path, capsys, name, column, message):
+        import csv
+        import shutil
+        from pathlib import Path
+        broken = tmp_path / "broken"
+        shutil.copytree(Path(__file__).parent.parent / "fixtures" / "miniature", broken)
+        path = broken / name
+        with path.open(newline="") as handle:
+            rows = list(csv.reader(handle))
+        rows[2][rows[0].index(column)] = "inf"  # step 1
+        path.write_text("".join(",".join(row) + "\n" for row in rows))
+        assert run_cli(["validate", str(broken)]) == 3
+        assert capsys.readouterr().out.splitlines() == ["1 violation", message]
+        assert run_cli(["--quiet", "run", str(broken), "--scenario", "reference"]) == 3
+        assert json.loads(capsys.readouterr().out)["error"] == "schema"
+
     def test_missing_directory_exit(self, tmp_path):
         assert run_cli(["validate", str(tmp_path / "nope")]) == 3
 

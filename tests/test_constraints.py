@@ -2,12 +2,13 @@
 
 import dataclasses
 
+import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from carrieropt.builder import build_problem
 from carrieropt.costing import ObjectiveMode
-from carrieropt.lp import LE, OPTIMAL, solve_lp, verify_solution
+from carrieropt.lp import EQ, LE, OPTIMAL, Row, solve_lp, verify_solution
 from carrieropt.network import emit_branch, pipeline_compression_factor
 from carrieropt.scenarios import apply_scenario, standard_scenario
 from carrieropt.system import (
@@ -43,6 +44,28 @@ def rows_by_label(rows, prefix):
     return [r for r in rows if r.label.startswith(prefix)]
 
 
+def as_rows(block):
+    """The rows of an emitted block as :class:`Row` objects, in block order,
+    each with its entries in the order the block lists them."""
+    rows = [Row([], sense, float(rhs), name)
+            for sense, rhs, name in zip(block.senses, block.rhs, block.names)]
+    for row, col, coef in zip(block.rows.tolist(), block.cols.tolist(), block.coefs.tolist()):
+        rows[row].coeffs.append((col, coef))
+    return rows
+
+
+def as_bounds(bounds):
+    """Emitted bounds as ``(column, lower, upper)`` triples; lower bounds stay 0."""
+    return [(col, 0.0, cap) for cols, caps in bounds
+            for col, cap in zip(cols.tolist(), caps.tolist())]
+
+
+def emitted(block_and_bounds):
+    """An emitter's ``(block, bounds)`` as ``(rows, bound triples)``."""
+    block, bounds = block_and_bounds
+    return as_rows(block), as_bounds(bounds)
+
+
 class TestRenewable:
     def test_fixed_size_becomes_bounds(self, mini, index):
         wind = dataclasses.replace(mini.technology("wind1"), expandable=False,
@@ -54,14 +77,14 @@ class TestRenewable:
             renewable_profiles={"wind1": (10.0, 0.0) + (5.0,) * 22},
         )
         idx = assemble_variable_index(fixed)
-        rows, bounds = emit_renewable(wind, idx, fixed)
+        rows, bounds = emitted(emit_renewable(wind, idx, fixed))
         assert rows == []
         assert bounds[0] == (idx.column("wind1", "out", 0), 0.0, 10.0)
         assert bounds[1] == (idx.column("wind1", "out", 1), 0.0, 0.0)
 
     def test_expandable_scales_with_size(self, mini, index):
         wind = mini.technology("wind1")
-        rows, bounds = emit_renewable(wind, index, mini)
+        rows, bounds = emitted(emit_renewable(wind, index, mini))
         assert bounds == []
         profile = mini.renewable_profiles["wind1"]
         row = rows[0]
@@ -105,9 +128,9 @@ def _emit(system, entity):
     """(index, rows, bounds) of ``entity``'s emitter in ``system``."""
     index = assemble_variable_index(system)
     if any(b.id == entity for b in system.branches):
-        rows, bounds = emit_branch(system.branch(entity), index, system)
+        rows, bounds = emitted(emit_branch(system.branch(entity), index, system))
     else:
-        rows, bounds = emit_technology(system.technology(entity), index, system)
+        rows, bounds = emitted(emit_technology(system.technology(entity), index, system))
     return index, rows, bounds
 
 
@@ -149,7 +172,7 @@ def test_fixed_size_bound_equals_row_at_size_zero(mini, open_system, entity, lab
 class TestConversion:
     def test_conversion1_fixed_bounds(self, mini, index):
         nuc = mini.technology("nuc1")
-        rows, bounds = emit_conversion1(nuc, index, mini)
+        rows, bounds = emitted(emit_conversion1(nuc, index, mini))
         assert rows == []
         h = mini.horizon.hours_per_step
         assert all(b[2] == pytest.approx(nuc.existing_size * h) for b in bounds)
@@ -157,7 +180,7 @@ class TestConversion:
 
     def test_conversion2_inout_arithmetic(self, mini, index):
         gas = mini.technology("gas1")
-        rows, _ = emit_conversion2(gas, index, mini)
+        rows, _ = emitted(emit_conversion2(gas, index, mini))
         inout = rows_by_label(rows, "gas1.inout")[0]
         coefs = dict(inout.coeffs)
         # 100 MWh of natural gas in -> 61 MWh electricity out satisfies the row
@@ -169,7 +192,7 @@ class TestConversion:
 
     def test_admix_limits_hydrogen_share(self, mini, index):
         gas = mini.technology("gas1")
-        rows, _ = emit_conversion2(gas, index, mini)
+        rows, _ = emitted(emit_conversion2(gas, index, mini))
         admix = rows_by_label(rows, "gas1.admix[hydrogen]")[0]
         coefs = dict(admix.coeffs)
         h2 = index.column("gas1", "in[hydrogen]", 0)
@@ -201,9 +224,27 @@ class TestStorageRows:
                            for k, v in mini.hydro_inflows.items()},
         )
         idx = assemble_variable_index(one_hour)
-        rows, bounds = emit_storage1(batt, idx, one_hour)
+        rows, bounds = emitted(emit_storage1(batt, idx, one_hour))
         charge_bounds = [b for b in bounds if b[0] == idx.column("batt1", "charge", 0)]
         assert charge_bounds[0][2] == pytest.approx(0.999)  # 0.333 * 3 MWh
+
+    def test_rows_interleave_by_step(self, mini, index):
+        """Every row kind at step 0, then every kind at step 1, ...; a balance
+        lists its state of charge, the previous step's (cyclic), charge, discharge
+        and, for a compressed store, compression follows the cut."""
+        steps = mini.horizon.step_count
+        rows, bounds = emitted(emit_technology(mini.technology("cav1"), index, mini))
+        kinds = ("max_charge", "max_discharge", "soc_cap", "soc_balance", "cut",
+                 "compression")
+        assert [r.label for r in rows] == [f"cav1.{kind}[{t}]"
+                                           for t in range(steps) for kind in kinds]
+        assert bounds == []
+        assert [r.sense for r in rows[:6]] == [LE, LE, LE, EQ, LE, EQ]
+        for t in (0, steps - 1):
+            balance = rows[6 * t + 3]
+            assert [col for col, _ in balance.coeffs] == [
+                index.column("cav1", "soc", t), index.column("cav1", "soc", (t - 1) % steps),
+                index.column("cav1", "charge", t), index.column("cav1", "discharge", t)]
 
     def test_soc_recursion_matches_reference_simulation(self):
         params, _ = self._battery()

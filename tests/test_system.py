@@ -5,9 +5,12 @@ import math
 
 import pytest
 
+from carrieropt.builder import build_problem
+from carrieropt.costing import ObjectiveMode
 from carrieropt.system import (
     CARRIERS,
     Carrier,
+    StructureError,
     TechnologyKind,
     VarKey,
     assemble_variable_index,
@@ -72,6 +75,36 @@ class TestValidation:
         assert validate_system(bad) == [
             "profile nuc1: technology is conversion1, not renewable",
             "inflow batt1: technology is storage1, not storage2_1"]
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("series, negative, message", [
+        ("demand", "demand n1/electricity: negative values",
+         "demand n1/electricity: step 1 must be finite"),
+        ("profile", "technology wind1: profile has negative values",
+         "technology wind1: profile: step 1 must be finite"),
+        ("inflow", None, "technology hydro1: inflow: step 1 must be finite"),
+    ])
+    def test_non_finite_series_step_flagged(self, mini, series, negative, message, value):
+        """A non-finite demand, profile or inflow step is a violation, and the
+        builder refuses the system instead of dropping a limit or an equation."""
+        def at_step_1(values):
+            return (values[0], value, *values[2:])
+        if series == "demand":
+            changed = {"demands": tuple(
+                dataclasses.replace(d, values=at_step_1(d.values))
+                if (d.node, d.carrier) == ("n1", Carrier.ELECTRICITY) else d
+                for d in mini.demands)}
+        elif series == "profile":
+            changed = {"renewable_profiles": {
+                **mini.renewable_profiles, "wind1": at_step_1(mini.renewable_profiles["wind1"])}}
+        else:
+            changed = {"hydro_inflows": {
+                **mini.hydro_inflows, "hydro1": at_step_1(mini.hydro_inflows["hydro1"])}}
+        bad = dataclasses.replace(mini, **changed)
+        flagged_negative = [negative] if negative and value < 0 else []
+        assert validate_system(bad) == flagged_negative + [message]
+        with pytest.raises(StructureError, match=message):
+            build_problem(bad, ObjectiveMode.min_cost())
 
 
 def count_variables_independently(system) -> int:
