@@ -1,4 +1,11 @@
-"""Assemble a solvable problem from a validated energy system."""
+"""Assemble a solvable problem from a validated energy system.
+
+Every emitter (:mod:`carrieropt.technologies`, :mod:`carrieropt.network`)
+returns all steps of its rows as one :class:`~carrieropt.lp.RowBlock` plus
+``(columns, upper)`` bound arrays. The build concatenates the blocks in row
+order and converts them to the CSR matrix once, with
+:meth:`~carrieropt.lp.SparseProblem.from_block`; no row is built per step.
+"""
 
 from __future__ import annotations
 
@@ -112,8 +119,8 @@ def _build(system: EnergySystem) -> BuiltProblem:
     emitted(*emit_energy_balance(system, index))
 
     if bounds:
-        # each column is bounded at most once; fmin keeps the default where
-        # a cap is NaN, as Python's min(default, cap) does
+        # an emitter bounds each column at most once; like min(), fmin
+        # ignores a NaN cap
         cols = np.concatenate([col for col, _ in bounds])
         upper[cols] = np.fmin(upper[cols], np.concatenate([cap for _, cap in bounds]))
 

@@ -11,6 +11,12 @@ The nodal balance per (node, carrier, step) reads
     demand = sum(tech out - tech in) + sum(recv - sent - cons) + import
 
 with electricity imports capped per node and natural-gas imports unbounded.
+
+:func:`emit_branch` and :func:`emit_energy_balance` keep the emitter contract
+of :mod:`carrieropt.technologies`: they return every step of their rows as
+one :class:`~carrieropt.lp.RowBlock` together with ``(columns, upper)`` bound
+arrays. The helpers they call return row kinds (:class:`StepRows`), and plain
+:class:`~carrieropt.lp.Row` objects for the one-off size and build rows.
 """
 
 from __future__ import annotations

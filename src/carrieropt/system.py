@@ -10,8 +10,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import lru_cache
 from enum import Enum
+from functools import lru_cache
 from typing import Iterable, Mapping
 
 import numpy as np

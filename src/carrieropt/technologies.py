@@ -5,14 +5,15 @@ bounds)``: ``block`` is a :class:`~carrieropt.lp.RowBlock` whose entries
 reference columns of a :class:`~carrieropt.system.VariableIndex`, and
 ``bounds`` lists ``(columns, upper)`` array pairs that tighten those columns'
 upper bounds (lower bounds stay 0). A row kind repeated over the steps is a
-:class:`StepRows`; :func:`step_block` lays a group of kinds out step by step,
-so step t's rows come in the order the emitter lists its kinds. Every flow limited by
-an asset's size, here and in :mod:`carrieropt.network`, is emitted by
-:func:`size_limit`: ``flow <= cap + rate * size`` becomes the bound ``(flow,
-cap)`` while the size is fixed, which keeps the working problems small, and a
-row kind on the size column once the size may grow. Emitters take a system
-that passes :func:`~carrieropt.system.validate_system`, which the builder
-checks first, and do not check its rules again.
+:class:`StepRows`; :func:`step_block` lays a group of kinds out step by
+step, so step t's rows come in the order the emitter lists its kinds. Every
+flow limited by an asset's size, here and in :mod:`carrieropt.network`, is
+emitted by :func:`size_limit`: ``flow <= cap + rate * size`` becomes the
+bound ``(flow, cap)`` while the size is fixed, which keeps the working
+problems small, and a row kind on the size column once the size may grow.
+Emitters take a system that passes
+:func:`~carrieropt.system.validate_system`, which the builder checks first,
+and do not check its rules again.
 
 Sizes are power ratings in MW except for storage, whose size is the energy
 capacity in MWh. With ``h`` hours per step a rating of S MW allows S*h MWh of
@@ -78,10 +79,10 @@ def step_block(steps: int, *groups: list[StepRows]) -> RowBlock:
             terms += kind.terms
             first_row += [offset + j] * len(kind.terms)
             stride += [k] * len(kind.terms)
-            rows = slice(offset + j, offset + k * steps, k)
-            senses[rows] = [kind.sense] * steps
-            names[rows] = step_names(kind.name, steps)
-            rhs[rows] = kind.rhs
+            at = slice(offset + j, offset + k * steps, k)  # kind j's row at every step
+            senses[at] = [kind.sense] * steps
+            names[at] = step_names(kind.name, steps)
+            rhs[at] = kind.rhs
         offset += k * steps
     cols = np.empty((len(terms), steps), dtype=np.intp)
     coefs = np.empty((len(terms), steps))

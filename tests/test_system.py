@@ -171,6 +171,25 @@ class TestVariableIndex:
         b = assemble_variable_index(build_miniature_system(seed=0))
         assert a.names() == b.names()
 
+    def test_per_step_roles_are_contiguous(self, mini):
+        """Each per-step role's columns are consecutive; keys, names, ``has``
+        and ``size_columns`` agree with ``column`` and ``columns``."""
+        index = assemble_variable_index(mini)
+        steps = mini.horizon.step_count
+        keys, names = index.keys(), index.names()
+        assert [k.name() for k in keys] == names and len(keys) == len(index)
+        for col, key in enumerate(keys):
+            assert index.key(col) == key and index.has(key.entity, key.role, key.step)
+            if key.step is not None:
+                cols = index.columns(key.entity, key.role)
+                assert cols.tolist() == list(range(col - key.step, col - key.step + steps))
+        assert index.size_columns() == {k.name(): col for col, k in enumerate(keys)
+                                        if k.step is None}
+        assert not index.has("wind1", "out", steps) and not index.has("wind1", "out", -1)
+        assert not index.has("wind1", "out") and not index.has("wind1", "size", 0)
+        with pytest.raises(StructureError, match="no variable 'wind1.out\\[24\\]'"):
+            index.column("wind1", "out", steps)
+
 
 class TestMiniature:
     def test_contract_topology(self, mini):
