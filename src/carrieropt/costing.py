@@ -131,9 +131,8 @@ def network_branch_capex(branch: NetworkBranch, size_mw: float) -> float:
     return max(0.0, value)
 
 
-def _tech_emission_columns(tech: TechnologyInstance, index: VariableIndex,
-                           steps: int):
-    """Yield (column, t CO2 per MWh) for a technology's emitting variables."""
+def _tech_emission_columns(tech: TechnologyInstance, index: VariableIndex):
+    """Yield (columns, t CO2 per MWh) for a technology's emitting roles."""
     for (direction, carrier), factor in sorted(
             tech.emission_factors.items(), key=lambda kv: (kv[0][0], kv[0][1].value)):
         if factor == 0:
@@ -153,8 +152,7 @@ def _tech_emission_columns(tech: TechnologyInstance, index: VariableIndex,
             if carrier != tech.performance.carrier:
                 continue
             role = "charge" if direction == "in" else "discharge"
-        for t in range(steps):
-            yield index.column(tech.id, role, t), factor
+        yield index.columns(tech.id, role), factor
 
 
 @dataclass(frozen=True)
@@ -191,6 +189,11 @@ class CostTable:
                 + (self._dense(self.imports) + self.carbon_price * self.emissions))
 
 
+def _fill(terms: dict[int, float], columns: np.ndarray, value: float) -> None:
+    """Set ``value`` on every column of ``columns``, step by step."""
+    terms.update(dict.fromkeys(columns.tolist(), value))
+
+
 def cost_table(system: EnergySystem, index: VariableIndex) -> CostTable:
     """Walk technologies, branches and node imports once for every coefficient.
 
@@ -198,7 +201,6 @@ def cost_table(system: EnergySystem, index: VariableIndex) -> CostTable:
     carries the whole investment and the reverse size is tied by the equality
     row at zero cost. Pipeline pairs are separate branches, each paying.
     """
-    steps = system.horizon.step_count
     table = CostTable(len(index), {}, {}, {}, {}, {}, system.carbon_price)
     for tech in system.technologies:
         if tech.expandable:
@@ -207,11 +209,9 @@ def cost_table(system: EnergySystem, index: VariableIndex) -> CostTable:
                 table.technologies[index.column(tech.id, "size")] = value
         opex = tech.cost.variable_opex
         if opex:
-            role = output_role(tech)
-            for t in range(steps):
-                table.technologies[index.column(tech.id, role, t)] = opex
-        for col, factor in _tech_emission_columns(tech, index, steps):
-            table.tech_emissions[col] = factor
+            _fill(table.technologies, index.columns(tech.id, output_role(tech)), opex)
+        for cols, factor in _tech_emission_columns(tech, index):
+            _fill(table.tech_emissions, cols, factor)
     for branch in system.branches:
         if branch.expandable:
             if branch.integer_block_mw is not None:
@@ -228,21 +228,19 @@ def cost_table(system: EnergySystem, index: VariableIndex) -> CostTable:
         if branch.variable_opex:
             roles = ("sent[fwd]", "sent[rev]") if branch.bidirectional else ("sent",)
             for role in roles:
-                for t in range(steps):
-                    table.networks[index.column(branch.id, role, t)] = branch.variable_opex
+                _fill(table.networks, index.columns(branch.id, role), branch.variable_opex)
     for node in system.nodes:
         for carrier in CARRIERS:
             role = f"imp[{carrier.value}]"
-            if not index.has(node.id, role, 0):
+            if not index.has(node.id, role):
                 continue
+            cols = index.columns(node.id, role)
             price = node.import_price.get(carrier, 0.0)
             factor = node.import_emission_factor.get(carrier, 0.0)
-            for t in range(steps):
-                col = index.column(node.id, role, t)
-                if price:
-                    table.imports[col] = price
-                if factor:
-                    table.import_emissions[col] = factor
+            if price:
+                _fill(table.imports, cols, price)
+            if factor:
+                _fill(table.import_emissions, cols, factor)
     return table
 
 

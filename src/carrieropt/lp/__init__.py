@@ -3,7 +3,7 @@
 from .branch_bound import solve_milp
 from .mps import export_mps, read_solution
 from .presolve import map_basis
-from .problem import EQ, GE, LE, ProblemError, Row, RowBlock, SparseProblem
+from .problem import EQ, GE, LE, ProblemError, RowBlock, SparseProblem
 from .simplex import (
     INFEASIBLE,
     ITERATION_LIMIT,
@@ -26,7 +26,6 @@ __all__ = [
     "ITERATION_LIMIT",
     "Basis",
     "ProblemError",
-    "Row",
     "RowBlock",
     "SolveResult",
     "SparseProblem",

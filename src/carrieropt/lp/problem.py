@@ -1,4 +1,5 @@
-"""Sparse LP/MILP container; a :class:`RowBlock` of constraint rows becomes its
+"""Sparse LP/MILP container. Rows are written only as a :class:`RowBlock` of
+arrays, one row as a one-row block (:meth:`RowBlock.row`); a block becomes the
 CSR matrix in one array conversion (:meth:`SparseProblem.from_block`)."""
 
 from __future__ import annotations
@@ -22,16 +23,6 @@ class ProblemError(ValueError):
 
 
 @dataclass
-class Row:
-    """One linear constraint: sum(coef * x[col]) <sense> rhs."""
-
-    coeffs: list[tuple[int, float]]
-    sense: str
-    rhs: float
-    label: str = ""
-
-
-@dataclass
 class RowBlock:
     """Constraint rows as arrays.
 
@@ -52,26 +43,21 @@ class RowBlock:
         return len(self.names)
 
     @classmethod
-    def from_rows(cls, rows: list[Row]) -> "RowBlock":
-        """``rows`` as a block; a row without a label is named ``r<i>``."""
-        counts = [len(row.coeffs) for row in rows]
-        entries = sum(counts)
-        return cls(
-            rows=np.repeat(np.arange(len(rows)), counts),
-            cols=np.fromiter((col for row in rows for col, _ in row.coeffs),
-                             dtype=np.intp, count=entries),
-            coefs=np.fromiter((coef for row in rows for _, coef in row.coeffs),
-                              dtype=float, count=entries),
-            senses=[row.sense for row in rows],
-            rhs=np.array([row.rhs for row in rows], dtype=float),
-            names=[row.label or f"r{i}" for i, row in enumerate(rows)],
-        )
+    def row(cls, name: str, terms: list[tuple[int, float]], sense: str,
+            rhs: float) -> "RowBlock":
+        """The one row ``name``: the sum of ``coef * x[col]`` over ``terms``,
+        ``sense`` ``rhs``."""
+        return cls(rows=np.zeros(len(terms), dtype=np.intp),
+                   cols=np.array([col for col, _ in terms], dtype=np.intp),
+                   coefs=np.array([coef for _, coef in terms], dtype=float),
+                   senses=[sense], rhs=np.array([rhs], dtype=float), names=[name])
 
     @classmethod
     def concat(cls, blocks: list["RowBlock"]) -> "RowBlock":
         """The rows of ``blocks``, each block's after the previous one's."""
         if not blocks:
-            return cls.from_rows([])
+            empty = np.empty(0, dtype=np.intp)
+            return cls(empty, empty, np.empty(0), [], np.empty(0), [])
         rows, offset = [], 0
         for block in blocks:
             rows.append(block.rows + offset)
@@ -224,19 +210,3 @@ class SparseProblem:
         )
         problem.validate()
         return problem
-
-    @classmethod
-    def from_rows(
-        cls,
-        num_cols: int,
-        rows: list[Row],
-        lower: np.ndarray,
-        upper: np.ndarray,
-        objective: np.ndarray,
-        integer: np.ndarray | None = None,
-        col_names: list[str] | None = None,
-    ) -> "SparseProblem":
-        """:meth:`from_block` of ``RowBlock.from_rows(rows)``: the problem whose
-        ``i``-th constraint is ``rows[i]``, for problems written row by row."""
-        return cls.from_block(num_cols, RowBlock.from_rows(rows), lower, upper,
-                              objective, integer, col_names)

@@ -15,8 +15,9 @@ with electricity imports capped per node and natural-gas imports unbounded.
 :func:`emit_branch` and :func:`emit_energy_balance` keep the emitter contract
 of :mod:`carrieropt.technologies`: they return every step of their rows as
 one :class:`~carrieropt.lp.RowBlock` together with ``(columns, upper)`` bound
-arrays. The helpers they call return row kinds (:class:`StepRows`), and plain
-:class:`~carrieropt.lp.Row` objects for the one-off size and build rows.
+arrays. The helpers they call return row kinds (:class:`StepRows`), and
+one-row blocks (:meth:`~carrieropt.lp.RowBlock.row`) for the one-off size and
+build rows.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import math
 
 import numpy as np
 
-from .lp import EQ, LE, Row, RowBlock
+from .lp import EQ, LE, RowBlock
 from .system import (
     CARRIERS,
     Carrier,
@@ -89,17 +90,17 @@ def branch_capacity_and_loss(branch: NetworkBranch, index: VariableIndex, h: flo
 
 
 def bidirectional_coupling(branch: NetworkBranch, index: VariableIndex, h: float
-                           ) -> tuple[list[Row], StepRows]:
+                           ) -> tuple[list[RowBlock], StepRows]:
     """Equal sizes per direction (a row while the size may grow) and a
     single-direction-per-step cut."""
-    size_eq: list[Row] = []
+    size_eq: list[RowBlock] = []
     cut = [(index.columns(branch.id, "sent[fwd]"), 1.0),
            (index.columns(branch.id, "sent[rev]"), 1.0)]
     fwd_col, per_unit = _size_term(branch, index, reverse=False)
     if fwd_col is not None:
         rev_col, _ = _size_term(branch, index, reverse=True)
-        size_eq.append(Row([(fwd_col, per_unit), (rev_col, -1.0)], EQ, 0.0,
-                           f"{branch.id}.size_eq"))
+        size_eq.append(RowBlock.row(f"{branch.id}.size_eq",
+                                    [(fwd_col, per_unit), (rev_col, -1.0)], EQ, 0.0))
         cut.append((fwd_col, -per_unit * h))
     return size_eq, StepRows(f"{branch.id}.dircut", cut, LE, branch.existing_capacity * h)
 
@@ -112,14 +113,15 @@ def pipeline_consumption(branch: NetworkBranch, index: VariableIndex) -> StepRow
                      (index.columns(branch.id, "sent"), -k)], EQ)
 
 
-def block_build_link(branch: NetworkBranch, index: VariableIndex) -> list[Row]:
-    """Gate integer blocks behind the build indicator carrying fixed costs."""
+def block_build_link(branch: NetworkBranch, index: VariableIndex) -> list[RowBlock]:
+    """Gate integer blocks behind the build indicator carrying fixed costs (no
+    row without the indicator)."""
     if not index.has(branch.id, "build"):
         return []
     blocks = index.column(branch.id, "blocks")
     build = index.column(branch.id, "build")
-    return [Row([(blocks, 1.0), (build, -float(branch.max_blocks))], LE, 0.0,
-                f"{branch.id}.build_gate")]
+    return [RowBlock.row(f"{branch.id}.build_gate",
+                         [(blocks, 1.0), (build, -float(branch.max_blocks))], LE, 0.0)]
 
 
 def emit_branch(branch: NetworkBranch, index: VariableIndex,
@@ -131,14 +133,11 @@ def emit_branch(branch: NetworkBranch, index: VariableIndex,
     blocks = [step_block(steps, *branch_capacity_and_loss(branch, index, h, bounds))]
     if branch.bidirectional:
         size_eq, dircut = bidirectional_coupling(branch, index, h)
-        if size_eq:
-            blocks.append(RowBlock.from_rows(size_eq))
+        blocks += size_eq
         blocks.append(step_block(steps, [dircut]))
     if branch.carrier == Carrier.HYDROGEN:
         blocks.append(step_block(steps, [pipeline_consumption(branch, index)]))
-    build_gate = block_build_link(branch, index)
-    if build_gate:
-        blocks.append(RowBlock.from_rows(build_gate))
+    blocks += block_build_link(branch, index)
     return RowBlock.concat(blocks), bounds
 
 
@@ -161,7 +160,7 @@ def emit_energy_balance(system: EnergySystem, index: VariableIndex) -> Emitted:
             terms = [(index.columns(entity, role), sign)
                      for entity, role, sign in participants[key]]
             imports = f"imp[{carrier.value}]"
-            if index.has(node.id, imports, 0):
+            if index.has(node.id, imports):
                 cols = index.columns(node.id, imports)
                 terms.append((cols, 1.0))
                 limit = node.import_limit.get(carrier, 0.0)

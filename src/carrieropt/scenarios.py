@@ -442,15 +442,15 @@ def abatement_sweep(system: EnergySystem, scenario: ScenarioSpec,
 # -- metrics -------------------------------------------------------------------
 
 
-def _sum_role(index, x, entity: str, role: str, steps: int) -> float:
-    if not index.has(entity, role, 0):
+def _sum_role(index, x, entity: str, role: str) -> float:
+    """The role's values added step by step (not pairwise); 0 without the role."""
+    if not index.has(entity, role):
         return 0.0
-    return float(sum(x[index.column(entity, role, t)] for t in range(steps)))
+    return float(sum(x[index.columns(entity, role)]))
 
 
 def compute_metrics(system: EnergySystem, index, x) -> dict:
     """Shares, capacity factors and hydrogen accounting from raw flows."""
-    steps = system.horizon.step_count
     hours = system.horizon.hours_total
     countries = {n.id: n.country for n in system.nodes}
 
@@ -471,7 +471,7 @@ def compute_metrics(system: EnergySystem, index, x) -> dict:
     capacity_factors: dict[str, float] = {}
     for tech in system.technologies:
         country = countries[tech.node]
-        produced = _sum_role(index, x, tech.id, output_role(tech), steps)
+        produced = _sum_role(index, x, tech.id, output_role(tech))
         if tech.kind == TechnologyKind.RENEWABLE:
             scale = (sizes[tech.id] / tech.existing_size if tech.existing_size > 0
                      else sizes[tech.id])
@@ -491,8 +491,8 @@ def compute_metrics(system: EnergySystem, index, x) -> dict:
     total_import = 0.0
     for node in system.nodes:
         role = f"imp[{Carrier.ELECTRICITY.value}]"
-        if index.has(node.id, role, 0):
-            value = _sum_role(index, x, node.id, role, steps)
+        if index.has(node.id, role):
+            value = _sum_role(index, x, node.id, role)
             bump(countries[node.id], "import", value)
             total_import += value
 
@@ -503,8 +503,8 @@ def compute_metrics(system: EnergySystem, index, x) -> dict:
         to_country = countries[branch.to_node]
         if from_country == to_country:
             continue
-        fwd = _sum_role(index, x, branch.id, "recv[fwd]", steps)
-        rev = _sum_role(index, x, branch.id, "recv[rev]", steps)
+        fwd = _sum_role(index, x, branch.id, "recv[fwd]")
+        rev = _sum_role(index, x, branch.id, "recv[rev]")
         bump(to_country, "transfer_in", fwd)
         bump(from_country, "transfer_in", rev)
 
@@ -518,18 +518,18 @@ def compute_metrics(system: EnergySystem, index, x) -> dict:
         renewable_total += parts.get("renewable", 0.0)
         supply_total += total
 
-    h2_produced = sum(_sum_role(index, x, t.id, "out", steps)
+    h2_produced = sum(_sum_role(index, x, t.id, "out")
                       for t in system.technologies if is_electrolyzer(t))
     h2_reconverted = sum(
-        _sum_role(index, x, t.id, f"in[{Carrier.HYDROGEN.value}]", steps)
+        _sum_role(index, x, t.id, f"in[{Carrier.HYDROGEN.value}]")
         for t in system.technologies
         if t.kind == TechnologyKind.CONVERSION2
         and Carrier.HYDROGEN in t.performance.input_carriers)
-    h2_blue = sum(_sum_role(index, x, n.id, f"imp[{Carrier.HYDROGEN.value}]", steps)
+    h2_blue = sum(_sum_role(index, x, n.id, f"imp[{Carrier.HYDROGEN.value}]")
                   for n in system.nodes)
-    h2_transported = sum(_sum_role(index, x, b.id, "sent", steps)
+    h2_transported = sum(_sum_role(index, x, b.id, "sent")
                          for b in system.branches if b.carrier == Carrier.HYDROGEN)
-    h2_stored = sum(_sum_role(index, x, t.id, "charge", steps)
+    h2_stored = sum(_sum_role(index, x, t.id, "charge")
                     for t in system.technologies
                     if t.kind == TechnologyKind.STORAGE2_2)
 

@@ -8,7 +8,6 @@ column layout that the problem builder and all post-processing rely on.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
@@ -245,9 +244,9 @@ def validate_system(system: EnergySystem) -> list[str]:
 
     Violations are data, not exceptions: an empty list means the system is
     well formed and safe to hand to the problem builder. Every number that
-    enters the objective must be finite; import limits, maximum sizes and
-    maximum capacities may be infinite, but no step of a demand, renewable
-    profile or hydro inflow may.
+    enters the objective, and every existing size and capacity, must be
+    finite; import limits, maximum sizes and maximum capacities may be
+    infinite, but no step of a demand, renewable profile or hydro inflow may.
     """
     out: list[str] = []
     steps = system.horizon.step_count
@@ -313,7 +312,7 @@ def validate_system(system: EnergySystem) -> list[str]:
             out.append(f"{pre}: lifetime must be positive when capex is set")
         if not 0 <= t.cost.fixed_opex_share <= 1:
             out.append(f"{pre}: fixed_opex_share outside [0, 1]")
-        out += _non_finite(f"{pre}: ", vars(t.cost))
+        out += _non_finite(f"{pre}: ", {"existing_size": t.existing_size, **vars(t.cost)})
         out += _non_finite(f"{pre}: ", {
             f"emission factor {direction}/{carrier.value}": factor
             for (direction, carrier), factor in t.emission_factors.items()})
@@ -418,6 +417,7 @@ def validate_system(system: EnergySystem) -> list[str]:
         if not 0 <= b.fixed_opex_share <= 1:
             out.append(f"{pre}: fixed_opex_share outside [0, 1]")
         out += _non_finite(f"{pre}: ", {
+            "existing_capacity": b.existing_capacity,
             **{f"gamma{k}": g for k, g in enumerate(b.cost_poly, start=1)},
             "variable_opex": b.variable_opex, "lifetime": b.lifetime,
             "discount_rate": b.discount_rate, "fixed_opex_share": b.fixed_opex_share})
@@ -482,18 +482,6 @@ def node_carrier_participants(system: EnergySystem
 
 # -- variable index --------------------------------------------------------------
 
-@dataclass(frozen=True)
-class VarKey:
-    entity: str
-    role: str
-    step: int | None = None
-
-    def name(self) -> str:
-        if self.step is None:
-            return f"{self.entity}.{self.role}"
-        return f"{self.entity}.{self.role}[{self.step}]"
-
-
 TECH_STEP_ROLES = {
     TechnologyKind.RENEWABLE: ("out",),
     TechnologyKind.CONVERSION1: ("out",),
@@ -524,16 +512,18 @@ def step_names(prefix: str, steps: int) -> tuple[str, ...]:
 
 
 class VariableIndex:
-    """Deterministic, gap-free map (entity, role, step) <-> column index.
+    """Deterministic, gap-free map (entity, role) -> columns.
 
     Layout: per node (sorted by id) the import variables for participating
     carriers; per technology (sorted by id) the per-step roles then the size
     delta; per branch (sorted by id) the per-step flow roles then the size
     variables (a `blocks`/`build` pair when integer blocks are active).
 
-    Each per-step role takes ``steps`` contiguous columns, step 0 first, so
-    its columns at every step are ``first + arange(steps)``
-    (:meth:`columns`); the index keeps only each role's first column.
+    A per-step role takes ``steps`` contiguous columns, step 0 first, and
+    :meth:`columns` returns them as ``first + arange(steps)``; any other role
+    (a size, the integer blocks or a build flag) takes one column, returned by
+    :meth:`column`. Each of the two raises :class:`StructureError` for a role
+    of the other kind; :meth:`has` answers for either.
     """
 
     def __init__(self, steps: int, roles: Iterable[tuple[str, str, bool]]):
@@ -541,76 +531,51 @@ class VariableIndex:
         per-step role takes ``steps`` columns, any other role one."""
         self._steps = steps
         self._arange = np.arange(steps)
-        self._roles: list[tuple[str, str, bool]] = list(roles)
-        self._starts: list[int] = []
-        # first column of each per-step role, and the column of each other role
-        self._per_step: dict[tuple[str, str], int] = {}
-        self._fixed: dict[tuple[str, str], int] = {}
+        # first column and per-step flag of each role, in column order
+        self._first: dict[tuple[str, str], tuple[int, bool]] = {}
         n = 0
-        for entity, role, per_step in self._roles:
-            self._starts.append(n)
-            (self._per_step if per_step else self._fixed)[entity, role] = n
+        for entity, role, per_step in roles:
+            if (entity, role) in self._first:
+                raise StructureError("duplicate variable keys")
+            self._first[entity, role] = (n, per_step)
             n += steps if per_step else 1
         self._size = n
-        if len(self._per_step) + len(self._fixed) != len(self._roles):
-            raise StructureError("duplicate variable keys")
 
     def __len__(self) -> int:
         return self._size
 
-    def _find(self, entity: str, role: str, step: int | None) -> int | None:
-        if step is None:
-            return self._fixed.get((entity, role))
-        first = self._per_step.get((entity, role))
-        if first is None or not 0 <= step < self._steps:
-            return None
-        return first + step
+    def _first_column(self, entity: str, role: str, per_step: bool) -> int:
+        found = self._first.get((entity, role))
+        if found is None or found[1] != per_step:
+            kind = "per-step" if per_step else "single-column"
+            raise StructureError(f"no {kind} variable {f'{entity}.{role}'!r}")
+        return found[0]
 
-    def column(self, entity: str, role: str, step: int | None = None) -> int:
-        col = self._find(entity, role, step)
-        if col is None:
-            name = VarKey(entity, role, step).name()
-            raise StructureError(f"no variable {name!r}")
-        return col
+    def column(self, entity: str, role: str) -> int:
+        """The column of the single-column role ``entity.role``."""
+        return self._first_column(entity, role, False)
 
     def columns(self, entity: str, role: str) -> np.ndarray:
         """The columns of the per-step role ``entity.role`` at steps 0, 1, ..."""
-        return self.column(entity, role, 0) + self._arange
+        return self._first_column(entity, role, True) + self._arange
 
-    def has(self, entity: str, role: str, step: int | None = None) -> bool:
-        return self._find(entity, role, step) is not None
-
-    def key(self, column: int) -> VarKey:
-        if column < 0:
-            column += self._size
-        if not 0 <= column < self._size:
-            raise IndexError("column index out of range")
-        i = bisect_right(self._starts, column) - 1
-        entity, role, per_step = self._roles[i]
-        return VarKey(entity, role, column - self._starts[i] if per_step else None)
+    def has(self, entity: str, role: str) -> bool:
+        return (entity, role) in self._first
 
     def names(self) -> list[str]:
         names: list[str] = []
-        for entity, role, per_step in self._roles:
+        for (entity, role), (_, per_step) in self._first.items():
             if per_step:
                 names += step_names(f"{entity}.{role}", self._steps)
             else:
                 names.append(f"{entity}.{role}")
         return names
 
-    def keys(self) -> list[VarKey]:
-        keys: list[VarKey] = []
-        for entity, role, per_step in self._roles:
-            if per_step:
-                keys += (VarKey(entity, role, t) for t in range(self._steps))
-            else:
-                keys.append(VarKey(entity, role))
-        return keys
-
     def size_columns(self) -> dict[str, int]:
-        """Column by name of every variable without a step: the sizes (and
+        """Column by name of every single-column variable: the sizes (and
         integer blocks and build flags) a warm start fixes."""
-        return {f"{entity}.{role}": col for (entity, role), col in self._fixed.items()}
+        return {f"{entity}.{role}": col
+                for (entity, role), (col, per_step) in self._first.items() if not per_step}
 
 
 def assemble_variable_index(system: EnergySystem) -> VariableIndex:

@@ -291,16 +291,23 @@ def system_digest(system: EnergySystem) -> str:
 
 
 def _read_csv(path: Path, allowed: list[str], required: list[str]) -> list[dict]:
+    """The non-blank rows of ``path`` as dicts by column, numbered from 2 in
+    the messages; a row must have exactly as many cells as the header."""
     with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        header = reader.fieldnames or []
-        unknown = [c for c in header if c not in allowed]
-        if unknown:
-            raise SchemaError(f"{path.name}: unknown column {unknown[0]!r}")
-        missing = [c for c in required if c not in header]
-        if missing:
-            raise SchemaError(f"{path.name}: missing column {missing[0]!r}")
-        return [dict(row) for row in reader]
+        reader = csv.reader(handle)
+        header = next(reader, [])
+        rows = [cells for cells in reader if cells]
+    unknown = [c for c in header if c not in allowed]
+    if unknown:
+        raise SchemaError(f"{path.name}: unknown column {unknown[0]!r}")
+    missing = [c for c in required if c not in header]
+    if missing:
+        raise SchemaError(f"{path.name}: missing column {missing[0]!r}")
+    for i, cells in enumerate(rows, start=2):
+        if len(cells) != len(header):
+            raise SchemaError(f"{path.name} row {i}: expected {len(header)} cells,"
+                              f" found {len(cells)}")
+    return [dict(zip(header, cells)) for cells in rows]
 
 
 def _cell(row: dict, column: str) -> str:

@@ -191,12 +191,12 @@ class TestCriterion03StoragePhysics:
             total = 0.0
             scale = 1.0
             for t in range(steps):
-                soc_prev = res.x[built.index.column(tech.id, "soc", (t - 1) % steps)]
-                charge = res.x[built.index.column(tech.id, "charge", t)]
-                discharge = res.x[built.index.column(tech.id, "discharge", t)]
+                soc_prev = res.x[built.index.columns(tech.id, "soc")[(t - 1) % steps]]
+                charge = res.x[built.index.columns(tech.id, "charge")[t]]
+                discharge = res.x[built.index.columns(tech.id, "discharge")[t]]
                 inflow = system.hydro_inflows.get(tech.id, [0.0] * steps)[t]
-                spill = (res.x[built.index.column(tech.id, "spill", t)]
-                         if built.index.has(tech.id, "spill", t) else 0.0)
+                spill = (res.x[built.index.columns(tech.id, "spill")[t]]
+                         if built.index.has(tech.id, "spill") else 0.0)
                 total += (p.charge_efficiency * charge
                           - discharge / p.discharge_efficiency
                           + inflow - spill - (1.0 - decay) * soc_prev)
@@ -212,9 +212,9 @@ class TestCriterion03StoragePhysics:
         built = build_problem(system, ObjectiveMode.min_cost())
         res = solve_lp(built.problem)
         assert res.status == OPTIMAL
-        charges = sum(res.x[built.index.column("battery", "charge", t)]
+        charges = sum(res.x[built.index.columns("battery", "charge")[t]]
                       for t in range(4))
-        discharges = sum(res.x[built.index.column("battery", "discharge", t)]
+        discharges = sum(res.x[built.index.columns("battery", "discharge")[t]]
                          for t in range(4))
         assert charges > 1.0  # the cycle actually happened
         ratio = discharges / charges
@@ -259,9 +259,8 @@ class TestCriterion05ScenarioDominance:
                        | {b.id for b in gated.branches if b.expandable})
             for row in outcome.new_capacities:
                 assert row["entity"] in allowed, (sid, row)
-            for key in outcome.built.index.keys():
-                if key.step is None:
-                    assert key.entity in allowed, (sid, key)
+            for name in outcome.built.index.size_columns():
+                assert name.split(".")[0] in allowed, (sid, name)
         _ok("5b gate soundness", "no size variable escapes its gate in T/S/H")
 
 
@@ -294,8 +293,7 @@ class TestCriterion07WarmStart:
         names = set(built.problem.col_names)
         prior = {name: value for name, value in base.size_values().items()
                  if name in names}
-        new_sizes = [key.name() for key in built.index.keys()
-                     if key.step is None and key.name() not in prior]
+        new_sizes = [name for name in built.index.size_columns() if name not in prior]
         ws = warm_start_solve(built.problem, prior, new_sizes)
         s1, s2, s3 = (stage.objective for stage in ws)
         assert all(stage.status == OPTIMAL for stage in ws)
@@ -403,11 +401,11 @@ class TestCriterion10GoldenCase:
         assert rel <= 1e-9
 
         for t in range(4):
-            sent = res.x[built.index.column("link", "sent[fwd]", t)]
-            recv = res.x[built.index.column("link", "recv[fwd]", t)]
-            back = res.x[built.index.column("link", "sent[rev]", t)]
-            wind_out = res.x[built.index.column("wind", "out", t)]
-            gas_out = res.x[built.index.column("gas", "out", t)]
+            sent = res.x[built.index.columns("link", "sent[fwd]")[t]]
+            recv = res.x[built.index.columns("link", "recv[fwd]")[t]]
+            back = res.x[built.index.columns("link", "sent[rev]")[t]]
+            wind_out = res.x[built.index.columns("wind", "out")[t]]
+            gas_out = res.x[built.index.columns("gas", "out")[t]]
             assert abs(sent - sent_expected[t]) <= 1e-9
             assert abs(recv - transfer * sent_expected[t]) <= 1e-9
             assert abs(back) <= 1e-9

@@ -1,12 +1,12 @@
-"""``SparseProblem.from_rows`` assembly, and problems derived by
-``BuiltProblem.for_mode`` against full builds."""
+"""``SparseProblem.from_block`` assembly of hand-written rows, and problems
+derived by ``BuiltProblem.for_mode`` against full builds."""
 
 import numpy as np
 import pytest
 
 from carrieropt.builder import build_problem
 from carrieropt.costing import EMISSION_CAP_LABEL, ObjectiveMode
-from carrieropt.lp import EQ, GE, LE, ProblemError, Row, RowBlock, SparseProblem
+from carrieropt.lp import EQ, GE, LE, ProblemError, RowBlock, SparseProblem
 from carrieropt.scenarios import STANDARD_SCENARIO_IDS, apply_scenario, standard_scenario
 from carrieropt.system import build_miniature_system
 
@@ -31,20 +31,19 @@ def assert_same_problem(p, q):
 
 
 def reassembled(base, mode):
-    """``mode``'s problem assembled from rows in one ``SparseProblem.from_rows``
-    call: every row of the uncapped ``base``, then the cap row."""
+    """``mode``'s problem assembled in one ``SparseProblem.from_block`` call:
+    the COO entries of every row of the uncapped ``base``, then the cap row."""
     p = base.problem
-    a = p.a
-    rows = [Row(list(zip(a.indices[lo:hi].tolist(), a.data[lo:hi].tolist())),
-                p.senses[i], float(p.rhs[i]), p.row_names[i])
-            for i, (lo, hi) in enumerate(zip(a.indptr[:-1], a.indptr[1:]))]
+    a = p.a.tocoo()
+    blocks = [RowBlock(a.row, a.col, a.data, p.senses.tolist(), p.rhs, p.row_names)]
     emissions = base.table.emissions
     if mode.capped:
-        rows.append(Row([(col, float(emissions[col])) for col in np.flatnonzero(emissions)],
-                        LE, mode.emission_cap, EMISSION_CAP_LABEL))
+        blocks.append(RowBlock.row(
+            EMISSION_CAP_LABEL, [(col, float(emissions[col])) for col in np.flatnonzero(emissions)],
+            LE, mode.emission_cap))
     objective = emissions if mode.kind == "min_emissions" else base.table.costs
-    return SparseProblem.from_rows(p.num_cols, rows, p.lower, p.upper, objective,
-                                   p.integer, p.col_names)
+    return SparseProblem.from_block(p.num_cols, RowBlock.concat(blocks), p.lower, p.upper,
+                                    objective, p.integer, p.col_names)
 
 
 @pytest.mark.parametrize("dc_blocks_mw", [None, 10.0], ids=["lp", "dc-blocks"])
@@ -79,18 +78,23 @@ def test_modes_are_derived_from_an_uncapped_problem():
         capped.for_mode(ObjectiveMode.min_cost_with_cap(20_000.0))
 
 
-def from_rows(rows, num_cols=4):
-    return SparseProblem.from_rows(num_cols, rows, np.zeros(num_cols),
-                                   np.full(num_cols, np.inf), np.zeros(num_cols))
+def block_of(*rows):
+    """``rows``, each ``(name, terms, sense, rhs)``, as one block of one-row blocks."""
+    return RowBlock.concat([RowBlock.row(*row) for row in rows])
+
+
+def from_block(block, num_cols=4):
+    return SparseProblem.from_block(num_cols, block, np.zeros(num_cols),
+                                    np.full(num_cols, np.inf), np.zeros(num_cols))
 
 
 def per_row_loop(rows):
-    """CSR ``(indptr, indices, data)`` of ``rows`` merged row by row in a dict,
-    the reference the single COO conversion must reproduce."""
+    """CSR ``(indptr, indices, data)`` of the term lists ``rows`` merged row by
+    row in a dict, the reference the single COO conversion must reproduce."""
     indptr, indices, data = [0], [], []
-    for row in rows:
+    for terms in rows:
         merged = {}
-        for col, coef in row.coeffs:
+        for col, coef in terms:
             merged[col] = merged.get(col, 0.0) + coef
         for col, coef in sorted(merged.items()):
             if coef != 0.0:
@@ -101,43 +105,46 @@ def per_row_loop(rows):
 
 
 class TestFromRows:
+    """Problems from rows written by hand, one-row blocks (``RowBlock.row``)."""
+
     def test_matches_the_per_row_loop(self):
         # integral coefficients sum exactly in any order, so the match is exact;
         # rows up to 40 entries over 12 columns repeat and cancel columns often
         rng = np.random.default_rng(0)
-        rows = [Row([(int(c), float(v)) for c, v in zip(rng.integers(0, 12, k),
-                                                       rng.integers(-3, 4, k))], LE, 0.0)
+        rows = [[(int(c), float(v)) for c, v in zip(rng.integers(0, 12, k),
+                                                   rng.integers(-3, 4, k))]
                 for k in rng.integers(0, 40, 200)]
-        a = from_rows(rows, num_cols=12).a
+        block = block_of(*((f"r{i}", terms, LE, 0.0) for i, terms in enumerate(rows)))
+        a = from_block(block, num_cols=12).a
         assert (a.indptr.tolist(), a.indices.tolist(), a.data.tolist()) == per_row_loop(rows)
 
     def test_duplicate_entries_are_summed(self):
-        p = from_rows([Row([(2, 1.5), (0, 1.0), (2, 2.0), (2, -0.25)], LE, 1.0, "dup")])
+        p = from_block(block_of(("dup", [(2, 1.5), (0, 1.0), (2, 2.0), (2, -0.25)], LE, 1.0)))
         assert p.a.indices.tolist() == [0, 2]
         assert p.a.data.tolist() == [1.0, 3.25]
 
     def test_entries_that_cancel_are_not_stored(self):
-        p = from_rows([Row([(1, 2.0), (3, 1.0), (1, -2.0)], GE, 0.0, "cancel"),
-                       Row([(0, 0.0)], EQ, 0.0, "zero")])
+        p = from_block(block_of(("cancel", [(1, 2.0), (3, 1.0), (1, -2.0)], GE, 0.0),
+                                ("zero", [(0, 0.0)], EQ, 0.0)))
         assert p.a.nnz == 1
         assert p.a.indptr.tolist() == [0, 1, 1]
         assert p.a.indices.tolist() == [3]
 
     def test_a_row_without_coefficients_keeps_its_data(self):
-        p = from_rows([Row([(0, 1.0)], LE, 5.0, "first"), Row([], GE, -2.0, "empty"),
-                       Row([(1, 1.0)], EQ, 3.0)])
+        p = from_block(block_of(("first", [(0, 1.0)], LE, 5.0), ("empty", [], GE, -2.0),
+                                ("last", [(1, 1.0)], EQ, 3.0)))
         assert p.a.shape == (3, 4)
         assert p.a.indptr.tolist() == [0, 1, 1, 2]
         assert p.senses.tolist() == [LE, GE, EQ]
         assert p.rhs.tolist() == [5.0, -2.0, 3.0]
-        assert p.row_names == ["first", "empty", "r2"]
+        assert p.row_names == ["first", "empty", "last"]
 
     @pytest.mark.parametrize("col", [-1, 4])
     def test_out_of_range_column_names_its_row(self, col):
-        rows = [Row([(0, 1.0)], LE, 1.0, "fine"), Row([(1, 1.0), (col, 2.0)], LE, 1.0, "bad"),
-                Row([(9, 1.0)], LE, 1.0, "later")]
+        block = block_of(("fine", [(0, 1.0)], LE, 1.0), ("bad", [(1, 1.0), (col, 2.0)], LE, 1.0),
+                         ("later", [(9, 1.0)], LE, 1.0))
         with pytest.raises(ProblemError, match=f"row 'bad' references column {col} out of range"):
-            from_rows(rows)
+            from_block(block)
 
     def test_out_of_range_column_names_the_first_row_of_a_block(self):
         # a block may list a later row's entries first
@@ -149,26 +156,26 @@ class TestFromRows:
 
     def test_block_entries_in_any_order_match_rows(self):
         """Entries grouped by term rather than by row give the rows' matrix."""
-        rows = [Row([(3, 1.0), (1, 2.0), (3, 0.5)], LE, 1.0, "a"), Row([], EQ, 0.0, "b"),
-                Row([(0, -1.0), (2, 4.0)], GE, 2.0, "c")]
-        block = RowBlock.from_rows(rows)
+        block = block_of(("a", [(3, 1.0), (1, 2.0), (3, 0.5)], LE, 1.0), ("b", [], EQ, 0.0),
+                         ("c", [(0, -1.0), (2, 4.0)], GE, 2.0))
         order = np.argsort(np.arange(len(block.rows)) % 2, kind="stable")
         shuffled = RowBlock(block.rows[order], block.cols[order], block.coefs[order],
                             block.senses, block.rhs, block.names)
         assert_same_problem(
-            SparseProblem.from_block(4, shuffled, np.zeros(4), np.full(4, np.inf), np.zeros(4)),
-            from_rows(rows))
+            from_block(shuffled), from_block(block))
 
     def test_concatenated_blocks_follow_one_another(self):
-        first = RowBlock.from_rows([Row([(0, 1.0)], LE, 1.0, "a")])
-        second = RowBlock.from_rows([Row([(1, 2.0)], GE, 2.0, "b"), Row([(2, 3.0)], EQ, 3.0)])
-        block = RowBlock.concat([first, RowBlock.concat([]), second])
+        first = RowBlock.row("a", [(0, 1.0)], LE, 1.0)
+        second = block_of(("b", [(1, 2.0)], GE, 2.0), ("c", [(2, 3.0)], EQ, 3.0))
+        empty = RowBlock.concat([])
+        assert len(empty) == 0 and empty.rows.size == empty.cols.size == empty.coefs.size == 0
+        block = RowBlock.concat([first, empty, second])
         assert block.rows.tolist() == [0, 1, 2]
-        assert block.names == ["a", "b", "r1"]
+        assert block.names == ["a", "b", "c"]
         assert block.senses == [LE, GE, EQ] and block.rhs.tolist() == [1.0, 2.0, 3.0]
 
     def test_dtypes(self):
-        p = from_rows([Row([(3, 1.0), (1, 2.0)], LE, 1.0, "a"), Row([], EQ, 0.0, "b")])
+        p = from_block(block_of(("a", [(3, 1.0), (1, 2.0)], LE, 1.0), ("b", [], EQ, 0.0)))
         assert p.a.indices.dtype == np.int32 and p.a.indptr.dtype == np.int32
         assert p.a.data.dtype == np.float64 and p.a.has_sorted_indices
         assert p.senses.dtype == object and p.senses.shape == (2,)

@@ -97,6 +97,32 @@ class TestValidate:
         assert run_cli(["--quiet", "run", str(broken), "--scenario", "reference"]) == 3
         assert json.loads(capsys.readouterr().out)["error"] == "schema"
 
+    @pytest.mark.parametrize("file, old, new, message", [
+        ("technologies.csv", "nuc1,n3,conversion1,25.0,false,25.0,0.0,0.0,0.0,16.9,.*",
+         "nuc1,n3,conversion1,25.0,false,25.0,0.0,0.0",
+         "technologies.csv row 10: expected 30 cells, found 8"),
+        ("technologies.csv", "nuc1,n3,conversion1,25.0,false,25.0,",
+         "nuc1,n3,conversion1,inf,false,inf,", "technology nuc1: existing_size must be finite"),
+        ("branches.csv", "(ac1,[^,]*,[^,]*,[^,]*,[^,]*,[^,]*),5.0,true,100.0,",
+         r"\1,inf,false,inf,", "branch ac1: existing_capacity must be finite"),
+    ], ids=["truncated-row", "infinite-existing-size", "infinite-existing-capacity"])
+    def test_malformed_system_file_exit_3(self, tmp_path, capsys, file, old, new, message):
+        """Before these were rejected, the truncated row ran with nuc1's variable
+        opex at 0 and the infinite capacity made the run end unbounded."""
+        import re
+        import shutil
+        from pathlib import Path
+        broken = tmp_path / "broken"
+        shutil.copytree(Path(__file__).parent.parent / "fixtures" / "miniature", broken)
+        path = broken / file
+        text, count = re.subn(old, new, path.read_text(), count=1)
+        assert count == 1
+        path.write_text(text)
+        assert run_cli(["validate", str(broken)]) == 3
+        assert capsys.readouterr().out.splitlines() == ["1 violation", message]
+        assert run_cli(["--quiet", "run", str(broken), "--scenario", "reference"]) == 3
+        assert json.loads(capsys.readouterr().out)["error"] == "schema"
+
     def test_missing_directory_exit(self, tmp_path):
         assert run_cli(["validate", str(tmp_path / "nope")]) == 3
 

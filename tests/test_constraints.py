@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 
 from carrieropt.builder import build_problem
 from carrieropt.costing import ObjectiveMode
-from carrieropt.lp import EQ, LE, OPTIMAL, Row, solve_lp, verify_solution
+from carrieropt.lp import EQ, LE, OPTIMAL, solve_lp, verify_solution
 from carrieropt.network import emit_branch, pipeline_compression_factor
 from carrieropt.scenarios import apply_scenario, standard_scenario
 from carrieropt.system import (
@@ -40,18 +40,15 @@ def index(mini):
     return assemble_variable_index(mini)
 
 
-def rows_by_label(rows, prefix):
-    return [r for r in rows if r.label.startswith(prefix)]
+def rows_named(block, prefix):
+    """The numbers of the block's rows whose names start with ``prefix``."""
+    return [i for i, name in enumerate(block.names) if name.startswith(prefix)]
 
 
-def as_rows(block):
-    """The rows of an emitted block as :class:`Row` objects, in block order,
-    each with its entries in the order the block lists them."""
-    rows = [Row([], sense, float(rhs), name)
-            for sense, rhs, name in zip(block.senses, block.rhs, block.names)]
-    for row, col, coef in zip(block.rows.tolist(), block.cols.tolist(), block.coefs.tolist()):
-        rows[row].coeffs.append((col, coef))
-    return rows
+def row_terms(block, i):
+    """Row ``i``'s ``(column, coefficient)`` entries, in the order the block lists them."""
+    return [(col, coef) for row, col, coef in zip(
+        block.rows.tolist(), block.cols.tolist(), block.coefs.tolist()) if row == i]
 
 
 def as_bounds(bounds):
@@ -61,9 +58,9 @@ def as_bounds(bounds):
 
 
 def emitted(block_and_bounds):
-    """An emitter's ``(block, bounds)`` as ``(rows, bound triples)``."""
+    """An emitter's ``(block, bounds)`` as ``(block, bound triples)``."""
     block, bounds = block_and_bounds
-    return as_rows(block), as_bounds(bounds)
+    return block, as_bounds(bounds)
 
 
 class TestRenewable:
@@ -77,19 +74,18 @@ class TestRenewable:
             renewable_profiles={"wind1": (10.0, 0.0) + (5.0,) * 22},
         )
         idx = assemble_variable_index(fixed)
-        rows, bounds = emitted(emit_renewable(wind, idx, fixed))
-        assert rows == []
-        assert bounds[0] == (idx.column("wind1", "out", 0), 0.0, 10.0)
-        assert bounds[1] == (idx.column("wind1", "out", 1), 0.0, 0.0)
+        block, bounds = emitted(emit_renewable(wind, idx, fixed))
+        assert len(block) == 0
+        assert bounds[0] == (idx.columns("wind1", "out")[0], 0.0, 10.0)
+        assert bounds[1] == (idx.columns("wind1", "out")[1], 0.0, 0.0)
 
     def test_expandable_scales_with_size(self, mini, index):
         wind = mini.technology("wind1")
-        rows, bounds = emitted(emit_renewable(wind, index, mini))
+        block, bounds = emitted(emit_renewable(wind, index, mini))
         assert bounds == []
         profile = mini.renewable_profiles["wind1"]
-        row = rows[0]
-        coefs = dict(row.coeffs)
-        assert row.rhs == pytest.approx(profile[0])
+        coefs = dict(row_terms(block, 0))
+        assert block.rhs[0] == pytest.approx(profile[0])
         assert coefs[index.column("wind1", "size")] == pytest.approx(
             -profile[0] / wind.existing_size)
 
@@ -109,7 +105,7 @@ class TestRenewable:
                               ObjectiveMode.min_cost())
         res = solve_lp(built.problem)
         assert res.status == OPTIMAL
-        delivered = sum(res.x[built.index.column("wind2", "out", t)]
+        delivered = sum(res.x[built.index.columns("wind2", "out")[t]]
                         for t in range(mini.horizon.step_count))
         assert delivered == 0.0
 
@@ -125,13 +121,13 @@ def _replace_entity(system, entity, **changes):
 
 
 def _emit(system, entity):
-    """(index, rows, bounds) of ``entity``'s emitter in ``system``."""
+    """(index, block, bounds) of ``entity``'s emitter in ``system``."""
     index = assemble_variable_index(system)
     if any(b.id == entity for b in system.branches):
-        rows, bounds = emitted(emit_branch(system.branch(entity), index, system))
+        block, bounds = emitted(emit_branch(system.branch(entity), index, system))
     else:
-        rows, bounds = emitted(emit_technology(system.technology(entity), index, system))
-    return index, rows, bounds
+        block, bounds = emitted(emit_technology(system.technology(entity), index, system))
+    return index, block, bounds
 
 
 @pytest.mark.parametrize("open_system, entity, label", [
@@ -152,51 +148,51 @@ def _emit(system, entity):
 def test_fixed_size_bound_equals_row_at_size_zero(mini, open_system, entity, label):
     """A size-limited flow of a fixed asset gets the bound its row reads at size 0."""
     system = open_system(mini)
-    index, rows, _ = _emit(system, entity)
-    limits = [r for r in rows if r.label.startswith(label)]
+    index, block, _ = _emit(system, entity)
+    limits = rows_named(block, label)
     assert len(limits) >= system.horizon.step_count
     fixed = _replace_entity(system, entity, expandable=False)
     if any(t.id == entity for t in fixed.technologies):
         cost = dataclasses.replace(fixed.technology(entity).cost, capex_per_size=0.0)
         fixed = _replace_entity(fixed, entity, cost=cost)
-    fixed_index, fixed_rows, bounds = _emit(fixed, entity)
-    assert not [r for r in fixed_rows if r.label.startswith(label)]
-    bound_of = {fixed_index.key(col).name(): (lo, hi) for col, lo, hi in bounds}
-    for row in limits:
-        (flow, one), (size, _) = row.coeffs
-        assert (one, row.sense, index.key(size).step) == (1.0, LE, None)
-        assert index.key(size).entity == entity
-        assert bound_of[index.key(flow).name()] == (0.0, row.rhs), row.label
+    fixed_index, fixed_block, bounds = _emit(fixed, entity)
+    assert not rows_named(fixed_block, label)
+    fixed_names = fixed_index.names()
+    bound_of = {fixed_names[col]: (lo, hi) for col, lo, hi in bounds}
+    names, sizes = index.names(), index.size_columns()
+    for i in limits:
+        (flow, one), (size, _) = row_terms(block, i)
+        assert (one, block.senses[i], sizes.get(names[size])) == (1.0, LE, size)
+        assert names[size].split(".")[0] == entity
+        assert bound_of[names[flow]] == (0.0, float(block.rhs[i])), block.names[i]
 
 
 class TestConversion:
     def test_conversion1_fixed_bounds(self, mini, index):
         nuc = mini.technology("nuc1")
-        rows, bounds = emitted(emit_conversion1(nuc, index, mini))
-        assert rows == []
+        block, bounds = emitted(emit_conversion1(nuc, index, mini))
+        assert len(block) == 0
         h = mini.horizon.hours_per_step
         assert all(b[2] == pytest.approx(nuc.existing_size * h) for b in bounds)
         assert len(bounds) == mini.horizon.step_count
 
     def test_conversion2_inout_arithmetic(self, mini, index):
         gas = mini.technology("gas1")
-        rows, _ = emitted(emit_conversion2(gas, index, mini))
-        inout = rows_by_label(rows, "gas1.inout")[0]
-        coefs = dict(inout.coeffs)
+        block, _ = emitted(emit_conversion2(gas, index, mini))
+        coefs = dict(row_terms(block, rows_named(block, "gas1.inout")[0]))
         # 100 MWh of natural gas in -> 61 MWh electricity out satisfies the row
-        x = {index.column("gas1", "out", 0): 61.0,
-             index.column("gas1", "in[natural_gas]", 0): 100.0,
-             index.column("gas1", "in[hydrogen]", 0): 0.0}
+        x = {index.columns("gas1", "out")[0]: 61.0,
+             index.columns("gas1", "in[natural_gas]")[0]: 100.0,
+             index.columns("gas1", "in[hydrogen]")[0]: 0.0}
         residual = sum(coefs[c] * x.get(c, 0.0) for c in coefs)
         assert residual == pytest.approx(0.0, abs=1e-12)
 
     def test_admix_limits_hydrogen_share(self, mini, index):
         gas = mini.technology("gas1")
-        rows, _ = emitted(emit_conversion2(gas, index, mini))
-        admix = rows_by_label(rows, "gas1.admix[hydrogen]")[0]
-        coefs = dict(admix.coeffs)
-        h2 = index.column("gas1", "in[hydrogen]", 0)
-        ng = index.column("gas1", "in[natural_gas]", 0)
+        block, _ = emitted(emit_conversion2(gas, index, mini))
+        coefs = dict(row_terms(block, rows_named(block, "gas1.admix[hydrogen]")[0]))
+        h2 = index.columns("gas1", "in[hydrogen]")[0]
+        ng = index.columns("gas1", "in[natural_gas]")[0]
         # total input 100 with hydrogen at exactly 5 sits on the limit
         assert coefs[h2] * 5.0 + coefs[ng] * 95.0 == pytest.approx(0.0, abs=1e-12)
         assert coefs[h2] * 6.0 + coefs[ng] * 94.0 > 0.0
@@ -224,8 +220,8 @@ class TestStorageRows:
                            for k, v in mini.hydro_inflows.items()},
         )
         idx = assemble_variable_index(one_hour)
-        rows, bounds = emitted(emit_storage1(batt, idx, one_hour))
-        charge_bounds = [b for b in bounds if b[0] == idx.column("batt1", "charge", 0)]
+        _, bounds = emitted(emit_storage1(batt, idx, one_hour))
+        charge_bounds = [b for b in bounds if b[0] == idx.columns("batt1", "charge")[0]]
         assert charge_bounds[0][2] == pytest.approx(0.999)  # 0.333 * 3 MWh
 
     def test_rows_interleave_by_step(self, mini, index):
@@ -233,18 +229,16 @@ class TestStorageRows:
         lists its state of charge, the previous step's (cyclic), charge, discharge
         and, for a compressed store, compression follows the cut."""
         steps = mini.horizon.step_count
-        rows, bounds = emitted(emit_technology(mini.technology("cav1"), index, mini))
+        block, bounds = emitted(emit_technology(mini.technology("cav1"), index, mini))
         kinds = ("max_charge", "max_discharge", "soc_cap", "soc_balance", "cut",
                  "compression")
-        assert [r.label for r in rows] == [f"cav1.{kind}[{t}]"
-                                           for t in range(steps) for kind in kinds]
+        assert block.names == [f"cav1.{kind}[{t}]" for t in range(steps) for kind in kinds]
         assert bounds == []
-        assert [r.sense for r in rows[:6]] == [LE, LE, LE, EQ, LE, EQ]
+        assert block.senses[:6] == [LE, LE, LE, EQ, LE, EQ]
         for t in (0, steps - 1):
-            balance = rows[6 * t + 3]
-            assert [col for col, _ in balance.coeffs] == [
-                index.column("cav1", "soc", t), index.column("cav1", "soc", (t - 1) % steps),
-                index.column("cav1", "charge", t), index.column("cav1", "discharge", t)]
+            assert [col for col, _ in row_terms(block, 6 * t + 3)] == [
+                index.columns("cav1", "soc")[t], index.columns("cav1", "soc")[(t - 1) % steps],
+                index.columns("cav1", "charge")[t], index.columns("cav1", "discharge")[t]]
 
     def test_soc_recursion_matches_reference_simulation(self):
         params, _ = self._battery()
@@ -315,8 +309,8 @@ class TestMiniatureSolve:
                 if b.bidirectional else [("sent", "recv")]
             for sent_role, recv_role in roles:
                 for t in range(mini.horizon.step_count):
-                    sent = res.x[built.index.column(b.id, sent_role, t)]
-                    recv = res.x[built.index.column(b.id, recv_role, t)]
+                    sent = res.x[built.index.columns(b.id, sent_role)[t]]
+                    recv = res.x[built.index.columns(b.id, recv_role)[t]]
                     assert recv == pytest.approx(transfer * sent, abs=1e-7)
 
     def test_storage_telescoping_identity(self, solved, mini):
@@ -330,12 +324,12 @@ class TestMiniatureSolve:
             steps = mini.horizon.step_count
             total = 0.0
             for t in range(steps):
-                soc_prev = res.x[built.index.column(tech.id, "soc", (t - 1) % steps)]
-                charge = res.x[built.index.column(tech.id, "charge", t)]
-                discharge = res.x[built.index.column(tech.id, "discharge", t)]
+                soc_prev = res.x[built.index.columns(tech.id, "soc")[(t - 1) % steps]]
+                charge = res.x[built.index.columns(tech.id, "charge")[t]]
+                discharge = res.x[built.index.columns(tech.id, "discharge")[t]]
                 inflow = mini.hydro_inflows.get(tech.id, [0.0] * steps)[t]
-                spill = (res.x[built.index.column(tech.id, "spill", t)]
-                         if built.index.has(tech.id, "spill", t) else 0.0)
+                spill = (res.x[built.index.columns(tech.id, "spill")[t]]
+                         if built.index.has(tech.id, "spill") else 0.0)
                 total += (p.charge_efficiency * charge - discharge / p.discharge_efficiency
                           + inflow - spill - (1.0 - decay) * soc_prev)
             scale = max(1.0, sum(mini.hydro_inflows.get(tech.id, [1.0] * steps)))
@@ -348,17 +342,17 @@ class TestMiniatureSolve:
             alpha = tech.performance.efficiency
             for t in range(mini.horizon.step_count):
                 total_in = sum(
-                    res.x[built.index.column(tech_id, f"in[{c.value}]", t)]
+                    res.x[built.index.columns(tech_id, f"in[{c.value}]")[t]]
                     for c in tech.performance.input_carriers)
-                out = res.x[built.index.column(tech_id, "out", t)]
+                out = res.x[built.index.columns(tech_id, "out")[t]]
                 if total_in > 1e-9:
                     assert out / total_in == pytest.approx(alpha, rel=1e-9)
 
     def test_compression_electricity_proportional(self, solved, mini):
         built, res = solved
         gamma = mini.technology("cav1").performance.compression_electricity
-        total_charge = sum(res.x[built.index.column("cav1", "charge", t)]
+        total_charge = sum(res.x[built.index.columns("cav1", "charge")[t]]
                            for t in range(mini.horizon.step_count))
-        total_el = sum(res.x[built.index.column("cav1", "compress_el", t)]
+        total_el = sum(res.x[built.index.columns("cav1", "compress_el")[t]]
                        for t in range(mini.horizon.step_count))
         assert total_el == pytest.approx(gamma * total_charge, abs=1e-9)

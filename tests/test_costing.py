@@ -100,12 +100,12 @@ class TestObjectiveCoefficients:
         # 1 MWh imported costs the bare price plus the carbon charge:
         # 1000 + 80 * 0.8 = 1064 EUR
         vec = cost_table(mini, index).costs
-        col = index.column("n1", "imp[electricity]", 0)
+        col = index.columns("n1", "imp[electricity]")[0]
         assert vec[col] == pytest.approx(1064.0)
 
     def test_gas_variable_opex(self, mini, index):
         vec = cost_table(mini, index).costs
-        col = index.column("gas1", "out", 5)
+        col = index.columns("gas1", "out")[5]
         assert vec[col] == pytest.approx(4.2)
 
     def test_electrolyzer_size_coefficient_structure(self, mini, index):
@@ -132,23 +132,23 @@ class TestEmissionAccounting:
     def test_gas_output_bookkeeping(self, index, table):
         # 100 MWh of gas input at 61% efficiency: 61 MWh out, 18.422 t CO2
         x = np.zeros(len(index))
-        x[index.column("gas1", "in[natural_gas]", 0)] = 100.0
-        x[index.column("gas1", "out", 0)] = 61.0
+        x[index.columns("gas1", "in[natural_gas]")[0]] = 100.0
+        x[index.columns("gas1", "out")[0]] = 61.0
         report = total_emissions(table, x)
         assert report.technologies == pytest.approx(18.4220, rel=1e-12)
         assert report.imports == 0.0
 
     def test_import_emission_factor(self, index, table):
         x = np.zeros(len(index))
-        x[index.column("n2", "imp[electricity]", 3)] = 10.0
+        x[index.columns("n2", "imp[electricity]")[3]] = 10.0
         report = total_emissions(table, x)
         assert report.imports == pytest.approx(8.0)
 
     def test_all_renewable_dispatch_is_zero(self, mini, index, table):
         x = np.zeros(len(index))
         for t in range(mini.horizon.step_count):
-            x[index.column("wind1", "out", t)] = 100.0
-            x[index.column("hydro1", "discharge", t)] = 5.0
+            x[index.columns("wind1", "out")[t]] = 100.0
+            x[index.columns("hydro1", "discharge")[t]] = 5.0
         assert total_emissions(table, x).total == 0.0
 
     def test_min_emissions_objective_is_emission_vector(self, mini):

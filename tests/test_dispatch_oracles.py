@@ -92,7 +92,7 @@ class TestHydroDispatchOracle:
         built = build_problem(system, ObjectiveMode.min_cost())
         res = solve_lp(built.problem)
         for t in (0, 2, 4):
-            discharge = res.x[built.index.column("hydro", "discharge", t)]
+            discharge = res.x[built.index.columns("hydro", "discharge")[t]]
             assert discharge >= 2.0 - 1e-9
 
     def test_no_simultaneous_charge_discharge(self):
@@ -101,8 +101,8 @@ class TestHydroDispatchOracle:
         built = build_problem(system, ObjectiveMode.min_cost())
         res = solve_lp(built.problem)
         for t in range(6):
-            charge = res.x[built.index.column("hydro", "charge", t)]
-            discharge = res.x[built.index.column("hydro", "discharge", t)]
+            charge = res.x[built.index.columns("hydro", "charge")[t]]
+            discharge = res.x[built.index.columns("hydro", "discharge")[t]]
             assert min(charge, discharge) <= 1e-9
 
 
@@ -194,8 +194,8 @@ class TestDirectionFlipOracle:
         res = solve_lp(built.problem)
         assert res.status == OPTIMAL
         for t in range(4):
-            fwd = res.x[built.index.column("link", "sent[fwd]", t)]
-            rev = res.x[built.index.column("link", "sent[rev]", t)]
+            fwd = res.x[built.index.columns("link", "sent[fwd]")[t]]
+            rev = res.x[built.index.columns("link", "sent[rev]")[t]]
             assert min(fwd, rev) <= 1e-9, f"overlapping flows at step {t}"
             if t % 2 == 0:
                 # a is surplus: ship exactly b's residual deficit
@@ -264,8 +264,8 @@ class TestImportLimits:
         for node in system.nodes:
             limit = node.import_limit.get(Carrier.ELECTRICITY, 0.0)
             for t in range(system.horizon.step_count):
-                if built.index.has(node.id, "imp[electricity]", t):
-                    value = res.x[built.index.column(node.id, "imp[electricity]", t)]
+                if built.index.has(node.id, "imp[electricity]"):
+                    value = res.x[built.index.columns(node.id, "imp[electricity]")[t]]
                     assert value <= limit * h + 1e-9
                     total += value
         assert total > 0.0  # the reference dispatch actually leans on imports

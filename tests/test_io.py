@@ -128,6 +128,33 @@ def _set_cell(path, column, value, row=0):
         writer.writerows(rows)
 
 
+class TestRaggedRows:
+    """An entity row must have as many cells as its file's header: a short row
+    would leave its last columns empty (their defaults) and a long one would
+    drop its extra cells."""
+
+    @pytest.mark.parametrize("file, cells, message", [
+        ("technologies.csv", 8, "technologies.csv row 2: expected 30 cells, found 8"),
+        ("branches.csv", 29, "branches.csv row 2: expected 27 cells, found 29"),
+        ("nodes.csv", 2, "nodes.csv row 2: expected 12 cells, found 2"),
+    ], ids=["truncated-technology", "extended-branch", "truncated-node"])
+    def test_row_with_the_wrong_cell_count_rejected(self, mini, tmp_path, file, cells,
+                                                    message):
+        write_system_files(mini, tmp_path)
+        path = tmp_path / file
+        header, first, *rest = path.read_text().splitlines()
+        row = (first.split(",") + ["x"] * cells)[:cells]
+        path.write_text("".join(f"{line}\n" for line in [header, ",".join(row), *rest]))
+        with pytest.raises(SchemaError, match=message):
+            parse_system_files(tmp_path)
+
+    def test_blank_lines_are_skipped(self, mini, tmp_path):
+        write_system_files(mini, tmp_path)
+        path = tmp_path / "technologies.csv"
+        path.write_text(path.read_text().replace("\n", "\n\n", 1) + "\n")
+        assert parse_system_files(tmp_path) == mini
+
+
 class TestMalformedManifestAndSeries:
     @pytest.mark.parametrize("changes, message", [
         ({"horizon": {"step_count": "abc", "hours_per_step": 365.0}},

@@ -204,8 +204,7 @@ class TestSolvesLeaveTheirProblem:
         assert self._solve_unchanged(problem, lambda: solve_lp(problem)).status == OPTIMAL
         res = self._solve_unchanged(problem, lambda: solve_milp(problem))
         assert res.status == OPTIMAL and res.nodes == 3
-        sizes = {key.name(): float(res.x[col]) for col, key in enumerate(built.index.keys())
-                 if key.step is None}
+        sizes = {name: float(res.x[col]) for name, col in built.index.size_columns().items()}
         stages = self._solve_unchanged(problem, lambda: warm_start_solve(problem, sizes, []))
         assert [stage.status for stage in stages] == [OPTIMAL] * 2  # no new sizes: no stage 2
         # every node, polish and stage solves a problem derived from this one's bounds

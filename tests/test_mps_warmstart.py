@@ -218,8 +218,7 @@ class TestWarmStart:
                                              standard_scenario("t-all")),
                               ObjectiveMode.min_cost())
         cold = solve_milp(built.problem)
-        sizes = {key.name(): float(cold.x[col]) for col, key in enumerate(built.index.keys())
-                 if key.step is None}
+        sizes = {name: float(cold.x[col]) for name, col in built.index.size_columns().items()}
         calls = self._count_stage_solves(monkeypatch)
         ws = warm_start_solve(built.problem, sizes, [])
         assert len(calls) == len(ws) == 2

@@ -121,7 +121,7 @@ class TestGates:
         gated = apply_scenario(mini, standard_scenario("reference"))
         assert expandable_ids(gated) == set()
         index = assemble_variable_index(gated)
-        assert not any(k.step is None for k in index.keys())
+        assert index.size_columns() == {}
 
     def test_t1_blocks_offshore_corridors(self, mini):
         gated = apply_scenario(mini, standard_scenario("t-1"))
@@ -193,7 +193,7 @@ class TestScenarioRuns:
         assert outcome.new_capacities == []
         assert outcome.costs.technologies + outcome.costs.networks > 0 or True
         # no size variables at all, so investment terms cannot exist
-        assert not any(k.step is None for k in outcome.built.index.keys())
+        assert outcome.built.index.size_columns() == {}
 
     def test_cost_dominance_chain(self, runner):
         cost = {sid: runner.run(standard_scenario(sid), ObjectiveMode.min_cost()).objective
@@ -864,7 +864,7 @@ class TestMetrics:
         mini = runner.system
         available = sum(mini.renewable_profiles["wind1"])
         dispatched = sum(
-            outcome.result.x[outcome.built.index.column("wind1", "out", t)]
+            outcome.result.x[outcome.built.index.columns("wind1", "out")[t]]
             for t in range(mini.horizon.step_count))
         expected = 1.0 - dispatched / available
         assert outcome.metrics["curtailment_share"] == pytest.approx(expected, abs=1e-9)

@@ -20,7 +20,7 @@ from carrieropt.lp import (
     OPTIMAL,
     UNBOUNDED,
     ProblemError,
-    Row,
+    RowBlock,
     SolveResult,
     SparseProblem,
     solve_lp,
@@ -44,12 +44,12 @@ from carrieropt.lp.simplex import (
 def make_problem(a, senses, b, c, lower=None, upper=None, integer=None, names=None):
     a = np.atleast_2d(np.asarray(a, dtype=float))
     m, n = a.shape
-    rows = [Row(coeffs=[(j, a[i, j]) for j in range(n) if a[i, j] != 0.0],
-                sense=senses[i], rhs=b[i], label=f"r{i}")
-            for i in range(m)]
-    return SparseProblem.from_rows(
+    rows, cols = np.nonzero(a)
+    block = RowBlock(rows=rows, cols=cols, coefs=a[rows, cols], senses=list(senses),
+                     rhs=np.asarray(b, dtype=float), names=[f"r{i}" for i in range(m)])
+    return SparseProblem.from_block(
         num_cols=n,
-        rows=rows,
+        block=block,
         lower=np.zeros(n) if lower is None else np.asarray(lower, dtype=float),
         upper=np.full(n, np.inf) if upper is None else np.asarray(upper, dtype=float),
         objective=np.asarray(c, dtype=float),

@@ -12,7 +12,7 @@ from carrieropt.system import (
     Carrier,
     StructureError,
     TechnologyKind,
-    VarKey,
+    VariableIndex,
     assemble_variable_index,
     build_miniature_system,
     node_carrier_participants,
@@ -57,6 +57,22 @@ class TestValidation:
         techs = tuple(bad_wind if t.id == "wind1" else t for t in mini.technologies)
         messages = validate_system(dataclasses.replace(mini, technologies=techs))
         assert any("wind1" in m and "finite max_size" in m for m in messages)
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan], ids=["inf", "nan"])
+    def test_non_finite_existing_size_flagged(self, mini, value):
+        """An existing size or capacity enters every limit of its asset, so it
+        must be finite even where the maximum may be infinite."""
+        techs = tuple(dataclasses.replace(t, existing_size=value, max_size=math.inf)
+                      if t.id == "nuc1" else t for t in mini.technologies)
+        assert validate_system(dataclasses.replace(mini, technologies=techs)) == [
+            "technology nuc1: existing_size must be finite"]
+        branches = tuple(dataclasses.replace(b, expandable=False, existing_capacity=value,
+                                             max_capacity=math.inf)
+                         if b.id == "ac1" else b for b in mini.branches)
+        bad = dataclasses.replace(mini, branches=branches)
+        assert validate_system(bad) == ["branch ac1: existing_capacity must be finite"]
+        with pytest.raises(StructureError, match="ac1: existing_capacity must be finite"):
+            build_problem(bad, ObjectiveMode.min_cost())
 
     def test_outlet_pressure_below_reference_flagged(self, mini):
         pp1 = mini.branch("pp1")
@@ -144,16 +160,32 @@ def count_variables_independently(system) -> int:
     return total
 
 
+def roles_of(index):
+    """``(entity, role, per_step)`` of every role of ``index``, read from its
+    names: a per-step column's name ends in ``[step]``."""
+    roles = {}
+    for name in index.names():
+        entity, role = name.split(".", 1)
+        base, _, step = role.rpartition("[")
+        per_step = step[:-1].isdigit()
+        roles[entity, base if per_step else role] = per_step
+    return [(entity, role, per_step) for (entity, role), per_step in roles.items()]
+
+
 class TestVariableIndex:
     def test_column_count_matches_counting_oracle(self, mini):
         index = assemble_variable_index(mini)
         assert len(index) == count_variables_independently(mini)
 
     def test_bijection_round_trip(self, mini):
+        """The columns of every role, per-step or single, cover each column
+        of the index exactly once."""
         index = assemble_variable_index(mini)
-        for col in range(len(index)):
-            key = index.key(col)
-            assert index.column(key.entity, key.role, key.step) == col
+        cols = []
+        for entity, role, per_step in roles_of(index):
+            cols += index.columns(entity, role).tolist() if per_step else [
+                index.column(entity, role)]
+        assert sorted(cols) == list(range(len(index)))
 
     def test_roles_per_kind(self, mini):
         gas = mini.technology("gas1")
@@ -161,10 +193,41 @@ class TestVariableIndex:
         cavern = mini.technology("cav1")
         assert tech_step_roles(cavern) == ("charge", "discharge", "soc", "compress_el")
 
-    def test_names_match_keys(self, mini):
+    def test_names_match_roles(self, mini):
         index = assemble_variable_index(mini)
-        assert index.names()[index.column("wind1", "out", 3)] == "wind1.out[3]"
-        assert VarKey("wind1", "size").name() == "wind1.size"
+        assert index.names()[index.columns("wind1", "out")[3]] == "wind1.out[3]"
+        assert index.names()[index.column("batt1", "size")] == "batt1.size"
+
+    def test_names_line_up_with_column_and_columns(self, mini):
+        """``names()`` reads ``entity.role[t]`` at ``columns(entity, role)[t]``
+        and ``entity.role`` at ``column(entity, role)``."""
+        index = assemble_variable_index(mini)
+        names = index.names()
+        assert len(names) == len(index)
+        for entity, role, per_step in roles_of(index):
+            if per_step:
+                assert [names[c] for c in index.columns(entity, role)] == [
+                    f"{entity}.{role}[{t}]" for t in range(mini.horizon.step_count)]
+            else:
+                assert names[index.column(entity, role)] == f"{entity}.{role}"
+
+    def test_column_raises_on_a_per_step_role(self, mini):
+        index = assemble_variable_index(mini)
+        assert index.has("wind1", "out")
+        with pytest.raises(StructureError, match="no single-column variable 'wind1.out'"):
+            index.column("wind1", "out")
+
+    def test_columns_raises_on_a_single_column_role(self, mini):
+        index = assemble_variable_index(mini)
+        assert index.has("batt1", "size")
+        with pytest.raises(StructureError, match="no per-step variable 'batt1.size'"):
+            index.columns("batt1", "size")
+
+    def test_role_declared_per_step_and_single_is_a_duplicate(self):
+        with pytest.raises(StructureError, match="duplicate variable keys"):
+            VariableIndex(24, [("wind1", "out", True), ("wind1", "out", False)])
+        with pytest.raises(StructureError, match="duplicate variable keys"):
+            VariableIndex(24, [("batt1", "size", False), ("batt1", "size", True)])
 
     def test_gap_free_and_deterministic(self, mini):
         a = assemble_variable_index(mini)
@@ -172,23 +235,24 @@ class TestVariableIndex:
         assert a.names() == b.names()
 
     def test_per_step_roles_are_contiguous(self, mini):
-        """Each per-step role's columns are consecutive; keys, names, ``has``
-        and ``size_columns`` agree with ``column`` and ``columns``."""
+        """Each per-step role's columns are consecutive; names, ``has`` and
+        ``size_columns`` agree with ``column`` and ``columns``."""
         index = assemble_variable_index(mini)
         steps = mini.horizon.step_count
-        keys, names = index.keys(), index.names()
-        assert [k.name() for k in keys] == names and len(keys) == len(index)
-        for col, key in enumerate(keys):
-            assert index.key(col) == key and index.has(key.entity, key.role, key.step)
-            if key.step is not None:
-                cols = index.columns(key.entity, key.role)
-                assert cols.tolist() == list(range(col - key.step, col - key.step + steps))
-        assert index.size_columns() == {k.name(): col for col, k in enumerate(keys)
-                                        if k.step is None}
-        assert not index.has("wind1", "out", steps) and not index.has("wind1", "out", -1)
-        assert not index.has("wind1", "out") and not index.has("wind1", "size", 0)
-        with pytest.raises(StructureError, match="no variable 'wind1.out\\[24\\]'"):
-            index.column("wind1", "out", steps)
+        names = index.names()
+        singles = {}
+        for entity, role, per_step in roles_of(index):
+            assert index.has(entity, role)
+            if per_step:
+                cols = index.columns(entity, role)
+                first = names.index(f"{entity}.{role}[0]")
+                assert cols.tolist() == list(range(first, first + steps))
+            else:
+                singles[f"{entity}.{role}"] = index.column(entity, role)
+        assert index.size_columns() == singles
+        assert not index.has("wind1", "spill") and not index.has("nowhere", "out")
+        with pytest.raises(StructureError, match="no per-step variable 'wind1.spill'"):
+            index.columns("wind1", "spill")
 
 
 class TestMiniature:
