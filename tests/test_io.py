@@ -1,7 +1,9 @@
 """Serialization round-trips and schema rejection."""
 
 import csv
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -234,6 +236,38 @@ class TestNonFiniteCostData:
         _set_cell(tmp_path / file, column, "inf")
         with pytest.raises(SchemaError, match=message):
             parse_system_files(tmp_path)
+
+
+FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "miniature"
+
+
+class TestWrittenBytes:
+    """The writer's output, byte for byte: the shipped fixture and digests of a
+    system with compression, storage, conversion and integer-block cells."""
+
+    def test_seed_0_equals_the_shipped_fixture(self):
+        files = serialize_system(build_miniature_system(0))
+        assert sorted(files) == sorted(p.name for p in FIXTURE.iterdir())
+        for name, content in files.items():
+            assert content.encode() == (FIXTURE / name).read_bytes(), name
+
+    def test_seed_1_with_dc_blocks_digests(self):
+        files = serialize_system(build_miniature_system(1, dc_blocks_mw=10.0))
+        digests = {name: hashlib.sha256(content.encode()).hexdigest()
+                   for name, content in files.items()}
+        assert digests == {
+            "branches.csv": "c348a344ef611be978827591f718b7851305a7d714238220a1e60e493656e005",
+            "demand_electricity.csv":
+                "34f7f24614c00569bc770742fc3d564b32c5b704a962b07e2f77eff030997c2c",
+            "demand_hydrogen.csv":
+                "b3300cd0599e4a6e1b06fb6a9a18be0c93ad6e7a5cc8a14d0280421e4a60c98c",
+            "inflows.csv": "71d3508ae7a01c773c455b7e7cef62d91040f8b1a1239b599d67966868a78a7a",
+            "manifest.json": "df6130869bc2b314f222be853f5d0b7b2c29b8027db4944ab768aa0c85588c27",
+            "nodes.csv": "a8f54ed480b08e6a3d39f7a2eb2deee01733d9d86226a5e0f51ac3130de9868d",
+            "profiles.csv": "62472718de4e782856de42e6769242217c29335ee93fd33c5a9d51952c50b2a5",
+            "technologies.csv":
+                "9c4e84a32e121c9d96d25f4db60cea9ae04b721627c83d64b4c9be4b6780c175",
+        }
 
 
 class TestShippedFixture:
