@@ -231,6 +231,11 @@ def _non_finite(where: str, values: Mapping[str, float]) -> list[str]:
             if not math.isfinite(value)]
 
 
+def _negative(where: str, values: Mapping[str, float]) -> list[str]:
+    """One message per entry of ``values`` that is below zero."""
+    return [f"{where}{name} must be >= 0" for name, value in values.items() if value < 0]
+
+
 def _non_finite_steps(where: str, values: Iterable[float]) -> list[str]:
     """One message per step of the series ``values`` that is NaN or infinite."""
     if all(map(math.isfinite, values)):
@@ -247,6 +252,8 @@ def validate_system(system: EnergySystem) -> list[str]:
     enters the objective, and every existing size and capacity, must be
     finite; import limits, maximum sizes and maximum capacities may be
     infinite, but no step of a demand, renewable profile or hydro inflow may.
+    Capex, variable opex, discount rates, loss factors and inflows may not be
+    negative; import prices and branch cost coefficients may.
     """
     out: list[str] = []
     steps = system.horizon.step_count
@@ -267,8 +274,8 @@ def validate_system(system: EnergySystem) -> list[str]:
         if n.location_kind not in (ONSHORE, OFFSHORE):
             out.append(f"node {n.id}: location_kind must be onshore or offshore")
         for carrier, limit in n.import_limit.items():
-            if limit < 0:
-                out.append(f"node {n.id}: import limit for {carrier.value} is negative")
+            if not limit >= 0:  # NaN too
+                out.append(f"node {n.id}: import limit for {carrier.value} must be >= 0")
         for label, mapping in (("price", n.import_price),
                                ("emission factor", n.import_emission_factor)):
             out += _non_finite(f"node {n.id}: ", {
@@ -312,6 +319,9 @@ def validate_system(system: EnergySystem) -> list[str]:
             out.append(f"{pre}: lifetime must be positive when capex is set")
         if not 0 <= t.cost.fixed_opex_share <= 1:
             out.append(f"{pre}: fixed_opex_share outside [0, 1]")
+        out += _negative(f"{pre}: ", {"capex_per_size": t.cost.capex_per_size,
+                                      "variable_opex": t.cost.variable_opex,
+                                      "discount_rate": t.cost.discount_rate})
         out += _non_finite(f"{pre}: ", {"existing_size": t.existing_size, **vars(t.cost)})
         out += _non_finite(f"{pre}: ", {
             f"emission factor {direction}/{carrier.value}": factor
@@ -355,6 +365,10 @@ def validate_system(system: EnergySystem) -> list[str]:
                     out.append(f"{pre}: self_discharge outside [0, 1)")
                 if p.compression_electricity < 0:
                     out.append(f"{pre}: compression electricity must be >= 0")
+                out += _non_finite(f"{pre}: ", {
+                    "max_charge_rate": p.max_charge_rate,
+                    "max_discharge_rate": p.max_discharge_rate,
+                    "compression_electricity": p.compression_electricity})
                 if (p.compression_electricity > 0
                         and t.kind != TechnologyKind.STORAGE2_2):
                     out.append(f"{pre}: only storage2_2 draws compression electricity")
@@ -365,6 +379,8 @@ def validate_system(system: EnergySystem) -> list[str]:
                 elif len(inflow) != steps:
                     out.append(f"{pre}: inflow length {len(inflow)}, expected {steps}")
                 else:
+                    if any(v < 0 for v in inflow):
+                        out.append(f"{pre}: inflow has negative values")
                     out += _non_finite_steps(f"{pre}: inflow", inflow)
 
     # a series on any other kind of technology would go unused
@@ -412,10 +428,15 @@ def validate_system(system: EnergySystem) -> list[str]:
                 out.append(f"{pre}: electricity kinds carry electricity")
             if b.compression is not None:
                 out.append(f"{pre}: compression applies to pipelines only")
-        if b.integer_block_mw is not None and b.integer_block_mw <= 0:
-            out.append(f"{pre}: integer block size must be positive")
+        if b.integer_block_mw is not None and not 0 < b.integer_block_mw < math.inf:
+            out.append(f"{pre}: integer block size must be positive and finite")
         if not 0 <= b.fixed_opex_share <= 1:
             out.append(f"{pre}: fixed_opex_share outside [0, 1]")
+        if b.expandable and b.lifetime <= 0:
+            out.append(f"{pre}: expandable branches need a positive lifetime")
+        out += _negative(f"{pre}: ", {"loss_factor_per_km": b.loss_factor_per_km,
+                                      "variable_opex": b.variable_opex,
+                                      "discount_rate": b.discount_rate})
         out += _non_finite(f"{pre}: ", {
             "existing_capacity": b.existing_capacity,
             **{f"gamma{k}": g for k, g in enumerate(b.cost_poly, start=1)},
@@ -426,6 +447,7 @@ def validate_system(system: EnergySystem) -> list[str]:
             if min(c.outlet_pressure_bar, c.specific_heat, c.temperature_k,
                    c.efficiency, c.lower_heating_value, c.reference_pressure_bar) <= 0:
                 out.append(f"{pre}: compression parameters must be positive")
+            out += _non_finite(f"{pre}: compression ", vars(c))
             if c.heat_capacity_ratio <= 1:
                 out.append(f"{pre}: heat capacity ratio must exceed 1")
             if c.outlet_pressure_bar < c.reference_pressure_bar:

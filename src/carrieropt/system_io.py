@@ -6,14 +6,33 @@ A system directory holds:
   defaults applied where node cells are empty, optional ``units`` block
   (only MW/MWh/EUR/t/km are supported; anything else is rejected).
 * ``nodes.csv``, ``technologies.csv``, ``branches.csv`` -- one row per
-  entity; empty cells mean "absent", the literal ``inf`` is allowed where a
-  quantity may be unbounded.
+  entity; the literal ``inf`` is allowed where a quantity may be unbounded.
 * ``demand_<carrier>.csv`` -- wide per-step files, one column per node.
 * ``profiles.csv`` / ``inflows.csv`` -- per-step availability of renewables
   and hydro inflows, one column per technology.
 
-Unknown columns are rejected so typos fail loudly. Floats are written with
-``repr`` and round-trip exactly; parsing a directory written by
+Each entity file is declared once, as a table of :class:`_Column` entries
+(``_NODE_COLUMNS``, ``_TECH_COLUMNS``, ``_BRANCH_COLUMNS``) that drives both
+the writer and the parser. A column names the field it holds and the
+section of the entity that holds the field: the entity itself, its ``cost``
+parameters, its ``conversion`` or ``storage`` performance, or a branch's
+``compression`` block. A section applies to a row as follows:
+
+* the entity and ``cost`` sections apply to every row;
+* ``conversion`` applies to ``conversion2`` technologies and ``storage`` to
+  the three storage kinds; a filled cell of either on any other kind is an
+  error, as nothing would read it;
+* ``compression`` applies when any of its seven cells is filled, and then
+  all seven are required.
+
+An empty cell stands for its column's default: a number, or "absent" for the
+optional import, admixture, emission-factor and integer-block cells. A
+column without a default is required wherever its section applies; the
+entity-level ones must also appear in the header. A node's empty import
+cell takes the manifest's ``import_defaults`` entry for it first.
+
+Unknown and repeated columns are rejected so typos fail loudly. Floats are
+written with ``repr`` and round-trip exactly; parsing a directory written by
 :func:`write_system_files` reproduces the system field by field.
 """
 
@@ -24,7 +43,9 @@ import hashlib
 import io
 import json
 import math
+from enum import Enum
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from .system import (
     CARRIERS,
@@ -60,32 +81,6 @@ class SchemaError(ValueError):
 SUPPORTED_UNITS = {"power": "MW", "energy": "MWh", "currency": "EUR",
                    "emissions": "t", "distance": "km"}
 
-NODE_COLUMNS = ["id", "country", "location_kind"] + [
-    f"import_{field}_{c.value}" for field in ("limit", "price", "emission_factor")
-    for c in CARRIERS
-]
-
-TECH_COLUMNS = [
-    "id", "node", "kind", "existing_size", "expandable", "max_size",
-    "capex_per_size", "lifetime", "fixed_opex_share", "variable_opex",
-    "discount_rate", "efficiency", "input_carriers", "output_carrier",
-    "admix_limit_electricity", "admix_limit_hydrogen", "admix_limit_natural_gas",
-    "storage_carrier", "max_charge_rate", "max_discharge_rate", "self_discharge",
-    "charge_efficiency", "discharge_efficiency", "compression_electricity",
-    "ef_in_electricity", "ef_in_hydrogen", "ef_in_natural_gas",
-    "ef_out_electricity", "ef_out_hydrogen", "ef_out_natural_gas",
-]
-
-BRANCH_COLUMNS = [
-    "id", "network_kind", "carrier", "from_node", "to_node", "length_km",
-    "existing_capacity", "expandable", "max_capacity", "loss_factor_per_km",
-    "bidirectional", "gamma1", "gamma2", "gamma3", "gamma4", "fixed_opex_share",
-    "lifetime", "variable_opex", "discount_rate", "integer_block_mw",
-    "outlet_pressure_bar", "specific_heat", "temperature_k",
-    "compressor_efficiency", "heat_capacity_ratio", "lower_heating_value",
-    "reference_pressure_bar",
-]
-
 
 def _fmt(value) -> str:
     if value is None:
@@ -93,9 +88,11 @@ def _fmt(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        if math.isinf(value):
-            return "inf"
         return repr(value)
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, tuple):  # input carriers, in canonical order
+        return "+".join(c.value for c in CARRIERS if c in value)
     return str(value)
 
 
@@ -126,6 +123,10 @@ def _manifest_object(value, field: str) -> dict:
     return value
 
 
+def _parse_text(cell: str, where: str) -> str:
+    return cell
+
+
 def _parse_bool(cell: str, where: str) -> bool:
     if cell == "true":
         return True
@@ -134,110 +135,139 @@ def _parse_bool(cell: str, where: str) -> bool:
     raise SchemaError(f"{where}: expected true or false, got {cell!r}")
 
 
-def _parse_carrier(cell: str, where: str) -> Carrier:
-    try:
-        return Carrier(cell)
-    except ValueError:
-        raise SchemaError(f"{where}: unknown carrier {cell!r}") from None
+def _member_parser(enum: type[Enum], label: str) -> Callable[[str, str], Enum]:
+    def parse(cell: str, where: str) -> Enum:
+        try:
+            return enum(cell)
+        except ValueError:
+            raise SchemaError(f"{where}: unknown {label} {cell!r}") from None
+    return parse
 
 
-def _write_csv(columns: list[str], rows: list[dict]) -> str:
+_parse_carrier = _member_parser(Carrier, "carrier")
+_parse_kind = _member_parser(TechnologyKind, "kind")
+
+
+def _parse_carriers(cell: str, where: str) -> tuple[Carrier, ...]:
+    return tuple(_parse_carrier(c, where) for c in cell.split("+"))
+
+
+class _Column(NamedTuple):
+    """One column of an entity file: field ``attr`` of the entity, or of its
+    ``section`` object, parsed by ``read``. ``default`` is the text an empty
+    cell stands for ("" = absent); ``None`` makes the cell required. ``key``
+    picks the entry of a mapping field, or the position in a tuple field."""
+    name: str
+    attr: str
+    section: str = ""
+    read: Callable[[str, str], object] = _parse_float
+    default: str | None = None
+    key: object = None
+
+
+# section -> (entity attribute holding it, its class, the technology kinds it
+# applies to; None: the rows that fill any of its cells)
+_SECTIONS = {
+    "cost": ("cost", CostParams, tuple(TechnologyKind)),
+    "conversion": ("performance", Conversion2Params, (TechnologyKind.CONVERSION2,)),
+    "storage": ("performance", StorageParams, STORAGE_KINDS),
+    "compression": ("compression", CompressionParams, None),
+}
+
+_NODE_COLUMNS = (
+    _Column("id", "id", read=_parse_text),
+    _Column("country", "country", read=_parse_text),
+    _Column("location_kind", "location_kind", read=_parse_text),
+    *(_Column(f"import_{field}_{c.value}", f"import_{field}", default="", key=c)
+      for field in ("limit", "price", "emission_factor") for c in CARRIERS),
+)
+
+_TECH_COLUMNS = (
+    _Column("id", "id", read=_parse_text),
+    _Column("node", "node", read=_parse_text),
+    _Column("kind", "kind", read=_parse_kind),
+    _Column("existing_size", "existing_size"),
+    _Column("expandable", "expandable", read=_parse_bool),
+    _Column("max_size", "max_size"),
+    _Column("capex_per_size", "capex_per_size", "cost", default="0"),
+    _Column("lifetime", "lifetime", "cost", default="0"),
+    _Column("fixed_opex_share", "fixed_opex_share", "cost", default="0"),
+    _Column("variable_opex", "variable_opex", "cost", default="0"),
+    _Column("discount_rate", "discount_rate", "cost", default="0.04"),
+    _Column("efficiency", "efficiency", "conversion"),
+    _Column("input_carriers", "input_carriers", "conversion", _parse_carriers),
+    _Column("output_carrier", "output_carrier", "conversion", _parse_carrier),
+    *(_Column(f"admix_limit_{c.value}", "admix_limits", "conversion", default="", key=c)
+      for c in CARRIERS),
+    _Column("storage_carrier", "carrier", "storage", _parse_carrier),
+    _Column("max_charge_rate", "max_charge_rate", "storage"),
+    _Column("max_discharge_rate", "max_discharge_rate", "storage"),
+    _Column("self_discharge", "self_discharge", "storage", default="0"),
+    _Column("charge_efficiency", "charge_efficiency", "storage", default="1"),
+    _Column("discharge_efficiency", "discharge_efficiency", "storage", default="1"),
+    _Column("compression_electricity", "compression_electricity", "storage", default="0"),
+    *(_Column(f"ef_{direction}_{c.value}", "emission_factors", default="",
+              key=(direction, c)) for direction in ("in", "out") for c in CARRIERS),
+)
+
+_BRANCH_COLUMNS = (
+    _Column("id", "id", read=_parse_text),
+    _Column("network_kind", "network_kind", read=_parse_text),
+    _Column("carrier", "carrier", read=_parse_carrier),
+    _Column("from_node", "from_node", read=_parse_text),
+    _Column("to_node", "to_node", read=_parse_text),
+    _Column("length_km", "length_km"),
+    _Column("existing_capacity", "existing_capacity", default="0"),
+    _Column("expandable", "expandable", read=_parse_bool),
+    _Column("max_capacity", "max_capacity", default="inf"),
+    _Column("loss_factor_per_km", "loss_factor_per_km", default="0"),
+    _Column("bidirectional", "bidirectional", read=_parse_bool),
+    *(_Column(f"gamma{k + 1}", "cost_poly", default="0", key=k) for k in range(4)),
+    _Column("fixed_opex_share", "fixed_opex_share", default="0"),
+    _Column("lifetime", "lifetime", default="40"),
+    _Column("variable_opex", "variable_opex", default="0"),
+    _Column("discount_rate", "discount_rate", default="0.04"),
+    _Column("integer_block_mw", "integer_block_mw", default=""),
+    _Column("outlet_pressure_bar", "outlet_pressure_bar", "compression"),
+    _Column("specific_heat", "specific_heat", "compression"),
+    _Column("temperature_k", "temperature_k", "compression"),
+    _Column("compressor_efficiency", "efficiency", "compression"),
+    _Column("heat_capacity_ratio", "heat_capacity_ratio", "compression"),
+    _Column("lower_heating_value", "lower_heating_value", "compression"),
+    _Column("reference_pressure_bar", "reference_pressure_bar", "compression"),
+)
+
+
+def _write_csv(rows) -> str:
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=columns, lineterminator="\n")
-    writer.writeheader()
-    for row in rows:
-        writer.writerow({k: _fmt(row.get(k)) for k in columns})
+    csv.writer(buf, lineterminator="\n").writerows(rows)
     return buf.getvalue()
 
 
-def _node_rows(system: EnergySystem) -> list[dict]:
-    rows = []
-    for n in sorted(system.nodes, key=lambda n: n.id):
-        row = {"id": n.id, "country": n.country, "location_kind": n.location_kind}
-        for field, mapping in (("limit", n.import_limit), ("price", n.import_price),
-                               ("emission_factor", n.import_emission_factor)):
-            for c in CARRIERS:
-                row[f"import_{field}_{c.value}"] = mapping.get(c)
-        rows.append(row)
-    return rows
+def _field_value(entity, column: _Column):
+    """The value ``column`` holds for ``entity``; None where it is absent."""
+    holder = entity
+    if column.section:
+        attr, cls, _ = _SECTIONS[column.section]
+        holder = getattr(entity, attr)
+        if not isinstance(holder, cls):
+            return None
+    value = getattr(holder, column.attr)
+    if column.key is None:
+        return value
+    return value[column.key] if isinstance(value, tuple) else value.get(column.key)
 
 
-def _tech_rows(system: EnergySystem) -> list[dict]:
-    rows = []
-    for t in sorted(system.technologies, key=lambda t: t.id):
-        row = {
-            "id": t.id, "node": t.node, "kind": t.kind.value,
-            "existing_size": t.existing_size, "expandable": t.expandable,
-            "max_size": t.max_size,
-            "capex_per_size": t.cost.capex_per_size, "lifetime": t.cost.lifetime,
-            "fixed_opex_share": t.cost.fixed_opex_share,
-            "variable_opex": t.cost.variable_opex,
-            "discount_rate": t.cost.discount_rate,
-        }
-        if isinstance(t.performance, Conversion2Params):
-            p = t.performance
-            row["efficiency"] = p.efficiency
-            row["input_carriers"] = "+".join(c.value for c in CARRIERS
-                                             if c in p.input_carriers)
-            row["output_carrier"] = p.output_carrier.value
-            for c in CARRIERS:
-                if c in p.admix_limits:
-                    row[f"admix_limit_{c.value}"] = p.admix_limits[c]
-        elif isinstance(t.performance, StorageParams):
-            p = t.performance
-            row.update({
-                "storage_carrier": p.carrier.value,
-                "max_charge_rate": p.max_charge_rate,
-                "max_discharge_rate": p.max_discharge_rate,
-                "self_discharge": p.self_discharge,
-                "charge_efficiency": p.charge_efficiency,
-                "discharge_efficiency": p.discharge_efficiency,
-                "compression_electricity": p.compression_electricity,
-            })
-        for (direction, carrier), factor in t.emission_factors.items():
-            row[f"ef_{direction}_{carrier.value}"] = factor
-        rows.append(row)
-    return rows
-
-
-def _branch_rows(system: EnergySystem) -> list[dict]:
-    rows = []
-    for b in sorted(system.branches, key=lambda b: b.id):
-        row = {
-            "id": b.id, "network_kind": b.network_kind, "carrier": b.carrier.value,
-            "from_node": b.from_node, "to_node": b.to_node, "length_km": b.length_km,
-            "existing_capacity": b.existing_capacity, "expandable": b.expandable,
-            "max_capacity": b.max_capacity, "loss_factor_per_km": b.loss_factor_per_km,
-            "bidirectional": b.bidirectional,
-            "gamma1": b.cost_poly[0], "gamma2": b.cost_poly[1],
-            "gamma3": b.cost_poly[2], "gamma4": b.cost_poly[3],
-            "fixed_opex_share": b.fixed_opex_share, "lifetime": b.lifetime,
-            "variable_opex": b.variable_opex, "discount_rate": b.discount_rate,
-            "integer_block_mw": b.integer_block_mw,
-        }
-        if b.compression is not None:
-            c = b.compression
-            row.update({
-                "outlet_pressure_bar": c.outlet_pressure_bar,
-                "specific_heat": c.specific_heat,
-                "temperature_k": c.temperature_k,
-                "compressor_efficiency": c.efficiency,
-                "heat_capacity_ratio": c.heat_capacity_ratio,
-                "lower_heating_value": c.lower_heating_value,
-                "reference_pressure_bar": c.reference_pressure_bar,
-            })
-        rows.append(row)
-    return rows
+def _entity_csv(columns: tuple[_Column, ...], entities) -> str:
+    return _write_csv([[c.name for c in columns]] + [
+        [_fmt(_field_value(entity, c)) for c in columns]
+        for entity in sorted(entities, key=lambda e: e.id)])
 
 
 def _series_csv(names: list[str], series: dict[str, tuple[float, ...]],
                 steps: int) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["step"] + names)
-    for t in range(steps):
-        writer.writerow([t] + [_fmt(float(series[n][t])) for n in names])
-    return buf.getvalue()
+    return _write_csv([["step"] + names] + [
+        [t] + [_fmt(float(series[n][t])) for n in names] for t in range(steps)])
 
 
 def serialize_system(system: EnergySystem) -> dict[str, str]:
@@ -251,9 +281,9 @@ def serialize_system(system: EnergySystem) -> dict[str, str]:
         "units": dict(SUPPORTED_UNITS),
     }
     files["manifest.json"] = json.dumps(manifest, indent=1, sort_keys=True) + "\n"
-    files["nodes.csv"] = _write_csv(NODE_COLUMNS, _node_rows(system))
-    files["technologies.csv"] = _write_csv(TECH_COLUMNS, _tech_rows(system))
-    files["branches.csv"] = _write_csv(BRANCH_COLUMNS, _branch_rows(system))
+    files["nodes.csv"] = _entity_csv(_NODE_COLUMNS, system.nodes)
+    files["technologies.csv"] = _entity_csv(_TECH_COLUMNS, system.technologies)
+    files["branches.csv"] = _entity_csv(_BRANCH_COLUMNS, system.branches)
     for carrier in CARRIERS:
         nodes = sorted(d.node for d in system.demands if d.carrier == carrier)
         if not nodes:
@@ -300,6 +330,9 @@ def _read_csv(path: Path, allowed: list[str], required: list[str]) -> list[dict]
     unknown = [c for c in header if c not in allowed]
     if unknown:
         raise SchemaError(f"{path.name}: unknown column {unknown[0]!r}")
+    repeated = [c for c in header if header.count(c) > 1]
+    if repeated:
+        raise SchemaError(f"{path.name}: column {repeated[0]!r} appears more than once")
     missing = [c for c in required if c not in header]
     if missing:
         raise SchemaError(f"{path.name}: missing column {missing[0]!r}")
@@ -310,146 +343,60 @@ def _read_csv(path: Path, allowed: list[str], required: list[str]) -> list[dict]
     return [dict(zip(header, cells)) for cells in rows]
 
 
-def _cell(row: dict, column: str) -> str:
-    return (row.get(column) or "").strip()
+def _applies(section: str, kind: TechnologyKind | None, filled: bool) -> bool:
+    if not section:
+        return True
+    kinds = _SECTIONS[section][2]
+    return filled if kinds is None else kind in kinds
 
 
-def _parse_nodes(path: Path, defaults: dict) -> tuple[Node, ...]:
-    nodes = []
-    for i, row in enumerate(_read_csv(path, NODE_COLUMNS,
-                                      ["id", "country", "location_kind"]), start=2):
+def _parse_entities(path: Path, entity: type, columns: tuple[_Column, ...],
+                    fallback: dict[str, float] | None = None) -> tuple:
+    """One ``entity`` per row of ``path``, its fields read as ``columns``
+    declare; ``fallback`` holds parsed values for empty cells by column."""
+    fallback = fallback or {}
+    sections: dict[str, list[_Column]] = {}
+    for column in columns:
+        sections.setdefault(column.section, []).append(column)
+    holders = {_SECTIONS[s][0] for s in sections if s}
+    required = [c.name for c in columns if not c.section and c.default is None]
+    entities = []
+    for i, row in enumerate(_read_csv(path, [c.name for c in columns], required),
+                            start=2):
         where = f"{path.name} row {i}"
-        maps: dict[str, dict[Carrier, float]] = {"limit": {}, "price": {},
-                                                 "emission_factor": {}}
-        for field, target in maps.items():
-            for c in CARRIERS:
-                cell = _cell(row, f"import_{field}_{c.value}")
-                if cell:
-                    target[c] = _parse_float(cell, f"{where} import_{field}_{c.value}")
-                elif c.value in defaults.get(field, {}):
-                    target[c] = _manifest_number(defaults[field][c.value],
-                                                 f"import_defaults.{field}.{c.value}")
-        nodes.append(Node(
-            id=_cell(row, "id"), country=_cell(row, "country"),
-            location_kind=_cell(row, "location_kind"),
-            import_limit=maps["limit"], import_price=maps["price"],
-            import_emission_factor=maps["emission_factor"],
-        ))
-    return tuple(nodes)
-
-
-def _parse_technologies(path: Path) -> tuple[TechnologyInstance, ...]:
-    techs = []
-    required = ["id", "node", "kind", "existing_size", "expandable", "max_size"]
-    for i, row in enumerate(_read_csv(path, TECH_COLUMNS, required), start=2):
-        where = f"{path.name} row {i}"
-        try:
-            kind = TechnologyKind(_cell(row, "kind"))
-        except ValueError:
-            raise SchemaError(f"{where}: unknown kind {_cell(row, 'kind')!r}") from None
-        cost = CostParams(
-            capex_per_size=_parse_float(_cell(row, "capex_per_size") or "0", where),
-            lifetime=_parse_float(_cell(row, "lifetime") or "0", where),
-            fixed_opex_share=_parse_float(_cell(row, "fixed_opex_share") or "0", where),
-            variable_opex=_parse_float(_cell(row, "variable_opex") or "0", where),
-            discount_rate=_parse_float(_cell(row, "discount_rate") or "0.04", where),
-        )
-        performance = None
-        if kind == TechnologyKind.CONVERSION2:
-            carriers = _cell(row, "input_carriers")
-            if not carriers:
-                raise SchemaError(f"{where}: conversion2 needs input_carriers")
-            inputs = tuple(_parse_carrier(c, where) for c in carriers.split("+"))
-            admix = {}
-            for c in CARRIERS:
-                cell = _cell(row, f"admix_limit_{c.value}")
-                if cell:
-                    admix[c] = _parse_float(cell, f"{where} admix_limit_{c.value}")
-            performance = Conversion2Params(
-                efficiency=_parse_float(_cell(row, "efficiency"), f"{where} efficiency"),
-                input_carriers=inputs,
-                output_carrier=_parse_carrier(_cell(row, "output_carrier"), where),
-                admix_limits=admix,
-            )
-        elif kind in STORAGE_KINDS:
-            performance = StorageParams(
-                carrier=_parse_carrier(_cell(row, "storage_carrier"), where),
-                max_charge_rate=_parse_float(_cell(row, "max_charge_rate"), where),
-                max_discharge_rate=_parse_float(_cell(row, "max_discharge_rate"), where),
-                self_discharge=_parse_float(_cell(row, "self_discharge") or "0", where),
-                charge_efficiency=_parse_float(_cell(row, "charge_efficiency") or "1", where),
-                discharge_efficiency=_parse_float(_cell(row, "discharge_efficiency") or "1",
-                                                  where),
-                compression_electricity=_parse_float(
-                    _cell(row, "compression_electricity") or "0", where),
-            )
-        factors = {}
-        for direction in ("in", "out"):
-            for c in CARRIERS:
-                cell = _cell(row, f"ef_{direction}_{c.value}")
-                if cell:
-                    factors[(direction, c)] = _parse_float(
-                        cell, f"{where} ef_{direction}_{c.value}")
-        techs.append(TechnologyInstance(
-            id=_cell(row, "id"), node=_cell(row, "node"), kind=kind,
-            existing_size=_parse_float(_cell(row, "existing_size"), where),
-            expandable=_parse_bool(_cell(row, "expandable"), where),
-            max_size=_parse_float(_cell(row, "max_size"), where),
-            performance=performance, emission_factors=factors, cost=cost,
-        ))
-    return tuple(techs)
-
-
-def _parse_branches(path: Path) -> tuple[NetworkBranch, ...]:
-    branches = []
-    required = ["id", "network_kind", "carrier", "from_node", "to_node", "length_km"]
-    for i, row in enumerate(_read_csv(path, BRANCH_COLUMNS, required), start=2):
-        where = f"{path.name} row {i}"
-        compression = None
-        comp_cells = {name: _cell(row, name) for name in (
-            "outlet_pressure_bar", "specific_heat", "temperature_k",
-            "compressor_efficiency", "heat_capacity_ratio", "lower_heating_value",
-            "reference_pressure_bar")}
-        if any(comp_cells.values()):
-            empty = [k for k, v in comp_cells.items() if not v]
-            if empty:
-                raise SchemaError(f"{where}: incomplete compression block,"
-                                  f" missing {empty[0]}")
-            compression = CompressionParams(
-                outlet_pressure_bar=_parse_float(comp_cells["outlet_pressure_bar"], where),
-                specific_heat=_parse_float(comp_cells["specific_heat"], where),
-                temperature_k=_parse_float(comp_cells["temperature_k"], where),
-                efficiency=_parse_float(comp_cells["compressor_efficiency"], where),
-                heat_capacity_ratio=_parse_float(comp_cells["heat_capacity_ratio"], where),
-                lower_heating_value=_parse_float(comp_cells["lower_heating_value"], where),
-                reference_pressure_bar=_parse_float(comp_cells["reference_pressure_bar"],
-                                                    where),
-            )
-        block = _cell(row, "integer_block_mw")
-        branches.append(NetworkBranch(
-            id=_cell(row, "id"), network_kind=_cell(row, "network_kind"),
-            carrier=_parse_carrier(_cell(row, "carrier"), where),
-            from_node=_cell(row, "from_node"), to_node=_cell(row, "to_node"),
-            length_km=_parse_float(_cell(row, "length_km"), where),
-            existing_capacity=_parse_float(_cell(row, "existing_capacity") or "0", where),
-            expandable=_parse_bool(_cell(row, "expandable"), where),
-            max_capacity=_parse_float(_cell(row, "max_capacity") or "inf", where),
-            loss_factor_per_km=_parse_float(_cell(row, "loss_factor_per_km") or "0", where),
-            bidirectional=_parse_bool(_cell(row, "bidirectional"), where),
-            cost_poly=(
-                _parse_float(_cell(row, "gamma1") or "0", where),
-                _parse_float(_cell(row, "gamma2") or "0", where),
-                _parse_float(_cell(row, "gamma3") or "0", where),
-                _parse_float(_cell(row, "gamma4") or "0", where),
-            ),
-            fixed_opex_share=_parse_float(_cell(row, "fixed_opex_share") or "0", where),
-            lifetime=_parse_float(_cell(row, "lifetime") or "40", where),
-            variable_opex=_parse_float(_cell(row, "variable_opex") or "0", where),
-            discount_rate=_parse_float(_cell(row, "discount_rate") or "0.04", where),
-            integer_block_mw=_parse_float(block, where) if block else None,
-            compression=compression,
-        ))
-    return tuple(branches)
+        fields: dict[str, dict] = {}
+        for section, members in sections.items():
+            cells = [(c, row.get(c.name, "").strip()) for c in members]
+            kind = fields[""].get("kind") if section else None
+            if not _applies(section, kind, any(cell for _, cell in cells)):
+                stray = next((c.name for c, cell in cells if cell), None)
+                if stray:
+                    raise SchemaError(f"{where} {stray}: a {kind.value} technology"
+                                      f" takes no {section} cells")
+                continue
+            target = fields.setdefault(section, {})
+            for column, cell in cells:
+                text = cell or column.default
+                if not cell and column.name in fallback:
+                    value = fallback[column.name]
+                elif text is None:
+                    raise SchemaError(f"{where} {column.name}: required cell is empty")
+                else:
+                    value = column.read(text, f"{where} {column.name}") if text else None
+                if column.key is None:
+                    target[column.attr] = value
+                elif isinstance(column.key, int):  # the next position of a tuple
+                    target[column.attr] = target.get(column.attr, ()) + (value,)
+                else:
+                    entries = target.setdefault(column.attr, {})
+                    if value is not None:
+                        entries[column.key] = value
+        values = {**dict.fromkeys(holders), **fields.pop("")}
+        for section, parsed in fields.items():
+            attr, cls, _ = _SECTIONS[section]
+            values[attr] = cls(**parsed)
+        entities.append(entity(**values))
+    return tuple(entities)
 
 
 def _parse_series_file(path: Path, steps: int) -> dict[str, tuple[float, ...]]:
@@ -477,6 +424,21 @@ def _parse_series_file(path: Path, steps: int) -> dict[str, tuple[float, ...]]:
     return {name: tuple(values) for name, values in columns.items()}
 
 
+def _import_defaults(manifest: dict) -> dict[str, float]:
+    """The manifest's ``import_defaults`` as parsed values by node column."""
+    defaults = _manifest_object(manifest.get("import_defaults", {}), "import_defaults")
+    fallback = {
+        f"import_{field}_{carrier}": _manifest_number(value,
+                                                      f"import_defaults.{field}.{carrier}")
+        for field, values in defaults.items()
+        for carrier, value in _manifest_object(values, f"import_defaults.{field}").items()}
+    unknown = sorted(set(fallback) - {c.name for c in _NODE_COLUMNS})
+    if unknown:
+        raise SchemaError(f"manifest.json: import_defaults entry {unknown[0]!r}"
+                          " names no nodes.csv column")
+    return fallback
+
+
 def parse_system_files(directory: str | Path) -> EnergySystem:
     """Load and validate a system directory; raises SchemaError on any defect."""
     directory = Path(directory)
@@ -496,9 +458,7 @@ def parse_system_files(directory: str | Path) -> EnergySystem:
     for key, unit in _manifest_object(manifest.get("units", {}), "units").items():
         if SUPPORTED_UNITS.get(key) != unit:
             raise SchemaError(f"manifest.json: unsupported unit {unit!r} for {key!r}")
-    defaults = _manifest_object(manifest.get("import_defaults", {}), "import_defaults")
-    for field, values in defaults.items():
-        _manifest_object(values, f"import_defaults.{field}")
+    fallback = _import_defaults(manifest)
     horizon = _manifest_object(manifest.get("horizon", {}), "horizon")
     step_count = _manifest_number(horizon.get("step_count", 0), "horizon.step_count")
     if not step_count.is_integer():
@@ -508,9 +468,11 @@ def parse_system_files(directory: str | Path) -> EnergySystem:
     system = EnergySystem(
         horizon=TimeHorizon(step_count=steps, hours_per_step=_manifest_number(
             horizon.get("hours_per_step", 1.0), "horizon.hours_per_step")),
-        nodes=_parse_nodes(directory / "nodes.csv", defaults),
-        technologies=_parse_technologies(directory / "technologies.csv"),
-        branches=_parse_branches(directory / "branches.csv"),
+        nodes=_parse_entities(directory / "nodes.csv", Node, _NODE_COLUMNS, fallback),
+        technologies=_parse_entities(directory / "technologies.csv", TechnologyInstance,
+                                     _TECH_COLUMNS),
+        branches=_parse_entities(directory / "branches.csv", NetworkBranch,
+                                 _BRANCH_COLUMNS),
         demands=_parse_demands(directory, steps),
         carbon_price=_manifest_number(manifest.get("carbon_price", 0.0), "carbon_price"),
         renewable_profiles=(_parse_series_file(directory / "profiles.csv", steps)

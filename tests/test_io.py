@@ -171,8 +171,12 @@ class TestMalformedManifestAndSeries:
          r"manifest.json: import_defaults.price 5 is not an object"),
         ({"import_defaults": {"price": {"electricity": "cheap"}}},
          r"manifest.json: import_defaults.price.electricity 'cheap' is not a number"),
+        ({"import_defaults": {"prices": {"natural_gas": 40.0}}},
+         r"manifest.json: import_defaults entry 'import_prices_natural_gas' names no"
+         r" nodes.csv column"),
     ], ids=["step-count-text", "step-count-fraction", "horizon-list", "carbon-price-text",
-            "carbon-price-bool", "units-list", "defaults-number", "defaults-text"])
+            "carbon-price-bool", "units-list", "defaults-number", "defaults-text",
+            "defaults-no-column"])
     def test_bad_manifest_value_names_file_and_field(self, mini, tmp_path, changes, message):
         write_system_files(mini, tmp_path)
         _edit_manifest(tmp_path, **changes)
@@ -230,12 +234,120 @@ class TestNonFiniteCostData:
         ("branches.csv", "lifetime", "branch ac1: lifetime must be finite"),
         ("branches.csv", "discount_rate", "branch ac1: discount_rate must be finite"),
         ("branches.csv", "fixed_opex_share", "branch ac1: fixed_opex_share must be finite"),
+        ("technologies.csv", "max_charge_rate",
+         "technology batt1: max_charge_rate must be finite"),
+        ("technologies.csv", "compression_electricity",
+         "technology batt1: compression_electricity must be finite"),
+        ("branches.csv", "integer_block_mw",
+         "branch ac1: integer block size must be positive and finite"),
     ])
     def test_infinite_cost_cell(self, mini, tmp_path, file, column, message):
         write_system_files(mini, tmp_path)
         _set_cell(tmp_path / file, column, "inf")
         with pytest.raises(SchemaError, match=message):
             parse_system_files(tmp_path)
+
+    def test_infinite_compression_parameter(self, mini, tmp_path):
+        write_system_files(mini, tmp_path)
+        _set_cell(tmp_path / "branches.csv", "heat_capacity_ratio", "inf", row=4)
+        with pytest.raises(SchemaError, match="branch pp1: compression heat_capacity_ratio"
+                                              " must be finite"):
+            parse_system_files(tmp_path)
+
+
+class TestColumnContract:
+    """Each header names a column once, and a row fills only the cells that
+    its kind reads."""
+
+    def test_repeated_column_rejected(self, mini, tmp_path):
+        write_system_files(mini, tmp_path)
+        path = tmp_path / "technologies.csv"
+        header, *rows = path.read_text().splitlines()
+        path.write_text("".join(f"{line}\n" for line in
+                                [header + ",variable_opex"] + [r + ",0.0" for r in rows]))
+        with pytest.raises(SchemaError, match="technologies.csv: column 'variable_opex'"
+                                              " appears more than once"):
+            parse_system_files(tmp_path)
+
+    @pytest.mark.parametrize("row, column, message", [
+        (0, "efficiency", "technologies.csv row 2 efficiency: a storage1 technology"
+                          " takes no conversion cells"),
+        (3, "max_charge_rate", "technologies.csv row 5 max_charge_rate: a conversion2"
+                               " technology takes no storage cells"),
+        (8, "input_carriers", "technologies.csv row 10 input_carriers: a conversion1"
+                              " technology takes no conversion cells"),
+    ], ids=["conversion-on-storage", "storage-on-conversion", "conversion-on-conversion1"])
+    def test_cell_of_another_kind_rejected(self, mini, tmp_path, row, column, message):
+        write_system_files(mini, tmp_path)
+        _set_cell(tmp_path / "technologies.csv", column, "0.5", row=row)
+        with pytest.raises(SchemaError, match=message):
+            parse_system_files(tmp_path)
+
+    @pytest.mark.parametrize("file, row, column", [
+        ("technologies.csv", 3, "efficiency"),
+        ("technologies.csv", 0, "storage_carrier"),
+        ("branches.csv", 4, "temperature_k"),
+        ("branches.csv", 0, "expandable"),
+    ])
+    def test_empty_required_cell_rejected(self, mini, tmp_path, file, row, column):
+        write_system_files(mini, tmp_path)
+        _set_cell(tmp_path / file, column, "", row=row)
+        with pytest.raises(SchemaError, match=f"{file} row {row + 2} {column}: required cell"
+                                              " is empty"):
+            parse_system_files(tmp_path)
+
+    @pytest.mark.parametrize("column", ["expandable", "bidirectional"])
+    def test_branch_header_needs_its_flags(self, mini, tmp_path, column):
+        write_system_files(mini, tmp_path)
+        path = tmp_path / "branches.csv"
+        with path.open(newline="") as handle:
+            rows = list(csv.reader(handle))
+        at = rows[0].index(column)
+        path.write_text("".join(",".join(r[:at] + r[at + 1:]) + "\n" for r in rows))
+        with pytest.raises(SchemaError, match=f"branches.csv: missing column '{column}'"):
+            parse_system_files(tmp_path)
+
+
+class TestDomains:
+    """Costs, rates, losses and inflows below zero would reach the cost model
+    or the balances; import prices may be negative."""
+
+    @pytest.mark.parametrize("file, column, value, message", [
+        ("technologies.csv", "discount_rate", "-0.5",
+         "technology batt1: discount_rate must be >= 0"),
+        ("technologies.csv", "capex_per_size", "-1.0",
+         "technology batt1: capex_per_size must be >= 0"),
+        ("technologies.csv", "variable_opex", "-1.0",
+         "technology batt1: variable_opex must be >= 0"),
+        ("branches.csv", "discount_rate", "-0.5", "branch ac1: discount_rate must be >= 0"),
+        ("branches.csv", "variable_opex", "-1.0", "branch ac1: variable_opex must be >= 0"),
+        ("branches.csv", "loss_factor_per_km", "-0.01",
+         "branch ac1: loss_factor_per_km must be >= 0"),
+        ("branches.csv", "lifetime", "0",
+         "branch ac1: expandable branches need a positive lifetime"),
+        ("inflows.csv", "hydro1", "-100", "technology hydro1: inflow has negative values"),
+    ])
+    def test_out_of_domain_cell_rejected(self, mini, tmp_path, file, column, value, message):
+        write_system_files(mini, tmp_path)
+        _set_cell(tmp_path / file, column, value)
+        with pytest.raises(SchemaError, match=message):
+            parse_system_files(tmp_path)
+
+    def test_nan_import_limit_default_rejected(self, mini, tmp_path):
+        write_system_files(mini, tmp_path)
+        _edit_manifest(tmp_path, import_defaults={"limit": {"electricity": "nan"}})
+        _set_cell(tmp_path / "nodes.csv", "import_limit_electricity", "")
+        with pytest.raises(SchemaError, match="node n1: import limit for electricity"
+                                              " must be >= 0"):
+            parse_system_files(tmp_path)
+
+    def test_negative_import_prices_accepted(self, mini, tmp_path):
+        write_system_files(mini, tmp_path)
+        _set_cell(tmp_path / "nodes.csv", "import_price_natural_gas", "-40.0")
+        _set_cell(tmp_path / "nodes.csv", "import_price_electricity", "-10.0")
+        from carrieropt.system import Carrier
+        prices = parse_system_files(tmp_path).node("n1").import_price
+        assert prices[Carrier.NATURAL_GAS] == -40.0 and prices[Carrier.ELECTRICITY] == -10.0
 
 
 FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "miniature"

@@ -98,7 +98,8 @@ class TestValidation:
          "demand n1/electricity: step 1 must be finite"),
         ("profile", "technology wind1: profile has negative values",
          "technology wind1: profile: step 1 must be finite"),
-        ("inflow", None, "technology hydro1: inflow: step 1 must be finite"),
+        ("inflow", "technology hydro1: inflow has negative values",
+         "technology hydro1: inflow: step 1 must be finite"),
     ])
     def test_non_finite_series_step_flagged(self, mini, series, negative, message, value):
         """A non-finite demand, profile or inflow step is a violation, and the
