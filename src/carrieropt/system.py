@@ -249,9 +249,10 @@ def validate_system(system: EnergySystem) -> list[str]:
 
     Violations are data, not exceptions: an empty list means the system is
     well formed and safe to hand to the problem builder. Every number that
-    enters the objective, and every existing size and capacity, must be
-    finite; import limits, maximum sizes and maximum capacities may be
-    infinite, but no step of a demand, renewable profile or hydro inflow may.
+    enters the objective, every existing size and capacity, storage rate,
+    compression parameter and integer block size must be finite; import
+    limits, maximum sizes and maximum capacities may be infinite, but no step
+    of a demand, renewable profile or hydro inflow may.
     Capex, variable opex, discount rates, loss factors and inflows may not be
     negative; import prices and branch cost coefficients may.
     """

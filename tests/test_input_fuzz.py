@@ -17,7 +17,7 @@ from carrieropt.system_io import SchemaError, parse_system_files
 
 FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "miniature"
 FILES = sorted(p.name for p in FIXTURE.glob("*.csv"))
-TABLES = {name: list(csv.reader((FIXTURE / name).open(newline="", encoding="utf-8")))
+TABLES = {name: list(csv.reader((FIXTURE / name).read_text(encoding="utf-8").splitlines()))
           for name in FILES}
 
 
