@@ -10,6 +10,7 @@ order and converts them to the CSR matrix once, with
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -38,7 +39,8 @@ class BuiltProblem:
         stacked last with the emissions vector's nonzeros as its entries.
 
         The result shares every array it does not replace with this problem,
-        and nothing here writes into one, so problems derived from one build
+        and every capped mode shares one matrix, senses array and row-name list,
+        stacked on the first call. Nothing here writes into them, so problems derived from one build
         stay independent as long as callers do not write into them either.
         The solvers do not: to change bounds they derive a new problem with
         :meth:`carrieropt.lp.SparseProblem.with_bounds`.
@@ -50,12 +52,18 @@ class BuiltProblem:
         problem = replace(base, objective=objective)
         if not mode.capped:
             return replace(self, problem=problem, mode=mode)
-        problem = replace(problem,
-                          a=sp.vstack([base.a, sp.csr_matrix(table.emissions)], format="csr"),
-                          senses=np.append(base.senses, LE),
-                          rhs=np.append(base.rhs, mode.emission_cap),
-                          row_names=[*base.row_names, EMISSION_CAP_LABEL])
+        a, senses, row_names = self._capped
+        problem = replace(problem, a=a, senses=senses,
+                          rhs=np.append(base.rhs, mode.emission_cap), row_names=row_names)
         return replace(self, problem=problem, mode=mode, cap_row=base.num_rows)
+
+    @cached_property
+    def _capped(self) -> tuple[sp.csr_matrix, np.ndarray, list[str]]:
+        """The matrix, senses and row names of every capped mode: stacked once
+        per uncapped build and shared by each cap, which changes only the rhs."""
+        base = self.problem
+        return (sp.vstack([base.a, sp.csr_matrix(self.table.emissions)], format="csr"),
+                np.append(base.senses, LE), [*base.row_names, EMISSION_CAP_LABEL])
 
 
 def _default_bounds(system: EnergySystem, index: VariableIndex

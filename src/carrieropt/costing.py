@@ -178,6 +178,22 @@ class CostTable:
         return vec
 
     @cached_property
+    def _arrays(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+        """Each coefficient dict's columns and coefficients as arrays, by field name."""
+        return {name: (np.fromiter(terms, dtype=np.intp, count=len(terms)),
+                       np.fromiter(terms.values(), dtype=float, count=len(terms)))
+                for name, terms in (("technologies", self.technologies),
+                                    ("networks", self.networks), ("imports", self.imports),
+                                    ("tech_emissions", self.tech_emissions),
+                                    ("import_emissions", self.import_emissions))}
+
+    def value(self, name: str, x: np.ndarray) -> float:
+        """Sum of coefficient times value over the dict ``name``, in entity order:
+        the same products added in the same order as term by term."""
+        cols, coefs = self._arrays[name]
+        return sum((coefs * x[cols]).tolist(), 0.0)
+
+    @cached_property
     def emissions(self) -> np.ndarray:
         """t CO2 per unit of each column."""
         return self._dense(self.tech_emissions) + self._dense(self.import_emissions)
@@ -244,11 +260,6 @@ def cost_table(system: EnergySystem, index: VariableIndex) -> CostTable:
     return table
 
 
-def _value(terms: dict[int, float], x: np.ndarray) -> float:
-    """Sum of coefficient times value over ``terms``, in entity order."""
-    return sum((v * float(x[c]) for c, v in terms.items()), 0.0)
-
-
 @dataclass(frozen=True)
 class EmissionsReport:
     technologies: float
@@ -262,8 +273,8 @@ class EmissionsReport:
 def total_emissions(table: CostTable, x: np.ndarray) -> EmissionsReport:
     """Recompute emission totals from raw variable values of a build whose
     cost table is ``table``."""
-    return EmissionsReport(technologies=_value(table.tech_emissions, x),
-                           imports=_value(table.import_emissions, x))
+    return EmissionsReport(technologies=table.value("tech_emissions", x),
+                           imports=table.value("import_emissions", x))
 
 
 @dataclass(frozen=True)
@@ -281,7 +292,7 @@ class CostBreakdown:
 def cost_breakdown(table: CostTable, x: np.ndarray) -> CostBreakdown:
     """Recompute the cost split from raw variable values of a build whose
     cost table is ``table``, entity by entity."""
-    return CostBreakdown(technologies=_value(table.technologies, x),
-                         networks=_value(table.networks, x),
-                         imports=_value(table.imports, x),
+    return CostBreakdown(technologies=table.value("technologies", x),
+                         networks=table.value("networks", x),
+                         imports=table.value("imports", x),
                          carbon=table.carbon_price * total_emissions(table, x).total)

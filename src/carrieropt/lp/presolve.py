@@ -99,7 +99,7 @@ def presolve(problem: SparseProblem, start: Basis | None = None) -> Presolved:
                          infeasible_rows=[problem._row_name(i) for i in bad.tolist()])
 
     ci, ri = np.flatnonzero(cols), np.flatnonzero(rows)
-    names = problem.row_names or [f"r{i}" for i in range(m)]
+    names = _row_names(problem)
     reduced = SparseProblem(
         a=a[ri][:, ci], senses=problem.senses[ri], rhs=rhs[ri],
         lower=problem.lower[ci], upper=problem.upper[ci],
@@ -138,13 +138,13 @@ def map_basis(start: Basis, source: SparseProblem, target: SparseProblem) -> Bas
         return None
     m, n = target.a.shape
     ms, ns = source.a.shape
-    col_at = {target._col_name(j): j for j in range(n)}
-    row_at = {target._row_name(i): n + i for i in range(m)}
+    col_at = dict(zip(_col_names(target), range(n)))
+    row_at = dict(zip(_row_names(target), range(n, n + m)))
     try:
-        cols = [col_at[source._col_name(j)] for j in range(ns)]
+        cols = [col_at[name] for name in _col_names(source)]
     except KeyError:
         return None
-    rows = [row_at.get(source._row_name(i), -1) for i in range(ms)]  # -1: a dropped row
+    rows = [row_at.get(name, -1) for name in _row_names(source)]  # -1: a dropped row
     where = np.array(cols + rows, dtype=np.intp)  # a source position's target position
     kept = where >= 0
     leaving = _leaving(start, source, np.flatnonzero(~kept[ns:]))
@@ -167,6 +167,14 @@ def map_basis(start: Basis, source: SparseProblem, target: SparseProblem) -> Bas
     x[new_rows] = target.rhs[new_rows - n] - target.a[new_rows - n] @ x[:n]
     return Basis(basis=np.concatenate([where[start.basis[stays]], new_rows]), vstat=vstat,
                  x=x, fingerprint=target.fingerprint())
+
+
+def _col_names(problem: SparseProblem) -> list[str]:
+    return problem.col_names or [f"x{j}" for j in range(problem.num_cols)]
+
+
+def _row_names(problem: SparseProblem) -> list[str]:
+    return problem.row_names or [f"r{i}" for i in range(problem.num_rows)]
 
 
 def _leaving(start: Basis, source: SparseProblem, dropped: np.ndarray) -> list[int] | None:

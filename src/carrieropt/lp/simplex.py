@@ -35,11 +35,26 @@ columns move into the rhs and the rows they leave empty are dropped, so the
 scaling, the crash and the iterations run on what is left. Postsolve then
 returns the solution, the duals, the reduced costs and the basis in the
 original problem's space.
+
+A sweep or a change of mode re-solves one matrix under other bounds, rhs or
+costs, so what depends on the matrix alone is kept between solves, one
+:class:`_Kernel` per thread: the scale factors, the scaled ``[A | I]`` as
+CSC and as CSR, and the LU of the last optimal basis with that basis. A
+solve whose presolved matrix equals the kept one (equal shape and equal
+bytes of ``indptr``, ``indices`` and ``data``; never a fingerprint, which
+only compares sums) uses the kernel; any other matrix replaces it, the old
+one going first. A warm start whose basis equals the kept basis adopts the
+kept LU instead of factoring it again: ``splu`` of the same columns gives
+the same LU, so every pivot and every bit stays as a fresh set-up would
+give them. Any solve that does not adopt the LU (a cold start, another
+basis or another matrix) lets go of it at once, and only an optimal end
+keeps a new one.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -149,12 +164,13 @@ def _geometric_scaling(a: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray]:
         for scale, line in ((row_scale, row), (col_scale, col)):
             # the factors are powers of two, so this product is exact
             work = mag * row_scale[row] * col_scale[col]
-            mx, mn_inv = np.zeros(scale.size), np.zeros(scale.size)
+            mx, mn = np.zeros(scale.size), np.full(scale.size, np.inf)
             np.maximum.at(mx, line, work)
-            np.maximum.at(mn_inv, line, 1.0 / work)
+            # the reciprocal is correctly rounded and monotone: 1/min is max(1/work)
+            np.minimum.at(mn, line, work)
             used = mx > 0
             factor = np.ones_like(mx)
-            factor[used] = 1.0 / np.sqrt(mx[used] / mn_inv[used])
+            factor[used] = 1.0 / np.sqrt(mx[used] / (1.0 / mn[used]))
             scale *= _power_of_two(factor)
     return row_scale, col_scale
 
@@ -189,14 +205,16 @@ class _Factorization:
         self.m = m = a_csc.shape[0]
         self.a_csc = a_csc
         self.lu = None
-        # room for m entries per eta; pages past the entries in use stay untouched
-        self.idx = np.zeros(m * REFACTOR_EVERY, dtype=np.int32)
-        self.val = np.zeros(self.idx.size)
+        # room for m entries per eta; pages past the entries in use stay
+        # untouched. Only ``by_row`` is read where no eta wrote, so the rest
+        # need no zeroing.
+        self.idx = np.empty(m * REFACTOR_EVERY, dtype=np.int32)
+        self.val = np.empty(self.idx.size)
         self.ptr = np.zeros(REFACTOR_EVERY + 1, dtype=np.int32)
         self.by_row = np.zeros((m, REFACTOR_EVERY))
-        self.alpha = np.zeros(REFACTOR_EVERY)
+        self.alpha = np.empty(REFACTOR_EVERY)
         self.tri = np.zeros((REFACTOR_EVERY, REFACTOR_EVERY), order="F")
-        self.rows = np.zeros(REFACTOR_EVERY, dtype=np.intp)
+        self.rows = np.empty(REFACTOR_EVERY, dtype=np.intp)
         self.k = 0
 
     def refactor(self, basis: np.ndarray) -> None:
@@ -205,12 +223,12 @@ class _Factorization:
         self.by_row[self.idx[:ptr[k]], np.repeat(np.arange(k), np.diff(ptr[:k + 1]))] = 0.0
         self.k = 0
 
-    def push_eta(self, row: int, nz: np.ndarray, values: np.ndarray) -> None:
-        """Add a pivot on ``row``; ``d`` is ``values`` on the ascending rows ``nz``, else 0."""
+    def push_eta(self, pos: int, nz: np.ndarray, values: np.ndarray) -> None:
+        """Add a pivot on row ``nz[pos]``; ``d`` is ``values`` on the ascending rows
+        ``nz``, else 0."""
         k, start = self.k, self.ptr[self.k]
-        end = start + nz.size
+        end, row, at = start + nz.size, nz[pos], start + pos
         self.tri[k, :k] = self.by_row[row, :k]
-        at = start + np.searchsorted(nz, row)
         self.idx[start:end] = nz
         self.val[start:end] = values
         self.tri[k, k] = self.val[at]
@@ -241,16 +259,25 @@ class _Factorization:
         return self.lu.solve(u, trans="T")
 
 
-class _Simplex:
-    def __init__(self, problem: SparseProblem):
-        self.problem = problem
-        m, n = problem.a.shape
-        self.m, self.n_struct = m, n
+def _same_bytes(u: np.ndarray, v: np.ndarray) -> bool:
+    return u.dtype == v.dtype and u.shape == v.shape and u.tobytes() == v.tobytes()
 
-        self.row_scale, self.col_scale = _geometric_scaling(problem.a)
+
+class _Kernel:
+    """What a solve sets up from its matrix alone, kept for the next solve of an
+    equal one: the scale factors, the scaled ``[A | I]`` as CSC and as CSR, and
+    after an optimal solve the LU of its last basis, with that basis (``lu``
+    and ``lu_basis``, else None). ``indptr``, ``indices`` and ``data`` are
+    copies of the matrix's arrays, so that a caller writing into its matrix
+    later cannot make an unequal matrix look equal."""
+
+    def __init__(self, a: sp.csr_matrix):
+        self.shape = m, n = a.shape
+        self.indptr, self.indices, self.data = a.indptr.copy(), a.indices.copy(), a.data.copy()
+        self.row_scale, self.col_scale = _geometric_scaling(a)
 
         # [diag(row_scale) A diag(col_scale) | I], exact: the factors are powers of two
-        a = problem.a.tocsc()
+        a = a.tocsc()
         data = a.data * self.row_scale[a.indices] * np.repeat(self.col_scale, np.diff(a.indptr))
         keep = data != 0.0  # no stored zeros
         indptr = np.concatenate([[0], np.cumsum(keep)])[a.indptr]
@@ -259,6 +286,46 @@ class _Simplex:
                                 np.concatenate([indptr, indptr[-1] + np.arange(1, m + 1)])),
                                shape=(m, n + m))
         self.a_csr = self.a.tocsr()
+        self.lu = self.lu_basis = None
+
+    def matches(self, a: sp.csr_matrix) -> bool:
+        """Whether ``a`` is this kernel's matrix: equal shape and equal bytes of
+        its three arrays (sums, as in a fingerprint, would not tell two swapped
+        coefficients apart)."""
+        return (a.shape == self.shape and _same_bytes(a.indptr, self.indptr)
+                and _same_bytes(a.indices, self.indices) and _same_bytes(a.data, self.data))
+
+    def adopt(self, basis: np.ndarray | None):
+        """The kept LU when it factors ``basis`` (``splu`` of the same columns
+        gives the same LU), else None. The kernel lets go of it either way, so
+        an LU that a solve does not adopt is freed at once."""
+        lu, kept = self.lu, self.lu_basis
+        self.lu = self.lu_basis = None
+        return lu if lu is not None and np.array_equal(kept, basis) else None
+
+
+_kept = threading.local()  # per thread, ``kernel``: the last solve's _Kernel
+
+
+def _kernel(a: sp.csr_matrix) -> _Kernel:
+    """This thread's kernel for matrix ``a``: the kept one when it matches, else a
+    new one, which replaces it after the old one is let go of."""
+    kernel = getattr(_kept, "kernel", None)
+    if kernel is None or not kernel.matches(a):
+        _kept.kernel = None
+        kernel = _kept.kernel = _Kernel(a)
+    return kernel
+
+
+class _Simplex:
+    def __init__(self, problem: SparseProblem):
+        self.problem = problem
+        m, n = problem.a.shape
+        self.m, self.n_struct = m, n
+
+        self.kernel = kernel = _kernel(problem.a)
+        self.row_scale, self.col_scale = kernel.row_scale, kernel.col_scale
+        self.a, self.a_csr = kernel.a, kernel.a_csr
         self.ncol = n + m
 
         self.b = problem.rhs * self.row_scale
@@ -319,13 +386,14 @@ class _Simplex:
         self.vstat[n:n + m] = BASIC
         self.vstat[self.basis[crashed]] = BASIC
         self.vstat[n + crashed], self.x[n + crashed] = AT_LOWER, 0.0
+        self.kernel.adopt(None)
         self.fact.refactor(self.basis)
         self._recompute_basics()
 
     def warm_start(self, start: Basis) -> bool:
         """Install ``start``, a basis of this matrix (:func:`~.presolve.presolve`
-        checks that and maps it); basic values may violate bounds. False when
-        the basis is singular."""
+        checks that and maps it); basic values may violate bounds. The kept LU
+        is adopted when it factors this basis. False when the basis is singular."""
         n = self.n_struct
         self.basis = start.basis.copy()
         self.vstat = start.vstat.copy()
@@ -338,10 +406,12 @@ class _Simplex:
         self.x[nonbasic] = value
         self.vstat[nonbasic] = np.where(value == lo, AT_LOWER,
                                         np.where(value == up, AT_UPPER, AT_VALUE))
-        try:
-            self.fact.refactor(self.basis)
-        except RuntimeError:
-            return False
+        self.fact.lu = self.kernel.adopt(self.basis)
+        if self.fact.lu is None:
+            try:
+                self.fact.refactor(self.basis)
+            except RuntimeError:
+                return False
         self._recompute_basics()
         return True
 
@@ -357,9 +427,10 @@ class _Simplex:
         self.lo_b, self.up_b = self.lower[self.basis], self.upper[self.basis]
         self.c_b = self.c[self.basis]
         self.below, self.above = self.xb < self.lo_b - PRIMAL_TOL, self.xb > self.up_b + PRIMAL_TOL
-        free = ~self.fixed
-        self.inc = -(np.isin(self.vstat, (AT_LOWER, AT_VALUE)) & free).astype(float)
-        self.dec = (np.isin(self.vstat, (AT_UPPER, AT_VALUE)) & free).astype(float)
+        vstat, free = self.vstat, ~self.fixed
+        at_value = vstat == AT_VALUE
+        self.inc = -(((vstat == AT_LOWER) | at_value) & free).astype(float)
+        self.dec = (((vstat == AT_UPPER) | at_value) & free).astype(float)
 
     def _flag(self, rows) -> None:
         xb = self.xb[rows]
@@ -449,7 +520,9 @@ class _Simplex:
             pivot = min_basic <= own
             if pivot:
                 ties = np.flatnonzero(lim <= min_basic + 1e-10)
-                if self._bland:
+                if ties.size == 1:
+                    t = ties[0]
+                elif self._bland:
                     t = ties[np.argmin(self.basis[rows[ties]])]
                 else:
                     t = ties[np.argmax(np.abs(delta[ties]))]
@@ -458,7 +531,7 @@ class _Simplex:
             self.x[j] += direction * step
             self.xb[rows] = xb - step * delta
             if pivot:
-                self._pivot(j, r, rows, d_rows, to_lower)
+                self._pivot(j, t, rows, d_rows, to_lower)
             else:
                 self._set_status(j, AT_UPPER if direction > 0 else AT_LOWER)
             flipped = not pivot
@@ -495,11 +568,12 @@ class _Simplex:
         col[a.indices[start:end]] = a.data[start:end]
         return col
 
-    def _pivot(self, entering: int, r: int, rows: np.ndarray, d_rows: np.ndarray,
+    def _pivot(self, entering: int, t: int, rows: np.ndarray, d_rows: np.ndarray,
                to_lower: bool) -> None:
-        """Swap ``entering``, already at its new value, into row ``r``; the leaving
-        variable lands on its lower bound when ``to_lower``, else on its upper
-        bound. ``d_rows`` is the entering column on its nonzero ``rows``."""
+        """Swap ``entering``, already at its new value, into row ``r = rows[t]``;
+        the leaving variable lands on its lower bound when ``to_lower``, else on
+        its upper bound. ``d_rows`` is the entering column on its nonzero ``rows``."""
+        r = rows[t]
         leaving = self.basis[r]
         self.x[leaving] = self.lower[leaving] if to_lower else self.upper[leaving]
         self._set_status(leaving, AT_LOWER if to_lower else AT_UPPER)
@@ -508,7 +582,7 @@ class _Simplex:
         self.xb[r] = self.x[entering]
         self.lo_b[r], self.up_b[r] = self.lower[entering], self.upper[entering]
         self.c_b[r] = self.c[entering]
-        self.fact.push_eta(r, rows, d_rows)
+        self.fact.push_eta(t, rows, d_rows)
         if self.fact.k >= REFACTOR_EVERY:
             self.fact.refactor(self.basis)
 
@@ -543,6 +617,7 @@ class _Simplex:
 
         y = self.fact.btran(self.c[self.basis])
         z = self._reduced_costs(self.c, y)
+        self.kernel.lu, self.kernel.lu_basis = self.fact.lu, self.basis.copy()
         y_orig = y * self.row_scale
         duals = np.where(problem.senses == LE, -y_orig, y_orig)
 

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, replace
+from functools import reduce
+from operator import add
 from typing import Iterable, Mapping
 
 from .builder import BuiltProblem, build_problem
@@ -443,10 +445,12 @@ def abatement_sweep(system: EnergySystem, scenario: ScenarioSpec,
 
 
 def _sum_role(index, x, entity: str, role: str) -> float:
-    """The role's values added step by step (not pairwise); 0 without the role."""
+    """The role's values added step by step (not pairwise); 0 without the role.
+    ``reduce`` rather than ``sum``, which adds Python floats with compensation
+    from Python 3.12 on."""
     if not index.has(entity, role):
         return 0.0
-    return float(sum(x[index.columns(entity, role)]))
+    return float(reduce(add, x[index.columns(entity, role)].tolist(), 0))
 
 
 def compute_metrics(system: EnergySystem, index, x) -> dict:

@@ -253,8 +253,10 @@ def validate_system(system: EnergySystem) -> list[str]:
     compression parameter and integer block size must be finite; import
     limits, maximum sizes and maximum capacities may be infinite, but no step
     of a demand, renewable profile or hydro inflow may.
-    Capex, variable opex, discount rates, loss factors and inflows may not be
-    negative; import prices and branch cost coefficients may.
+    Capex, variable opex, discount rates, loss factors, inflows and emission
+    factors (of technologies and of imports: the model has no
+    negative-emission technology) may not be negative; import prices and
+    branch cost coefficients may. A compressor efficiency lies in (0, 1].
     """
     out: list[str] = []
     steps = system.horizon.step_count
@@ -282,6 +284,9 @@ def validate_system(system: EnergySystem) -> list[str]:
             out += _non_finite(f"node {n.id}: ", {
                 f"import {label} for {carrier.value}": value
                 for carrier, value in mapping.items()})
+        out += _negative(f"node {n.id}: ", {
+            f"import emission factor for {carrier.value}": value
+            for carrier, value in n.import_emission_factor.items()})
         ng = n.import_limit.get(Carrier.NATURAL_GAS, 0.0)
         if 0.0 < ng < math.inf:
             out.append(f"node {n.id}: natural-gas import is either closed (0) or unbounded")
@@ -324,9 +329,10 @@ def validate_system(system: EnergySystem) -> list[str]:
                                       "variable_opex": t.cost.variable_opex,
                                       "discount_rate": t.cost.discount_rate})
         out += _non_finite(f"{pre}: ", {"existing_size": t.existing_size, **vars(t.cost)})
-        out += _non_finite(f"{pre}: ", {
-            f"emission factor {direction}/{carrier.value}": factor
-            for (direction, carrier), factor in t.emission_factors.items()})
+        factors = {f"emission factor {direction}/{carrier.value}": factor
+                   for (direction, carrier), factor in t.emission_factors.items()}
+        out += _non_finite(f"{pre}: ", factors)
+        out += _negative(f"{pre}: ", factors)
         if t.kind == TechnologyKind.RENEWABLE:
             profile = system.renewable_profiles.get(t.id)
             if profile is None:
@@ -449,6 +455,8 @@ def validate_system(system: EnergySystem) -> list[str]:
                    c.efficiency, c.lower_heating_value, c.reference_pressure_bar) <= 0:
                 out.append(f"{pre}: compression parameters must be positive")
             out += _non_finite(f"{pre}: compression ", vars(c))
+            if c.efficiency > 1:
+                out.append(f"{pre}: compressor efficiency must be <= 1")
             if c.heat_capacity_ratio <= 1:
                 out.append(f"{pre}: heat capacity ratio must exceed 1")
             if c.outlet_pressure_bar < c.reference_pressure_bar:

@@ -43,6 +43,29 @@ class TestValidate:
         assert "pp1: outlet pressure below the reference pressure" in capsys.readouterr().out
         assert run_cli(["--quiet", "run", str(broken), "--scenario", "reference"]) == 3
 
+    @pytest.mark.parametrize("name, old, new, message", [
+        # pp1 and pp2: a compressor better than lossless would cut the
+        # electricity that compression takes (synergies: 17,374,633.46
+        # instead of 17,377,297.86)
+        ("branches.csv", ",0.65,1.405,", ",1.3,1.405,",
+         "branch pp1: compressor efficiency must be <= 1"),
+        # gas1 would be a CO2 sink (reference: -57,264 t)
+        ("technologies.csv", ",0.18422,", ",-0.18422,",
+         "technology gas1: emission factor in/natural_gas must be >= 0"),
+    ])
+    def test_unphysical_cells_exit_3(self, system_dir, tmp_path, capsys, name, old, new,
+                                     message):
+        import shutil
+        broken = tmp_path / "broken"
+        shutil.copytree(system_dir, broken)
+        path = broken / name
+        assert old in path.read_text()
+        path.write_text(path.read_text().replace(old, new))
+        assert run_cli(["validate", str(broken)]) == 3
+        assert message in capsys.readouterr().out
+        for scenario in ("reference", "synergies"):
+            assert run_cli(["--quiet", "run", str(broken), "--scenario", scenario]) == 3
+
     def test_series_on_the_wrong_kind_of_technology_exit_3(self, system_dir, tmp_path,
                                                            capsys):
         import shutil

@@ -2,7 +2,9 @@
 
 import itertools
 import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from carrieropt.builder import build_problem
@@ -230,10 +232,10 @@ class TestMiniatureDcBlocks:
         best = math.inf
         for k1 in range(max_blocks[0] + 1):
             for k2 in range(max_blocks[1] + 1):
-                fixed = built.problem.copy()
-                for col, value in zip(blocks_cols, (k1, k2)):
-                    fixed.lower[col] = fixed.upper[col] = float(value)
-                fixed.integer[:] = False
+                fixed = replace(built.problem.with_bounds(
+                    {col: (float(value), float(value))
+                     for col, value in zip(blocks_cols, (k1, k2))}),
+                    integer=np.zeros_like(built.problem.integer))
                 res = solve_lp(fixed)
                 if res.status == OPTIMAL:
                     best = min(best, res.objective)

@@ -333,6 +333,28 @@ class TestDomains:
         with pytest.raises(SchemaError, match=message):
             parse_system_files(tmp_path)
 
+    @pytest.mark.parametrize("file, column, row, value, message", [
+        ("branches.csv", "compressor_efficiency", 4, "1.3",
+         "branch pp1: compressor efficiency must be <= 1"),
+        ("technologies.csv", "ef_in_natural_gas", 6, "-0.18422",
+         "technology gas1: emission factor in/natural_gas must be >= 0"),
+        ("nodes.csv", "import_emission_factor_electricity", 0, "-0.8",
+         "node n1: import emission factor for electricity must be >= 0"),
+    ])
+    def test_unphysical_cell_rejected(self, mini, tmp_path, file, column, row, value, message):
+        # a compressor cannot beat the isentropic work, and no technology or
+        # import of the model takes CO2 out of the air
+        write_system_files(mini, tmp_path)
+        _set_cell(tmp_path / file, column, value, row=row)
+        with pytest.raises(SchemaError, match=message):
+            parse_system_files(tmp_path)
+
+    def test_lossless_compressor_accepted(self, mini, tmp_path):
+        write_system_files(mini, tmp_path)
+        _set_cell(tmp_path / "branches.csv", "compressor_efficiency", "1.0", row=4)
+        branch = next(b for b in parse_system_files(tmp_path).branches if b.id == "pp1")
+        assert branch.compression.efficiency == 1.0
+
     def test_nan_import_limit_default_rejected(self, mini, tmp_path):
         write_system_files(mini, tmp_path)
         _edit_manifest(tmp_path, import_defaults={"limit": {"electricity": "nan"}})

@@ -1,6 +1,7 @@
 """Branch-and-bound tests against exhaustive enumeration of integer values."""
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 from numpy.testing import assert_allclose
@@ -33,9 +34,7 @@ def enumerate_integer_optima(problem, int_cols):
     best = np.inf
     best_assign = None
     for assign in itertools.product(*ranges):
-        fixed = problem.copy()
-        for j, v in zip(int_cols, assign):
-            fixed.lower[j] = fixed.upper[j] = float(v)
+        fixed = problem.with_bounds({j: (float(v), float(v)) for j, v in zip(int_cols, assign)})
         res = solve_lp(fixed)
         if res.status == OPTIMAL and res.objective < best - 1e-12:
             best = res.objective
@@ -112,7 +111,7 @@ class TestBranchAndBound:
                          [-3.0, -4.0], upper=[5.0, 5.0],
                          integer=np.array([True, True]))
         r1 = solve_milp(p)
-        r2 = solve_milp(p.copy())
+        r2 = solve_milp(replace(p, a=p.a.copy()))
         assert r1.objective == r2.objective
         assert (r1.x == r2.x).all()
         assert r1.nodes == r2.nodes

@@ -139,8 +139,7 @@ class TestWarmStart:
 
     def test_stagewise_monotone_objectives(self):
         p = self._expansion_problem()
-        restricted = p.copy()
-        restricted.upper[1] = 0.0  # prior scenario had no size2
+        restricted = p.with_bounds({1: (p.lower[1], 0.0)})  # prior scenario had no size2
         prior = solve_lp(restricted)
         ws = warm_start_solve(
             p,
@@ -155,8 +154,8 @@ class TestWarmStart:
 
     def test_infeasible_base_raises_with_rows(self):
         p = self._expansion_problem()
-        bad = p.copy()
-        bad.lower[2] = 5.0  # force flow1 >= 5 while size1 fixed at 0 caps it at 2
+        # force flow1 >= 5 while size1 fixed at 0 caps it at 2
+        bad = p.with_bounds({2: (5.0, p.upper[2])})
         with pytest.raises(WarmStartError) as err:
             warm_start_solve(bad, base_solution={"size1": 0.0}, new_size_names=[])
         assert err.value.rows
@@ -173,8 +172,7 @@ class TestWarmStart:
 
     def test_stage3_uses_warm_basis(self):
         p = self._expansion_problem()
-        restricted = p.copy()
-        restricted.upper[1] = 0.0
+        restricted = p.with_bounds({1: (p.lower[1], 0.0)})
         prior = solve_lp(restricted)
         ws = warm_start_solve(p, base_solution={"size1": float(prior.x[0])},
                               new_size_names=["size2"])
@@ -196,8 +194,7 @@ class TestWarmStart:
     def test_stage2_solved_only_for_new_sizes(self, monkeypatch):
         p = self._expansion_problem()
         cold = solve_lp(p)
-        restricted = p.copy()
-        restricted.upper[1] = 0.0
+        restricted = p.with_bounds({1: (p.lower[1], 0.0)})
         prior = solve_lp(restricted)
         cases = [({"size1": float(cold.x[0]), "size2": float(cold.x[1])}, [], 2),
                  ({"size1": float(prior.x[0])}, ["size2"], 3)]

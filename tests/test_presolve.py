@@ -1,5 +1,6 @@
 """Presolve of fixed columns and the rows they empty, and its postsolve."""
 
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -105,8 +106,7 @@ class TestWarmRestart:
         p = make_problem([[1.0, 2.0], [1.0, 0.0]], [LE, LE], [4.0, 3.0], [-1.0, -1.0])
         first = solve_lp(p)
         assert first.x.tolist() == [3.0, 0.5] and 1 in first.basis.basis
-        child = p.copy()
-        child.upper[1] = 0.0
+        child = p.with_bounds({1: (p.lower[1], 0.0)})
         assert presolve(child).cols.tolist() == [True, False]
         pre = presolve(child, first.basis)
         assert pre.cols.all() and pre.start is not None
@@ -118,8 +118,7 @@ class TestWarmRestart:
         # the start drops x0 and x3; the next solve frees x0 and keeps x3 fixed
         p = _fixed_problem()
         first = solve_lp(p)
-        freed = p.copy()
-        freed.lower[0] = 0.0
+        freed = p.with_bounds({0: (0.0, p.upper[0])})
         res = solve_lp(freed, start=first.basis)
         assert res.status == OPTIMAL and res.warm_started
         assert res.objective == pytest.approx(solve_lp(freed).objective, abs=1e-12)
@@ -167,8 +166,7 @@ class TestEdgeShapes:
         assert res.status == OPTIMAL
         assert res.x.tolist() == [3.0, 5.0, -1.0] and res.objective == 3.0 - 5.0 - 2.0
         assert verify_solution(p, res).ok()
-        unbounded = p.copy()
-        unbounded.upper[1] = np.inf
+        unbounded = p.with_bounds({1: (p.lower[1], np.inf)})
         assert solve_lp(unbounded).status == UNBOUNDED
 
 
@@ -243,12 +241,10 @@ class TestMapBasis:
     def test_none_when_the_target_lacks_a_source_column(self):
         source, target = _mapping_pair()
         basis = solve_lp(source).basis
-        no_y = target.copy()
-        no_y.col_names = ["z", "x", "w"]
+        no_y = replace(target, col_names=["z", "x", "w"])
         assert map_basis(basis, source, no_y) is None
         # a source row the target lacks leaves instead, as TestRowDrop checks
-        no_rb = target.copy()
-        no_rb.row_names = ["rz", "ra", "rc"]
+        no_rb = replace(target, row_names=["rz", "ra", "rc"])
         mapped = map_basis(basis, source, no_rb)
         assert mapped is not None and mapped.fingerprint == no_rb.fingerprint()
         assert _is_start(no_rb, mapped)

@@ -1,6 +1,7 @@
 """LP kernel tests against brute-force vertex enumeration."""
 
 import itertools
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -224,7 +225,7 @@ class TestDeterminismAndInvariants:
     def test_bitwise_determinism(self):
         p = self._random_problem(99)
         r1 = solve_lp(p)
-        r2 = solve_lp(p.copy())
+        r2 = solve_lp(replace(p, a=p.a.copy()))
         assert r1.objective == r2.objective
         assert (r1.x == r2.x).all()
         assert (r1.duals == r2.duals).all()
@@ -233,8 +234,7 @@ class TestDeterminismAndInvariants:
     def test_objective_scaling_leaves_argmin_unchanged(self):
         p = self._random_problem(123)
         base = solve_lp(p)
-        scaled = p.copy()
-        scaled.objective = scaled.objective * 2.0
+        scaled = replace(p, objective=p.objective * 2.0)
         res = solve_lp(scaled)
         assert (res.x == base.x).all()
         assert_allclose(res.objective, 2.0 * base.objective, rtol=1e-12)
@@ -297,7 +297,8 @@ class TestFactorization:
             fact.refactor(basis)
             for r in rows[col - m:col - m + count]:
                 d = np.linalg.solve(pool[:, basis], pool[:, col])
-                fact.push_eta(int(r), np.flatnonzero(d), d[np.flatnonzero(d)])
+                nz = np.flatnonzero(d)
+                fact.push_eta(int(np.searchsorted(nz, r)), nz, d[nz])
                 basis[r], col = col, col + 1
         assert fact.k == rounds[-1]
         return fact, pool[:, basis]
@@ -448,8 +449,7 @@ class TestStartsMatchLoops:
 class TestWarmRestart:
     def test_bound_relaxation_resumes_from_basis(self):
         p = self._chain_problem()
-        tight = p.copy()
-        tight.upper[0] = 0.0
+        tight = p.with_bounds({0: (p.lower[0], 0.0)})
         first = solve_lp(tight)
         relaxed = solve_lp(p, start=first.basis)
         cold = solve_lp(p)
@@ -462,8 +462,7 @@ class TestWarmRestart:
         # basic value infeasible; phase 1 repairs it from the old basis.
         p = make_problem([[1.0, 1.0]], [GE], [4.0], [1.0, 3.0])
         first = solve_lp(p)
-        tight = p.copy()
-        tight.upper[0] = 1.0
+        tight = p.with_bounds({0: (p.lower[0], 1.0)})
         cold = solve_lp(tight)
         warm = solve_lp(tight, start=first.basis)
         assert warm.status == cold.status == OPTIMAL
@@ -479,9 +478,8 @@ class TestWarmRestart:
         other = make_problem([[1.0, 2.0]], [GE], [4.0], [1.0, 3.0])
         fallback = solve_lp(other, start=first.basis)  # another matrix: cold
         assert fallback.status == OPTIMAL and not fallback.warm_started
-        tight = p.copy()  # x0 + x1 >= 9 with x0 <= 5 and x1 <= 1: infeasible
-        tight.rhs[0] = 9.0
-        tight.upper[:] = [5.0, 1.0]
+        # x0 + x1 >= 9 with x0 <= 5 and x1 <= 1: infeasible
+        tight = replace(p, rhs=np.array([9.0]), upper=np.array([5.0, 1.0]))
         res = solve_lp(tight, start=first.basis)
         assert res.status == INFEASIBLE and res.warm_started
 
