@@ -39,9 +39,10 @@ class BuiltProblem:
         stacked last with the emissions vector's nonzeros as its entries.
 
         The result shares every array it does not replace with this problem,
-        and every capped mode shares one matrix, senses array and row-name list,
-        stacked on the first call. Nothing here writes into them, so problems derived from one build
-        stay independent as long as callers do not write into them either.
+        and every capped mode shares one matrix, senses array and row-name
+        list, stacked on the first call. Nothing here writes into them, so
+        problems derived from one build stay independent as long as callers
+        do not write into them either.
         The solvers do not: to change bounds they derive a new problem with
         :meth:`carrieropt.lp.SparseProblem.with_bounds`.
         """
