@@ -2,6 +2,7 @@
 its scaling, its scaled matrix and the last optimal LU, and gives the same
 bits as a solve that sets everything up afresh."""
 
+import sys
 import threading
 
 import numpy as np
@@ -137,28 +138,34 @@ def test_threads_alternating_between_two_matrices(adopted):
     for p, o in zip(problems, optima):
         _forget()
         expected.append(_bits(solve_lp(p, start=o.basis)))
-    rounds = 4
-    barrier = threading.Barrier(2)
-    seen: dict[int, list] = {0: [], 1: []}
+    rounds, workers = 4, 4  # more threads than cores, switching often
+    barrier = threading.Barrier(workers, timeout=60)
+    seen: dict[int, list] = {me: [] for me in range(workers)}
 
     def work(me: int):
         for k in range(rounds):
             which = (me + k) % 2
-            barrier.wait()  # both threads solve at once, each its own matrix
+            barrier.wait()  # every thread solves at once, half of them each matrix
             for _ in range(2):  # the second solve adopts the first's LU
                 result = solve_lp(problems[which], start=optima[which].basis)
                 seen[me].append((which, _bits(result)))
 
     adopted.clear()
-    threads = [threading.Thread(target=work, args=(me,)) for me in (0, 1)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    for me in (0, 1):
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(me,)) for me in range(workers)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for me in range(workers):
         assert len(seen[me]) == 2 * rounds
         assert all(bits == expected[which] for which, bits in seen[me])
-    assert sum(adopted) == 2 * rounds
+    assert sum(adopted) == workers * rounds
 
 
 def test_no_stale_lu_after_an_infeasible_end(adopted):
