@@ -386,7 +386,7 @@ class _Simplex:
         self.vstat[n:n + m] = BASIC
         self.vstat[self.basis[crashed]] = BASIC
         self.vstat[n + crashed], self.x[n + crashed] = AT_LOWER, 0.0
-        self.kernel.adopt(None)
+        self.kernel.adopt(None)  # a cold start adopts no LU: the kept one goes
         self.fact.refactor(self.basis)
         self._recompute_basics()
 
