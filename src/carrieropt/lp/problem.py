@@ -146,6 +146,19 @@ class SparseProblem:
         except ValueError:
             raise KeyError(f"unknown column name {name!r}") from None
 
+    def copy(self) -> "SparseProblem":
+        return SparseProblem(
+            a=self.a.copy(),
+            senses=self.senses.copy(),
+            rhs=self.rhs.copy(),
+            lower=self.lower.copy(),
+            upper=self.upper.copy(),
+            objective=self.objective.copy(),
+            integer=self.integer.copy(),
+            col_names=list(self.col_names),
+            row_names=list(self.row_names),
+        )
+
     def with_bounds(self, patch: Mapping[int, tuple[float, float]]) -> "SparseProblem":
         """This problem with column ``j``'s bounds set to ``patch[j]``, a
         ``(lower, upper)`` pair. Only ``lower`` and ``upper`` are copied; every
