@@ -38,17 +38,16 @@ original problem's space.
 
 A sweep or a change of mode re-solves one matrix under other bounds, rhs or
 costs, so what depends on the matrix alone is kept between solves, one
-:class:`_Kernel` per thread: the scale factors, the scaled ``[A | I]`` as
-CSC and as CSR, and the LU of the last optimal basis with that basis. A
-solve whose presolved matrix equals the kept one (equal shape and equal
-bytes of ``indptr``, ``indices`` and ``data``; never a fingerprint, which
-only compares sums) uses the kernel; any other matrix replaces it, the old
-one going first. A warm start whose basis equals the kept basis adopts the
-kept LU instead of factoring it again: ``splu`` of the same columns gives
-the same LU, so every pivot and every bit stays as a fresh set-up would
-give them. Any solve that does not adopt the LU (a cold start, another
-basis or another matrix) lets go of it at once, and only an optimal end
-keeps a new one.
+:class:`_Kernel` per thread: the scale factors and the scaled ``[A | I]`` as
+CSC and as CSR. A solve whose presolved matrix equals the kept one (equal
+shape, equal ``data`` dtype and equal ``indptr``, ``indices`` and ``data``;
+never a fingerprint, which only compares sums) uses the kernel; any other
+matrix replaces it, the old one going first. The kernel is a pure function
+of the matrix, so every pivot and every bit stays as a fresh set-up would
+give them. No LU is kept, though a re-solve from the last optimum factors
+the basis the last solve ended on once more: SuperLU sizes a factorization's
+storage from a fill guess (about 720 bytes per basis nonzero), not from its
+factors, so one kept between solves would hold megabytes of memory.
 """
 
 from __future__ import annotations
@@ -60,9 +59,10 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.lapack import dtrtrs
-# the kernels behind sparse @, private to scipy: the tests pin them to @ bit for bit
+# the kernels behind sparse @ and splu, private to scipy: the tests pin them
+# to @ and to splu bit for bit
 from scipy.sparse._sparsetools import csc_matvec, csr_matvec
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg._dsolve._superlu import gstrf
 
 from .problem import GE, LE, SparseProblem
 
@@ -218,7 +218,21 @@ class _Factorization:
         self.k = 0
 
     def refactor(self, basis: np.ndarray) -> None:
-        self.lu = splu(sp.csc_matrix(self.a_csc[:, basis]), relax=1, panel_size=1)
+        """Factor the ``basis`` columns as ``splu(a_csc[:, basis], relax=1,
+        panel_size=1)`` does, bit for bit: the columns are gathered straight
+        from the CSC arrays and SuperLU is called without splu's checks and
+        conversions, which a canonical float matrix such as the kernel's does
+        not need."""
+        a = self.a_csc
+        start = a.indptr[basis]
+        count = a.indptr[basis + 1] - start
+        indptr = np.zeros(self.m + 1, dtype=np.intc)
+        np.cumsum(count, out=indptr[1:])
+        take = np.repeat(start - indptr[:-1], count) + np.arange(indptr[-1])
+        indices = a.indices[take].astype(np.intc, copy=False)
+        self.lu = gstrf(self.m, indices.size, a.data[take], indices, indptr,
+                        csc_construct_func=sp.csc_array, ilu=False,
+                        options=dict(DiagPivotThresh=None, ColPerm=None, PanelSize=1, Relax=1))
         k, ptr = self.k, self.ptr
         self.by_row[self.idx[:ptr[k]], np.repeat(np.arange(k), np.diff(ptr[:k + 1]))] = 0.0
         self.k = 0
@@ -259,17 +273,12 @@ class _Factorization:
         return self.lu.solve(u, trans="T")
 
 
-def _same_bytes(u: np.ndarray, v: np.ndarray) -> bool:
-    return u.dtype == v.dtype and u.shape == v.shape and u.tobytes() == v.tobytes()
-
-
 class _Kernel:
     """What a solve sets up from its matrix alone, kept for the next solve of an
-    equal one: the scale factors, the scaled ``[A | I]`` as CSC and as CSR, and
-    after an optimal solve the LU of its last basis, with that basis (``lu``
-    and ``lu_basis``, else None). ``indptr``, ``indices`` and ``data`` are
-    copies of the matrix's arrays, so that a caller writing into its matrix
-    later cannot make an unequal matrix look equal."""
+    equal one: the scale factors and the scaled ``[A | I]`` as CSC and as CSR.
+    ``indptr``, ``indices`` and ``data`` are copies of the matrix's arrays, so
+    that a caller writing into its matrix later cannot make an unequal matrix
+    look equal."""
 
     def __init__(self, a: sp.csr_matrix):
         self.shape = m, n = a.shape
@@ -286,22 +295,15 @@ class _Kernel:
                                 np.concatenate([indptr, indptr[-1] + np.arange(1, m + 1)])),
                                shape=(m, n + m))
         self.a_csr = self.a.tocsr()
-        self.lu = self.lu_basis = None
 
     def matches(self, a: sp.csr_matrix) -> bool:
-        """Whether ``a`` is this kernel's matrix: equal shape and equal bytes of
-        its three arrays (sums, as in a fingerprint, would not tell two swapped
-        coefficients apart)."""
-        return (a.shape == self.shape and _same_bytes(a.indptr, self.indptr)
-                and _same_bytes(a.indices, self.indices) and _same_bytes(a.data, self.data))
-
-    def adopt(self, basis: np.ndarray | None):
-        """The kept LU when it factors ``basis`` (``splu`` of the same columns
-        gives the same LU), else None. The kernel lets go of it either way, so
-        an LU that a solve does not adopt is freed at once."""
-        lu, kept = self.lu, self.lu_basis
-        self.lu = self.lu_basis = None
-        return lu if lu is not None and np.array_equal(kept, basis) else None
+        """Whether ``a`` is this kernel's matrix: equal shape, equal ``data``
+        dtype and equal arrays (sums, as in a fingerprint, would not tell two
+        swapped coefficients apart)."""
+        return (a.shape == self.shape and a.data.dtype == self.data.dtype
+                and np.array_equal(a.indptr, self.indptr)
+                and np.array_equal(a.indices, self.indices)
+                and np.array_equal(a.data, self.data))
 
 
 _kept = threading.local()  # per thread, ``kernel``: the last solve's _Kernel
@@ -323,7 +325,7 @@ class _Simplex:
         m, n = problem.a.shape
         self.m, self.n_struct = m, n
 
-        self.kernel = kernel = _kernel(problem.a)
+        kernel = _kernel(problem.a)
         self.row_scale, self.col_scale = kernel.row_scale, kernel.col_scale
         self.a, self.a_csr = kernel.a, kernel.a_csr
         self.ncol = n + m
@@ -386,14 +388,13 @@ class _Simplex:
         self.vstat[n:n + m] = BASIC
         self.vstat[self.basis[crashed]] = BASIC
         self.vstat[n + crashed], self.x[n + crashed] = AT_LOWER, 0.0
-        self.kernel.adopt(None)  # a cold start adopts no LU: the kept one goes
         self.fact.refactor(self.basis)
         self._recompute_basics()
 
     def warm_start(self, start: Basis) -> bool:
         """Install ``start``, a basis of this matrix (:func:`~.presolve.presolve`
-        checks that and maps it); basic values may violate bounds. The kept LU
-        is adopted when it factors this basis. False when the basis is singular."""
+        checks that and maps it); basic values may violate bounds. False when
+        the basis is singular."""
         n = self.n_struct
         self.basis = start.basis.copy()
         self.vstat = start.vstat.copy()
@@ -406,12 +407,10 @@ class _Simplex:
         self.x[nonbasic] = value
         self.vstat[nonbasic] = np.where(value == lo, AT_LOWER,
                                         np.where(value == up, AT_UPPER, AT_VALUE))
-        self.fact.lu = self.kernel.adopt(self.basis)
-        if self.fact.lu is None:
-            try:
-                self.fact.refactor(self.basis)
-            except RuntimeError:
-                return False
+        try:
+            self.fact.refactor(self.basis)
+        except RuntimeError:
+            return False
         self._recompute_basics()
         return True
 
@@ -617,7 +616,6 @@ class _Simplex:
 
         y = self.fact.btran(self.c[self.basis])
         z = self._reduced_costs(self.c, y)
-        self.kernel.lu, self.kernel.lu_basis = self.fact.lu, self.basis.copy()
         y_orig = y * self.row_scale
         duals = np.where(problem.senses == LE, -y_orig, y_orig)
 

@@ -1,6 +1,6 @@
 """The solver kernel kept between solves: a re-solve of an equal matrix reuses
-its scaling, its scaled matrix and the last optimal LU, and gives the same
-bits as a solve that sets everything up afresh."""
+its scaling and its scaled matrix, and gives the same bits as a solve that
+sets everything up afresh."""
 
 import sys
 import threading
@@ -32,18 +32,17 @@ def _forget():
 
 
 @pytest.fixture
-def adopted(monkeypatch):
-    """Counts the solves that adopted the kept LU."""
-    hits = []
-    adopt = simplex._Kernel.adopt
+def built(monkeypatch):
+    """Counts the kernels built, one per solve that did not reuse the kept one."""
+    shapes = []
+    init = simplex._Kernel.__init__
 
-    def counted(self, basis):
-        lu = adopt(self, basis)
-        hits.append(lu is not None)
-        return lu
+    def counted(self, a):
+        shapes.append(a.shape)
+        init(self, a)
 
-    monkeypatch.setattr(simplex._Kernel, "adopt", counted)
-    return hits
+    monkeypatch.setattr(simplex._Kernel, "__init__", counted)
+    return shapes
 
 
 def _recorded(monkeypatch, run, forget: bool) -> list[tuple]:
@@ -87,11 +86,12 @@ def _dc_blocks():
 
 @pytest.mark.parametrize("run", [_cap_sweep, _two_modes, _dc_blocks],
                          ids=["cap-sweep", "two-modes", "dc-blocks"])
-def test_kept_kernel_gives_the_bits_of_a_fresh_one(monkeypatch, adopted, run):
+def test_kept_kernel_gives_the_bits_of_a_fresh_one(monkeypatch, built, run):
     kept = _recorded(monkeypatch, run, forget=False)
-    hits = sum(adopted)
+    kept_builds = len(built)
     fresh = _recorded(monkeypatch, run, forget=True)
-    assert hits > 0 and sum(adopted) == hits  # a cleared slot adopts nothing
+    assert kept_builds < len(kept)  # the kept run reused kernels ...
+    assert len(built) - kept_builds == len(fresh)  # ... the fresh one built one per solve
     assert len(kept) == len(fresh) and kept == fresh
 
 
@@ -105,7 +105,7 @@ def _problem(a, rhs=(6.0, 4.0)) -> SparseProblem:
                                     objective=-np.ones(2), col_names=["x0", "x1"])
 
 
-def test_swapped_coefficients_are_another_matrix(adopted):
+def test_swapped_coefficients_are_another_matrix(built):
     # x0 + 3 x1 <= 6, 2 x0 + x1 <= 4 ends at (6/5, 8/5); swapping the 3 and
     # the 2 keeps the shape, the nonzeros and the fingerprint but moves the
     # optimum to (2/5, 14/5)
@@ -118,15 +118,27 @@ def test_swapped_coefficients_are_another_matrix(adopted):
     solve_lp(first)
     assert _bits(solve_lp(swapped)) == _bits(reference)
     # the fingerprint fits, so the swapped matrix starts warm from the first's
-    # optimal basis, and still must not take its scaling or its LU
+    # optimal basis, and still must not take its scaling
     warm = solve_lp(swapped, start=solve_lp(first).basis)
     assert warm.warm_started and warm.status == OPTIMAL
     assert warm.objective == pytest.approx(reference.objective, abs=1e-12)
     assert warm.x.tolist() == pytest.approx([0.4, 2.8], abs=1e-12)
-    assert not any(adopted)
+    assert len(built) == 5  # every solve switched matrices
 
 
-def test_threads_alternating_between_two_matrices(adopted):
+def test_a_matrix_written_in_place_is_another_matrix(built):
+    # the kernel keeps copies of the arrays it was built from, so swapping the
+    # coefficients in the solved matrix's own ``data`` is still a miss
+    p = _problem([[1.0, 3.0], [2.0, 1.0]])
+    _forget()
+    solve_lp(p)
+    p.a.data[[1, 2]] = p.a.data[[2, 1]]  # row-major: 1, 3, 2, 1 -> 1, 2, 3, 1
+    assert p.a.toarray().tolist() == [[1.0, 2.0], [3.0, 1.0]]
+    assert solve_lp(p).x.tolist() == pytest.approx([0.4, 2.8], abs=1e-12)
+    assert len(built) == 2
+
+
+def test_threads_alternating_between_two_matrices(built):
     runner = ScenarioRunner(build_miniature_system(0))
     problems = [runner.problem(standard_scenario(s), ObjectiveMode.min_cost()).problem
                 for s in ("synergies", "t-all")]
@@ -146,11 +158,11 @@ def test_threads_alternating_between_two_matrices(adopted):
         for k in range(rounds):
             which = (me + k) % 2
             barrier.wait()  # every thread solves at once, half of them each matrix
-            for _ in range(2):  # the second solve adopts the first's LU
+            for _ in range(2):  # the second solve reuses the first's kernel
                 result = solve_lp(problems[which], start=optima[which].basis)
                 seen[me].append((which, _bits(result)))
 
-    adopted.clear()
+    built.clear()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
@@ -165,31 +177,17 @@ def test_threads_alternating_between_two_matrices(adopted):
     for me in range(workers):
         assert len(seen[me]) == 2 * rounds
         assert all(bits == expected[which] for which, bits in seen[me])
-    assert sum(adopted) == workers * rounds
+    assert len(built) == workers * rounds  # one build per round and thread
 
 
-def test_no_stale_lu_after_an_infeasible_end(adopted):
+def test_a_resolve_after_an_infeasible_end(built):
     feasible = _problem([[1.0, 3.0], [2.0, 1.0]])
     infeasible = _problem([[1.0, 3.0], [2.0, 1.0]], rhs=(6.0, -4.0))
     _forget()
     optimum = solve_lp(feasible)
-    assert simplex._kept.kernel.lu is not None
     dead_end = solve_lp(infeasible, start=optimum.basis)
     assert dead_end.status == INFEASIBLE and dead_end.warm_started
-    assert adopted[-1]  # it started from the kept LU ...
-    assert simplex._kept.kernel.lu is None  # ... and kept none at its infeasible end
     again = solve_lp(feasible, start=optimum.basis)
-    assert not adopted[-1]
+    assert len(built) == 1  # one matrix, one kernel through all three solves
     _forget()
     assert _bits(again) == _bits(solve_lp(feasible, start=optimum.basis))
-
-
-def test_an_unadopted_lu_is_let_go(adopted):
-    p = _problem([[1.0, 3.0], [2.0, 1.0]])
-    _forget()
-    optimum = solve_lp(p)
-    kernel = simplex._kept.kernel
-    assert kernel.lu is not None and kernel.lu_basis.tolist() == optimum.basis.basis.tolist()
-    sx = simplex._Simplex(p)
-    sx.cold_start()  # a cold start adopts nothing
-    assert kernel.lu is None and adopted == [False, False]

@@ -11,6 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 from numpy.testing import assert_allclose
 from scipy.linalg.lapack import dtrtrs
 from scipy.optimize import linprog
+from scipy.sparse.linalg import splu
 
 from carrieropt.lp import (
     EQ,
@@ -224,7 +225,9 @@ class TestDeterminismAndInvariants:
 
     def test_bitwise_determinism(self):
         p = self._random_problem(99)
+        simplex._kept.kernel = None  # two fresh set-ups, not one kept kernel
         r1 = solve_lp(p)
+        simplex._kept.kernel = None
         r2 = solve_lp(replace(p, a=p.a.copy()))
         assert r1.objective == r2.objective
         assert (r1.x == r2.x).all()
@@ -365,7 +368,45 @@ class TestFactorization:
 
 
 class TestDirectKernels:
-    """scipy's CSR/CSC kernels, called as the solver calls them, against sparse ``@``."""
+    """scipy's CSR/CSC kernels and SuperLU, called as the solver calls them,
+    against sparse ``@`` and ``splu``."""
+
+    @staticmethod
+    def _assert_lu_matches_splu(a_csc, basis, rng):
+        fact = _Factorization(a_csc)
+        fact.refactor(basis)
+        lu = splu(sp.csc_matrix(a_csc[:, basis]), relax=1, panel_size=1)
+        assert fact.lu.perm_r.tobytes() == lu.perm_r.tobytes()
+        assert fact.lu.perm_c.tobytes() == lu.perm_c.tobytes()
+        for factor in ("L", "U"):
+            mine, theirs = getattr(fact.lu, factor), getattr(lu, factor)
+            for part in ("indptr", "indices", "data"):
+                assert getattr(mine, part).tobytes() == getattr(theirs, part).tobytes()
+        v = rng.uniform(-1.0, 1.0, size=basis.size)
+        for trans in ("N", "T"):
+            assert fact.lu.solve(v, trans=trans).tobytes() == lu.solve(v, trans=trans).tobytes()
+
+    @settings(max_examples=50, deadline=None)
+    @given(m=st.integers(1, 25), extra=st.integers(0, 25), seed=st.integers(0, 2**32 - 1))
+    def test_refactor_matches_splu(self, m, extra, seed):
+        # [A | I] with a random nonsingular basis: slack columns where a random
+        # structural pick would be singular
+        rng = np.random.default_rng(seed)
+        dense = rng.uniform(-3.0, 3.0, size=(m, extra)) * (rng.random((m, extra)) < 0.3)
+        a_csc = sp.csc_matrix(np.hstack([dense, np.eye(m)]))
+        basis = rng.permutation(extra + m)[:m]
+        assume(np.linalg.matrix_rank(a_csc[:, basis].toarray()) == m)
+        self._assert_lu_matches_splu(a_csc, basis, rng)
+
+    def test_seed0_synergies_optimal_basis_matches_splu(self):
+        problem = _synergies_24()
+        sx = _Simplex(problem)
+        self._assert_lu_matches_splu(sx.a, solve_lp(problem).basis.basis, np.random.default_rng(1))
+
+    def test_a_singular_basis_raises(self):
+        fact = _Factorization(sp.csc_matrix(np.array([[1.0, 2.0, 1.0], [2.0, 4.0, 0.0]])))
+        with pytest.raises(RuntimeError):
+            fact.refactor(np.array([0, 1]))
 
     @settings(max_examples=100, deadline=None)
     @given(m=st.integers(1, 30), n=st.integers(1, 30), density=st.sampled_from([0.0, 0.1, 0.5]),
