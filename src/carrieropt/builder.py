@@ -18,7 +18,7 @@ import scipy.sparse as sp
 from .costing import EMISSION_CAP_LABEL, CostTable, ObjectiveMode, cost_table
 from .lp import LE, RowBlock, SparseProblem
 from .network import emit_branch, emit_energy_balance
-from .system import EnergySystem, VariableIndex, assemble_variable_index
+from .system import EnergySystem, VariableIndex, assemble_variable_index, single_columns
 from .technologies import Bounds, emit_technology
 
 
@@ -69,29 +69,17 @@ class BuiltProblem:
 
 def _default_bounds(system: EnergySystem, index: VariableIndex
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lower bounds 0, no upper bound and no integrality, but on the single
+    columns, which take theirs from :func:`~carrieropt.system.single_columns`."""
     n = len(index)
     lower = np.zeros(n)
     upper = np.full(n, np.inf)
     integer = np.zeros(n, dtype=bool)
-    for tech in system.technologies:
-        if tech.expandable:
-            col = index.column(tech.id, "size")
-            upper[col] = tech.max_size - tech.existing_size
-    for branch in system.branches:
-        if not branch.expandable:
-            continue
-        if branch.integer_block_mw is not None:
-            col = index.column(branch.id, "blocks")
-            upper[col] = branch.max_blocks
-            integer[col] = True
-            if index.has(branch.id, "build"):
-                bcol = index.column(branch.id, "build")
-                upper[bcol] = 1.0
-                integer[bcol] = True
-        else:
-            upper[index.column(branch.id, "size")] = branch.headroom
-        if branch.bidirectional:
-            upper[index.column(branch.id, "size[rev]")] = branch.headroom
+    for entity in (*system.technologies, *system.branches):
+        for role, cap, is_integer in single_columns(entity):
+            col = index.column(entity.id, role)
+            upper[col] = cap
+            integer[col] = is_integer
     return lower, upper, integer
 
 

@@ -21,14 +21,13 @@ import numpy as np
 
 from .system import (
     CARRIERS,
-    Carrier,
     CostParams,
     EnergySystem,
     NetworkBranch,
     TechnologyInstance,
-    TechnologyKind,
     VariableIndex,
     output_role,
+    priced_flow,
 )
 
 EMISSION_CAP_LABEL = "emission_cap"
@@ -132,27 +131,12 @@ def network_branch_capex(branch: NetworkBranch, size_mw: float) -> float:
 
 
 def _tech_emission_columns(tech: TechnologyInstance, index: VariableIndex):
-    """Yield (columns, t CO2 per MWh) for a technology's emitting roles."""
+    """Yield (columns, t CO2 per MWh) for each nonzero emission factor of
+    ``tech``, in (direction, carrier) order, on the flow it prices."""
     for (direction, carrier), factor in sorted(
             tech.emission_factors.items(), key=lambda kv: (kv[0][0], kv[0][1].value)):
-        if factor == 0:
-            continue
-        if tech.kind == TechnologyKind.CONVERSION2:
-            if direction == "in" and carrier in tech.performance.input_carriers:
-                role = f"in[{carrier.value}]"
-            elif direction == "out" and carrier == tech.performance.output_carrier:
-                role = "out"
-            else:
-                continue
-        elif tech.kind in (TechnologyKind.RENEWABLE, TechnologyKind.CONVERSION1):
-            if direction != "out" or carrier != Carrier.ELECTRICITY:
-                continue
-            role = "out"
-        else:
-            if carrier != tech.performance.carrier:
-                continue
-            role = "charge" if direction == "in" else "discharge"
-        yield index.columns(tech.id, role), factor
+        if factor:
+            yield index.columns(tech.id, priced_flow(tech, direction, carrier)), factor
 
 
 @dataclass(frozen=True)

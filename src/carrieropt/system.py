@@ -1,8 +1,10 @@
 """Domain model: carriers, nodes, technologies, branches, whole systems.
 
 Everything here is an immutable description of a system; no optimization
-logic. The variable index defined at the bottom fixes the deterministic
-column layout that the problem builder and all post-processing rely on.
+logic. :func:`tech_flows`, :func:`branch_flows` and :func:`single_columns`
+declare each entity's columns once; the balances, emission factors and bounds
+read them, and the variable index defined at the bottom lays them out in the
+deterministic order that the problem builder and all post-processing rely on.
 """
 
 from __future__ import annotations
@@ -218,11 +220,6 @@ def is_gas_plant(tech: TechnologyInstance) -> bool:
             and Carrier.NATURAL_GAS in tech.performance.input_carriers)
 
 
-def output_role(tech: TechnologyInstance) -> str:
-    """The per-step role that delivers a technology's product: storage discharges."""
-    return "discharge" if tech.kind in STORAGE_KINDS else "out"
-
-
 # -- validation ----------------------------------------------------------------
 
 def _non_finite(where: str, values: Mapping[str, float]) -> list[str]:
@@ -256,7 +253,9 @@ def validate_system(system: EnergySystem) -> list[str]:
     Capex, variable opex, discount rates, loss factors, inflows and emission
     factors (of technologies and of imports: the model has no
     negative-emission technology) may not be negative; import prices and
-    branch cost coefficients may. A compressor efficiency lies in (0, 1].
+    branch cost coefficients may. A compressor efficiency lies in (0, 1],
+    and a technology's emission factor must price one of its flows
+    (:func:`priced_flow`).
     """
     out: list[str] = []
     steps = system.horizon.step_count
@@ -333,6 +332,7 @@ def validate_system(system: EnergySystem) -> list[str]:
                    for (direction, carrier), factor in t.emission_factors.items()}
         out += _non_finite(f"{pre}: ", factors)
         out += _negative(f"{pre}: ", factors)
+        typed = True  # the performance parameters fit the kind: tech_flows may read them
         if t.kind == TechnologyKind.RENEWABLE:
             profile = system.renewable_profiles.get(t.id)
             if profile is None:
@@ -347,6 +347,7 @@ def validate_system(system: EnergySystem) -> list[str]:
             p = t.performance
             if not isinstance(p, Conversion2Params):
                 out.append(f"{pre}: conversion2 requires Conversion2Params")
+                typed = False
             else:
                 if not 0 < p.efficiency <= 1:
                     out.append(f"{pre}: efficiency outside (0, 1]")
@@ -363,6 +364,7 @@ def validate_system(system: EnergySystem) -> list[str]:
             p = t.performance
             if not isinstance(p, StorageParams):
                 out.append(f"{pre}: storage requires StorageParams")
+                typed = False
             else:
                 if p.max_charge_rate <= 0 or p.max_discharge_rate <= 0:
                     out.append(f"{pre}: storage rates must be positive")
@@ -389,6 +391,10 @@ def validate_system(system: EnergySystem) -> list[str]:
                     if any(v < 0 for v in inflow):
                         out.append(f"{pre}: inflow has negative values")
                     out += _non_finite_steps(f"{pre}: inflow", inflow)
+        if typed:
+            out += [f"{pre}: emission factor {direction}/{carrier.value} matches no flow"
+                    for direction, carrier in t.emission_factors
+                    if priced_flow(t, direction, carrier) is None]
 
     # a series on any other kind of technology would go unused
     kinds = {t.id: t.kind for t in system.technologies}
@@ -464,71 +470,101 @@ def validate_system(system: EnergySystem) -> list[str]:
     return out
 
 
-# -- balance participation ------------------------------------------------------
+# -- column declarations ---------------------------------------------------------
+
+def tech_flows(tech: TechnologyInstance) -> tuple[tuple[str, Carrier | None, float], ...]:
+    """The per-step columns of ``tech`` in column order, as ``(role, carrier,
+    sign)``: the column enters the balance of ``carrier`` at the technology's
+    node with coefficient ``sign``. A state of charge or a spill enters no
+    balance; its carrier is None and its sign 0."""
+    if tech.kind in (TechnologyKind.RENEWABLE, TechnologyKind.CONVERSION1):
+        return (("out", Carrier.ELECTRICITY, 1.0),)
+    p = tech.performance
+    if tech.kind == TechnologyKind.CONVERSION2:
+        return (*((f"in[{c.value}]", c, -1.0) for c in CARRIERS if c in p.input_carriers),
+                ("out", p.output_carrier, 1.0))
+    flows = (("charge", p.carrier, -1.0), ("discharge", p.carrier, 1.0), ("soc", None, 0.0))
+    if tech.kind == TechnologyKind.STORAGE2_1:
+        return flows + (("spill", None, 0.0),)
+    if tech.kind == TechnologyKind.STORAGE2_2:
+        return flows + (("compress_el", Carrier.ELECTRICITY, -1.0),)
+    return flows
+
+
+def branch_flows(branch: NetworkBranch) -> tuple[tuple[str, str, Carrier, float], ...]:
+    """The per-step columns of ``branch`` in column order, as ``(role, node,
+    carrier, sign)``: the column enters the balance of ``carrier`` at ``node``
+    with coefficient ``sign``. A hydrogen pipeline draws its compression
+    electricity at the sending node."""
+    a, b, carrier = branch.from_node, branch.to_node, branch.carrier
+    if branch.bidirectional:
+        return (("sent[fwd]", a, carrier, -1.0), ("recv[fwd]", b, carrier, 1.0),
+                ("sent[rev]", b, carrier, -1.0), ("recv[rev]", a, carrier, 1.0))
+    flows = (("sent", a, carrier, -1.0), ("recv", b, carrier, 1.0))
+    if carrier == Carrier.HYDROGEN:
+        return flows + (("cons_el", a, Carrier.ELECTRICITY, -1.0),)
+    return flows
+
+
+def single_columns(entity: TechnologyInstance | NetworkBranch
+                   ) -> tuple[tuple[str, float, bool], ...]:
+    """The single columns of ``entity`` in column order, as ``(role, upper,
+    integer)``: the size delta, or a branch's integer ``blocks`` and ``build``
+    flag, then a bidirectional branch's reverse size; none while fixed."""
+    if not entity.expandable:
+        return ()
+    if isinstance(entity, TechnologyInstance):
+        return (("size", entity.max_size - entity.existing_size, False),)
+    if entity.integer_block_mw is None:
+        columns = [("size", entity.headroom, False)]
+    else:
+        columns = [("blocks", float(entity.max_blocks), True)]
+        if entity.fixed_cost > 0:
+            columns.append(("build", 1.0, True))
+    if entity.bidirectional:
+        columns.append(("size[rev]", entity.headroom, False))
+    return tuple(columns)
+
+
+def output_role(tech: TechnologyInstance) -> str:
+    """The per-step role that delivers a technology's product: its first flow
+    that enters a balance with +1 (storage discharges)."""
+    return next(role for role, _, sign in tech_flows(tech) if sign > 0)
+
+
+def priced_flow(tech: TechnologyInstance, direction: str, carrier: Carrier) -> str | None:
+    """The role that the emission factor ``(direction, carrier)`` of ``tech``
+    prices: its first flow of ``carrier`` that enters the balance with -1
+    (``in``) or +1 (``out``); None if it has none."""
+    sign = {"in": -1.0, "out": 1.0}.get(direction)
+    return next((role for role, c, s in tech_flows(tech) if c == carrier and s == sign), None)
+
 
 def node_carrier_participants(system: EnergySystem
                               ) -> dict[tuple[str, Carrier], list[tuple[str, str, float]]]:
     """Balance terms of every (node, carrier) slot with a demand, technology or branch.
 
     Each term ``(entity, role, sign)`` says that the per-step variable
-    ``entity.role`` enters the slot's balance with coefficient ``sign``; a
-    slot with only a demand has no terms. Keys are sorted by (node, carrier).
-    Only these slots receive a balance row and, when the node allows it, an
-    import variable; everything else would reduce to ``0 == 0``.
+    ``entity.role`` enters the slot's balance with coefficient ``sign``, as
+    :func:`tech_flows` and :func:`branch_flows` declare; a slot with only a
+    demand has no terms. Keys are sorted by (node, carrier). Only these slots
+    receive a balance row and, when the node allows it, an import variable;
+    everything else would reduce to ``0 == 0``.
     """
     terms: dict[tuple[str, Carrier], list[tuple[str, str, float]]] = {}
-
-    def add(node_id: str, carrier: Carrier, entity: str, role: str, sign: float) -> None:
-        terms.setdefault((node_id, carrier), []).append((entity, role, sign))
-
     for d in system.demands:
         terms.setdefault((d.node, d.carrier), [])
     for t in system.technologies:
-        if t.kind in (TechnologyKind.RENEWABLE, TechnologyKind.CONVERSION1):
-            add(t.node, Carrier.ELECTRICITY, t.id, "out", 1.0)
-        elif t.kind == TechnologyKind.CONVERSION2:
-            add(t.node, t.performance.output_carrier, t.id, "out", 1.0)
-            for carrier in CARRIERS:
-                if carrier in t.performance.input_carriers:
-                    add(t.node, carrier, t.id, f"in[{carrier.value}]", -1.0)
-        else:
-            carrier = t.performance.carrier
-            add(t.node, carrier, t.id, "discharge", 1.0)
-            add(t.node, carrier, t.id, "charge", -1.0)
-            if t.kind == TechnologyKind.STORAGE2_2:
-                add(t.node, Carrier.ELECTRICITY, t.id, "compress_el", -1.0)
+        for role, carrier, sign in tech_flows(t):
+            if carrier is not None:
+                terms.setdefault((t.node, carrier), []).append((t.id, role, sign))
     for b in system.branches:
-        if b.bidirectional:
-            add(b.from_node, b.carrier, b.id, "sent[fwd]", -1.0)
-            add(b.from_node, b.carrier, b.id, "recv[rev]", 1.0)
-            add(b.to_node, b.carrier, b.id, "recv[fwd]", 1.0)
-            add(b.to_node, b.carrier, b.id, "sent[rev]", -1.0)
-        else:
-            add(b.from_node, b.carrier, b.id, "sent", -1.0)
-            add(b.to_node, b.carrier, b.id, "recv", 1.0)
-            if b.carrier == Carrier.HYDROGEN:
-                add(b.from_node, Carrier.ELECTRICITY, b.id, "cons_el", -1.0)
+        for role, node, carrier, sign in branch_flows(b):
+            terms.setdefault((node, carrier), []).append((b.id, role, sign))
     return {key: terms[key] for key in sorted(terms, key=lambda k: (k[0], k[1].value))}
 
 
 # -- variable index --------------------------------------------------------------
-
-TECH_STEP_ROLES = {
-    TechnologyKind.RENEWABLE: ("out",),
-    TechnologyKind.CONVERSION1: ("out",),
-    TechnologyKind.STORAGE1: ("charge", "discharge", "soc"),
-    TechnologyKind.STORAGE2_1: ("charge", "discharge", "soc", "spill"),
-    TechnologyKind.STORAGE2_2: ("charge", "discharge", "soc", "compress_el"),
-}
-
-
-def tech_step_roles(tech: TechnologyInstance) -> tuple[str, ...]:
-    if tech.kind == TechnologyKind.CONVERSION2:
-        inputs = tuple(f"in[{c.value}]" for c in CARRIERS
-                       if c in tech.performance.input_carriers)
-        return inputs + ("out",)
-    return TECH_STEP_ROLES[tech.kind]
-
 
 class StructureError(ValueError):
     """Unknown entity references or inconsistent index requests."""
@@ -546,9 +582,10 @@ class VariableIndex:
     """Deterministic, gap-free map (entity, role) -> columns.
 
     Layout: per node (sorted by id) the import variables for participating
-    carriers; per technology (sorted by id) the per-step roles then the size
-    delta; per branch (sorted by id) the per-step flow roles then the size
-    variables (a `blocks`/`build` pair when integer blocks are active).
+    carriers; per technology (sorted by id) its :func:`tech_flows` then its
+    :func:`single_columns` (the size delta); per branch (sorted by id) its
+    :func:`branch_flows` then its :func:`single_columns` (the size variables,
+    a `blocks`/`build` pair when integer blocks are active).
 
     A per-step role takes ``steps`` contiguous columns, step 0 first, and
     :meth:`columns` returns them as ``first + arange(steps)``; any other role
@@ -628,28 +665,11 @@ def assemble_variable_index(system: EnergySystem) -> VariableIndex:
             if node.import_limit.get(carrier, 0.0) > 0.0:
                 roles.append((node.id, f"imp[{carrier.value}]", True))
 
-    for tech in sorted(system.technologies, key=lambda t: t.id):
-        roles += ((tech.id, role, True) for role in tech_step_roles(tech))
-        if tech.expandable:
-            roles.append((tech.id, "size", False))
-
-    for branch in sorted(system.branches, key=lambda b: b.id):
-        if branch.bidirectional:
-            flows = ["sent[fwd]", "recv[fwd]", "sent[rev]", "recv[rev]"]
-        else:
-            flows = ["sent", "recv"]
-            if branch.carrier == Carrier.HYDROGEN:
-                flows.append("cons_el")
-        roles += ((branch.id, role, True) for role in flows)
-        if branch.expandable:
-            if branch.integer_block_mw is not None:
-                roles.append((branch.id, "blocks", False))
-                if branch.fixed_cost > 0:
-                    roles.append((branch.id, "build", False))
-            else:
-                roles.append((branch.id, "size", False))
-            if branch.bidirectional:
-                roles.append((branch.id, "size[rev]", False))
+    entities = [(t, tech_flows(t)) for t in sorted(system.technologies, key=lambda t: t.id)]
+    entities += [(b, branch_flows(b)) for b in sorted(system.branches, key=lambda b: b.id)]
+    for entity, flows in entities:
+        roles += ((entity.id, flow[0], True) for flow in flows)
+        roles += ((entity.id, role, False) for role, _, _ in single_columns(entity))
     return VariableIndex(system.horizon.step_count, roles)
 
 

@@ -31,7 +31,9 @@ column without a default is required wherever its section applies; the
 entity-level ones must also appear in the header. A node's empty import
 cell takes the manifest's ``import_defaults`` entry for it first.
 
-Unknown and repeated columns are rejected so typos fail loudly. Floats are
+Unknown and repeated columns are rejected so typos fail loudly. Series files
+go through the same reader: a repeated column, or a row with more or fewer
+cells than the header, is rejected, and blank lines are skipped. Floats are
 written with ``repr`` and round-trip exactly; parsing a directory written by
 :func:`write_system_files` reproduces the system field by field.
 """
@@ -320,14 +322,17 @@ def system_digest(system: EnergySystem) -> str:
 # -- parsing -------------------------------------------------------------------
 
 
-def _read_csv(path: Path, allowed: list[str], required: list[str]) -> list[dict]:
-    """The non-blank rows of ``path`` as dicts by column, numbered from 2 in
-    the messages; a row must have exactly as many cells as the header."""
+def _read_csv(path: Path, allowed: list[str] | None, required: list[str]
+              ) -> tuple[list[str], list[list[str]]]:
+    """The header and the non-blank rows of ``path``, rows numbered from 2 in
+    the messages. The header names each column once, from ``allowed`` (any
+    name if None), and every ``required`` one; a row has exactly as many
+    cells as the header."""
     with path.open(newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         header = next(reader, [])
         rows = [cells for cells in reader if cells]
-    unknown = [c for c in header if c not in allowed]
+    unknown = [c for c in header if allowed is not None and c not in allowed]
     if unknown:
         raise SchemaError(f"{path.name}: unknown column {unknown[0]!r}")
     repeated = [c for c in header if header.count(c) > 1]
@@ -340,7 +345,7 @@ def _read_csv(path: Path, allowed: list[str], required: list[str]) -> list[dict]
         if len(cells) != len(header):
             raise SchemaError(f"{path.name} row {i}: expected {len(header)} cells,"
                               f" found {len(cells)}")
-    return [dict(zip(header, cells)) for cells in rows]
+    return header, rows
 
 
 def _applies(section: str, kind: TechnologyKind | None, filled: bool) -> bool:
@@ -360,9 +365,10 @@ def _parse_entities(path: Path, entity: type, columns: tuple[_Column, ...],
         sections.setdefault(column.section, []).append(column)
     holders = {_SECTIONS[s][0] for s in sections if s}
     required = [c.name for c in columns if not c.section and c.default is None]
+    header, rows = _read_csv(path, [c.name for c in columns], required)
     entities = []
-    for i, row in enumerate(_read_csv(path, [c.name for c in columns], required),
-                            start=2):
+    for i, cells in enumerate(rows, start=2):
+        row = dict(zip(header, cells))
         where = f"{path.name} row {i}"
         fields: dict[str, dict] = {}
         for section, members in sections.items():
@@ -400,25 +406,23 @@ def _parse_entities(path: Path, entity: type, columns: tuple[_Column, ...],
 
 
 def _parse_series_file(path: Path, steps: int) -> dict[str, tuple[float, ...]]:
-    with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if not header or header[0] != "step":
-            raise SchemaError(f"{path.name}: first column must be 'step'")
-        names = header[1:]
-        columns: dict[str, list[float]] = {name: [] for name in names}
-        for i, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise SchemaError(f"{path.name} row {i}: expected {len(header)} cells")
-            try:
-                step = int(row[0])
-            except ValueError:
-                raise SchemaError(f"{path.name} row {i}: step {row[0]!r} is not an integer"
-                                  ) from None
-            if step != i - 2:
-                raise SchemaError(f"{path.name} row {i}: steps must run 0..{steps - 1}")
-            for name, cell in zip(names, row[1:]):
-                columns[name].append(_parse_float(cell, f"{path.name} row {i} {name}"))
+    """Each named column of a wide per-step file as a series; the first column
+    numbers the steps 0, 1, ..."""
+    header, rows = _read_csv(path, None, [])
+    if header[:1] != ["step"]:
+        raise SchemaError(f"{path.name}: first column must be 'step'")
+    names = header[1:]
+    columns: dict[str, list[float]] = {name: [] for name in names}
+    for i, row in enumerate(rows, start=2):
+        try:
+            step = int(row[0])
+        except ValueError:
+            raise SchemaError(f"{path.name} row {i}: step {row[0]!r} is not an integer"
+                              ) from None
+        if step != i - 2:
+            raise SchemaError(f"{path.name} row {i}: steps must run 0..{steps - 1}")
+        for name, cell in zip(names, row[1:]):
+            columns[name].append(_parse_float(cell, f"{path.name} row {i} {name}"))
     if any(len(v) != steps for v in columns.values()):
         raise SchemaError(f"{path.name}: expected {steps} steps")
     return {name: tuple(values) for name, values in columns.items()}

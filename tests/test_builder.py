@@ -1,6 +1,8 @@
 """``SparseProblem.from_block`` assembly of hand-written rows, and problems
 derived by ``BuiltProblem.for_mode`` against full builds."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from carrieropt.costing import EMISSION_CAP_LABEL, ObjectiveMode
 from carrieropt.lp import EQ, GE, LE, ProblemError, RowBlock, SparseProblem
 from carrieropt.scenarios import STANDARD_SCENARIO_IDS, apply_scenario, standard_scenario
 from carrieropt.system import build_miniature_system
+from carrieropt.system_io import parse_system_files
 
 MODES = (ObjectiveMode.min_cost(), ObjectiveMode.min_emissions(),
          ObjectiveMode.min_cost_with_cap(30_000.0),
@@ -69,6 +72,39 @@ def test_for_mode_matches_a_full_build(scenario_id, dc_blocks_mw):
             assert derived.problem.a is base.problem.a
     # deriving writes into nothing the base holds
     assert_same_problem(base.problem, build_problem(gated, ObjectiveMode.min_cost()).problem)
+
+
+def empty_columns(built) -> list[str]:
+    """Names of the columns of ``built`` without a nonzero entry in A."""
+    p = built.problem
+    counts = np.diff(p.a.tocsc().indptr)
+    return [p.col_names[j] for j in np.flatnonzero(counts == 0)]
+
+
+@pytest.mark.parametrize("scenario_id", STANDARD_SCENARIO_IDS)
+def test_no_column_is_empty(scenario_id):
+    """Every declared column is written by some emitter: a flow or size that
+    no row reads would be free to take any value its bounds allow."""
+    for year in (2030, 2040):
+        for seed in (0, 1):
+            gated = apply_scenario(build_miniature_system(seed, 24),
+                                   standard_scenario(scenario_id, year=year))
+            assert empty_columns(build_problem(gated, ObjectiveMode.min_cost())) == [], \
+                (year, seed)
+
+
+@pytest.mark.parametrize("scenario_id", ["t-all", "synergies"])
+def test_no_column_is_empty_with_integer_blocks(scenario_id):
+    system = build_miniature_system(0, 24, dc_blocks_mw=10.0)
+    gated = apply_scenario(system, standard_scenario(scenario_id))
+    built = build_problem(gated, ObjectiveMode.min_cost())
+    assert built.problem.integer.any()
+    assert empty_columns(built) == []
+
+
+def test_no_column_of_the_fixture_is_empty():
+    system = parse_system_files(Path(__file__).resolve().parents[1] / "fixtures" / "miniature")
+    assert empty_columns(build_problem(system, ObjectiveMode.min_cost())) == []
 
 
 def test_modes_are_derived_from_an_uncapped_problem():

@@ -52,6 +52,21 @@ class TestValidate:
         # gas1 would be a CO2 sink (reference: -57,264 t)
         ("technologies.csv", ",0.18422,", ",-0.18422,",
          "technology gas1: emission factor in/natural_gas must be >= 0"),
+        # a factor on a flow the technology lacks would price nothing (reference:
+        # 27,660,494.40 and 76,185.83 t, as without it); the six emission-factor
+        # cells end each row
+        pytest.param("technologies.csv", "16.9,0.04" + "," * 19,
+                     "16.9,0.04" + "," * 15 + "5" + "," * 4,
+                     "technology nuc1: emission factor in/hydrogen matches no flow",
+                     id="factor-in-hydrogen-nuc1"),
+        pytest.param("technologies.csv", "0.975,0.0,,,,,,\nbatt2,",
+                     "0.975,0.0,,,,,,5\nbatt2,",
+                     "technology batt1: emission factor out/natural_gas matches no flow",
+                     id="factor-out-natural_gas-batt1"),
+        pytest.param("technologies.csv", "1710.0,30.0,0.02,0.0,0.04" + "," * 19,
+                     "1710.0,30.0,0.02,0.0,0.04" + "," * 14 + "5" + "," * 5,
+                     "technology wind1: emission factor in/electricity matches no flow",
+                     id="factor-in-electricity-wind1"),
     ])
     def test_unphysical_cells_exit_3(self, system_dir, tmp_path, capsys, name, old, new,
                                      message):

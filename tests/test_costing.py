@@ -1,5 +1,6 @@
 """Costing and emissions: annuities, polynomial capex, objective coefficients."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -150,6 +151,22 @@ class TestEmissionAccounting:
             x[index.columns("wind1", "out")[t]] = 100.0
             x[index.columns("hydro1", "discharge")[t]] = 5.0
         assert total_emissions(table, x).total == 0.0
+
+    def test_storage2_2_electricity_input_prices_compression(self, mini):
+        """``ef_in_electricity`` on a hydrogen cavern prices the electricity
+        its compressor draws, the only electricity the cavern takes."""
+        from carrieropt.scenarios import ScenarioRunner, standard_scenario
+        factor = 0.5
+        techs = tuple(dataclasses.replace(t, emission_factors={
+            ("in", Carrier.ELECTRICITY): factor} if t.id == "cav1" else {})
+            for t in mini.technologies)
+        system = dataclasses.replace(mini, technologies=techs)
+        # h-all min-emissions charges the cavern
+        outcome = ScenarioRunner(system).run(standard_scenario("h-all"),
+                                             ObjectiveMode.min_emissions())
+        drawn = outcome.result.x[outcome.built.index.columns("cav1", "compress_el")].sum()
+        assert drawn > 0
+        assert outcome.emissions.technologies == pytest.approx(factor * drawn, rel=1e-9)
 
     def test_min_emissions_objective_is_emission_vector(self, mini):
         built = build_problem(mini, ObjectiveMode.min_emissions())

@@ -269,6 +269,21 @@ class TestColumnContract:
                                               " appears more than once"):
             parse_system_files(tmp_path)
 
+    @pytest.mark.parametrize("name", ["demand_electricity.csv", "profiles.csv",
+                                      "inflows.csv"])
+    def test_repeated_series_column_rejected(self, mini, tmp_path, name):
+        # before series files were read like entity files, the repeated
+        # column's cells went into one series twice as long as the horizon
+        write_system_files(mini, tmp_path)
+        path = tmp_path / name
+        header, *rows = path.read_text().splitlines()
+        first = header.split(",")[1]
+        path.write_text("".join(f"{line}\n" for line in
+                                [f"{header},{first}"] + [f"{r},0.0" for r in rows]))
+        with pytest.raises(SchemaError, match=f"{name}: column '{first}' appears more"
+                                              " than once"):
+            parse_system_files(tmp_path)
+
     @pytest.mark.parametrize("row, column, message", [
         (0, "efficiency", "technologies.csv row 2 efficiency: a storage1 technology"
                           " takes no conversion cells"),
@@ -340,10 +355,17 @@ class TestDomains:
          "technology gas1: emission factor in/natural_gas must be >= 0"),
         ("nodes.csv", "import_emission_factor_electricity", 0, "-0.8",
          "node n1: import emission factor for electricity must be >= 0"),
+        ("technologies.csv", "ef_in_hydrogen", 8, "5",
+         "technology nuc1: emission factor in/hydrogen matches no flow"),
+        ("technologies.csv", "ef_out_natural_gas", 0, "5",
+         "technology batt1: emission factor out/natural_gas matches no flow"),
+        ("technologies.csv", "ef_in_electricity", 9, "5",
+         "technology wind1: emission factor in/electricity matches no flow"),
     ])
     def test_unphysical_cell_rejected(self, mini, tmp_path, file, column, row, value, message):
-        # a compressor cannot beat the isentropic work, and no technology or
-        # import of the model takes CO2 out of the air
+        # a compressor cannot beat the isentropic work, no technology or
+        # import of the model takes CO2 out of the air, and a factor on a
+        # flow the technology lacks would price nothing
         write_system_files(mini, tmp_path)
         _set_cell(tmp_path / file, column, value, row=row)
         with pytest.raises(SchemaError, match=message):

@@ -16,7 +16,7 @@ from carrieropt.system import (
     assemble_variable_index,
     build_miniature_system,
     node_carrier_participants,
-    tech_step_roles,
+    tech_flows,
     validate_system,
 )
 
@@ -190,9 +190,11 @@ class TestVariableIndex:
 
     def test_roles_per_kind(self, mini):
         gas = mini.technology("gas1")
-        assert tech_step_roles(gas) == ("in[hydrogen]", "in[natural_gas]", "out")
+        assert [role for role, _, _ in tech_flows(gas)] == [
+            "in[hydrogen]", "in[natural_gas]", "out"]
         cavern = mini.technology("cav1")
-        assert tech_step_roles(cavern) == ("charge", "discharge", "soc", "compress_el")
+        assert [role for role, _, _ in tech_flows(cavern)] == [
+            "charge", "discharge", "soc", "compress_el"]
 
     def test_names_match_roles(self, mini):
         index = assemble_variable_index(mini)
