@@ -69,8 +69,9 @@ class BuiltProblem:
 
 def _default_bounds(system: EnergySystem, index: VariableIndex
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Lower bounds 0, no upper bound and no integrality, but on the single
-    columns, which take theirs from :func:`~carrieropt.system.single_columns`."""
+    """Lower and upper bounds and integrality of every column: 0, infinite and
+    continuous, except where :func:`~carrieropt.system.single_columns` bounds
+    a single column or makes it integer."""
     n = len(index)
     lower = np.zeros(n)
     upper = np.full(n, np.inf)
