@@ -10,10 +10,8 @@ order and converts them to the CSR matrix once, with
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
 from .costing import EMISSION_CAP_LABEL, CostTable, ObjectiveMode, cost_table
 from .lp import LE, RowBlock, SparseProblem
@@ -28,43 +26,26 @@ class BuiltProblem:
     index: VariableIndex
     problem: SparseProblem
     mode: ObjectiveMode
-    cap_row: int | None
     table: CostTable
 
     def for_mode(self, mode: ObjectiveMode) -> "BuiltProblem":
-        """This uncapped problem in ``mode``: the same matrix, bounds, names,
-        index and cost table with the objective ``table.emissions`` (min
-        emissions) or ``table.costs`` (otherwise), and for a capped mode the
-        row ``table.emissions . x <= cap``, named ``EMISSION_CAP_LABEL``,
-        stacked last with the emissions vector's nonzeros as its entries.
+        """This problem in ``mode``: the same matrix, bounds, names, index and
+        cost table with the objective ``table.emissions`` (min emissions) or
+        ``table.costs`` (otherwise), and the last row, ``table.emissions . x
+        <= rhs`` named ``EMISSION_CAP_LABEL``, with the mode's cap as its rhs,
+        or ``+inf`` (a free row, which presolve drops) when it has none.
 
-        The result shares every array it does not replace with this problem,
-        and every capped mode shares one matrix, senses array and row-name
-        list, stacked on the first call. Nothing here writes into them, so
-        problems derived from one build stay independent as long as callers
-        do not write into them either.
+        The result shares every array but the rhs with this problem. Nothing
+        here writes into them, so problems derived from one build stay
+        independent as long as callers do not write into them either.
         The solvers do not: to change bounds they derive a new problem with
         :meth:`carrieropt.lp.SparseProblem.with_bounds`.
         """
-        if self.cap_row is not None:
-            raise ValueError("modes are derived from an uncapped problem")
-        table, base = self.table, self.problem
-        objective = table.emissions if mode.kind == "min_emissions" else table.costs
-        problem = replace(base, objective=objective)
-        if not mode.capped:
-            return replace(self, problem=problem, mode=mode)
-        a, senses, row_names = self._capped
-        problem = replace(problem, a=a, senses=senses,
-                          rhs=np.append(base.rhs, mode.emission_cap), row_names=row_names)
-        return replace(self, problem=problem, mode=mode, cap_row=base.num_rows)
-
-    @cached_property
-    def _capped(self) -> tuple[sp.csr_matrix, np.ndarray, list[str]]:
-        """The matrix, senses and row names of every capped mode: stacked once
-        per uncapped build and shared by each cap, which changes only the rhs."""
-        base = self.problem
-        return (sp.vstack([base.a, sp.csr_matrix(self.table.emissions)], format="csr"),
-                np.append(base.senses, LE), [*base.row_names, EMISSION_CAP_LABEL])
+        objective = self.table.emissions if mode.kind == "min_emissions" else self.table.costs
+        rhs = self.problem.rhs.copy()
+        rhs[-1] = mode.emission_cap if mode.kind == "min_cost_with_cap" else np.inf
+        return replace(self, problem=replace(self.problem, objective=objective, rhs=rhs),
+                       mode=mode)
 
 
 def _default_bounds(system: EnergySystem, index: VariableIndex
@@ -88,11 +69,11 @@ def build_problem(system: EnergySystem, mode: ObjectiveMode) -> BuiltProblem:
     """Emit every constraint row, bound and objective for ``system`` in ``mode``.
 
     Row order is deterministic: technology rows (by id), branch rows (by id),
-    nodal balances (node, carrier, step), then the optional emission cap.
-    The rows, bounds and cost table do not depend on ``mode``; they are built
-    once, and :meth:`BuiltProblem.for_mode` adds the mode's objective and cap
-    row, so a caller holding an uncapped build derives every other mode from
-    it without building again. Raises
+    nodal balances (node, carrier, step), then the emission cap. The matrix,
+    bounds and cost table do not depend on ``mode``; they are built once, and
+    :meth:`BuiltProblem.for_mode` sets the mode's objective and cap, so a
+    caller holding one build derives every other mode from it without
+    building again. Raises
     :class:`carrieropt.system.StructureError` for an invalid system.
     """
     return _build(system).for_mode(mode)
@@ -115,6 +96,9 @@ def _build(system: EnergySystem) -> BuiltProblem:
     for branch in sorted(system.branches, key=lambda b: b.id):
         emitted(*emit_branch(branch, index, system))
     emitted(*emit_energy_balance(system, index))
+    table = cost_table(system, index)
+    emissions = [(col, table.emissions[col]) for col in np.flatnonzero(table.emissions)]
+    blocks.append(RowBlock.row(EMISSION_CAP_LABEL, emissions, LE, np.inf))
 
     if bounds:
         # an emitter bounds each column at most once; like min(), fmin
@@ -122,7 +106,6 @@ def _build(system: EnergySystem) -> BuiltProblem:
         cols = np.concatenate([col for col, _ in bounds])
         upper[cols] = np.fmin(upper[cols], np.concatenate([cap for _, cap in bounds]))
 
-    table = cost_table(system, index)
     problem = SparseProblem.from_block(
         num_cols=len(index),
         block=RowBlock.concat(blocks),
@@ -133,4 +116,4 @@ def _build(system: EnergySystem) -> BuiltProblem:
         col_names=index.names(),
     )
     return BuiltProblem(system=system, index=index, problem=problem,
-                        mode=ObjectiveMode.min_cost(), cap_row=None, table=table)
+                        mode=ObjectiveMode.min_cost(), table=table)

@@ -244,7 +244,7 @@ def cmd_matrix(args) -> int:
     listed (it is then neither exported nor summarized); then each scenario
     runs its modes in the order given, and ``--jobs`` runs scenarios in
     parallel threads. A run starts from its scenario's latest outcome in
-    any mode, capped or not, or else from that reference outcome, so a
+    any mode, as is, or else from that reference outcome, so a
     scenario's files do not depend on ``--jobs``, on the listing order, or
     on which other scenarios are listed; they may depend on the order of
     ``--modes``. A min-cost file may report another optimal vertex than

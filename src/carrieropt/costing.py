@@ -58,11 +58,6 @@ class ObjectiveMode:
     def min_cost_with_cap(cls, cap: float) -> "ObjectiveMode":
         return cls("min_cost_with_cap", emission_cap=cap)
 
-    @property
-    def capped(self) -> bool:
-        """Whether the built problem carries the emission-cap row (an infinite cap does not)."""
-        return self.kind == "min_cost_with_cap" and not math.isinf(self.emission_cap)
-
     def label(self) -> str:
         if self.kind == "min_cost_with_cap":
             return f"cap={self.emission_cap!r}"
@@ -113,21 +108,6 @@ def _branch_build_coefficient(branch: NetworkBranch) -> float:
     if branch.fixed_cost <= 0:
         return 0.0
     return _annual_cost(branch.fixed_cost, branch)
-
-
-def network_branch_capex(branch: NetworkBranch, size_mw: float) -> float:
-    """Overnight investment (kEUR) for ``size_mw`` of new capacity on ``branch``.
-
-    Zero at zero size; otherwise the full polynomial including fixed terms,
-    clamped at zero against pathological negative-cost regions.
-    """
-    if size_mw < 0:
-        raise ValueError("size must be nonnegative")
-    if size_mw == 0:
-        return 0.0
-    _, g2, _, g4 = branch.cost_poly
-    value = branch.fixed_cost + g2 * size_mw + g4 * branch.length_km * size_mw
-    return max(0.0, value)
 
 
 def _tech_emission_columns(tech: TechnologyInstance, index: VariableIndex):

@@ -28,9 +28,11 @@ def export_mps(problem: SparseProblem, path: str | Path, name: str = "CARRIEROPT
     """Write ``problem`` to ``path`` in fixed MPS format.
 
     Returns the path written. A ``<path>.names.json`` sidecar maps the
-    generated short names back to the problem's own row/column names.
+    generated short names back to the problem's own row/column names. Free
+    rows (:meth:`SparseProblem.free_rows`) constrain nothing and are left out.
     """
     problem.validate()
+    problem = problem.without_free_rows()
     path = Path(path)
     m, n = problem.num_rows, problem.num_cols
     rnames = [f"R{i + 1:07d}" for i in range(m)]

@@ -120,6 +120,11 @@ class SparseProblem:
                 raise ProblemError(f"{name} contains NaN")
         if np.isinf(self.objective).any():
             raise ProblemError("objective contains infinite coefficients")
+        unmet = np.isinf(self.rhs) & ~self.free_rows()
+        if unmet.any():
+            bad = int(np.argmax(unmet))
+            raise ProblemError(f"row {self._row_name(bad)}: no point meets"
+                               f" {self.senses[bad]} {self.rhs[bad]}")
         if (self.lower > self.upper).any():
             bad = int(np.argmax(self.lower > self.upper))
             raise ProblemError(f"empty bound interval on column {self._col_name(bad)}")
@@ -127,6 +132,22 @@ class SparseProblem:
             marked = np.flatnonzero(self.integer)
             if np.isinf(self.lower[marked]).any() or np.isinf(self.upper[marked]).any():
                 raise ProblemError("integer columns require finite bounds")
+
+    def free_rows(self) -> np.ndarray:
+        """Mask of the rows every point meets: ``<=`` with rhs ``+inf`` and
+        ``>=`` with rhs ``-inf``."""
+        free = np.isinf(self.rhs)
+        rhs, senses = self.rhs[free], self.senses[free]
+        free[free] = np.where(rhs > 0, senses == LE, senses == GE)
+        return free
+
+    def without_free_rows(self) -> "SparseProblem":
+        """This problem less its :meth:`free_rows`; the kept rows keep their names."""
+        kept = np.flatnonzero(~self.free_rows())
+        if len(kept) == self.num_rows:
+            return self
+        return replace(self, a=self.a[kept], senses=self.senses[kept], rhs=self.rhs[kept],
+                       row_names=[self._row_name(i) for i in kept.tolist()])
 
     def fingerprint(self) -> tuple:
         """Shape and sums of the matrix: what a basis is checked against before it

@@ -30,9 +30,10 @@ replace the fixed slacks of equality rows wherever that keeps the basis
 triangular, which saves the pivots that would otherwise move those slacks out
 one at a time.
 
-:func:`solve_lp` presolves every problem first (:mod:`.presolve`): fixed
-columns move into the rhs and the rows they leave empty are dropped, so the
-scaling, the crash and the iterations run on what is left. Postsolve then
+:func:`solve_lp` presolves every problem first (:mod:`.presolve`): free
+rows are dropped, fixed columns move into the rhs and the rows they leave
+empty are dropped too, so the scaling, the crash and the iterations run on
+what is left. Postsolve then
 returns the solution, the duals, the reduced costs and the basis in the
 original problem's space.
 
@@ -650,8 +651,8 @@ def solve_lp(problem: SparseProblem, start: Basis | None = None) -> SolveResult:
     the solve starts from the triangular crash basis of :meth:`_Simplex.cold_start`.
 
     The solve always runs on the problem :func:`~.presolve.presolve` leaves:
-    columns with ``lower == upper`` are dropped, except those basic in a
-    fitting ``start``, and so are the rows they leave empty. An emptied row
+    free rows are dropped, and so are columns with ``lower == upper``, except
+    those basic in a fitting ``start``, and the rows they leave empty. An emptied row
     whose rhs breaks its sense makes the result ``infeasible`` after no
     iteration, with ``infeasible_rows`` naming that row. The result is
     postsolved to this problem: dropped columns at their bound, dropped rows

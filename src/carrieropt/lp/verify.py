@@ -35,11 +35,14 @@ def verify_solution(problem: SparseProblem, result: SolveResult) -> Verification
 
     For LP results carrying duals, also checks strong duality and
     complementary slackness from scratch. All violations are relative to the
-    scale of the data they check.
+    scale of the data they check. Free rows (:meth:`SparseProblem.free_rows`)
+    hold at every point and are not checked.
     """
     if result.status != OPTIMAL or result.x is None:
         raise ValueError("verify_solution expects an optimal result")
     x = result.x
+    duals = None if result.duals is None else result.duals[~problem.free_rows()]
+    problem = problem.without_free_rows()
     report = VerificationReport()
 
     ax = problem.a @ x
@@ -62,15 +65,15 @@ def verify_solution(problem: SparseProblem, result: SolveResult) -> Verification
     recomputed = float(problem.objective @ x)
     report.objective_error = abs(recomputed - result.objective) / (1.0 + abs(recomputed))
 
-    if result.duals is not None:
-        y_raw = np.where(le, -result.duals, result.duals)
+    if duals is not None:
+        y_raw = np.where(le, -duals, duals)
         z = problem.objective - problem.a.T @ y_raw
 
         # complementary slackness on inequality rows: dual * slack ~ 0. On an
         # equality row |rhs - Ax| is a primal residual, checked above, not a slack.
         ineq = problem.senses != EQ
         slack = np.abs(problem.rhs - ax)[ineq]
-        comp_rows = float(np.max(np.abs(result.duals[ineq]) * slack
+        comp_rows = float(np.max(np.abs(duals[ineq]) * slack
                                  / (1.0 + np.abs(problem.rhs[ineq])), initial=0.0))
         # reduced-cost sign consistency and column complementarity
         at_lower = np.isfinite(problem.lower) & (np.abs(x - problem.lower) <= 1e-6 * bscale)

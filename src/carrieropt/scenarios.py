@@ -282,25 +282,25 @@ def _solve(built: BuiltProblem, scenario: ScenarioSpec,
 class ScenarioRunner:
     """Runs the scenarios of one system, caching outcomes by (scenario id, mode).
 
-    Each scenario is gated and built once per runner, uncapped, and every
-    run of it derives its problem from that build through :meth:`problem`.
+    Each scenario is gated and built once per runner, and every run of it
+    derives its problem from that build through :meth:`problem`: every mode
+    solves the same matrix, with its own objective and the emission-cap
+    row's rhs set to its cap (``+inf`` when it has none).
 
     A run that is not warm-started from sizes starts from the basis of, in
     this order (:meth:`_start`):
 
-    1. the latest cached outcome of its scenario, in any mode: as is when
-       its problem, like the run's, has or lacks the emission-cap row, else
-       mapped onto the run's problem by column and row name
-       (:func:`carrieropt.lp.map_basis`), which adds a cap row with a basic
-       slack or drops it with its slack or, when the cap binds, with one
-       basic. Min-cost and min-emissions differ only in the objective, so
-       whichever runs second reoptimizes from the first; along a cap sweep
-       each cap reoptimizes from the one before, and the floor from the last
-       feasible cap;
+    1. the latest cached outcome of its scenario, in any mode, as is.
+       Min-cost and min-emissions differ only in the objective, so whichever
+       runs second reoptimizes from the first; along a cap sweep each cap
+       reoptimizes from the one before, and the floor from the last feasible
+       cap (presolve drops the lifted cap row, and with a binding cap one
+       basic, which keeps the point);
     2. the first cached ``reference`` min-cost outcome (of either year),
-       mapped the same way. Every standard scenario only relaxes
-       reference's bounds, so that basis is a primal-feasible start; a cap
-       row reference lacks gets a basic slack;
+       mapped onto the run's problem by column and row name
+       (:func:`carrieropt.lp.map_basis`). Every standard scenario only
+       relaxes reference's bounds, so that basis is a primal-feasible start;
+       the cap row, free in reference's min-cost problem, gets a basic slack;
     3. the crash basis, cold.
 
     The floor reported for an infeasible cap is the scenario's cached
@@ -329,23 +329,18 @@ class ScenarioRunner:
 
     def problem(self, scenario: ScenarioSpec, mode: ObjectiveMode) -> BuiltProblem:
         """The problem every run of ``scenario`` in ``mode`` solves, derived
-        from the scenario's uncapped build; the first call gates and builds it."""
+        from the scenario's build; the first call gates and builds it."""
         if scenario.id not in self._built:
             gated = apply_scenario(self.system, scenario)
             self._built[scenario.id] = build_problem(gated, ObjectiveMode.min_cost())
         return self._built[scenario.id].for_mode(mode)
 
-    def _start(self, scenario: ScenarioSpec, mode: ObjectiveMode,
-               problem: BuiltProblem) -> Basis | None:
+    def _start(self, scenario: ScenarioSpec, problem: BuiltProblem) -> Basis | None:
         """The basis a run of ``problem`` starts from, by the class's rule."""
         outcomes = list(self._cache.values())  # a snapshot: other threads may add to it
         latest = next((o for o in reversed(outcomes) if o.scenario_id == scenario.id), None)
         if latest is not None:
-            if latest.mode.capped == mode.capped:
-                return latest.result.basis
-            mapped = map_basis(latest.result.basis, latest.built.problem, problem.problem)
-            if mapped is not None:
-                return mapped
+            return latest.result.basis
         for outcome in outcomes:
             if outcome.scenario_id in _ROOT_IDS and outcome.mode.kind == "min_cost":
                 return map_basis(outcome.result.basis, outcome.built.problem, problem.problem)
@@ -393,7 +388,7 @@ class ScenarioRunner:
                 and mode.emission_cap < floor.objective * (1.0 - 1e-9)):
             raise InfeasibleCapError(mode.emission_cap, floor.objective)
         built = self.problem(scenario, mode)
-        outcome = _solve(built, scenario, start=self._start(scenario, mode, built))
+        outcome = _solve(built, scenario, start=self._start(scenario, built))
         if outcome is None:
             floor = self._outcome(scenario, ObjectiveMode.min_emissions())
             raise InfeasibleCapError(mode.emission_cap, floor.objective)

@@ -323,15 +323,15 @@ def system_digest(system: EnergySystem) -> str:
 
 
 def _read_csv(path: Path, allowed: list[str] | None, required: list[str]
-              ) -> tuple[list[str], list[list[str]]]:
-    """The header and the non-blank rows of ``path``, rows numbered from 2 in
-    the messages. The header names each column once, from ``allowed`` (any
-    name if None), and every ``required`` one; a row has exactly as many
-    cells as the header."""
+              ) -> tuple[list[str], list[tuple[int, list[str]]]]:
+    """The header and the non-blank rows of ``path``, each row with the line
+    of the file it ends on, which the messages name. The header names each
+    column once, from ``allowed`` (any name if None), and every ``required``
+    one; a row has exactly as many cells as the header."""
     with path.open(newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         header = next(reader, [])
-        rows = [cells for cells in reader if cells]
+        rows = [(reader.line_num, cells) for cells in reader if cells]
     unknown = [c for c in header if allowed is not None and c not in allowed]
     if unknown:
         raise SchemaError(f"{path.name}: unknown column {unknown[0]!r}")
@@ -341,9 +341,9 @@ def _read_csv(path: Path, allowed: list[str] | None, required: list[str]
     missing = [c for c in required if c not in header]
     if missing:
         raise SchemaError(f"{path.name}: missing column {missing[0]!r}")
-    for i, cells in enumerate(rows, start=2):
+    for line, cells in rows:
         if len(cells) != len(header):
-            raise SchemaError(f"{path.name} row {i}: expected {len(header)} cells,"
+            raise SchemaError(f"{path.name} row {line}: expected {len(header)} cells,"
                               f" found {len(cells)}")
     return header, rows
 
@@ -367,9 +367,9 @@ def _parse_entities(path: Path, entity: type, columns: tuple[_Column, ...],
     required = [c.name for c in columns if not c.section and c.default is None]
     header, rows = _read_csv(path, [c.name for c in columns], required)
     entities = []
-    for i, cells in enumerate(rows, start=2):
+    for line, cells in rows:
         row = dict(zip(header, cells))
-        where = f"{path.name} row {i}"
+        where = f"{path.name} row {line}"
         fields: dict[str, dict] = {}
         for section, members in sections.items():
             cells = [(c, row.get(c.name, "").strip()) for c in members]
@@ -413,16 +413,16 @@ def _parse_series_file(path: Path, steps: int) -> dict[str, tuple[float, ...]]:
         raise SchemaError(f"{path.name}: first column must be 'step'")
     names = header[1:]
     columns: dict[str, list[float]] = {name: [] for name in names}
-    for i, row in enumerate(rows, start=2):
+    for expected, (line, row) in enumerate(rows):
         try:
             step = int(row[0])
         except ValueError:
-            raise SchemaError(f"{path.name} row {i}: step {row[0]!r} is not an integer"
+            raise SchemaError(f"{path.name} row {line}: step {row[0]!r} is not an integer"
                               ) from None
-        if step != i - 2:
-            raise SchemaError(f"{path.name} row {i}: steps must run 0..{steps - 1}")
+        if step != expected:
+            raise SchemaError(f"{path.name} row {line}: steps must run 0..{steps - 1}")
         for name, cell in zip(names, row[1:]):
-            columns[name].append(_parse_float(cell, f"{path.name} row {i} {name}"))
+            columns[name].append(_parse_float(cell, f"{path.name} row {line} {name}"))
     if any(len(v) != steps for v in columns.values()):
         raise SchemaError(f"{path.name}: expected {steps} steps")
     return {name: tuple(values) for name, values in columns.items()}

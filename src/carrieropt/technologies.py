@@ -256,16 +256,3 @@ def emit_technology(tech: TechnologyInstance, index: VariableIndex,
                     system: EnergySystem) -> Emitted:
     return _EMITTERS[tech.kind](tech, index, system)
 
-
-def simulate_state_of_charge(params, initial: float, charges, discharges,
-                             inflows=None, hours_per_step: float = 1.0) -> list[float]:
-    """Reference recursion for the storage balance, used by tests as an oracle."""
-    soc = [initial]
-    decay = (1.0 - params.self_discharge) ** hours_per_step
-    for t, (cin, cout) in enumerate(zip(charges, discharges)):
-        extra = inflows[t] if inflows is not None else 0.0
-        soc.append(decay * soc[-1]
-                   + params.charge_efficiency * cin
-                   - cout / params.discharge_efficiency
-                   + extra)
-    return soc[1:]

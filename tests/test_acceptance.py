@@ -47,8 +47,8 @@ from carrieropt.system import (
     TimeHorizon,
     build_miniature_system,
 )
-from carrieropt.technologies import simulate_state_of_charge
 
+from .oracles import simulate_state_of_charge
 from .test_milp import enumerate_integer_optima
 from .test_simplex import enumerate_vertices, make_problem
 

@@ -31,7 +31,7 @@ def build_digest(built) -> str:
         h.update(f"{tag}:".encode())
         h.update("\n".join(items).encode())
 
-    h.update(f"shape:{p.a.shape}:cap_row:{built.cap_row}".encode())
+    h.update(f"shape:{p.a.shape}".encode())
     for name in ("indptr", "indices", "data"):
         add(name, getattr(p.a, name))
     for name in ("rhs", "lower", "upper", "objective", "integer"):
@@ -70,71 +70,71 @@ CASES = {
 }
 
 DIGESTS = {
-    "reference-2030-seed0": "101606da51a77ecb65395f8a",
-    "reference-2030-seed1": "6689159163e1a054d57d0a80",
-    "reference-2040-seed0": "a55dfe81e598674054647b87",
-    "reference-2040-seed1": "e495d92ae33cd626b4fdca27",
-    "t-all-2030-seed0": "757cd7f14135f4cf8312a6b7",
-    "t-all-2030-seed1": "9c09af59ca5191acfaab3dc9",
-    "t-all-2040-seed0": "4ea8847a2f15c9539f4c6bc5",
-    "t-all-2040-seed1": "301475aef765749abb2bb109",
-    "t-1-2030-seed0": "4783d06723bded73703d5983",
-    "t-1-2030-seed1": "ff7ada73bc147790432b65de",
-    "t-1-2040-seed0": "f4f11f45e9a5acca56b68376",
-    "t-1-2040-seed1": "58516a0d562ec4c8ee0e622a",
-    "t-2-2030-seed0": "e0b3e6fb7e4a86e06efa2efc",
-    "t-2-2030-seed1": "720e38c992030c58cda78dcc",
-    "t-2-2040-seed0": "143e24be15b7f853db96a13f",
-    "t-2-2040-seed1": "80621f14ee1796f7ba75dec0",
-    "t-3-2030-seed0": "bd7d542cffc2abaa8eb2a313",
-    "t-3-2030-seed1": "e51050b12543db7b103caf95",
-    "t-3-2040-seed0": "0da7288dfe5ea0787d46e9f4",
-    "t-3-2040-seed1": "6d19cca068156edeed5c282b",
-    "s-all-2030-seed0": "ee3fba6b7d1a48a7891cfcbe",
-    "s-all-2030-seed1": "3315d0baf4832016736b5b69",
-    "s-all-2040-seed0": "a0371a212cfcb752f233518a",
-    "s-all-2040-seed1": "da0b5332f47f75678c1cf587",
-    "s-1-2030-seed0": "a898469ef354f07b13c192d9",
-    "s-1-2030-seed1": "b6ef530d9bfb6a51c1e4c3d6",
-    "s-1-2040-seed0": "727bb3965d4d785277f75131",
-    "s-1-2040-seed1": "eef71c2b8014ab1a181213ae",
-    "s-2-2030-seed0": "bf2d36b18c80e8bb22e52621",
-    "s-2-2030-seed1": "885e42569aeef6aff02380cd",
-    "s-2-2040-seed0": "c119eafd9e36192fc2d152e2",
-    "s-2-2040-seed1": "cfa45b9087eb0976b059daad",
-    "s-all-hpe-2030-seed0": "841f350bae3754060a10725b",
-    "s-all-hpe-2030-seed1": "8a1d107b75e362fd6eae1900",
-    "s-all-hpe-2040-seed0": "c8ad5dc3cd1b3942f181f581",
-    "s-all-hpe-2040-seed1": "4063b949ec2ad5aeca670397",
-    "h-all-2030-seed0": "a49ad82f212a7fa9b25319aa",
-    "h-all-2030-seed1": "1e65a3a38bc065b532603fe3",
-    "h-all-2040-seed0": "0437e624c3dafa7ba2048a97",
-    "h-all-2040-seed1": "a8df0e3cc2ad2b1a6abce9e6",
-    "h-1-2030-seed0": "cf55171404fd20829dc81a86",
-    "h-1-2030-seed1": "b2d9d3131aacb041cafdfdcb",
-    "h-1-2040-seed0": "612f1582c3aa79c30132da71",
-    "h-1-2040-seed1": "9096f9bf51087387db904f5f",
-    "h-2-2030-seed0": "ad43b0c40668fe0130530b36",
-    "h-2-2030-seed1": "2ef87edf6498ca985f1250eb",
-    "h-2-2040-seed0": "1f7310bcadcbf78cc2c6e530",
-    "h-2-2040-seed1": "711da5e2ad1903fb73eda324",
-    "h-3-2030-seed0": "704c8db7ad9bbd6d99837a4b",
-    "h-3-2030-seed1": "535431fd6b5b614f943b40be",
-    "h-3-2040-seed0": "ecfba7e047ca1b1393fed2ae",
-    "h-3-2040-seed1": "c2efd1a238008bd61856e9cc",
-    "h-4-2030-seed0": "aa11ea51efc770f0bc5bed98",
-    "h-4-2030-seed1": "7f9fdedff77cfd99cd46b4ba",
-    "h-4-2040-seed0": "8f6887329e94a3a7395358d4",
-    "h-4-2040-seed1": "a1cd1e991c54eec9aa518980",
-    "synergies-2030-seed0": "82b7caea98ff02ceeaf375b7",
-    "synergies-2030-seed1": "6b6ca2b5a1bb593aa877c998",
-    "synergies-2040-seed0": "7a4fede911e4eed281f22b92",
-    "synergies-2040-seed1": "37d465a58d6c96dd92d9de3f",
-    "synergies-168": "81a75d4c4371fa63d7ae0da4",
-    "t-all-dc-blocks": "4722d53d87bc18ec0de552a7",
-    "synergies-dc-blocks": "cbaddb1ee9b8446182d7694d",
-    "fixture-miniature": "20733067e78a4ad2b094af4d",
-    "synergies-capped": "eeff3339ba9412e73bb60ad1",
+    "reference-2030-seed0": "aad3ba3f08c3f550218eac6a",
+    "reference-2030-seed1": "f3b0c0dc768db780c830bdeb",
+    "reference-2040-seed0": "56ee3938ce7361ecaa403742",
+    "reference-2040-seed1": "6d2c68dcb9138ad3375b2016",
+    "t-all-2030-seed0": "d300cb915922c5af1cee8404",
+    "t-all-2030-seed1": "486da1c1a318b72fbaef464b",
+    "t-all-2040-seed0": "955e79e669d45c18def7cf11",
+    "t-all-2040-seed1": "603c2770e45979074720f71a",
+    "t-1-2030-seed0": "2ecc163fa010bb68bf76df33",
+    "t-1-2030-seed1": "a703de4589684bbc66034907",
+    "t-1-2040-seed0": "41e411beca30325f3702107a",
+    "t-1-2040-seed1": "1f7fed6c9e5fd409fe08b6e2",
+    "t-2-2030-seed0": "047d257a62b21142eaf8093c",
+    "t-2-2030-seed1": "a92481cb61f7db04af3927ff",
+    "t-2-2040-seed0": "855493ac9c7c380ae1cd061e",
+    "t-2-2040-seed1": "90b958b605bfb1973ddb90ac",
+    "t-3-2030-seed0": "22d182bcfe79940acdc7a22f",
+    "t-3-2030-seed1": "05756509582f29fb519b238f",
+    "t-3-2040-seed0": "6266f5896c40802206f1a46e",
+    "t-3-2040-seed1": "2c4f204249adfeb72166ba4c",
+    "s-all-2030-seed0": "6c4c758b054425942bdbdf7c",
+    "s-all-2030-seed1": "8aa294bd85ee55b82830569f",
+    "s-all-2040-seed0": "537081a4eb8a3994831a6b4b",
+    "s-all-2040-seed1": "d2645ad2a0fd9050638c0ed3",
+    "s-1-2030-seed0": "1bbc71fae5ce8f42060254a6",
+    "s-1-2030-seed1": "3820ace3524efff9dce35ddb",
+    "s-1-2040-seed0": "aac93340b4051014a071e341",
+    "s-1-2040-seed1": "8d3fa2b09507d8820496249c",
+    "s-2-2030-seed0": "0328f2a26ff0c72aace5ba63",
+    "s-2-2030-seed1": "2c13eee74c491f40f0e3bac0",
+    "s-2-2040-seed0": "f0721c29556277fac0900c7c",
+    "s-2-2040-seed1": "61e81b9bf3bad2e3decf6d19",
+    "s-all-hpe-2030-seed0": "295f7c31d14b615e18e646c8",
+    "s-all-hpe-2030-seed1": "13b3702895d169f2be6afba2",
+    "s-all-hpe-2040-seed0": "4b545cc6fe47a88319844f60",
+    "s-all-hpe-2040-seed1": "b0e0b488e1085849649008fc",
+    "h-all-2030-seed0": "a0c0a76e21a36706bf2a4d1f",
+    "h-all-2030-seed1": "51d1da429a57a57a244d0642",
+    "h-all-2040-seed0": "3a9cd00c1a7266a460c23825",
+    "h-all-2040-seed1": "81499770c66c6c54fd8ddd1d",
+    "h-1-2030-seed0": "27a4f302a413d02c7c5e91b8",
+    "h-1-2030-seed1": "3cb6d7f79109beb6f75728db",
+    "h-1-2040-seed0": "9973c89ae9e50019639c05bb",
+    "h-1-2040-seed1": "bdb2c6bbe0da73951594bf6b",
+    "h-2-2030-seed0": "58353daefd5b8380367c6d36",
+    "h-2-2030-seed1": "230360f853b0aae6aa96ec9e",
+    "h-2-2040-seed0": "30cf0e62894688e8895ec41f",
+    "h-2-2040-seed1": "4f07d49468dce4bb5d5ae799",
+    "h-3-2030-seed0": "07a494d0f8a1e8d51a62a2f7",
+    "h-3-2030-seed1": "6060624c2846eefdb4f0404a",
+    "h-3-2040-seed0": "7d212e4f962994b16f298bcc",
+    "h-3-2040-seed1": "7032035efffc7083f118a428",
+    "h-4-2030-seed0": "95af5da87f5519781cc1afdb",
+    "h-4-2030-seed1": "ec457bd5ef95d364ae0779aa",
+    "h-4-2040-seed0": "7148e08beea83e0c6e7c1ee3",
+    "h-4-2040-seed1": "50c473bbb7731bc8ccf94fe5",
+    "synergies-2030-seed0": "e02d145e0377d345f8f7146b",
+    "synergies-2030-seed1": "37f127635a31fd1a58fe101a",
+    "synergies-2040-seed0": "e25ad81a5bae90cf432b23a2",
+    "synergies-2040-seed1": "bd055a07781f36ef3aca1033",
+    "synergies-168": "51b7df5c607044ab092ecd61",
+    "t-all-dc-blocks": "5934564773d7e53a7f281038",
+    "synergies-dc-blocks": "610fae0deb12e4bae3f1bdef",
+    "fixture-miniature": "b4674fb5fb42c1cb2435b9d3",
+    "synergies-capped": "dd26c09fd550275bd2f598d4",
 }
 
 

@@ -35,15 +35,17 @@ def assert_same_problem(p, q):
 
 def reassembled(base, mode):
     """``mode``'s problem assembled in one ``SparseProblem.from_block`` call:
-    the COO entries of every row of the uncapped ``base``, then the cap row."""
+    the COO entries of every row of ``base`` but its last, then the cap row
+    with ``mode``'s cap, or ``+inf`` when it has none."""
     p = base.problem
-    a = p.a.tocoo()
-    blocks = [RowBlock(a.row, a.col, a.data, p.senses.tolist(), p.rhs, p.row_names)]
+    a = p.a[:-1].tocoo()
+    blocks = [RowBlock(a.row, a.col, a.data, p.senses[:-1].tolist(), p.rhs[:-1],
+                       p.row_names[:-1])]
     emissions = base.table.emissions
-    if mode.capped:
-        blocks.append(RowBlock.row(
-            EMISSION_CAP_LABEL, [(col, float(emissions[col])) for col in np.flatnonzero(emissions)],
-            LE, mode.emission_cap))
+    cap = mode.emission_cap if mode.kind == "min_cost_with_cap" else np.inf
+    blocks.append(RowBlock.row(
+        EMISSION_CAP_LABEL, [(col, float(emissions[col])) for col in np.flatnonzero(emissions)],
+        LE, cap))
     objective = emissions if mode.kind == "min_emissions" else base.table.costs
     return SparseProblem.from_block(p.num_cols, RowBlock.concat(blocks), p.lower, p.upper,
                                     objective, p.integer, p.col_names)
@@ -59,17 +61,15 @@ def test_for_mode_matches_a_full_build(scenario_id, dc_blocks_mw):
         built = build_problem(gated, mode)
         derived = base.for_mode(mode)
         assert derived.mode == built.mode == mode
-        assert derived.cap_row == built.cap_row
         assert derived.index is base.index and derived.table is base.table
         assert_same_problem(derived.problem, built.problem)
         assert_same_problem(derived.problem, reassembled(base, mode))
-        if mode.capped:
-            assert built.cap_row == base.problem.num_rows
-            assert built.problem.row_names[built.cap_row] == EMISSION_CAP_LABEL
-            assert built.problem.rhs[built.cap_row] == mode.emission_cap
-        else:
-            assert built.cap_row is None
-            assert derived.problem.a is base.problem.a
+        assert derived.problem.a is base.problem.a  # every mode solves one matrix
+        assert built.problem.row_names[-1] == EMISSION_CAP_LABEL
+        cap = mode.emission_cap if mode.kind == "min_cost_with_cap" else np.inf
+        assert built.problem.rhs[-1] == cap
+        assert np.flatnonzero(built.problem.free_rows()).tolist() == (
+            [] if cap < np.inf else [built.problem.num_rows - 1])
     # deriving writes into nothing the base holds
     assert_same_problem(base.problem, build_problem(gated, ObjectiveMode.min_cost()).problem)
 
@@ -107,11 +107,11 @@ def test_no_column_of_the_fixture_is_empty():
     assert empty_columns(build_problem(system, ObjectiveMode.min_cost())) == []
 
 
-def test_modes_are_derived_from_an_uncapped_problem():
+def test_a_mode_derives_from_any_other_mode():
     system = build_miniature_system(0, 24)
     capped = build_problem(system, ObjectiveMode.min_cost_with_cap(30_000.0))
-    with pytest.raises(ValueError, match="uncapped"):
-        capped.for_mode(ObjectiveMode.min_cost_with_cap(20_000.0))
+    for mode in MODES:
+        assert_same_problem(capped.for_mode(mode).problem, build_problem(system, mode).problem)
 
 
 def block_of(*rows):

@@ -2,14 +2,20 @@
 
 import json
 import math
+from pathlib import Path
 
 import pytest
 
+import carrieropt.scenarios as scenarios
 from carrieropt.cli import run_cli
 from carrieropt.costing import ObjectiveMode
+from carrieropt.lp import verify_solution
 from carrieropt.scenarios import ScenarioRunner, abatement_sweep, standard_scenario
 from carrieropt.system import build_miniature_system
 from carrieropt.system_io import write_system_files
+
+
+FIXTURE = Path(__file__).resolve().parents[1] / "fixtures" / "miniature"
 
 
 @pytest.fixture(scope="module")
@@ -349,6 +355,27 @@ class TestSweep:
 
 
 class TestMatrix:
+    def test_every_outcome_verifies_beside_its_free_cap_row(self, tmp_path, capsys,
+                                                           monkeypatch):
+        # every mode solves one matrix; the cap row is free (rhs +inf) unless capped
+        outcomes, solve = [], scenarios._solve
+
+        def recording_solve(*args, **kwargs):
+            outcomes.append(solve(*args, **kwargs))
+            return outcomes[-1]
+
+        monkeypatch.setattr(scenarios, "_solve", recording_solve)
+        for year in ("2030", "2040"):
+            assert run_cli(["--quiet", "matrix", str(FIXTURE), "--scenarios", "all",
+                            "--year", year, "--out", str(tmp_path / year)]) == 0
+        assert run_cli(["--quiet", "matrix", str(FIXTURE), "--scenarios", "synergies",
+                        "--modes", "cap=30000,cap=inf", "--out", str(tmp_path / "caps")]) == 0
+        assert len(outcomes) == 2 * 30 + 3  # the last matrix solves its root first
+        for outcome in outcomes:
+            problem = outcome.built.problem
+            assert problem.free_rows()[-1] == (outcome.mode.emission_cap != 30000.0)
+            assert verify_solution(problem, outcome.result).ok(), outcome.scenario_id
+
     def test_family_matrix_dominance(self, system_dir, tmp_path, capsys):
         out = tmp_path / "matrix"
         code = run_cli(["--quiet", "matrix", str(system_dir),

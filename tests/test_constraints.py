@@ -26,8 +26,9 @@ from carrieropt.technologies import (
     emit_renewable,
     emit_storage1,
     emit_technology,
-    simulate_state_of_charge,
 )
+
+from .oracles import simulate_state_of_charge
 
 
 @pytest.fixture(scope="module")

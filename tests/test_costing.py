@@ -9,11 +9,11 @@ from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
 from carrieropt.costing import (
+    EMISSION_CAP_LABEL,
     ObjectiveMode,
     annualize,
     cost_breakdown,
     cost_table,
-    network_branch_capex,
     total_emissions,
 )
 from carrieropt.builder import build_problem
@@ -23,6 +23,8 @@ from carrieropt.system import (
     assemble_variable_index,
     build_miniature_system,
 )
+
+from .oracles import network_branch_capex
 
 
 @pytest.fixture(scope="module")
@@ -124,7 +126,9 @@ class TestObjectiveCoefficients:
     def test_min_cost_equals_cap_infinity(self, mini):
         base = build_problem(mini, ObjectiveMode.min_cost())
         capped = base.for_mode(ObjectiveMode.min_cost_with_cap(math.inf))
-        assert base.cap_row is None and capped.cap_row is None
+        assert capped.problem.row_names[-1] == EMISSION_CAP_LABEL
+        assert capped.problem.rhs[-1] == base.problem.rhs[-1] == math.inf  # a free row
+        assert (capped.problem.rhs == base.problem.rhs).all()
         assert capped.problem.a is base.problem.a
         assert (capped.problem.objective == base.table.costs).all()
 
@@ -170,7 +174,7 @@ class TestEmissionAccounting:
 
     def test_min_emissions_objective_is_emission_vector(self, mini):
         built = build_problem(mini, ObjectiveMode.min_emissions())
-        assert built.cap_row is None
+        assert built.problem.rhs[-1] == math.inf  # the cap row is free
         assert (built.problem.objective == built.table.emissions).all()
 
 
@@ -195,9 +199,10 @@ class TestCapDual:
         capped = runner.run(standard_scenario("s-all"),
                             ObjectiveMode.min_cost_with_cap(cap))
         built, res = capped.built, capped.result
-        assert built.cap_row is not None
+        row = built.problem.row_names.index(EMISSION_CAP_LABEL)
+        assert row == built.problem.num_rows - 1 and built.problem.rhs[row] == cap
         activity = float(built.table.emissions @ res.x)
         assert activity == pytest.approx(cap, rel=1e-6)  # binding
-        dual = res.duals[built.cap_row]
+        dual = res.duals[row]
         assert dual >= -1e-9  # shadow carbon price
         assert dual > 1.0     # strictly positive when the cap really binds

@@ -38,12 +38,14 @@ def reference_emissions(system):
 
 
 def highs(problem):
-    """HiGHS status and objective; ``>=`` rows enter ``linprog`` negated."""
+    """HiGHS status and objective; ``>=`` rows enter ``linprog`` negated, and
+    free rows (rhs ``+inf`` once negated) not at all."""
     sign = np.where(problem.senses == GE, -1.0, 1.0)
     a = (sp.diags(sign) @ problem.a).tocsr()
     b = sign * problem.rhs
     eq = problem.senses == EQ
-    res = linprog(problem.objective, A_ub=a[~eq], b_ub=b[~eq], A_eq=a[eq], b_eq=b[eq],
+    ub = ~eq & (b < np.inf)
+    res = linprog(problem.objective, A_ub=a[ub], b_ub=b[ub], A_eq=a[eq], b_eq=b[eq],
                   bounds=np.column_stack([problem.lower, problem.upper]), method="highs")
     return HIGHS_STATUS.get(res.status, f"highs status {res.status}"), res.fun
 

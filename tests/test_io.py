@@ -156,6 +156,29 @@ class TestRaggedRows:
         path.write_text(path.read_text().replace("\n", "\n\n", 1) + "\n")
         assert parse_system_files(tmp_path) == mini
 
+    @pytest.mark.parametrize("file, column, message", [
+        ("technologies.csv", "capex_per_size",
+         "technologies.csv row 4 capex_per_size: 'x' is not a number"),
+        ("profiles.csv", "step", "profiles.csv row 4: step 'x' is not an integer"),
+    ], ids=["entity", "series"])
+    def test_a_blank_line_above_a_defect_counts_in_its_row_number(self, mini, tmp_path, file,
+                                                                  column, message):
+        # the second data row sits on line 4 behind a blank line 3
+        write_system_files(mini, tmp_path)
+        path = tmp_path / file
+        _set_cell(path, column, "x", row=1)
+        header, first, *rest = path.read_text().splitlines()
+        path.write_text("".join(f"{line}\n" for line in [header, first, "", *rest]))
+        with pytest.raises(SchemaError, match=message):
+            parse_system_files(tmp_path)
+
+    def test_a_blank_line_does_not_count_as_a_step(self, mini, tmp_path):
+        write_system_files(mini, tmp_path)
+        path = tmp_path / "profiles.csv"
+        header, first, *rest = path.read_text().splitlines()
+        path.write_text("".join(f"{line}\n" for line in [header, first, "", *rest]))
+        assert parse_system_files(tmp_path) == mini
+
 
 class TestMalformedManifestAndSeries:
     @pytest.mark.parametrize("changes, message", [

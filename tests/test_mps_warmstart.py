@@ -85,6 +85,18 @@ class TestMpsExport:
         assert ("UP", 5.0) in bounds["C0000002"]
         assert ("PL", None) in bounds["C0000003"]
 
+    def test_a_free_row_is_left_out(self, tmp_path):
+        p = self._problem()
+        freed = make_problem(
+            [[2.0, 1.0, 0.0], [1.0, 1.0, 1.0], [1.0, 3.0, 1.0]], [LE, LE, LE],
+            [7.0, np.inf, 9.0], p.objective, upper=p.upper, integer=p.integer,
+            names=p.col_names)
+        export_mps(p, tmp_path / "kept.mps")
+        export_mps(freed, tmp_path / "freed.mps")
+        assert (tmp_path / "freed.mps").read_text() == (tmp_path / "kept.mps").read_text()
+        sidecar = json.loads((tmp_path / "freed.mps.names.json").read_text())
+        assert sidecar["rows"] == {"R0000001": "r0", "R0000002": "r2"}
+
     def test_sidecar_names(self, tmp_path):
         p = self._problem()
         path = export_mps(p, tmp_path / "toy.mps")

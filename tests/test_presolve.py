@@ -1,4 +1,4 @@
-"""Presolve of fixed columns and the rows they empty, and its postsolve."""
+"""Presolve of free rows, fixed columns and the rows they empty, and its postsolve."""
 
 from dataclasses import replace
 from pathlib import Path
@@ -13,7 +13,7 @@ from numpy.testing import assert_allclose
 from carrieropt.builder import build_problem
 from carrieropt.costing import ObjectiveMode
 from carrieropt.lp import (
-    EQ, GE, INFEASIBLE, LE, OPTIMAL, UNBOUNDED, SparseProblem, solve_lp, verify_solution,
+    EQ, GE, INFEASIBLE, LE, OPTIMAL, UNBOUNDED, solve_lp, verify_solution,
 )
 from carrieropt.lp.presolve import map_basis, presolve
 from carrieropt.lp.simplex import AT_LOWER, AT_UPPER, AT_VALUE, BASIC
@@ -243,11 +243,14 @@ class TestMapBasis:
         basis = solve_lp(source).basis
         no_y = replace(target, col_names=["z", "x", "w"])
         assert map_basis(basis, source, no_y) is None
-        # a source row the target lacks leaves instead, as TestRowDrop checks
+        # nor does a source row the target lacks, unless it is free
         no_rb = replace(target, row_names=["rz", "ra", "rc"])
-        mapped = map_basis(basis, source, no_rb)
-        assert mapped is not None and mapped.fingerprint == no_rb.fingerprint()
-        assert _is_start(no_rb, mapped)
+        assert map_basis(basis, source, no_rb) is None
+        free_rb = replace(source, rhs=np.array([4.0, np.inf]))  # optimum x = 4, y = 0
+        loose_rc = replace(no_rb, rhs=np.array([5.0, 4.0, 10.0]))
+        mapped = map_basis(solve_lp(free_rb).basis, free_rb, loose_rc)
+        assert mapped is not None and mapped.fingerprint == loose_rc.fingerprint()
+        assert _is_start(loose_rc, mapped)
         # nor does a basis that does not fit its source map
         assert map_basis(basis, target, source) is None
 
@@ -275,14 +278,14 @@ class TestMapBasis:
         assert iterations <= 1300  # 6,307 cold
 
 
-def _without_rows(problem, drop):
-    """``problem`` without the rows named in ``drop``."""
-    keep = [i for i, name in enumerate(problem.row_names) if name not in drop]
-    return SparseProblem(a=problem.a[keep], senses=problem.senses[keep],
-                         rhs=problem.rhs[keep], lower=problem.lower, upper=problem.upper,
-                         objective=problem.objective, integer=problem.integer,
-                         col_names=problem.col_names,
-                         row_names=[problem.row_names[i] for i in keep])
+def _freed(problem, names):
+    """``problem`` with the rows named in ``names`` free: rhs ``+inf`` on a
+    ``<=`` row, ``-inf`` on a ``>=`` row."""
+    rhs = problem.rhs.copy()
+    for i, name in enumerate(problem.row_names):
+        if name in names:
+            rhs[i] = np.inf if problem.senses[i] == LE else -np.inf
+    return replace(problem, rhs=rhs)
 
 
 def _bounds(problem):
@@ -324,52 +327,69 @@ def _capped_triple():
 
 
 class TestRowDrop:
-    """``map_basis`` onto a target that lacks some of the source's rows."""
+    """``presolve`` drops free rows and maps a start that binds them."""
 
     def test_a_row_with_a_basic_slack_leaves_with_it(self):
         source = _capped_triple()
         res = solve_lp(source)
         assert res.basis.vstat[2 + 2] == BASIC  # ry's slack
-        target = _without_rows(source, {"ry"})
-        mapped = map_basis(res.basis, source, target)
+        freed = _freed(source, {"ry"})
+        pre = presolve(freed, res.basis)
+        assert pre.reduced.row_names == ["cap", "rx"]
+        mapped = pre.start
         assert sorted(mapped.basis.tolist()) == [0, 1]  # x and y, nothing else leaves
         assert mapped.x.tolist() == [3.0, 1.0, 0.0, 0.0]
         assert mapped.vstat.tolist() == res.basis.vstat[[0, 1, 2, 3]].tolist()
-        assert _is_start(target, mapped)
-        warm = solve_lp(target, start=mapped)
+        assert _is_start(pre.reduced, mapped)
+        warm = solve_lp(freed, start=res.basis)
         assert warm.warm_started and warm.iterations <= 1  # one pricing pass proves it optimal
-        assert warm.objective == solve_lp(target).objective == -7.0
+        assert warm.objective == solve_lp(freed).objective == -7.0
 
     def test_a_binding_row_takes_the_largest_entry_of_its_inverse_column(self):
         source = _capped_triple()
         res = solve_lp(source)
         basis = res.basis.basis
         assert res.basis.vstat[2] != BASIC  # cap binds: its slack is nonbasic
-        target = _without_rows(source, {"cap"})
-        mapped = map_basis(res.basis, source, target)
+        freed = _freed(source, {"cap"})
+        pre = presolve(freed, res.basis)
+        assert pre.reduced.row_names == ["rx", "ry"]
+        mapped = pre.start
         full = np.hstack([source.a.toarray(), np.eye(3)])
         w = np.linalg.solve(full[:, basis], np.eye(3)[:, 0])  # B^-1 e_cap
         p = int(np.argmax(np.abs(w)))
         leaving = basis[p]
         assert leaving < 2 and abs(w[p]) > 0  # a structural leaves, here y
-        assert sorted(mapped.basis.tolist()) == sorted(
-            {0: 0, 1: 1, 3: 2, 4: 3}[j] for j in basis.tolist() if j not in (leaving, 2))
+        assert mapped.basis.tolist() == [
+            {0: 0, 1: 1, 3: 2, 4: 3}[j] for j in basis.tolist() if j not in (leaving, 2)]
         # the leaving column stays at its value, strictly inside its bounds
         assert mapped.x[leaving] == res.x[leaving] == 1.0
         assert mapped.vstat[leaving] == AT_VALUE
-        assert _is_start(target, mapped)
-        warm, cold = solve_lp(target, start=mapped), solve_lp(target)
+        assert _is_start(pre.reduced, mapped)
+        warm, cold = solve_lp(freed, start=res.basis), solve_lp(freed)
         assert warm.warm_started and cold.status == warm.status == OPTIMAL
         assert abs(warm.objective - cold.objective) <= 1e-9 * abs(cold.objective)
         assert warm.x.tolist() == [3.0, 3.0]
+        # the dropped row's slack is basic in the returned basis, at rhs - A x
+        assert warm.basis.vstat[2] == BASIC and 2 in warm.basis.basis.tolist()
+
+    def test_a_singular_start_is_refused(self):
+        source = _capped_triple()
+        freed = _freed(source, {"ry"})
+        # x, cap's slack and rx's slack: x is the sum of the two, so B is singular
+        vstat = np.array([BASIC, AT_LOWER, BASIC, BASIC, AT_LOWER], dtype=np.int8)
+        singular = replace(solve_lp(source).basis, basis=np.array([0, 2, 3]), vstat=vstat,
+                           x=np.zeros(5))
+        assert presolve(freed, singular).start is None
+        res = solve_lp(freed, start=singular)
+        assert not res.warm_started and res.status == OPTIMAL and res.objective == -7.0
 
     def test_the_choice_is_the_same_on_every_call(self):
         source = _capped_triple()
         basis = solve_lp(source).basis
-        target = _without_rows(source, {"cap"})
-        first = map_basis(basis, source, target)
+        freed = _freed(source, {"cap"})
+        first = presolve(freed, basis).start
         for _ in range(3):
-            again = map_basis(basis, source, target)
+            again = presolve(freed, basis).start
             for name in ("basis", "vstat", "x"):
                 assert np.array_equal(getattr(first, name), getattr(again, name))
 
@@ -378,26 +398,28 @@ class TestRowDrop:
     def test_random_lps_start_feasible_and_reach_the_cold_objective(self, problem, data):
         res = solve_lp(problem)
         assume(res.status == OPTIMAL)
-        names = problem.row_names
-        drop = set(data.draw(st.lists(st.sampled_from(names), min_size=1, max_size=len(names) - 1,
+        names = [name for name, sense in zip(problem.row_names, problem.senses) if sense != EQ]
+        assume(names)
+        drop = set(data.draw(st.lists(st.sampled_from(names), min_size=1, max_size=len(names),
                                       unique=True)))
-        target = _without_rows(problem, drop)
-        mapped = map_basis(res.basis, problem, target)
-        assert mapped is not None and _is_start(target, mapped)
-        # one basic leaves per dropped row whose slack is nonbasic, at its value
+        freed = _freed(problem, drop)
+        pre = presolve(freed, res.basis)
+        mapped = pre.start
+        assert mapped is not None and _is_start(pre.reduced, mapped)
+        # one basic leaves per freed row whose slack is nonbasic, at its value
         n = problem.num_cols
-        rows = [n + target.row_names.index(name) if name not in drop else -1 for name in names]
-        where = np.array(list(range(n)) + rows)
-        binding = sum(res.basis.vstat[n + i] != BASIC for i, name in enumerate(names)
+        keep = np.concatenate([pre.cols, pre.rows])
+        where = np.where(keep, np.cumsum(keep) - 1, -1)
+        binding = sum(res.basis.vstat[n + i] != BASIC for i, name in enumerate(problem.row_names)
                       if name in drop)
         left = np.setdiff1d(where[res.basis.basis], np.append(mapped.basis, -1))
         assert left.size == binding
-        lower, upper = _bounds(target)
+        lower, upper = _bounds(pre.reduced)
         for j in left.tolist():
             expected = (AT_LOWER if mapped.x[j] == lower[j] else
                         AT_UPPER if mapped.x[j] == upper[j] else AT_VALUE)
             assert mapped.vstat[j] == expected
-        warm, cold = solve_lp(target, start=mapped), solve_lp(target)
+        warm, cold = solve_lp(freed, start=res.basis), solve_lp(freed)
         assert warm.warm_started
         assert warm.status == cold.status
         if cold.status == OPTIMAL:

@@ -16,6 +16,7 @@ from carrieropt.costing import (
     total_emissions,
 )
 from carrieropt.lp import INFEASIBLE, OPTIMAL, map_basis, solve_milp, verify_solution
+from carrieropt.lp.presolve import presolve
 from carrieropt.scenarios import (
     InfeasibleCapError,
     ScenarioRunner,
@@ -105,6 +106,11 @@ def same_basis(a, b):
     """Whether two bases, neither None, hold equal statuses and values."""
     return a is not None and b is not None and all(
         np.array_equal(getattr(a, field), getattr(b, field)) for field in ("basis", "vstat", "x"))
+
+
+def capped(problem) -> bool:
+    """Whether ``problem``'s emission-cap row holds a finite cap, not ``+inf``."""
+    return bool(np.isfinite(problem.rhs[problem.row_names.index(EMISSION_CAP_LABEL)]))
 
 
 def kinds(modes):
@@ -320,11 +326,11 @@ class TestWarmRuns:
                                  ObjectiveMode.min_cost_with_cap(0.99 * base.emissions.total))
             uncapped = runner.run(synergies, ObjectiveMode.min_cost())
         # the next cap starts from the cold one, and the uncapped run from that
-        # cap mapped onto its problem: the warm runs added nothing to the chain
+        # cap, as is: the warm runs added nothing to the chain
         assert len(starts) == 2
         assert starts[0] is cold.result.basis
-        assert same_basis(starts[1], map_basis(tighter.result.basis, tighter.built.problem,
-                                               uncapped.built.problem))
+        assert starts[1] is tighter.result.basis
+        assert uncapped.solver["warm_start"] is True
 
     def _unreachable(self, runner):
         """A warm reference run under a 10 t cap, from t-all sizes."""
@@ -469,38 +475,37 @@ class TestBasisChains:
         assert len(starts) == 6
         # the first run has no basis of its own scenario and no root: cold
         assert starts[0] is None and "warm_start" not in first_cap.solver
-        # a run whose problem has the same rows starts from the latest basis as is
-        assert starts[1] is first_cap.result.basis
-        assert starts[4] is loose_cap.result.basis
-        # one that gains or loses the cap row starts from it mapped by name:
-        # the floor drops third_cap's binding cap row, whose slack is nonbasic
+        # every other run starts from the latest basis as is, capped or not
+        for start, before, run in ((starts[1], first_cap, second_cap),
+                                   (starts[2], second_cap, uncapped),
+                                   (starts[3], uncapped, loose_cap),
+                                   (starts[4], loose_cap, third_cap),
+                                   (starts[5], third_cap, floor)):
+            assert start is before.result.basis
+            assert run.solver["warm_start"] is True
+        # the floor's presolve drops third_cap's binding cap row, whose slack
+        # is nonbasic, with one basic, and keeps the start
         cap_slack = third_cap.built.problem.num_cols + third_cap.built.problem.row_names.index(
             EMISSION_CAP_LABEL)
         assert cap_slack not in third_cap.result.basis.basis.tolist()
-        for start, before, run in ((starts[2], second_cap, uncapped),
-                                   (starts[3], uncapped, loose_cap),
-                                   (starts[5], third_cap, floor)):
-            assert same_basis(start, map_basis(before.result.basis, before.built.problem,
-                                               run.built.problem))
-            assert run.solver["warm_start"] is True
+        assert presolve(floor.built.problem, starts[5]).start is not None
         assert _rel(uncapped.objective, cold.objective) <= 1e-9
         assert _rel(uncapped.costs.total, cold.costs.total) <= 1e-9
         assert _rel(loose_cap.objective, cold.objective) <= 1e-9
         assert _rel(floor.objective, cold_floor.objective) <= 1e-9
         assert floor.solver["iterations"] < cold_floor.solver["iterations"]
 
-    def test_an_infinite_cap_has_no_cap_row_and_joins_the_uncapped_chain(self, mini):
-        assert ObjectiveMode.min_cost_with_cap(1.0).capped
-        assert not ObjectiveMode.min_cost_with_cap(float("inf")).capped
-        assert not ObjectiveMode.min_cost().capped
-        assert not ObjectiveMode.min_emissions().capped
+    def test_an_infinite_cap_frees_the_cap_row_and_joins_the_chain(self, mini):
         t_all = standard_scenario("t-all")
         runner = ScenarioRunner(mini)
         cost = runner.run(t_all, ObjectiveMode.min_cost())
         unbounded = runner.run(t_all, ObjectiveMode.min_cost_with_cap(float("inf")))
-        assert EMISSION_CAP_LABEL not in unbounded.built.problem.row_names
+        problem = unbounded.built.problem
+        assert not capped(problem) and problem.free_rows()[-1]
+        assert np.array_equal(problem.rhs, cost.built.problem.rhs)
         assert unbounded.solver["warm_start"] is True
-        assert _rel(unbounded.objective, cost.objective) <= 1e-9
+        assert unbounded.solver["iterations"] <= 1  # one pricing pass proves min-cost's optimum
+        assert unbounded.objective == cost.objective
 
 
 SWEEP_FRACTIONS = tuple(round(0.1 * i, 1) for i in range(1, 10))
@@ -524,7 +529,7 @@ def warm_sweep():
 
     def recording_solve(problem, start=None):
         res = solve_milp(problem, start=start)
-        solves.append((EMISSION_CAP_LABEL in problem.row_names, res))
+        solves.append((capped(problem), res))
         starts.append(start)
         return res
 
@@ -597,7 +602,7 @@ class TestWarmSweep:
 
         def recording_solve(problem, *args, **kwargs):
             res = solve_milp(problem, *args, **kwargs)
-            if EMISSION_CAP_LABEL in problem.row_names and res.status == INFEASIBLE:
+            if capped(problem) and res.status == INFEASIBLE:
                 infeasible.append(res.infeasible_rows[0])
             return res
 
@@ -638,8 +643,9 @@ class TestWarmSweep:
         assert work.solved == work.derived
 
     def test_floor_starts_from_the_last_feasible_cap(self, warm_sweep):
-        # the floor reoptimizes from the last feasible cap's basis, with the
-        # binding cap row and one basic dropped, not from a fresh runner's start
+        # the floor reoptimizes from the last feasible cap's basis, whose
+        # binding cap row presolve drops with one basic, not from a fresh
+        # runner's start
         (i,) = [k for k, (is_cap, _) in enumerate(warm_sweep["solves"]) if not is_cap]
         floor_result = warm_sweep["solves"][i][1]
         last = [warm_sweep["warm"][f] for f in SWEEP_FRACTIONS
@@ -650,8 +656,8 @@ class TestWarmSweep:
         problem = last.built.problem
         cap_slack = problem.num_cols + problem.row_names.index(EMISSION_CAP_LABEL)
         assert cap_slack not in last.result.basis.basis.tolist()  # the last cap binds
-        assert same_basis(warm_sweep["starts"][i],
-                          map_basis(last.result.basis, problem, floor.built.problem))
+        assert warm_sweep["starts"][i] is last.result.basis
+        assert presolve(floor.built.problem, last.result.basis).start is not None
         assert floor_result.warm_started and floor.solver["warm_start"] is True
         cold = warm_sweep["floor"]
         assert "warm_start" not in cold.solver
@@ -704,14 +710,11 @@ class TestRoot:
             if previous is None:  # the first cap
                 assert same_basis(start, map_basis(root.result.basis, root.built.problem,
                                                    problem))
-            elif EMISSION_CAP_LABEL in problem.row_names:  # a cap after it, as is
+            else:  # a cap after it, and the floor, as is
                 assert start is previous[1].basis
-            else:  # the floor, from the last feasible cap without its row
-                assert same_basis(start, map_basis(previous[1].basis, previous[0], problem))
             if res.status == OPTIMAL:
                 previous = (problem, res)
-        floors = [res for problem, _, res in rest
-                  if EMISSION_CAP_LABEL not in problem.row_names]
+        floors = [res for problem, _, res in rest if not capped(problem)]
         assert len(floors) == 1 and floors[0].objective == pytest.approx(
             warm_sweep["floor"].objective, rel=1e-9)
         for row, f in zip(rows, SWEEP_FRACTIONS):
@@ -799,18 +802,17 @@ class TestSweep:
         rows = abatement_sweep(mini, standard_scenario("synergies"), SWEEP_FRACTIONS,
                                runner=runner)
         assert any(r["feasible"] for r in rows) and not all(r["feasible"] for r in rows)
-        capped = 0
+        caps = 0
         for (scenario_id, label), outcome in runner._cache.items():
             problem, mode = outcome.built.problem, outcome.mode
             assert verify_solution(problem, outcome.result).ok(), (scenario_id, label)
-            if mode.capped:
-                capped += 1
-                assert problem.row_names[outcome.built.cap_row] == EMISSION_CAP_LABEL
-                assert problem.rhs[outcome.built.cap_row] == mode.emission_cap, label
+            assert problem.row_names[-1] == EMISSION_CAP_LABEL
+            if mode.kind == "min_cost_with_cap":
+                caps += 1
+                assert problem.rhs[-1] == mode.emission_cap, label
             else:
-                assert outcome.built.cap_row is None
-                assert EMISSION_CAP_LABEL not in problem.row_names
-        assert capped == sum(r["feasible"] for r in rows) > 1
+                assert problem.rhs[-1] == np.inf, label
+        assert caps == sum(r["feasible"] for r in rows) > 1
 
     def test_unreachable_target_marked_infeasible(self, mini, runner):
         rows = abatement_sweep(mini, standard_scenario("reference"),

@@ -573,6 +573,24 @@ class TestOptionsSurface:
         with pytest.raises(ProblemError, match="^unknown row sense '=<'$"):
             solve_lp(p)
 
+    @pytest.mark.parametrize("sense, rhs", [(LE, -np.inf), (GE, np.inf), (EQ, np.inf),
+                                            (EQ, -np.inf)],
+                             ids=["le-minus-inf", "ge-plus-inf", "eq-plus-inf", "eq-minus-inf"])
+    def test_an_infinite_rhs_no_point_meets_names_its_row(self, sense, rhs):
+        p = make_problem([[1.0], [1.0]], [LE, sense], [1.0, 0.0], [1.0])
+        p.rhs[1] = rhs
+        with pytest.raises(ProblemError, match=f"^row r1: no point meets {sense} {rhs}$"):
+            solve_lp(p)
+
+    @pytest.mark.parametrize("sense, rhs", [(LE, np.inf), (GE, -np.inf)], ids=["le", "ge"])
+    def test_a_free_row_is_accepted_and_constrains_nothing(self, sense, rhs):
+        # min -x s.t. x <= 2 and the free row x (sense) rhs
+        p = make_problem([[1.0], [1.0]], [LE, sense], [2.0, rhs], [-1.0])
+        assert p.free_rows().tolist() == [False, True]
+        res = solve_lp(p)
+        assert res.status == OPTIMAL and res.x.tolist() == [2.0]
+        assert res.duals[1] == 0.0 and verify_solution(p, res).ok()
+
 
 class _Checked(_Simplex):
     """A simplex that checks its incrementally kept state before every pricing,
