@@ -106,7 +106,7 @@ def presolve(problem: SparseProblem, start: Basis | None = None) -> Presolved:
     ci, ri = np.flatnonzero(cols), np.flatnonzero(rows)
     names = _row_names(problem)
     reduced = SparseProblem(
-        a=a[ri][:, ci], senses=problem.senses[ri], rhs=rhs[ri],
+        a=a[ri] if cols.all() else a[ri][:, ci], senses=problem.senses[ri], rhs=rhs[ri],
         lower=problem.lower[ci], upper=problem.upper[ci],
         objective=problem.objective[ci], integer=problem.integer[ci],
         row_names=[names[i] for i in ri.tolist()])
@@ -219,12 +219,15 @@ def postsolve(pre: Presolved, result: SolveResult) -> SolveResult:
         x[pre.cols] = result.x
         changes["x"] = x
     if result.status == OPTIMAL:
-        y = np.zeros(m)
-        y[pre.rows] = np.where(pre.reduced.senses == LE, -result.duals, result.duals)
         duals = np.zeros(m)
         duals[pre.rows] = result.duals
-        reduced_costs = problem.objective - problem.a.T @ y
-        reduced_costs[pre.cols] = result.reduced_costs
+        if pre.cols.all():  # no column dropped: the reduced costs are the reduced problem's
+            reduced_costs = result.reduced_costs.copy()
+        else:
+            y = np.zeros(m)
+            y[pre.rows] = np.where(pre.reduced.senses == LE, -result.duals, result.duals)
+            reduced_costs = problem.objective - problem.a.T @ y
+            reduced_costs[pre.cols] = result.reduced_costs
         keep = np.concatenate([pre.cols, pre.rows])
         dropped_rows = n + np.flatnonzero(~pre.rows)
         basis = result.basis

@@ -1,10 +1,12 @@
 """The input contract is total: a system directory with one mutated cell,
-header name or row either fails with a SchemaError (exit 3 from the command
-line) or yields a system that validates and solves without a traceback."""
+header name or row, with an edited manifest value, or with two such edits,
+either fails with a SchemaError (exit 3 from the command line) or yields a
+system that validates and solves without a traceback."""
 
 import contextlib
 import csv
 import io
+import json
 import shutil
 from pathlib import Path
 
@@ -12,13 +14,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from carrieropt.cli import run_cli
-from carrieropt.system import validate_system
+from carrieropt.system import CARRIERS, validate_system
 from carrieropt.system_io import SchemaError, parse_system_files
 
 FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "miniature"
 FILES = sorted(p.name for p in FIXTURE.glob("*.csv"))
 TABLES = {name: list(csv.reader((FIXTURE / name).read_text(encoding="utf-8").splitlines()))
           for name in FILES}
+MANIFEST = json.loads((FIXTURE / "manifest.json").read_text(encoding="utf-8"))
 
 
 def _flip(cell: str) -> str:
@@ -63,6 +66,63 @@ def mutations(draw, places=("cell", "header", "repeat", "truncate")):
     return name, rows
 
 
+def _json_value(text: str):
+    """An edited manifest value: a JSON number where ``text`` reads as one."""
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
+# a manifest value's edits: the cell edits, read as numbers where they can be,
+# and values of the wrong JSON type
+MANIFEST_EDITS = {
+    **{name: (lambda value, edit=edit: _json_value(edit(str(value))))
+       for name, edit in CELL_EDITS.items()},
+    "string": str, "null": lambda value: None, "bool": lambda value: True,
+}
+
+MANIFEST_PATHS = [("carbon_price",), ("horizon", "hours_per_step"), ("horizon", "step_count"),
+                  *(("import_defaults", field, c.value)
+                    for field in ("limit", "price", "emission_factor") for c in CARRIERS)]
+
+
+@st.composite
+def edits(draw, files=(*FILES, "manifest.json")):
+    """One edit: ``(file, row, column, edit)`` of a CSV cell, or
+    ``("manifest.json", path, edit)`` of a manifest value, where an absent
+    ``import_defaults`` entry starts from 1.0."""
+    name = draw(st.sampled_from(files))
+    if name == "manifest.json":
+        return name, draw(st.sampled_from(MANIFEST_PATHS)), draw(st.sampled_from(
+            sorted(MANIFEST_EDITS)))
+    rows = TABLES[name]
+    return (name, draw(st.integers(1, len(rows) - 1)), draw(st.integers(0, len(rows[0]) - 1)),
+            draw(st.sampled_from(sorted(CELL_EDITS))))
+
+
+def _edited(changes) -> dict[str, str]:
+    """The text of every file that ``changes``, made in order, touch."""
+    tables: dict[str, list[list[str]]] = {}
+    manifest = None
+    for name, *where, edit in changes:
+        if name == "manifest.json":
+            manifest = manifest or json.loads(json.dumps(MANIFEST))
+            *parents, key = where[0]
+            holder = manifest
+            for parent in parents:
+                holder = holder.setdefault(parent, {})
+            holder[key] = MANIFEST_EDITS[edit](holder.get(key, 1.0))
+        else:
+            row, col = where
+            rows = tables.setdefault(name, [list(r) for r in TABLES[name]])
+            rows[row][col] = CELL_EDITS[edit](rows[row][col])
+    files = {name: _csv(rows) for name, rows in tables.items()}
+    if manifest is not None:
+        files["manifest.json"] = json.dumps(manifest)
+    return files
+
+
 @pytest.fixture(scope="module")
 def system_dir(tmp_path_factory):
     directory = tmp_path_factory.mktemp("fuzz") / "system"
@@ -70,15 +130,22 @@ def system_dir(tmp_path_factory):
     return directory
 
 
+def _csv(rows: list[list[str]]) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
 @contextlib.contextmanager
-def mutated(directory: Path, name: str, rows: list[list[str]]):
-    path = directory / name
-    with path.open("w", newline="", encoding="utf-8") as handle:
-        csv.writer(handle, lineterminator="\n").writerows(rows)
+def mutated(directory: Path, files: dict[str, str]):
+    """``directory`` with the named files' texts replaced, restored on exit."""
+    for name, text in files.items():
+        (directory / name).write_text(text, encoding="utf-8")
     try:
         yield directory
     finally:
-        shutil.copyfile(FIXTURE / name, path)
+        for name in files:
+            shutil.copyfile(FIXTURE / name, directory / name)
 
 
 def _exit_code(*argv: str) -> int:
@@ -89,7 +156,8 @@ def _exit_code(*argv: str) -> int:
 @settings(max_examples=400, derandomize=True, deadline=None)
 @given(mutation=mutations())
 def test_parse_rejects_or_returns_a_valid_system(system_dir, mutation):
-    with mutated(system_dir, *mutation) as directory:
+    name, rows = mutation
+    with mutated(system_dir, {name: _csv(rows)}) as directory:
         try:
             system = parse_system_files(directory)
         except SchemaError:
@@ -101,6 +169,34 @@ def test_parse_rejects_or_returns_a_valid_system(system_dir, mutation):
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(mutation=mutations(places=("cell",)))
 def test_commands_exit_with_a_documented_code(system_dir, mutation):
-    with mutated(system_dir, *mutation) as directory:
+    name, rows = mutation
+    with mutated(system_dir, {name: _csv(rows)}) as directory:
         assert _exit_code("validate", str(directory)) in (0, 3)
         assert _exit_code("run", str(directory), "--scenario", "synergies") in (0, 3, 4)
+
+
+def _obeys_the_contract(directory: Path) -> None:
+    """A SchemaError and exit 3, or a valid system that every command takes."""
+    try:
+        system = parse_system_files(directory)
+    except SchemaError:
+        assert _exit_code("validate", str(directory)) == 3
+        return
+    assert validate_system(system) == []
+    assert _exit_code("validate", str(directory)) == 0
+    assert _exit_code("run", str(directory), "--scenario", "synergies") in (0, 4)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(edit=edits(files=("manifest.json",)))
+def test_an_edited_manifest_value_obeys_the_contract(system_dir, edit):
+    with mutated(system_dir, _edited([edit])) as directory:
+        _obeys_the_contract(directory)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(pair=st.lists(edits(), min_size=2, max_size=2))
+def test_two_edits_obey_the_contract(system_dir, pair):
+    """Two defects in one file or in two, the manifest among them."""
+    with mutated(system_dir, _edited(pair)) as directory:
+        _obeys_the_contract(directory)

@@ -1,15 +1,31 @@
 """Serialization round-trips and schema rejection."""
 
 import csv
+import dataclasses
 import hashlib
 import json
+import math
+import re
 from pathlib import Path
 
 import pytest
 
-from carrieropt.system import build_miniature_system, validate_system
+from carrieropt.system import (
+    EnergySystem,
+    NetworkBranch,
+    Node,
+    TechnologyInstance,
+    TimeHorizon,
+    build_miniature_system,
+    validate_system,
+)
 from carrieropt.system_io import (
+    _BRANCH_COLUMNS,
+    _NODE_COLUMNS,
+    _SECTIONS,
+    _TECH_COLUMNS,
     SchemaError,
+    _parse_float,
     parse_system_files,
     serialize_system,
     system_digest,
@@ -262,7 +278,7 @@ class TestNonFiniteCostData:
         ("technologies.csv", "compression_electricity",
          "technology batt1: compression_electricity must be finite"),
         ("branches.csv", "integer_block_mw",
-         "branch ac1: integer block size must be positive and finite"),
+         "branch ac1: integer_block_mw must be finite"),
     ])
     def test_infinite_cost_cell(self, mini, tmp_path, file, column, message):
         write_system_files(mini, tmp_path)
@@ -407,6 +423,44 @@ class TestDomains:
         with pytest.raises(SchemaError, match="node n1: import limit for electricity"
                                               " must be >= 0"):
             parse_system_files(tmp_path)
+
+    def test_readme_table_matches_the_declarations(self):
+        """Each numeric column of a system file has one row in the README's
+        table of domains, which names the domain its field declares."""
+        def domain(cls, attr):
+            """The declared domain of ``cls.attr`` as the table writes it."""
+            d = next(f for f in dataclasses.fields(cls) if f.name == attr).metadata["domain"]
+            if d.low == -math.inf:
+                return "finite"
+            if d.high == math.inf:
+                return f"{'>=' if d.low_closed else '>'} {d.low:g}" + " or inf" * d.high_closed
+            return f"{'(['[d.low_closed]}{d.low:g}, {d.high:g}{')]'[d.high_closed]}"
+
+        declared = {("manifest.json", "carbon_price"): domain(EnergySystem, "carbon_price"),
+                    ("manifest.json", "horizon.step_count"): domain(TimeHorizon, "step_count"),
+                    ("manifest.json", "horizon.hours_per_step"):
+                        domain(TimeHorizon, "hours_per_step")}
+        for name, entity, columns in (("nodes.csv", Node, _NODE_COLUMNS),
+                                      ("technologies.csv", TechnologyInstance, _TECH_COLUMNS),
+                                      ("branches.csv", NetworkBranch, _BRANCH_COLUMNS)):
+            for column in columns:
+                if column.read is not _parse_float:
+                    continue
+                row, key = column.name, column.key
+                if isinstance(key, int):  # a position of a tuple, numbered from 1
+                    row = row.removesuffix(str(key + 1)) + "<k>"
+                elif key is not None:  # a carrier, or a (direction, carrier) pair
+                    row = row.removesuffix((key[-1] if isinstance(key, tuple) else key).value)
+                    row += "<carrier>"
+                cls = _SECTIONS[column.section][1] if column.section else entity
+                declared[name, row] = domain(cls, column.attr)
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        listed = {}
+        for file, column, text in re.findall(r"^\| `([\w.]+)` \| `([^`]+)` \| ([^|]+?) \|$",
+                                             readme, re.MULTILINE):
+            assert (file, column) not in listed, (file, column)
+            listed[file, column] = text
+        assert listed == declared
 
     def test_negative_import_prices_accepted(self, mini, tmp_path):
         write_system_files(mini, tmp_path)

@@ -2,15 +2,26 @@
 
 import dataclasses
 import math
+import re
 
 import pytest
 
 from carrieropt.builder import build_problem
 from carrieropt.costing import ObjectiveMode
+from carrieropt.scenarios import ScenarioRunner, standard_scenario
 from carrieropt.system import (
     CARRIERS,
     Carrier,
+    CompressionParams,
+    Conversion2Params,
+    CostParams,
+    EnergySystem,
+    NetworkBranch,
+    Node,
+    StorageParams,
     StructureError,
+    TechnologyInstance,
+    TimeHorizon,
     TechnologyKind,
     VariableIndex,
     assemble_variable_index,
@@ -122,6 +133,124 @@ class TestValidation:
         assert validate_system(bad) == flagged_negative + [message]
         with pytest.raises(StructureError, match=message):
             build_problem(bad, ObjectiveMode.min_cost())
+
+
+    @pytest.mark.parametrize("change, message", [
+        ({"branch": "ac1", "length_km": math.nan}, "branch ac1: length_km must be finite"),
+        ({"branch": "ac1", "loss_factor_per_km": math.nan},
+         "branch ac1: loss_factor_per_km must be finite"),
+        ({"branch": "ac1", "expandable": False, "max_capacity": math.nan},
+         "branch ac1: max_capacity must be >= 0"),
+        ({"technology": "gas1", "max_size": math.nan}, "technology gas1: max_size must be >= 0"),
+    ], ids=["length", "loss", "fixed-max-capacity", "fixed-max-size"])
+    def test_nan_fields_flagged_before_the_solve(self, mini, change, message):
+        """NaN fails every comparison, so ``nan <= 0`` and ``nan * L >= 1``
+        once let these through: the LP kernel then found NaN in its matrix,
+        or the solve ran on without the limit."""
+        change = dict(change)
+        if "branch" in change:
+            bad = _with_branch(mini, change.pop("branch"), **change)
+        else:
+            bad = _with_tech(mini, change.pop("technology"), **change)
+        assert validate_system(bad) == [message]
+        with pytest.raises(ValueError, match=f"^invalid system: {message}$"):
+            ScenarioRunner(bad).run(standard_scenario("synergies"), ObjectiveMode.min_cost())
+
+
+def _swap(entities, new):
+    return tuple(new if e.id == new.id else e for e in entities)
+
+
+def _with_tech(system, name, **changes):
+    new = dataclasses.replace(system.technology(name), **changes)
+    return dataclasses.replace(system, technologies=_swap(system.technologies, new))
+
+
+def _with_branch(system, name, **changes):
+    new = dataclasses.replace(system.branch(name), **changes)
+    return dataclasses.replace(system, branches=_swap(system.branches, new))
+
+
+# where an object of each class that declares domains sits in the miniature
+# system: its messages' prefix, the object, and the system with it replaced
+HOLDERS = {
+    EnergySystem: ("", lambda s: s, lambda s, h: h),
+    TimeHorizon: ("horizon: ", lambda s: s.horizon,
+                  lambda s, h: dataclasses.replace(s, horizon=h)),
+    Node: ("node n1: ", lambda s: s.node("n1"),
+           lambda s, h: dataclasses.replace(s, nodes=_swap(s.nodes, h))),
+    TechnologyInstance: ("technology gas1: ", lambda s: s.technology("gas1"),
+                         lambda s, h: dataclasses.replace(
+                             s, technologies=_swap(s.technologies, h))),
+    CostParams: ("technology batt1: ", lambda s: s.technology("batt1").cost,
+                 lambda s, h: _with_tech(s, "batt1", cost=h)),
+    Conversion2Params: ("technology gas1: ", lambda s: s.technology("gas1").performance,
+                        lambda s, h: _with_tech(s, "gas1", performance=h)),
+    StorageParams: ("technology batt1: ", lambda s: s.technology("batt1").performance,
+                    lambda s, h: _with_tech(s, "batt1", performance=h)),
+    NetworkBranch: ("branch ac1: ", lambda s: s.branch("ac1"),
+                    lambda s, h: dataclasses.replace(s, branches=_swap(s.branches, h))),
+    CompressionParams: ("branch pp1: ", lambda s: s.branch("pp1").compression,
+                        lambda s, h: _with_branch(s, "pp1", compression=h)),
+}
+
+DECLARED = [(cls, f) for cls in HOLDERS for f in dataclasses.fields(cls) if "domain" in f.metadata]
+
+
+def _probes(domain) -> list[float]:
+    """Each bound, the floats just either side of it, NaN and both infinities."""
+    probes = [math.nan, math.inf, -math.inf]
+    for bound in (domain.low, domain.high):
+        probes += [bound, math.nextafter(bound, -math.inf), math.nextafter(bound, math.inf)]
+    return probes
+
+
+def _inside(domain, value) -> bool:
+    above = domain.low < value or (domain.low_closed and value == domain.low)
+    below = value < domain.high or (domain.high_closed and value == domain.high)
+    return above and below
+
+
+class TestDeclaredDomains:
+    """Every numeric field declares its domain once, and validation flags a
+    value exactly when it lies outside that domain."""
+
+    def test_every_numeric_field_declares_a_domain(self):
+        series = {"renewable_profiles", "hydro_inflows"}  # per step, checked by hand
+        undeclared = [f"{cls.__name__}.{f.name}" for cls in HOLDERS
+                      for f in dataclasses.fields(cls)
+                      if re.search(r"\b(float|int)\b", str(f.type))
+                      and "domain" not in f.metadata and f.name not in series]
+        assert undeclared == []
+
+    @pytest.mark.parametrize("cls, declared", DECLARED,
+                             ids=[f"{cls.__name__}.{f.name}" for cls, f in DECLARED])
+    def test_one_message_exactly_outside_the_domain(self, mini, cls, declared):
+        """At each bound, just inside and just outside it, NaN and +-inf, the
+        field's own message appears once or not at all; messages of rules
+        that relate it to other fields may come alongside."""
+        where, get, put = HOLDERS[cls]
+        holder = get(mini)
+        domain = declared.metadata["domain"]
+        label = declared.metadata["label"] or declared.name
+        current = getattr(holder, declared.name)
+        if declared.metadata["each"] and isinstance(current, tuple):
+            label = label.format(1)
+        elif declared.metadata["each"]:
+            key = next(iter(current))
+            label = label.format(*key if isinstance(key, tuple) else (key,))
+        own = re.compile(re.escape(where + label) + r" must be (finite|[<>]=? \S+)$")
+        for value in _probes(domain):
+            if declared.metadata["each"] and isinstance(current, tuple):
+                new = (value, *current[1:])
+            elif declared.metadata["each"]:
+                new = {**current, key: value}
+            else:
+                new = value
+            messages = validate_system(put(mini, dataclasses.replace(
+                holder, **{declared.name: new})))
+            flagged = [m for m in messages if own.match(m)]
+            assert len(flagged) == (0 if _inside(domain, value) else 1), (value, messages)
 
 
 def count_variables_independently(system) -> int:
