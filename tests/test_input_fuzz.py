@@ -21,7 +21,7 @@ FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "miniature"
 FILES = sorted(p.name for p in FIXTURE.glob("*.csv"))
 TABLES = {name: list(csv.reader((FIXTURE / name).read_text(encoding="utf-8").splitlines()))
           for name in FILES}
-MANIFEST = json.loads((FIXTURE / "manifest.json").read_text(encoding="utf-8"))
+MANIFEST = (FIXTURE / "manifest.json").read_text(encoding="utf-8")
 
 
 def _flip(cell: str) -> str:
@@ -101,13 +101,19 @@ def edits(draw, files=(*FILES, "manifest.json")):
             draw(st.sampled_from(sorted(CELL_EDITS))))
 
 
+def _csv(rows: list[list[str]]) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
 def _edited(changes) -> dict[str, str]:
     """The text of every file that ``changes``, made in order, touch."""
     tables: dict[str, list[list[str]]] = {}
     manifest = None
     for name, *where, edit in changes:
         if name == "manifest.json":
-            manifest = manifest or json.loads(json.dumps(MANIFEST))
+            manifest = manifest or json.loads(MANIFEST)
             *parents, key = where[0]
             holder = manifest
             for parent in parents:
@@ -128,12 +134,6 @@ def system_dir(tmp_path_factory):
     directory = tmp_path_factory.mktemp("fuzz") / "system"
     shutil.copytree(FIXTURE, directory)
     return directory
-
-
-def _csv(rows: list[list[str]]) -> str:
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(rows)
-    return buf.getvalue()
 
 
 @contextlib.contextmanager

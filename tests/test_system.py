@@ -134,7 +134,6 @@ class TestValidation:
         with pytest.raises(StructureError, match=message):
             build_problem(bad, ObjectiveMode.min_cost())
 
-
     @pytest.mark.parametrize("change, message", [
         ({"branch": "ac1", "length_km": math.nan}, "branch ac1: length_km must be finite"),
         ({"branch": "ac1", "loss_factor_per_km": math.nan},
