@@ -11,15 +11,16 @@ for ``<=``, ``0 >= rhs`` for ``>=``, ``0 == rhs`` for ``==``) to within
 ``EMPTY_ROW_TOL * (1 + |rhs|)``; otherwise the problem is infeasible and
 that row is named.
 
-A ``start`` fitting the problem first exchanges each free row's nonbasic
-slack (a cap that bound) into the basis for the basic at the largest entry
-of its column of the basis inverse, which stays nonbasic at its value. A
-fixed column that is basic in it stays. An emptied row then has no nonzero
-in any basic structural, so a nonsingular start has that row's slack basic,
-and it maps onto the reduced problem exactly: the dropped columns (all
-nonbasic), the dropped rows and their slacks are deleted. Branch-and-bound
-children and polishes fix integer columns that may be basic in their
-parent's basis, and this keeps them warm.
+Presolve only reduces: it maps a ``start`` as it is or drops it, and never
+changes a basis. A start fits when it is a basis of this matrix in which
+every free row's slack is basic (a start in which a free row binds is
+dropped; choosing one that fits is the caller's part). A fixed column that
+is basic in it stays. An emptied row then has no nonzero in any basic
+structural, so a nonsingular start has that row's slack basic, and it maps
+onto the reduced problem exactly: the dropped columns (all nonbasic), the
+dropped rows and their slacks are deleted. Branch-and-bound children and
+polishes fix integer columns that may be basic in their parent's basis, and
+this keeps them warm.
 
 :func:`postsolve` returns a result in the original space. Dropped columns sit
 at their bound with reduced cost ``c_j - a_j^T y``, and dropped rows have
@@ -40,11 +41,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 from .problem import GE, LE, SparseProblem
-from .simplex import AT_LOWER, AT_UPPER, AT_VALUE, BASIC, OPTIMAL, Basis, SolveResult
+from .simplex import AT_LOWER, BASIC, OPTIMAL, Basis, SolveResult
 
 EMPTY_ROW_TOL = 1e-9  # relative amount by which an emptied row's rhs may break its sense
 
@@ -69,10 +68,13 @@ class Presolved:
 
 
 def _fits(problem: SparseProblem, start: Basis) -> bool:
+    """Whether ``start`` is a basis of ``problem``'s matrix with every free
+    row's slack basic."""
     m, n = problem.a.shape
     return (start.fingerprint == problem.fingerprint() and len(start.basis) == m
             and len(start.vstat) == len(start.x) == n + m
-            and start.basis.max(initial=-1) < n + m)
+            and start.basis.max(initial=-1) < n + m
+            and (start.vstat[n:][problem.free_rows()] == BASIC).all())
 
 
 def presolve(problem: SparseProblem, start: Basis | None = None) -> Presolved:
@@ -82,8 +84,8 @@ def presolve(problem: SparseProblem, start: Basis | None = None) -> Presolved:
     a = problem.a
     m, n = a.shape
     free = problem.free_rows()
-    fits = start is not None and _fits(problem, start)
-    start = _free_slacks_basic(start, problem, np.flatnonzero(free)) if fits else None
+    if start is not None and not _fits(problem, start):
+        start = None
     basic = np.zeros(n + m, dtype=bool)
     if start is not None:
         basic[start.basis] = True
@@ -121,42 +123,6 @@ def presolve(problem: SparseProblem, start: Basis | None = None) -> Presolved:
     return Presolved(problem, reduced, cols, rows, x_fixed, rhs, mapped)
 
 
-def _free_slacks_basic(start: Basis, problem: SparseProblem, free: np.ndarray) -> Basis | None:
-    """``start`` with the nonbasic slack of each ``free`` row i exchanged into
-    the basis at the position p with the largest ``|(B^-1 e_i)_p|`` (ties to
-    the lowest p) that holds no free row's slack, its column nonbasic at its
-    value; None when ``start`` is singular.
-
-    The exchanges keep B nonsingular when ``(B^-1)[P, I]`` is (Jacobi's
-    complementary minor), so P is chosen by partial pivoting, row by row.
-    """
-    n = problem.num_cols
-    binding = free[start.vstat[n + free] != BASIC]
-    if not binding.size:
-        return start
-    m = problem.num_rows
-    try:
-        lu = splu(sp.hstack([problem.a, sp.identity(m)], format="csc")[:, start.basis])
-    except RuntimeError:
-        return None
-    unit = np.zeros((m, binding.size))
-    unit[binding, np.arange(binding.size)] = 1.0
-    w = lu.solve(unit)  # the columns of B^-1 at the binding rows
-    w[np.isin(start.basis, n + free)] = 0.0  # those slacks leave with their rows
-    basis, vstat = start.basis.copy(), start.vstat.copy()
-    lower = np.concatenate([problem.lower, np.where(problem.senses == GE, -np.inf, 0.0)])
-    upper = np.concatenate([problem.upper, np.where(problem.senses == LE, np.inf, 0.0)])
-    for k, i in enumerate(binding.tolist()):
-        p = int(np.argmax(np.abs(w[:, k])))
-        if w[p, k] == 0.0:
-            return None
-        out, basis[p], vstat[n + i] = basis[p], n + i, BASIC
-        x = start.x[out]
-        vstat[out] = AT_LOWER if x == lower[out] else AT_UPPER if x == upper[out] else AT_VALUE
-        w[:, k + 1:] -= np.outer(w[:, k] / w[p, k], w[p, k + 1:])  # zeroes row p there
-    return replace(start, basis=basis, vstat=vstat)
-
-
 def map_basis(start: Basis, source: SparseProblem, target: SparseProblem) -> Basis | None:
     """``start``, an optimal basis of ``source``, as a basis of ``target``,
     matched by column and row name.
@@ -169,14 +135,14 @@ def map_basis(start: Basis, source: SparseProblem, target: SparseProblem) -> Bas
     fingerprint. When ``target``'s shared block has ``source``'s
     coefficients and only relaxes its bounds, the mapped basis is
     nonsingular and primal feasible. None when ``start`` does not fit
-    ``source``, when a free row of ``source`` has a nonbasic slack in it, or
-    when ``target`` lacks a column or another row of ``source``.
+    ``source`` (a free row of ``source`` with a nonbasic slack in it does
+    not), or when ``target`` lacks a column or another row of ``source``.
     """
+    if not _fits(source, start):
+        return None
     m, n = target.a.shape
     ns = source.num_cols
     free = source.free_rows()
-    if not _fits(source, start) or (start.vstat[ns:][free] != BASIC).any():
-        return None
     col_at = dict(zip(_col_names(target), range(n)))
     row_at = dict(zip(_row_names(target), range(n, n + m)))
     try:

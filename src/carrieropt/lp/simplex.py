@@ -646,9 +646,12 @@ def solve_lp(problem: SparseProblem, start: Basis | None = None) -> SolveResult:
     :func:`carrieropt.lp.verify.verify_solution` checks. Identical inputs
     produce identical results.
 
-    ``start`` is used when it fits this matrix and is nonsingular, whatever
-    its basic values, and the result's ``warm_started`` says so; otherwise
-    the solve starts from the triangular crash basis of :meth:`_Simplex.cold_start`.
+    ``start`` is used when it is a nonsingular basis of this matrix in which
+    every free row's slack is basic, whatever its basic values, and the
+    result's ``warm_started`` says so; otherwise the solve starts from the
+    triangular crash basis of :meth:`_Simplex.cold_start`. The start is
+    used as it is: a start in which a free row binds (a cap lifted after it
+    bound) starts nothing.
 
     The solve always runs on the problem :func:`~.presolve.presolve` leaves:
     free rows are dropped, and so are columns with ``lower == upper``, except

@@ -41,6 +41,7 @@ from .lp import (
     warm_start_solve,
 )
 from .lp import solve_lp  # unused here; perfbench/tracing.py wraps this module attribute
+from .lp.simplex import BASIC
 from .system import (
     Carrier,
     EnergySystem,
@@ -290,12 +291,16 @@ class ScenarioRunner:
     A run that is not warm-started from sizes starts from the basis of, in
     this order (:meth:`_start`):
 
-    1. the latest cached outcome of its scenario, in any mode, as is.
-       Min-cost and min-emissions differ only in the objective, so whichever
-       runs second reoptimizes from the first; along a cap sweep each cap
-       reoptimizes from the one before, and the floor from the last feasible
-       cap (presolve drops the lifted cap row, and with a binding cap one
-       basic, which keeps the point);
+    1. the latest cached outcome of its scenario whose basis fits the run,
+       as is. A basis fits unless the run frees the cap row (min-cost,
+       min-emissions, ``cap=inf``) and the outcome's cap binds (its slack is
+       nonbasic). Min-cost and min-emissions differ only in the objective,
+       so whichever runs second reoptimizes from the first, and along a cap
+       sweep each cap reoptimizes from the one before. A min-emissions run
+       also takes a latest outcome whose cap binds, and solves under that
+       cap: the outcome meets it, so every least-emissions point does too
+       and the optimal set is the same. A min-cost or ``cap=inf`` run passes
+       over such an outcome to older ones;
     2. the first cached ``reference`` min-cost outcome (of either year),
        mapped onto the run's problem by column and row name
        (:func:`carrieropt.lp.map_basis`). Every standard scenario only
@@ -305,9 +310,10 @@ class ScenarioRunner:
 
     The floor reported for an infeasible cap is the scenario's cached
     min-emissions outcome, so it is solved at most once per runner, by the
-    same rule. Once it is cached, a cap below ``floor * (1 - 1e-9)`` is
-    reported infeasible without deriving or solving a problem; caps between
-    that and the floor are solved.
+    same rule: along a sweep, from the last feasible cap and under it. Once
+    it is cached, a cap below ``floor * (1 - 1e-9)`` is reported infeasible
+    without deriving or solving a problem; caps between that and the floor
+    are solved.
 
     So an outcome's ``solver`` counters depend on which runs this runner
     made before it, and in which order; a min-emissions outcome's costs,
@@ -335,16 +341,28 @@ class ScenarioRunner:
             self._built[scenario.id] = build_problem(gated, ObjectiveMode.min_cost())
         return self._built[scenario.id].for_mode(mode)
 
-    def _start(self, scenario: ScenarioSpec, problem: BuiltProblem) -> Basis | None:
-        """The basis a run of ``problem`` starts from, by the class's rule."""
+    def _start(self, scenario: ScenarioSpec, problem: BuiltProblem
+               ) -> tuple[BuiltProblem, Basis | None]:
+        """The problem a run of ``problem`` solves and the basis it starts
+        from, by the class's rule."""
         outcomes = list(self._cache.values())  # a snapshot: other threads may add to it
-        latest = next((o for o in reversed(outcomes) if o.scenario_id == scenario.id), None)
-        if latest is not None:
-            return latest.result.basis
+        free = problem.problem.free_rows()
+        n = problem.problem.num_cols
+        for outcome in reversed(outcomes):
+            if outcome.scenario_id != scenario.id:
+                continue
+            basis = outcome.result.basis
+            if (basis.vstat[n:][free] == BASIC).all():
+                return problem, basis
+            if problem.mode.kind == "min_emissions":
+                # the start meets its cap, so every least-emissions point does too
+                kept = replace(problem.problem, rhs=outcome.built.problem.rhs)
+                return replace(problem, problem=kept), basis
         for outcome in outcomes:
             if outcome.scenario_id in _ROOT_IDS and outcome.mode.kind == "min_cost":
-                return map_basis(outcome.result.basis, outcome.built.problem, problem.problem)
-        return None
+                return problem, map_basis(outcome.result.basis, outcome.built.problem,
+                                          problem.problem)
+        return problem, None
 
     def run(self, scenario: ScenarioSpec, mode: ObjectiveMode,
             warm_from: Mapping[str, float] | None = None) -> ScenarioOutcome:
@@ -387,8 +405,8 @@ class ScenarioRunner:
         if (floor is not None and mode.kind == "min_cost_with_cap"
                 and mode.emission_cap < floor.objective * (1.0 - 1e-9)):
             raise InfeasibleCapError(mode.emission_cap, floor.objective)
-        built = self.problem(scenario, mode)
-        outcome = _solve(built, scenario, start=self._start(scenario, built))
+        built, start = self._start(scenario, self.problem(scenario, mode))
+        outcome = _solve(built, scenario, start=start)
         if outcome is None:
             floor = self._outcome(scenario, ObjectiveMode.min_emissions())
             raise InfeasibleCapError(mode.emission_cap, floor.objective)

@@ -62,7 +62,7 @@ SWEEP_ROWS = [
     (0.8, None),
     (0.9, None),
 ]
-SWEEP_FLOOR = "0x1.5add158cd5440p+14"
+SWEEP_FLOOR = "0x1.5add158cd543dp+14"
 
 
 def test_matrix_iterations_and_objective_bits(tmp_path):

@@ -16,7 +16,7 @@ from carrieropt.lp import (
     EQ, GE, INFEASIBLE, LE, OPTIMAL, UNBOUNDED, solve_lp, verify_solution,
 )
 from carrieropt.lp.presolve import map_basis, presolve
-from carrieropt.lp.simplex import AT_LOWER, AT_UPPER, AT_VALUE, BASIC
+from carrieropt.lp.simplex import AT_LOWER, BASIC
 from carrieropt.scenarios import (
     STANDARD_SCENARIO_IDS,
     ScenarioRunner,
@@ -327,7 +327,7 @@ def _capped_triple():
 
 
 class TestRowDrop:
-    """``presolve`` drops free rows and maps a start that binds them."""
+    """``presolve`` drops free rows, and maps a start only where they do not bind."""
 
     def test_a_row_with_a_basic_slack_leaves_with_it(self):
         source = _capped_triple()
@@ -345,32 +345,17 @@ class TestRowDrop:
         assert warm.warm_started and warm.iterations <= 1  # one pricing pass proves it optimal
         assert warm.objective == solve_lp(freed).objective == -7.0
 
-    def test_a_binding_row_takes_the_largest_entry_of_its_inverse_column(self):
+    def test_a_start_in_which_a_freed_row_binds_is_refused(self):
         source = _capped_triple()
         res = solve_lp(source)
-        basis = res.basis.basis
         assert res.basis.vstat[2] != BASIC  # cap binds: its slack is nonbasic
         freed = _freed(source, {"cap"})
         pre = presolve(freed, res.basis)
-        assert pre.reduced.row_names == ["rx", "ry"]
-        mapped = pre.start
-        full = np.hstack([source.a.toarray(), np.eye(3)])
-        w = np.linalg.solve(full[:, basis], np.eye(3)[:, 0])  # B^-1 e_cap
-        p = int(np.argmax(np.abs(w)))
-        leaving = basis[p]
-        assert leaving < 2 and abs(w[p]) > 0  # a structural leaves, here y
-        assert mapped.basis.tolist() == [
-            {0: 0, 1: 1, 3: 2, 4: 3}[j] for j in basis.tolist() if j not in (leaving, 2)]
-        # the leaving column stays at its value, strictly inside its bounds
-        assert mapped.x[leaving] == res.x[leaving] == 1.0
-        assert mapped.vstat[leaving] == AT_VALUE
-        assert _is_start(pre.reduced, mapped)
+        assert pre.reduced.row_names == ["rx", "ry"] and pre.start is None
+        assert map_basis(res.basis, freed, freed) is None
         warm, cold = solve_lp(freed, start=res.basis), solve_lp(freed)
-        assert warm.warm_started and cold.status == warm.status == OPTIMAL
-        assert abs(warm.objective - cold.objective) <= 1e-9 * abs(cold.objective)
-        assert warm.x.tolist() == [3.0, 3.0]
-        # the dropped row's slack is basic in the returned basis, at rhs - A x
-        assert warm.basis.vstat[2] == BASIC and 2 in warm.basis.basis.tolist()
+        assert not warm.warm_started and warm.status == OPTIMAL
+        assert warm.objective == cold.objective == -9.0 and warm.x.tolist() == [3.0, 3.0]
 
     def test_a_singular_start_is_refused(self):
         source = _capped_triple()
@@ -383,47 +368,55 @@ class TestRowDrop:
         res = solve_lp(freed, start=singular)
         assert not res.warm_started and res.status == OPTIMAL and res.objective == -7.0
 
-    def test_the_choice_is_the_same_on_every_call(self):
-        source = _capped_triple()
-        basis = solve_lp(source).basis
-        freed = _freed(source, {"cap"})
-        first = presolve(freed, basis).start
-        for _ in range(3):
-            again = presolve(freed, basis).start
-            for name in ("basis", "vstat", "x"):
-                assert np.array_equal(getattr(first, name), getattr(again, name))
+    @settings(max_examples=100, deadline=None)
+    @given(problem=bounded_lps(), data=st.data())
+    def test_random_lps_refuse_a_start_whose_freed_row_binds(self, problem, data):
+        res = solve_lp(problem)
+        assume(res.status == OPTIMAL)
+        n = problem.num_cols
+        rows = [(name, res.basis.vstat[n + i] != BASIC)
+                for i, (name, sense) in enumerate(zip(problem.row_names, problem.senses))
+                if sense != EQ]
+        binding = [name for name, binds in rows if binds]
+        assume(binding)
+        drop = {data.draw(st.sampled_from(binding))}
+        drop |= set(data.draw(st.lists(st.sampled_from([name for name, _ in rows]),
+                                       unique=True)))
+        freed = _freed(problem, drop)
+        assert presolve(freed, res.basis).start is None
+        warm, cold = solve_lp(freed, start=res.basis), solve_lp(freed)
+        assert not warm.warm_started
+        assert warm.status == cold.status
+        if cold.status == OPTIMAL:
+            assert warm.objective.hex() == cold.objective.hex()
+            assert warm.x.tobytes() == cold.x.tobytes()
 
     @settings(max_examples=100, deadline=None)
     @given(problem=bounded_lps(), data=st.data())
-    def test_random_lps_start_feasible_and_reach_the_cold_objective(self, problem, data):
+    def test_presolve_only_restricts_the_bases_it_maps(self, problem, data):
+        # free rows whose slack is basic and fix columns at their value: the
+        # mapped start is the given one less the dropped columns and rows
         res = solve_lp(problem)
         assume(res.status == OPTIMAL)
-        names = [name for name, sense in zip(problem.row_names, problem.senses) if sense != EQ]
-        assume(names)
-        drop = set(data.draw(st.lists(st.sampled_from(names), min_size=1, max_size=len(names),
-                                      unique=True)))
-        freed = _freed(problem, drop)
-        pre = presolve(freed, res.basis)
-        mapped = pre.start
-        assert mapped is not None and _is_start(pre.reduced, mapped)
-        # one basic leaves per freed row whose slack is nonbasic, at its value
-        n = problem.num_cols
+        start, n = res.basis, problem.num_cols
+        loose = [name for i, (name, sense) in enumerate(zip(problem.row_names, problem.senses))
+                 if sense != EQ and start.vstat[n + i] == BASIC]
+        drop = set(data.draw(st.lists(st.sampled_from(loose), unique=True))) if loose else set()
+        fixed = data.draw(st.lists(st.integers(0, n - 1), unique=True))
+        target = _freed(problem, drop).with_bounds({j: (start.x[j], start.x[j]) for j in fixed})
+        pre = presolve(target, start)
+        assume(pre.reduced is not None)
         keep = np.concatenate([pre.cols, pre.rows])
-        where = np.where(keep, np.cumsum(keep) - 1, -1)
-        binding = sum(res.basis.vstat[n + i] != BASIC for i, name in enumerate(problem.row_names)
-                      if name in drop)
-        left = np.setdiff1d(where[res.basis.basis], np.append(mapped.basis, -1))
-        assert left.size == binding
-        lower, upper = _bounds(pre.reduced)
-        for j in left.tolist():
-            expected = (AT_LOWER if mapped.x[j] == lower[j] else
-                        AT_UPPER if mapped.x[j] == upper[j] else AT_VALUE)
-            assert mapped.vstat[j] == expected
-        warm, cold = solve_lp(freed, start=res.basis), solve_lp(freed)
-        assert warm.warm_started
-        assert warm.status == cold.status
-        if cold.status == OPTIMAL:
-            assert abs(warm.objective - cold.objective) <= 1e-9 * max(1.0, abs(cold.objective))
+        mapped = pre.start
+        assert mapped is not None and mapped.fingerprint == pre.reduced.fingerprint()
+        assert mapped.vstat.tobytes() == start.vstat[keep].tobytes()
+        assert mapped.x.tobytes() == start.x[keep].tobytes()
+        index = np.cumsum(keep) - 1
+        assert mapped.basis.tolist() == index[start.basis[keep[start.basis]]].tolist()
+        # what leaves the basis is the slacks of the dropped rows, nothing else
+        assert set(start.basis[~keep[start.basis]].tolist()) == set(
+            (n + np.flatnonzero(~pre.rows)).tolist())
+        assert solve_lp(target, start=start).warm_started
 
 
 @pytest.fixture(scope="module")

@@ -17,6 +17,7 @@ from carrieropt.costing import (
 )
 from carrieropt.lp import INFEASIBLE, OPTIMAL, map_basis, solve_milp, verify_solution
 from carrieropt.lp.presolve import presolve
+from carrieropt.lp.simplex import BASIC
 from carrieropt.scenarios import (
     InfeasibleCapError,
     ScenarioRunner,
@@ -54,15 +55,13 @@ class RunnerWork:
     ``builds`` holds the mode of every ``build_problem`` call; ``derived``
     the mode of every :meth:`BuiltProblem.for_mode` call made outside a
     build (the problems a runner derives from its cached build); ``solved``
-    the mode of every derived problem passed to ``solve_milp``, in order.
+    the mode of every problem the runner solves, in order.
     """
 
     def __init__(self, patch):
         self.builds, self.derived, self.solved = [], [], []
-        # id of a derived problem -> (that problem, kept so the id stays unique; its mode)
-        self._problems = {}
         self._building = False
-        build, solve = scenarios.build_problem, scenarios.solve_milp
+        build, solve = scenarios.build_problem, scenarios._solve
         for_mode = BuiltProblem.for_mode
 
         def recording_build(system, mode):
@@ -74,20 +73,17 @@ class RunnerWork:
                 self._building = False
 
         def recording_for_mode(built, mode):
-            out = for_mode(built, mode)
             if not self._building:
                 self.derived.append(mode)
-                self._problems[id(out.problem)] = (out.problem, mode)
-            return out
+            return for_mode(built, mode)
 
-        def recording_solve(problem, *args, **kwargs):
-            if id(problem) in self._problems:
-                self.solved.append(self._problems[id(problem)][1])
-            return solve(problem, *args, **kwargs)
+        def recording_solve(built, *args, **kwargs):
+            self.solved.append(built.mode)
+            return solve(built, *args, **kwargs)
 
         patch.setattr(scenarios, "build_problem", recording_build)
         patch.setattr(BuiltProblem, "for_mode", recording_for_mode)
-        patch.setattr(scenarios, "solve_milp", recording_solve)
+        patch.setattr(scenarios, "_solve", recording_solve)
 
 
 def record_starts(patch):
@@ -106,6 +102,13 @@ def same_basis(a, b):
     """Whether two bases, neither None, hold equal statuses and values."""
     return a is not None and b is not None and all(
         np.array_equal(getattr(a, field), getattr(b, field)) for field in ("basis", "vstat", "x"))
+
+
+def binds(outcome) -> bool:
+    """Whether ``outcome``'s emission cap binds: its slack is nonbasic."""
+    problem = outcome.built.problem
+    slack = problem.num_cols + problem.row_names.index(EMISSION_CAP_LABEL)
+    return bool(outcome.result.basis.vstat[slack] != BASIC)
 
 
 def capped(problem) -> bool:
@@ -403,7 +406,7 @@ def mode_orders(mini):
 
 class TestBasisChains:
     """One basis chain per scenario: every run starts from its scenario's
-    latest cached outcome, mapped by name when only one of them has the cap row."""
+    latest cached outcome that fits it."""
 
     def test_min_emissions_after_min_cost_starts_warm(self, mode_orders):
         warm_total = cold_total = 0
@@ -466,32 +469,35 @@ class TestBasisChains:
         assert 34_000.0 < cold.emissions.total < 38_000.0  # only the 38,000 t cap is loose
         with pytest.MonkeyPatch.context() as patch:
             starts = record_starts(patch)
+            loose_cap = runner.run(synergies, ObjectiveMode.min_cost_with_cap(38_000.0))
             first_cap = runner.run(synergies, ObjectiveMode.min_cost_with_cap(34_000.0))
             second_cap = runner.run(synergies, ObjectiveMode.min_cost_with_cap(30_000.0))
             uncapped = runner.run(synergies, ObjectiveMode.min_cost())
-            loose_cap = runner.run(synergies, ObjectiveMode.min_cost_with_cap(38_000.0))
             third_cap = runner.run(synergies, ObjectiveMode.min_cost_with_cap(26_000.0))
             floor = runner.run(synergies, ObjectiveMode.min_emissions())
-        assert len(starts) == 6
+            unbounded = runner.run(synergies, ObjectiveMode.min_cost_with_cap(float("inf")))
+        assert len(starts) == 7
         # the first run has no basis of its own scenario and no root: cold
-        assert starts[0] is None and "warm_start" not in first_cap.solver
-        # every other run starts from the latest basis as is, capped or not
-        for start, before, run in ((starts[1], first_cap, second_cap),
-                                   (starts[2], second_cap, uncapped),
-                                   (starts[3], uncapped, loose_cap),
-                                   (starts[4], loose_cap, third_cap),
-                                   (starts[5], third_cap, floor)):
+        assert starts[0] is None and "warm_start" not in loose_cap.solver
+        assert not binds(loose_cap) and binds(first_cap) and binds(second_cap)
+        # a capped run starts from the latest basis as is, binding or not
+        for start, before in ((starts[1], loose_cap), (starts[2], first_cap),
+                              (starts[4], uncapped)):
             assert start is before.result.basis
+        # min-cost frees the cap row: it passes over the two caps that bind
+        # for the older loose one
+        assert starts[3] is loose_cap.result.basis
+        # the floor starts from the binding third cap and keeps that cap,
+        # which its optimum meets; cap=inf starts from the floor, which does not bind
+        assert binds(third_cap) and starts[5] is third_cap.result.basis
+        assert floor.built.problem.rhs is third_cap.built.problem.rhs
+        assert not binds(floor) and starts[6] is floor.result.basis
+        for run in (first_cap, second_cap, uncapped, third_cap, floor, unbounded):
             assert run.solver["warm_start"] is True
-        # the floor's presolve drops third_cap's binding cap row, whose slack
-        # is nonbasic, with one basic, and keeps the start
-        cap_slack = third_cap.built.problem.num_cols + third_cap.built.problem.row_names.index(
-            EMISSION_CAP_LABEL)
-        assert cap_slack not in third_cap.result.basis.basis.tolist()
-        assert presolve(floor.built.problem, starts[5]).start is not None
         assert _rel(uncapped.objective, cold.objective) <= 1e-9
         assert _rel(uncapped.costs.total, cold.costs.total) <= 1e-9
         assert _rel(loose_cap.objective, cold.objective) <= 1e-9
+        assert _rel(unbounded.objective, cold.objective) <= 1e-9
         assert _rel(floor.objective, cold_floor.objective) <= 1e-9
         assert floor.solver["iterations"] < cold_floor.solver["iterations"]
 
@@ -516,20 +522,20 @@ def warm_sweep():
     """synergies at seed 0 under caps 0.1..0.9 of reference emissions, solved
     in order by one runner, beside the same caps solved cold.
 
-    Records every ``solve_milp`` result of the runner (whether its problem has
-    the cap row), the start of each, and what it builds, derives and solves as
-    a :class:`RunnerWork`.
+    Records every ``solve_milp`` result of the runner (whether it solves a
+    cap), the start of each, and what it builds, derives and solves as a
+    :class:`RunnerWork`.
     """
     system = build_miniature_system(0, step_count=24)
     synergies = standard_scenario("synergies")
     e_ref = ScenarioRunner(system).run(standard_scenario("reference"),
                                        ObjectiveMode.min_cost()).emissions.total
     modes = {f: ObjectiveMode.min_cost_with_cap((1.0 - f) * e_ref) for f in SWEEP_FRACTIONS}
-    solves, starts = [], []
+    results, starts = [], []
 
     def recording_solve(problem, start=None):
         res = solve_milp(problem, start=start)
-        solves.append((capped(problem), res))
+        results.append(res)
         starts.append(start)
         return res
 
@@ -543,6 +549,7 @@ def warm_sweep():
                 warm[f] = runner.run(synergies, mode)
             except InfeasibleCapError as err:
                 warm[f] = err
+    solves = [(mode.kind == "min_cost_with_cap", res) for mode, res in zip(work.solved, results)]
     gated = apply_scenario(system, synergies)
     cold = {}
     for f, mode in modes.items():
@@ -560,7 +567,7 @@ class TestWarmSweep:
             _, cold = warm_sweep["cold"][f]
             if isinstance(outcome, InfeasibleCapError):
                 assert cold.status == INFEASIBLE, f
-                assert outcome.minimum_achievable == warm_sweep["floor"].objective, f
+                assert _rel(outcome.minimum_achievable, warm_sweep["floor"].objective) <= 1e-9, f
             else:
                 assert cold.status == outcome.status == OPTIMAL, f
         statuses = [warm_sweep["cold"][f][1].status for f in SWEEP_FRACTIONS]
@@ -627,7 +634,8 @@ class TestWarmSweep:
     def test_caps_below_the_cached_floor_are_not_solved(self, warm_sweep):
         # the derived problems are the caps solved in order, then the floor after
         # the first unreachable cap; every cap after that lies below the floor
-        floor = warm_sweep["floor"].objective
+        floor = warm_sweep["runner"].run(standard_scenario("synergies"),
+                                         ObjectiveMode.min_emissions()).objective
         first = next(f for f in SWEEP_FRACTIONS
                      if isinstance(warm_sweep["warm"][f], InfeasibleCapError))
         later = [f for f in SWEEP_FRACTIONS if f > first]
@@ -643,9 +651,8 @@ class TestWarmSweep:
         assert work.solved == work.derived
 
     def test_floor_starts_from_the_last_feasible_cap(self, warm_sweep):
-        # the floor reoptimizes from the last feasible cap's basis, whose
-        # binding cap row presolve drops with one basic, not from a fresh
-        # runner's start
+        # the floor reoptimizes from the last feasible cap's basis, which binds,
+        # under that cap, which every least-emissions point meets
         (i,) = [k for k, (is_cap, _) in enumerate(warm_sweep["solves"]) if not is_cap]
         floor_result = warm_sweep["solves"][i][1]
         last = [warm_sweep["warm"][f] for f in SWEEP_FRACTIONS
@@ -653,10 +660,9 @@ class TestWarmSweep:
         floor = warm_sweep["runner"].run(standard_scenario("synergies"),
                                          ObjectiveMode.min_emissions())
         assert floor.result is floor_result
-        problem = last.built.problem
-        cap_slack = problem.num_cols + problem.row_names.index(EMISSION_CAP_LABEL)
-        assert cap_slack not in last.result.basis.basis.tolist()  # the last cap binds
+        assert binds(last)
         assert warm_sweep["starts"][i] is last.result.basis
+        assert floor.built.problem.rhs is last.built.problem.rhs
         assert presolve(floor.built.problem, last.result.basis).start is not None
         assert floor_result.warm_started and floor.solver["warm_start"] is True
         cold = warm_sweep["floor"]
@@ -714,9 +720,11 @@ class TestRoot:
                 assert start is previous[1].basis
             if res.status == OPTIMAL:
                 previous = (problem, res)
-        floors = [res for problem, _, res in rest if not capped(problem)]
-        assert len(floors) == 1 and floors[0].objective == pytest.approx(
-            warm_sweep["floor"].objective, rel=1e-9)
+        # the floor comes last, under the last feasible cap it starts from
+        floor_problem, floor_start, floor = rest[-1]
+        assert floor_problem.rhs is next(problem for problem, _, res in rest
+                                         if res.basis is floor_start).rhs
+        assert floor.objective == pytest.approx(warm_sweep["floor"].objective, rel=1e-9)
         for row, f in zip(rows, SWEEP_FRACTIONS):
             rootless = warm_sweep["warm"][f]
             if isinstance(rootless, InfeasibleCapError):
@@ -802,17 +810,21 @@ class TestSweep:
         rows = abatement_sweep(mini, standard_scenario("synergies"), SWEEP_FRACTIONS,
                                runner=runner)
         assert any(r["feasible"] for r in rows) and not all(r["feasible"] for r in rows)
-        caps = 0
+        caps, floors = [], []
         for (scenario_id, label), outcome in runner._cache.items():
             problem, mode = outcome.built.problem, outcome.mode
             assert verify_solution(problem, outcome.result).ok(), (scenario_id, label)
             assert problem.row_names[-1] == EMISSION_CAP_LABEL
             if mode.kind == "min_cost_with_cap":
-                caps += 1
+                caps.append(mode.emission_cap)
                 assert problem.rhs[-1] == mode.emission_cap, label
+            elif mode.kind == "min_emissions":
+                floors.append(problem.rhs[-1])
             else:
                 assert problem.rhs[-1] == np.inf, label
-        assert caps == sum(r["feasible"] for r in rows) > 1
+        assert len(caps) == sum(r["feasible"] for r in rows) > 1
+        # the floor keeps the cap of the last feasible cap, the one it starts from
+        assert floors == [min(caps)]
 
     def test_unreachable_target_marked_infeasible(self, mini, runner):
         rows = abatement_sweep(mini, standard_scenario("reference"),
