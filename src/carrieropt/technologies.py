@@ -33,7 +33,6 @@ from .lp import EQ, LE, RowBlock
 from .system import (
     CARRIERS,
     EnergySystem,
-    StructureError,
     TechnologyInstance,
     TechnologyKind,
     VariableIndex,
@@ -96,11 +95,6 @@ def step_block(steps: int, *groups: list[StepRows]) -> RowBlock:
                     senses=senses, rhs=rhs, names=names)
 
 
-def _require_kind(tech: TechnologyInstance, kind: TechnologyKind) -> None:
-    if tech.kind != kind:
-        raise StructureError(f"technology {tech.id} is {tech.kind.value}, not {kind.value}")
-
-
 def size_limit(kinds: list[StepRows], bounds: list[Bounds], flow: np.ndarray,
                cap: np.ndarray | float, rate: np.ndarray | float, size: int | None,
                name: str) -> None:
@@ -126,7 +120,6 @@ def emit_renewable(tech: TechnologyInstance, index: VariableIndex,
     the stored values are interpreted per MW of installed capacity, so a
     greenfield instance whose size is fixed delivers nothing.
     """
-    _require_kind(tech, TechnologyKind.RENEWABLE)
     kinds: list[StepRows] = []
     bounds: list[Bounds] = []
     existing = tech.existing_size
@@ -140,7 +133,6 @@ def emit_renewable(tech: TechnologyInstance, index: VariableIndex,
 def emit_conversion1(tech: TechnologyInstance, index: VariableIndex,
                      system: EnergySystem) -> Emitted:
     """Output limited by size only; fuel cost lives in the variable opex."""
-    _require_kind(tech, TechnologyKind.CONVERSION1)
     h = system.horizon.hours_per_step
     kinds: list[StepRows] = []
     bounds: list[Bounds] = []
@@ -152,7 +144,6 @@ def emit_conversion1(tech: TechnologyInstance, index: VariableIndex,
 def emit_conversion2(tech: TechnologyInstance, index: VariableIndex,
                      system: EnergySystem) -> Emitted:
     """Size cap on output, fixed-efficiency input/output link, admix limits."""
-    _require_kind(tech, TechnologyKind.CONVERSION2)
     params = tech.performance
     h = system.horizon.hours_per_step
     alpha = params.efficiency
@@ -172,10 +163,15 @@ def emit_conversion2(tech: TechnologyInstance, index: VariableIndex,
     return step_block(system.horizon.step_count, kinds), bounds
 
 
-def _storage_common(tech: TechnologyInstance, index: VariableIndex,
-                    system: EnergySystem,
-                    inflow: tuple[float, ...] | None,
-                    spill: bool, compression: bool) -> Emitted:
+def emit_storage(tech: TechnologyInstance, index: VariableIndex,
+                 system: EnergySystem) -> Emitted:
+    """Rate and capacity limits, cyclic state of charge, simultaneity cut.
+
+    A store with an exogenous inflow (storage2_1) has a nonnegative spill,
+    which keeps full reservoirs feasible; one whose charging draws
+    electricity at the node balance (storage2_2) links that draw to its
+    charge. Both columns come from :func:`~carrieropt.system.tech_flows`.
+    """
     params = tech.performance
     h = system.horizon.hours_per_step
     decay = (1.0 - params.self_discharge) ** h
@@ -199,10 +195,10 @@ def _storage_common(tech: TechnologyInstance, index: VariableIndex,
     terms = [(soc, 1.0), (prev, -decay),
              (charge, -params.charge_efficiency),
              (discharge, 1.0 / params.discharge_efficiency)]
-    if spill:
+    if index.has(tech.id, "spill"):
         terms.append((index.columns(tech.id, "spill"), 1.0))
     kinds.append(StepRows(f"{tech.id}.soc_balance", terms, EQ,
-                          0.0 if inflow is None else inflow))
+                          system.hydro_inflows.get(tech.id, 0.0)))
 
     # discourage simultaneous charge/discharge: both at full rate need the
     # whole installed size (weaker than a binary, always valid)
@@ -211,44 +207,20 @@ def _storage_common(tech: TechnologyInstance, index: VariableIndex,
         cut.append((size_col, -1.0))
     kinds.append(StepRows(f"{tech.id}.cut", cut, LE, existing))
 
-    if compression:
+    if index.has(tech.id, "compress_el"):
         kinds.append(StepRows(f"{tech.id}.compression",
                               [(index.columns(tech.id, "compress_el"), 1.0),
                                (charge, -params.compression_electricity)], EQ))
     return step_block(system.horizon.step_count, kinds), bounds
 
 
-def emit_storage1(tech: TechnologyInstance, index: VariableIndex,
-                  system: EnergySystem) -> Emitted:
-    """Rate and capacity limits, cyclic state of charge, simultaneity cut."""
-    _require_kind(tech, TechnologyKind.STORAGE1)
-    return _storage_common(tech, index, system, inflow=None, spill=False,
-                           compression=False)
-
-
-def emit_storage_open_loop(tech: TechnologyInstance, index: VariableIndex,
-                           system: EnergySystem) -> Emitted:
-    """Storage with exogenous inflow; nonnegative spill keeps full reservoirs feasible."""
-    _require_kind(tech, TechnologyKind.STORAGE2_1)
-    return _storage_common(tech, index, system, inflow=system.hydro_inflows[tech.id],
-                           spill=True, compression=False)
-
-
-def emit_storage_compressed(tech: TechnologyInstance, index: VariableIndex,
-                            system: EnergySystem) -> Emitted:
-    """Storage whose charging draws electricity at the node balance."""
-    _require_kind(tech, TechnologyKind.STORAGE2_2)
-    return _storage_common(tech, index, system, inflow=None, spill=False,
-                           compression=True)
-
-
 _EMITTERS = {
     TechnologyKind.RENEWABLE: emit_renewable,
     TechnologyKind.CONVERSION1: emit_conversion1,
     TechnologyKind.CONVERSION2: emit_conversion2,
-    TechnologyKind.STORAGE1: emit_storage1,
-    TechnologyKind.STORAGE2_1: emit_storage_open_loop,
-    TechnologyKind.STORAGE2_2: emit_storage_compressed,
+    TechnologyKind.STORAGE1: emit_storage,
+    TechnologyKind.STORAGE2_1: emit_storage,
+    TechnologyKind.STORAGE2_2: emit_storage,
 }
 
 

@@ -24,7 +24,7 @@ from carrieropt.technologies import (
     emit_conversion1,
     emit_conversion2,
     emit_renewable,
-    emit_storage1,
+    emit_storage,
     emit_technology,
 )
 
@@ -221,7 +221,7 @@ class TestStorageRows:
                            for k, v in mini.hydro_inflows.items()},
         )
         idx = assemble_variable_index(one_hour)
-        _, bounds = emitted(emit_storage1(batt, idx, one_hour))
+        _, bounds = emitted(emit_storage(batt, idx, one_hour))
         charge_bounds = [b for b in bounds if b[0] == idx.columns("batt1", "charge")[0]]
         assert charge_bounds[0][2] == pytest.approx(0.999)  # 0.333 * 3 MWh
 
