@@ -65,16 +65,21 @@ class ObjectiveMode:
 
 
 def annualize(capex: float, lifetime: float, discount_rate: float) -> float:
-    """Capital-recovery annuity: capex * r(1+r)^L / ((1+r)^L - 1); capex/L at r=0."""
+    """Capital-recovery annuity: capex * r(1+r)^L / ((1+r)^L - 1); capex/L at
+    r=0, and the perpetuity capex * r where the annuity overflows a double."""
     if lifetime <= 0:
         raise ValueError("lifetime must be positive")
     if discount_rate < 0:
         raise ValueError("discount rate must be nonnegative")
     if discount_rate < 1e-12:  # annuity limit; avoids denormal-range noise
         return capex / lifetime
-    # expm1/log1p keep the denominator exact for very small rates
-    growth_minus_one = math.expm1(lifetime * math.log1p(discount_rate))
-    return capex * discount_rate * (growth_minus_one + 1.0) / growth_minus_one
+    try:
+        # expm1/log1p keep the denominator exact for very small rates
+        growth_minus_one = math.expm1(lifetime * math.log1p(discount_rate))
+    except OverflowError:
+        return capex * discount_rate
+    annuity = capex * discount_rate * (growth_minus_one + 1.0) / growth_minus_one
+    return annuity if math.isfinite(annuity) else capex * discount_rate
 
 
 def _annual_cost(capex: float, terms: CostParams | NetworkBranch) -> float:

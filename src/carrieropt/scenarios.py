@@ -11,7 +11,8 @@ receive size variables at all.
 
 Hydrogen admixture into gas plants is available whenever the scenario
 enables electrolysis somewhere; without carbon-free production the admix
-input is removed so that reference runs stay pure dispatch problems.
+input, its limit and its emission factor are removed so that reference runs
+stay pure dispatch problems.
 """
 
 from __future__ import annotations
@@ -177,7 +178,9 @@ def apply_scenario(system: EnergySystem, spec: ScenarioSpec) -> EnergySystem:
                     input_carriers=tuple(c for c in p.input_carriers
                                          if c != Carrier.HYDROGEN),
                     admix_limits={c: s for c, s in p.admix_limits.items()
-                                  if c != Carrier.HYDROGEN}))
+                                  if c != Carrier.HYDROGEN}),
+                    emission_factors={key: f for key, f in new.emission_factors.items()
+                                      if key != ("in", Carrier.HYDROGEN)})
         technologies.append(new)
 
     branches = []

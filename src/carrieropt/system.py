@@ -126,7 +126,7 @@ class DemandSeries:
 @dataclass(frozen=True)
 class CostParams:
     capex_per_size: float = _within(NONNEGATIVE, default=0.0)  # kEUR/MW; kEUR/MWh for storage
-    lifetime: float = _within(FINITE, default=0.0)              # years
+    lifetime: float = _within(NONNEGATIVE, default=0.0)         # years
     fixed_opex_share: float = _within(FRACTION, default=0.0)    # of annualized capex per year
     variable_opex: float = _within(NONNEGATIVE, default=0.0)    # EUR per MWh of output
     discount_rate: float = _within(NONNEGATIVE, default=0.04)
@@ -203,7 +203,7 @@ class NetworkBranch:
     # kEUR, kEUR/MW, kEUR/km, kEUR/(km*MW)
     cost_poly: tuple[float, float, float, float] = _within(FINITE, "gamma{0}", each=True)
     fixed_opex_share: float = _within(FRACTION, default=0.0)
-    lifetime: float = _within(FINITE, default=40.0)
+    lifetime: float = _within(NONNEGATIVE, default=40.0)
     variable_opex: float = _within(NONNEGATIVE, default=0.0)
     discount_rate: float = _within(NONNEGATIVE, default=0.04)
     integer_block_mw: float | None = _within(POSITIVE, default=None)  # None: no blocks

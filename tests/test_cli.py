@@ -187,6 +187,55 @@ class TestValidate:
         assert run_cli(["--quiet", "run", str(broken), "--scenario", "reference"]) == 3
 
 
+def _edited_fixture(tmp_path, tech_id, column, value):
+    """A copy of the shipped fixture with one cell of ``technologies.csv`` set."""
+    import shutil
+    directory = tmp_path / "edited"
+    shutil.copytree(FIXTURE, directory)
+    path = directory / "technologies.csv"
+    header, *rows = path.read_text().splitlines()
+    at = header.split(",").index(column)
+    for k, row in enumerate(rows):
+        cells = row.split(",")
+        if cells[0] == tech_id:
+            cells[at] = value
+            rows[k] = ",".join(cells)
+    path.write_text("".join(f"{line}\n" for line in [header, *rows]))
+    return directory
+
+
+class TestEdgeCells:
+    """Cells that validate must run: they exit 0, or 3 when out of domain, never 1."""
+
+    def test_a_hydrogen_input_factor_without_hydrogen_production(self, tmp_path, capsys):
+        # reference strips gas1's hydrogen input, and the factor with it
+        edited = _edited_fixture(tmp_path, "gas1", "ef_in_hydrogen", "0.01")
+        assert run_cli(["validate", str(edited)]) == 0
+        capsys.readouterr()
+        runs = []
+        for directory in (FIXTURE, edited):
+            assert run_cli(["--quiet", "run", str(directory), "--scenario", "reference"]) == 0
+            runs.append(json.loads(capsys.readouterr().out))
+        assert runs[0]["objective"] == runs[1]["objective"]
+        assert runs[0]["emissions"] == runs[1]["emissions"]
+        assert run_cli(["--quiet", "matrix", str(edited), "--scenarios", "reference,h-all",
+                        "--out", str(tmp_path / "matrix")]) == 0
+
+    @pytest.mark.parametrize("column, value", [("lifetime", "1000000.0"),
+                                               ("discount_rate", "1e300")])
+    def test_an_annuity_past_a_doubles_range(self, tmp_path, capsys, column, value):
+        # (1+r)^L exceeds a double: batt1's capex is annualized as a perpetuity
+        edited = _edited_fixture(tmp_path, "batt1", column, value)
+        assert run_cli(["validate", str(edited)]) in (0, 3)
+        assert run_cli(["--quiet", "run", str(edited), "--scenario", "synergies"]) in (0, 3)
+
+    def test_a_negative_lifetime_exits_3(self, tmp_path, capsys):
+        edited = _edited_fixture(tmp_path, "nuc1", "lifetime", "-5.0")
+        assert run_cli(["validate", str(edited)]) == 3
+        assert "technology nuc1: lifetime must be >= 0" in capsys.readouterr().out
+        assert run_cli(["--quiet", "run", str(edited), "--scenario", "reference"]) == 3
+
+
 class TestRun:
     def test_matches_library(self, system_dir, capsys):
         assert run_cli(["--quiet", "run", str(system_dir),

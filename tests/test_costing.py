@@ -52,6 +52,17 @@ class TestAnnualize:
     def test_long_lifetime_tends_to_interest(self):
         assert_allclose(annualize(100.0, 5000.0, 0.05), 5.0, rtol=1e-9)
 
+    @pytest.mark.parametrize("lifetime, rate", [(1e6, 0.04), (25.0, 1e300), (1.0, 1e300)])
+    def test_past_a_doubles_range_the_annuity_is_the_perpetuity(self, lifetime, rate):
+        # (1+r)^L overflows (the first two) or so does capex * r * (1+r)^L
+        assert annualize(622.0, lifetime, rate) == 622.0 * rate
+
+    def test_below_that_range_the_formula_keeps_its_bits(self):
+        for lifetime, rate in ((25.0, 0.04), (5000.0, 0.05), (700.0, 1.0)):
+            growth_minus_one = math.expm1(lifetime * math.log1p(rate))
+            expected = 622.0 * rate * (growth_minus_one + 1.0) / growth_minus_one
+            assert annualize(622.0, lifetime, rate) == expected
+
     def test_nonpositive_lifetime_rejected(self):
         with pytest.raises(ValueError):
             annualize(10.0, 0.0, 0.04)

@@ -396,6 +396,8 @@ class TestDomains:
          "node n1: import emission factor for electricity must be >= 0"),
         ("technologies.csv", "ef_in_hydrogen", 8, "5",
          "technology nuc1: emission factor in/hydrogen matches no flow"),
+        ("technologies.csv", "lifetime", 8, "-5.0", "technology nuc1: lifetime must be >= 0"),
+        ("branches.csv", "lifetime", 0, "-1.0", "branch ac1: lifetime must be >= 0"),
         ("technologies.csv", "ef_out_natural_gas", 0, "5",
          "technology batt1: emission factor out/natural_gas matches no flow"),
         ("technologies.csv", "ef_in_electricity", 9, "5",

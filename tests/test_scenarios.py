@@ -1,6 +1,7 @@
 """Scenario gates, dominance orderings, sweeps and metrics."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -175,6 +176,17 @@ class TestGates:
         with_h2 = apply_scenario(mini, standard_scenario("h-all"))
         gas = with_h2.technology("gas1")
         assert gas.performance.admix_limits[Carrier.HYDROGEN] == 0.05
+
+    def test_the_admix_input_leaves_with_its_emission_factor(self, mini):
+        # a factor on the hydrogen input that the gate removes would price no flow
+        priced = replace(mini, technologies=tuple(
+            replace(t, emission_factors={**t.emission_factors, ("in", Carrier.HYDROGEN): 0.01})
+            if t.id == "gas1" else t for t in mini.technologies))
+        no_h2 = apply_scenario(priced, standard_scenario("reference"))
+        assert validate_system(no_h2) == []
+        assert ("in", Carrier.HYDROGEN) not in no_h2.technology("gas1").emission_factors
+        with_h2 = apply_scenario(priced, standard_scenario("h-all"))
+        assert with_h2.technology("gas1").emission_factors[("in", Carrier.HYDROGEN)] == 0.01
 
     def test_vres_gate_2040(self, mini):
         gated_2030 = apply_scenario(mini, standard_scenario("reference"))
