@@ -16,7 +16,6 @@ import math
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import NoReturn
 
@@ -239,17 +238,17 @@ def cmd_sweep(args) -> int:
 def cmd_matrix(args) -> int:
     """Run every listed scenario in every listed mode and write their files.
 
-    Every run is made on one :class:`ScenarioRunner`. It first solves the
-    ``reference`` min-cost outcome of ``--year``, also when reference is not
-    listed (it is then neither exported nor summarized); then each scenario
-    runs its modes in the order given, and ``--jobs`` runs scenarios in
-    parallel threads. A run starts from its scenario's latest outcome in
-    any mode, as is, or else from that reference outcome, so a
-    scenario's files do not depend on ``--jobs``, on the listing order, or
-    on which other scenarios are listed; they may depend on the order of
-    ``--modes``. A min-cost file may report another optimal vertex than
-    ``run`` does: ``objective`` and ``costs.total`` are equal, ``metrics``
-    and capacities may differ.
+    Every run is made on one :class:`ScenarioRunner`, in order, on the
+    calling thread. It first solves the ``reference`` min-cost outcome of
+    ``--year``, also when reference is not listed (it is then neither
+    exported nor summarized); then each scenario runs its modes in the order
+    given. A run starts from its scenario's latest outcome in any mode, as
+    is, or else from that reference outcome, so a scenario's files do not
+    depend on the listing order or on which other scenarios are listed; they
+    may depend on the order of ``--modes``. ``--jobs`` is checked and has no
+    effect. A min-cost file may report another optimal vertex than ``run``
+    does: ``objective`` and ``costs.total`` are equal, ``metrics`` and
+    capacities may differ.
     """
     system = _load_system(args)
     if args.scenarios == "all":
@@ -277,24 +276,11 @@ def cmd_matrix(args) -> int:
         except (InfeasibleCapError, RuntimeError) as err:
             return str(err)
 
-    # reference min-cost is cached before any worker starts, so that every
-    # worker finds it; each worker then runs only its own scenarios
+    # reference min-cost first, so that every other scenario can start from it
     reference, min_cost = standard_scenario("reference", year=args.year), ObjectiveMode.min_cost()
     root = attempt(reference, min_cost)
-
-    def run_scenario(scenario):
-        """Per mode, in order: what :func:`attempt` returns; reference reuses ``root``."""
-        return [root if (scenario, mode) == (reference, min_cost) else attempt(scenario, mode)
-                for mode in modes]
-
-    # --jobs 1 must stay on the calling thread: per-thread span stacks in
-    # perfbench/tracing.py and its calibration between solves rely on it
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            parts = list(pool.map(run_scenario, scenarios))
-    else:
-        parts = list(map(run_scenario, scenarios))
-    done = [item for part in parts for item in part]
+    done = [root if (scenario, mode) == (reference, min_cost) else attempt(scenario, mode)
+            for scenario in scenarios for mode in modes]
     failures = [item for item in done if isinstance(item, str)]
     results = sorted((item for item in done if not isinstance(item, str)),
                      key=lambda item: (item[0], item[1].label()))
@@ -365,7 +351,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="'all' or comma-separated scenario ids")
     p.add_argument("--modes", default="min-cost,min-emissions")
     p.add_argument("--year", type=int, default=2030, choices=(2030, 2040))
-    p.add_argument("--jobs", type=int, default=1, help="scenarios run in parallel")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="accepted for compatibility and ignored; must be at least 1")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_matrix)
 

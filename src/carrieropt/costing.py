@@ -66,7 +66,8 @@ class ObjectiveMode:
 
 def annualize(capex: float, lifetime: float, discount_rate: float) -> float:
     """Capital-recovery annuity: capex * r(1+r)^L / ((1+r)^L - 1); capex/L at
-    r=0, and the perpetuity capex * r where the annuity overflows a double."""
+    r=0, the perpetuity capex * r where the annuity overflows a double, and
+    its limit capex * r / (L log(1+r)) where L log(1+r) underflows to zero."""
     if lifetime <= 0:
         raise ValueError("lifetime must be positive")
     if discount_rate < 0:
@@ -78,6 +79,8 @@ def annualize(capex: float, lifetime: float, discount_rate: float) -> float:
         growth_minus_one = math.expm1(lifetime * math.log1p(discount_rate))
     except OverflowError:
         return capex * discount_rate
+    if growth_minus_one == 0.0:
+        return capex * discount_rate / lifetime / math.log1p(discount_rate)
     annuity = capex * discount_rate * (growth_minus_one + 1.0) / growth_minus_one
     return annuity if math.isfinite(annuity) else capex * discount_rate
 

@@ -1,7 +1,7 @@
 """Generic sparse LP/MILP kernel: simplex, branch and bound, verification."""
 
 from .branch_bound import solve_milp
-from .mps import export_mps, read_solution
+from .mps import export_mps
 from .presolve import map_basis
 from .problem import EQ, GE, LE, ProblemError, RowBlock, SparseProblem
 from .simplex import (
@@ -33,7 +33,6 @@ __all__ = [
     "WarmStartError",
     "export_mps",
     "map_basis",
-    "read_solution",
     "solve_lp",
     "solve_milp",
     "verify_solution",

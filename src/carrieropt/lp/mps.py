@@ -1,11 +1,9 @@
-"""Fixed-format MPS export and plain solution-file import.
+"""Fixed-format MPS export.
 
 The writer emits the classic fixed column layout with generated 8-character
 row/column names (``R0000001``, ``C0000001``) so that any external solver can
 consume the file; the original long names are recorded in a JSON sidecar next
-to the MPS file. Solution files are whitespace-separated ``name value`` lines
-(comment lines starting with ``#`` or ``*`` are ignored), with either the
-generated or the original column names.
+to the MPS file.
 """
 
 from __future__ import annotations
@@ -106,32 +104,3 @@ def export_mps(problem: SparseProblem, path: str | Path, name: str = "CARRIEROPT
         json.dumps(sidecar, indent=1, sort_keys=True), encoding="utf-8")
     return path
 
-
-def read_solution(problem: SparseProblem, path: str | Path) -> np.ndarray:
-    """Read a ``name value`` solution file into a vector aligned to ``problem``.
-
-    Accepts the generated MPS column names or the problem's own names.
-    Unknown names raise; columns missing from the file raise, so a returned
-    vector is always complete.
-    """
-    path = Path(path)
-    by_name = {problem._col_name(j): j for j in range(problem.num_cols)}
-    for j in range(problem.num_cols):
-        by_name[f"C{j + 1:07d}"] = j
-    x = np.full(problem.num_cols, np.nan)
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith(("#", "*")):
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ValueError(f"{path}:{lineno}: expected 'name value', got {raw!r}")
-        name, value = parts
-        if name not in by_name:
-            raise ValueError(f"{path}:{lineno}: unknown column {name!r}")
-        x[by_name[name]] = float(value)
-    missing = np.flatnonzero(np.isnan(x))
-    if missing.size:
-        names = [problem._col_name(int(j)) for j in missing[:5]]
-        raise ValueError(f"solution file misses {missing.size} columns, e.g. {names}")
-    return x

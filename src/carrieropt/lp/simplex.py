@@ -38,9 +38,9 @@ returns the solution, the duals, the reduced costs and the basis in the
 original problem's space.
 
 A sweep or a change of mode re-solves one matrix under other bounds, rhs or
-costs, so what depends on the matrix alone is kept between solves, one
-:class:`_Kernel` per thread: the scale factors and the scaled ``[A | I]`` as
-CSC and as CSR. A solve whose presolved matrix equals the kept one (equal
+costs, so what depends on the matrix alone is kept between solves, in one
+:class:`_Kernel`: the scale factors and the scaled ``[A | I]`` as CSC and as
+CSR. A solve whose presolved matrix equals the kept one (equal
 shape, equal ``data`` dtype and equal ``indptr``, ``indices`` and ``data``;
 never a fingerprint, which only compares sums) uses the kernel; any other
 matrix replaces it, the old one going first. The kernel is a pure function
@@ -54,7 +54,6 @@ factors, so one kept between solves would hold megabytes of memory.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -307,17 +306,17 @@ class _Kernel:
                 and np.array_equal(a.data, self.data))
 
 
-_kept = threading.local()  # per thread, ``kernel``: the last solve's _Kernel
+_kept: _Kernel | None = None  # the last solve's kernel
 
 
 def _kernel(a: sp.csr_matrix) -> _Kernel:
-    """This thread's kernel for matrix ``a``: the kept one when it matches, else a
-    new one, which replaces it after the old one is let go of."""
-    kernel = getattr(_kept, "kernel", None)
-    if kernel is None or not kernel.matches(a):
-        _kept.kernel = None
-        kernel = _kept.kernel = _Kernel(a)
-    return kernel
+    """The kernel for matrix ``a``: the kept one when it matches, else a new
+    one, which replaces it after the old one is let go of."""
+    global _kept
+    if _kept is None or not _kept.matches(a):
+        _kept = None
+        _kept = _Kernel(a)
+    return _kept
 
 
 class _Simplex:

@@ -323,9 +323,6 @@ class ScenarioRunner:
     capacities and metrics may too, and so may a min-cost outcome's metrics
     and capacities, as they come from whichever optimal vertex the solve
     reaches. ``objective`` and ``costs.total`` of a min-cost outcome do not.
-    Threads may share a runner as long as each runs only scenarios no other
-    thread runs, after every ``reference`` run they rely on is cached: a run
-    writes only its own scenario's cache and build entries.
     """
 
     def __init__(self, system: EnergySystem):
@@ -348,10 +345,9 @@ class ScenarioRunner:
                ) -> tuple[BuiltProblem, Basis | None]:
         """The problem a run of ``problem`` solves and the basis it starts
         from, by the class's rule."""
-        outcomes = list(self._cache.values())  # a snapshot: other threads may add to it
         free = problem.problem.free_rows()
         n = problem.problem.num_cols
-        for outcome in reversed(outcomes):
+        for outcome in reversed(self._cache.values()):
             if outcome.scenario_id != scenario.id:
                 continue
             basis = outcome.result.basis
@@ -361,7 +357,7 @@ class ScenarioRunner:
                 # the start meets its cap, so every least-emissions point does too
                 kept = replace(problem.problem, rhs=outcome.built.problem.rhs)
                 return replace(problem, problem=kept), basis
-        for outcome in outcomes:
+        for outcome in self._cache.values():
             if outcome.scenario_id in _ROOT_IDS and outcome.mode.kind == "min_cost":
                 return problem, map_basis(outcome.result.basis, outcome.built.problem,
                                           problem.problem)

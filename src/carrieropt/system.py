@@ -308,7 +308,9 @@ def validate_system(system: EnergySystem) -> list[str]:
     may be negative or non-finite. The remaining rules relate fields to each
     other, to the kind of their entity, to a carrier or to other entities,
     and a technology's emission factor must price one of its flows
-    (:func:`priced_flow`).
+    (:func:`priced_flow`); no branch may share a technology's id. Once every
+    other rule holds, each column's cost coefficient, as the cost model
+    derives it, must be finite.
     """
     out: list[str] = []
     holders = [("", system), ("horizon: ", system.horizon)]
@@ -441,6 +443,8 @@ def validate_system(system: EnergySystem) -> list[str]:
             out.append(f"{pre}: max_capacity below existing capacity")
         if b.expandable and not math.isfinite(b.max_capacity):
             out.append(f"{pre}: expandable branches need a finite max_capacity")
+        elif b.expandable and b.integer_block_mw and b.headroom / b.integer_block_mw == math.inf:
+            out.append(f"{pre}: more integer blocks fit the headroom than a double counts")
         if b.is_pipeline:
             if b.bidirectional:
                 out.append(f"{pre}: pipelines are unidirectional, pair them per direction")
@@ -460,6 +464,29 @@ def validate_system(system: EnergySystem) -> list[str]:
         c = b.compression
         if c is not None and c.outlet_pressure_bar < c.reference_pressure_bar:
             out.append(f"{pre}: outlet pressure below the reference pressure")
+    out += [f"branch {b}: id also names a technology"
+            for b in sorted(set(branch_ids) & set(tech_ids))]
+    if not out:  # the cost coefficients are derived from a well-formed system only
+        out += _non_finite_costs(system)
+    return out
+
+
+def _non_finite_costs(system: EnergySystem) -> list[str]:
+    """One message per column role whose cost coefficient is not finite, such
+    as an annuity or a carbon charge past a double's range: each role's
+    coefficient from :func:`carrieropt.costing.cost_table` over one step."""
+    from .costing import cost_table  # costing imports this module
+
+    roles = _variable_roles(system)
+    with np.errstate(over="ignore", invalid="ignore"):
+        costs = cost_table(system, VariableIndex(1, roles)).costs
+    kinds = {t.id: "technology" for t in system.technologies}
+    kinds.update((b.id, "branch") for b in system.branches)
+    out = []
+    for col in np.flatnonzero(~np.isfinite(costs)):
+        entity, role, _ = roles[col]
+        kind = "node" if role.startswith("imp[") else kinds[entity]
+        out.append(f"{kind} {entity}: cost coefficient of {role} must be finite")
     return out
 
 
@@ -647,7 +674,11 @@ def assemble_variable_index(system: EnergySystem) -> VariableIndex:
     violations = validate_system(system)
     if violations:
         raise StructureError("invalid system: " + "; ".join(violations[:5]))
+    return VariableIndex(system.horizon.step_count, _variable_roles(system))
 
+
+def _variable_roles(system: EnergySystem) -> list[tuple[str, str, bool]]:
+    """``(entity, role, per_step)`` of every variable of ``system``, in column order."""
     participants = node_carrier_participants(system)
     roles: list[tuple[str, str, bool]] = []
 
@@ -663,7 +694,7 @@ def assemble_variable_index(system: EnergySystem) -> VariableIndex:
     for entity, flows in entities:
         roles += ((entity.id, flow[0], True) for flow in flows)
         roles += ((entity.id, role, False) for role, _, _ in single_columns(entity))
-    return VariableIndex(system.horizon.step_count, roles)
+    return roles
 
 
 # -- miniature test system --------------------------------------------------------

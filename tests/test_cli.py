@@ -2,6 +2,7 @@
 
 import json
 import math
+import threading
 from pathlib import Path
 
 import pytest
@@ -187,20 +188,26 @@ class TestValidate:
         assert run_cli(["--quiet", "run", str(broken), "--scenario", "reference"]) == 3
 
 
-def _edited_fixture(tmp_path, tech_id, column, value):
-    """A copy of the shipped fixture with one cell of ``technologies.csv`` set."""
+def _edited_fixture(tmp_path, *cells, carbon_price=None):
+    """A copy of the shipped fixture with each ``(file, id, column, value)``
+    cell set, and ``carbon_price`` in the manifest when given."""
     import shutil
     directory = tmp_path / "edited"
     shutil.copytree(FIXTURE, directory)
-    path = directory / "technologies.csv"
-    header, *rows = path.read_text().splitlines()
-    at = header.split(",").index(column)
-    for k, row in enumerate(rows):
-        cells = row.split(",")
-        if cells[0] == tech_id:
-            cells[at] = value
-            rows[k] = ",".join(cells)
-    path.write_text("".join(f"{line}\n" for line in [header, *rows]))
+    for file, row_id, column, value in cells:
+        path = directory / file
+        header, *rows = path.read_text().splitlines()
+        at = header.split(",").index(column)
+        for k, row in enumerate(rows):
+            parts = row.split(",")
+            if parts[0] == row_id:
+                parts[at] = value
+                rows[k] = ",".join(parts)
+        path.write_text("".join(f"{line}\n" for line in [header, *rows]))
+    if carbon_price is not None:
+        path = directory / "manifest.json"
+        manifest = json.loads(path.read_text())
+        path.write_text(json.dumps({**manifest, "carbon_price": carbon_price}))
     return directory
 
 
@@ -209,7 +216,7 @@ class TestEdgeCells:
 
     def test_a_hydrogen_input_factor_without_hydrogen_production(self, tmp_path, capsys):
         # reference strips gas1's hydrogen input, and the factor with it
-        edited = _edited_fixture(tmp_path, "gas1", "ef_in_hydrogen", "0.01")
+        edited = _edited_fixture(tmp_path, ("technologies.csv", "gas1", "ef_in_hydrogen", "0.01"))
         assert run_cli(["validate", str(edited)]) == 0
         capsys.readouterr()
         runs = []
@@ -225,15 +232,40 @@ class TestEdgeCells:
                                                ("discount_rate", "1e300")])
     def test_an_annuity_past_a_doubles_range(self, tmp_path, capsys, column, value):
         # (1+r)^L exceeds a double: batt1's capex is annualized as a perpetuity
-        edited = _edited_fixture(tmp_path, "batt1", column, value)
+        edited = _edited_fixture(tmp_path, ("technologies.csv", "batt1", column, value))
         assert run_cli(["validate", str(edited)]) in (0, 3)
         assert run_cli(["--quiet", "run", str(edited), "--scenario", "synergies"]) in (0, 3)
 
     def test_a_negative_lifetime_exits_3(self, tmp_path, capsys):
-        edited = _edited_fixture(tmp_path, "nuc1", "lifetime", "-5.0")
+        edited = _edited_fixture(tmp_path, ("technologies.csv", "nuc1", "lifetime", "-5.0"))
         assert run_cli(["validate", str(edited)]) == 3
         assert "technology nuc1: lifetime must be >= 0" in capsys.readouterr().out
         assert run_cli(["--quiet", "run", str(edited), "--scenario", "reference"]) == 3
+
+
+    @pytest.mark.parametrize("cells, carbon_price, message", [
+        ([("technologies.csv", "batt1", "capex_per_size", "1e10"),
+          ("technologies.csv", "batt1", "discount_rate", "1e300")], None,
+         "technology batt1: cost coefficient of size must be finite"),
+        ([("technologies.csv", "batt1", "capex_per_size", "1e308")], None,
+         "technology batt1: cost coefficient of size must be finite"),
+        ([("technologies.csv", "gas1", "ef_in_natural_gas", "1e10")], 1e300,
+         "technology gas1: cost coefficient of in[natural_gas] must be finite"),
+        ([("technologies.csv", "batt1", "lifetime", "5e-324")], None,
+         "technology batt1: cost coefficient of size must be finite"),
+        ([("branches.csv", "ac1", "integer_block_mw", "5e-324")], None,
+         "branch ac1: more integer blocks fit the headroom than a double counts"),
+        ([("branches.csv", "ac1", "id", "batt1")], None,
+         "branch batt1: id also names a technology"),
+    ], ids=["perpetuity", "annuity", "carbon-charge", "tiny-lifetime", "tiny-block",
+            "shared-id"])
+    def test_a_coefficient_past_a_doubles_range_exits_3(self, tmp_path, capsys, cells,
+                                                        carbon_price, message):
+        edited = _edited_fixture(tmp_path, *cells, carbon_price=carbon_price)
+        assert run_cli(["validate", str(edited)]) == 3
+        assert capsys.readouterr().out == f"1 violation\n{message}\n"
+        for scenario in ("reference", "synergies"):
+            assert run_cli(["--quiet", "run", str(edited), "--scenario", scenario]) == 3
 
 
 class TestRun:
@@ -275,7 +307,7 @@ class TestRun:
                         "--mode", "cap=nan"]) == 2
         assert run_cli(["matrix", str(system_dir), "--modes", "cap=nan",
                         "--out", out]) == 2
-        # a worker count below one or an empty list fails before any solve
+        # a --jobs below one or an empty list fails before any solve
         def no_solve(*args, **kwargs):
             raise AssertionError("a usage error must stop before any solve")
 
@@ -484,7 +516,25 @@ class TestMatrix:
         assert sorted(path.name for path in out.iterdir()) == [
             "t-1_min_cost.json", "t-1_min_cost_capacities.csv"]
 
+    def test_every_run_is_on_the_calling_thread(self, system_dir, tmp_path, capsys,
+                                                monkeypatch):
+        threads = []
+        real_run = ScenarioRunner.run
+
+        def recording_run(self, scenario, mode):
+            threads.append(threading.current_thread())
+            return real_run(self, scenario, mode)
+
+        monkeypatch.setattr(ScenarioRunner, "run", recording_run)
+        assert run_cli(["--quiet", "matrix", str(system_dir),
+                        "--scenarios", "reference,t-1,synergies", "--jobs", "2",
+                        "--out", str(tmp_path / "out")]) == 0
+        capsys.readouterr()
+        assert len(threads) == 6  # three scenarios in two modes
+        assert all(thread is threading.current_thread() for thread in threads)
+
     def test_parallel_matches_serial(self, system_dir, tmp_path, capsys):
+        # --jobs is accepted and changes nothing
         serial_dir = tmp_path / "serial"
         run_cli(["--quiet", "matrix", str(system_dir), "--scenarios",
                  "reference,t-1", "--modes", "min-cost", "--out", str(serial_dir)])
@@ -514,39 +564,31 @@ class TestMatrix:
 
     def test_parallel_cap_chains_match_serial(self, system_dir, tmp_path, capsys,
                                               monkeypatch):
-        # each scenario's caps chain bases in order, whichever worker runs them,
-        # and a run with an empty chain starts from the root, reference's
-        # min-cost basis, solved cold before the workers start and not
-        # exported; at 40,000 t h-all is infeasible, so its 60,000 t cap
-        # starts from the root
+        # each scenario's caps chain bases in order, and a run with an empty
+        # chain starts from the root, reference's min-cost basis, solved cold
+        # first and not exported; at 40,000 t h-all is infeasible, so its
+        # 60,000 t cap starts from the root
         warm = {}
         real_run = ScenarioRunner.run
 
         def recording_run(self, scenario, mode):
             outcome = real_run(self, scenario, mode)
-            warm[(jobs, scenario.id, mode.label())] = "warm_start" in outcome.solver
+            warm[(scenario.id, mode.label())] = "warm_start" in outcome.solver
             return outcome
 
         monkeypatch.setattr(ScenarioRunner, "run", recording_run)
-        outputs = []
-        for jobs in ("1", "2"):
-            out = tmp_path / f"jobs{jobs}"
-            code = run_cli(["--quiet", "matrix", str(system_dir),
-                            "--scenarios", "synergies,h-all",
-                            "--modes", "min-cost,cap=40000,cap=60000", "--jobs", jobs,
-                            "--out", str(out)])
-            assert code == 5  # the infeasible cap is a failure of the matrix
-            files = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
-            outputs.append((capsys.readouterr().out, files))
-        assert outputs[0] == outputs[1]
+        code = run_cli(["--quiet", "matrix", str(system_dir),
+                        "--scenarios", "synergies,h-all",
+                        "--modes", "min-cost,cap=40000,cap=60000", "--jobs", "1",
+                        "--out", str(tmp_path / "out")])
+        assert code == 5  # the infeasible cap is a failure of the matrix
+        capsys.readouterr()
         cap40 = ObjectiveMode.min_cost_with_cap(40000.0).label()
         cap60 = ObjectiveMode.min_cost_with_cap(60000.0).label()
         min_cost = ObjectiveMode.min_cost().label()
-        expected = {("reference", min_cost): False, ("synergies", min_cost): True,
-                    ("synergies", cap40): True, ("synergies", cap60): True,
-                    ("h-all", min_cost): True, ("h-all", cap60): True}
-        assert warm == {(jobs, *key): flag for jobs in ("1", "2")
-                        for key, flag in expected.items()}
+        assert warm == {("reference", min_cost): False, ("synergies", min_cost): True,
+                        ("synergies", cap40): True, ("synergies", cap60): True,
+                        ("h-all", min_cost): True, ("h-all", cap60): True}
 
 
 class TestExportMps:

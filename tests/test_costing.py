@@ -63,6 +63,11 @@ class TestAnnualize:
             expected = 622.0 * rate * (growth_minus_one + 1.0) / growth_minus_one
             assert annualize(622.0, lifetime, rate) == expected
 
+    def test_an_underflowing_lifetime_takes_the_limit(self):
+        # L log(1+r) underflows to zero: the annuity tends to capex r / (L log(1+r))
+        assert annualize(622.0, 5e-324, 0.04) == math.inf
+        assert 0.0 < annualize(1e-300, 5e-324, 0.04) < math.inf
+
     def test_nonpositive_lifetime_rejected(self):
         with pytest.raises(ValueError):
             annualize(10.0, 0.0, 0.04)

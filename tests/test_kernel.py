@@ -2,9 +2,6 @@
 its scaling and its scaled matrix, and gives the same bits as a solve that
 sets everything up afresh."""
 
-import sys
-import threading
-
 import numpy as np
 import pytest
 
@@ -28,7 +25,7 @@ def _bits(result) -> tuple:
 
 
 def _forget():
-    simplex._kept.kernel = None
+    simplex._kept = None
 
 
 @pytest.fixture
@@ -136,48 +133,6 @@ def test_a_matrix_written_in_place_is_another_matrix(built):
     assert p.a.toarray().tolist() == [[1.0, 2.0], [3.0, 1.0]]
     assert solve_lp(p).x.tolist() == pytest.approx([0.4, 2.8], abs=1e-12)
     assert len(built) == 2
-
-
-def test_threads_alternating_between_two_matrices(built):
-    runner = ScenarioRunner(build_miniature_system(0))
-    problems = [runner.problem(standard_scenario(s), ObjectiveMode.min_cost()).problem
-                for s in ("synergies", "t-all")]
-    optima = []
-    for p in problems:
-        _forget()
-        optima.append(solve_lp(p))
-    expected = []
-    for p, o in zip(problems, optima):
-        _forget()
-        expected.append(_bits(solve_lp(p, start=o.basis)))
-    rounds, workers = 4, 4  # more threads than cores, switching often
-    barrier = threading.Barrier(workers, timeout=60)
-    seen: dict[int, list] = {me: [] for me in range(workers)}
-
-    def work(me: int):
-        for k in range(rounds):
-            which = (me + k) % 2
-            barrier.wait()  # every thread solves at once, half of them each matrix
-            for _ in range(2):  # the second solve reuses the first's kernel
-                result = solve_lp(problems[which], start=optima[which].basis)
-                seen[me].append((which, _bits(result)))
-
-    built.clear()
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        threads = [threading.Thread(target=work, args=(me,)) for me in range(workers)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=120)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    for me in range(workers):
-        assert len(seen[me]) == 2 * rounds
-        assert all(bits == expected[which] for which, bits in seen[me])
-    assert len(built) == workers * rounds  # one build per round and thread
 
 
 def test_a_resolve_after_an_infeasible_end(built):

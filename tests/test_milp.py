@@ -110,9 +110,9 @@ class TestBranchAndBound:
         p = make_problem([[2.0, 1.0], [1.0, 3.0]], [LE, LE], [7.3, 8.9],
                          [-3.0, -4.0], upper=[5.0, 5.0],
                          integer=np.array([True, True]))
-        simplex._kept.kernel = None  # two fresh set-ups, not one kept kernel
+        simplex._kept = None  # two fresh set-ups, not one kept kernel
         r1 = solve_milp(p)
-        simplex._kept.kernel = None
+        simplex._kept = None
         r2 = solve_milp(replace(p, a=p.a.copy()))
         assert r1.objective == r2.objective
         assert (r1.x == r2.x).all()

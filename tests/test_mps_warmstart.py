@@ -1,4 +1,4 @@
-"""MPS export / solution import and three-stage warm-start behaviour."""
+"""MPS export and three-stage warm-start behaviour."""
 
 import json
 
@@ -10,10 +10,8 @@ from carrieropt.lp import (
     LE,
     OPTIMAL,
     export_mps,
-    read_solution,
     solve_lp,
     solve_milp,
-    verify_solution,
     warm_start_solve,
     WarmStartError,
 )
@@ -103,25 +101,6 @@ class TestMpsExport:
         sidecar = json.loads((tmp_path / "toy.mps.names.json").read_text())
         assert sidecar["columns"]["C0000001"] == "blocks"
         assert sidecar["rows"]["R0000001"] == "r0"
-
-    def test_solution_file_round_trip(self, tmp_path):
-        p = self._problem()
-        res = solve_milp(p)
-        sol = tmp_path / "toy.sol"
-        lines = ["# objective line ignored"]
-        lines += [f"{p.col_names[j]} {float(res.x[j])!r}" for j in range(p.num_cols)]
-        sol.write_text("\n".join(lines))
-        x = read_solution(p, sol)
-        assert_allclose(x, res.x, rtol=0)
-        res.x = x
-        assert verify_solution(p, res).ok(1e-7)
-
-    def test_solution_file_unknown_name(self, tmp_path):
-        p = self._problem()
-        sol = tmp_path / "bad.sol"
-        sol.write_text("nosuch 1.0\n")
-        with pytest.raises(ValueError, match="unknown column"):
-            read_solution(p, sol)
 
 
 class TestWarmStart:

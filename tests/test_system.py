@@ -156,6 +156,36 @@ class TestValidation:
             ScenarioRunner(bad).run(standard_scenario("synergies"), ObjectiveMode.min_cost())
 
 
+    def test_cost_coefficients_past_a_doubles_range_flagged(self, mini):
+        """Each column whose cost coefficient overflows is named by its entity
+        and role: a branch's annuity, a node's carbon-charged import."""
+        n1 = mini.node("n1")
+        n1 = dataclasses.replace(n1, import_emission_factor={
+            **n1.import_emission_factor, Carrier.ELECTRICITY: 100.0})
+        bad = dataclasses.replace(_with_branch(mini, "ac1", cost_poly=(0.0, 1e308, 0.0, 0.4)),
+                                  carbon_price=1e307, nodes=_swap(mini.nodes, n1))
+        assert validate_system(bad) == [
+            "node n1: cost coefficient of imp[electricity] must be finite",
+            "branch ac1: cost coefficient of size must be finite"]
+        with pytest.raises(ValueError, match="^invalid system: node n1: cost coefficient"):
+            ScenarioRunner(bad).run(standard_scenario("reference"), ObjectiveMode.min_cost())
+
+    def test_limits_past_a_doubles_range_flagged(self, mini):
+        """A lifetime or an integer block so small that the annuity or the
+        block count overflows is a violation, not a traceback in the build."""
+        bad = _with_tech(mini, "batt1", cost=dataclasses.replace(
+            mini.technology("batt1").cost, lifetime=5e-324))
+        assert validate_system(bad) == ["technology batt1: cost coefficient of size must be finite"]
+        bad = _with_branch(mini, "ac1", integer_block_mw=5e-324)
+        assert validate_system(bad) == [
+            "branch ac1: more integer blocks fit the headroom than a double counts"]
+
+    def test_a_branch_sharing_a_technology_id_flagged(self, mini):
+        bad = dataclasses.replace(mini, branches=tuple(
+            dataclasses.replace(b, id="batt1") if b.id == "ac1" else b for b in mini.branches))
+        assert validate_system(bad) == ["branch batt1: id also names a technology"]
+
+
 def _swap(entities, new):
     return tuple(new if e.id == new.id else e for e in entities)
 
