@@ -1,8 +1,9 @@
 """Command line: validate systems, run scenarios, sweep caps, export problems.
 
-Exit codes: 0 success, 2 usage, 3 validation failure, 4 infeasible,
-5 solver limit, 6 I/O error. Progress lines go to stderr (silenced by
-``--quiet``); results are printed to stdout and/or written as files. All
+Exit codes: 0 success, 2 usage, 3 validation failure, 4 infeasible, 5 solver
+limit (also a result past a double's range), 6 I/O error. Commands raise, and
+:func:`run_cli` alone prints a failure, as one JSON object on stdout. Progress
+goes to stderr (silenced by ``--quiet``), results to stdout and/or files; all
 numeric output is deterministic for identical inputs.
 """
 
@@ -17,7 +18,6 @@ import os
 import sys
 import tempfile
 from pathlib import Path
-from typing import NoReturn
 
 from .costing import ObjectiveMode
 from .lp import export_mps
@@ -37,6 +37,14 @@ EXIT_VALIDATION = 3
 EXIT_INFEASIBLE = 4
 EXIT_SOLVER_LIMIT = 5
 EXIT_IO = 6
+
+
+class UsageError(ValueError):
+    """An argument the command cannot use."""
+
+
+_FAILURES = ((UsageError, "usage", EXIT_USAGE), (SchemaError, "schema", EXIT_VALIDATION),
+             (RuntimeError, "solver_limit", EXIT_SOLVER_LIMIT), (OSError, "io", EXIT_IO))
 
 
 def _say(args, message: str) -> None:
@@ -130,43 +138,25 @@ def export_results(outcome: ScenarioOutcome, directory: str | Path) -> None:
     _atomic_write(directory / f"{stem}_capacities.csv", capacities_csv(outcome))
 
 
-def _fail(error: str, detail: str, code: int) -> NoReturn:
-    print(json.dumps({"error": error, "detail": detail}))
-    raise SystemExit(code)
-
-
-def _load_system(args):
-    try:
-        return parse_system_files(args.directory)
-    except SchemaError as err:
-        _fail("schema", str(err), EXIT_VALIDATION)
-    except OSError as err:
-        _fail("io", str(err), EXIT_IO)
-
-
 def _scenario(args):
     try:
         return standard_scenario(args.scenario, year=args.year)
     except KeyError as err:
-        _fail("usage", str(err), EXIT_USAGE)
+        raise UsageError(str(err)) from None
 
 
 def _warm_from(args) -> dict | None:
     """The ``size_values`` of the prior result named by ``--warm-start``."""
     if not args.warm_start:
         return None
-    try:
-        text = Path(args.warm_start).read_bytes()
-    except OSError as err:
-        _fail("io", str(err), EXIT_IO)
-    try:
-        base = json.loads(text, parse_int=float)  # an int too large for a float reads inf
+    try:  # an int too large for a float reads inf
+        base = json.loads(Path(args.warm_start).read_bytes(), parse_int=float)
     except ValueError:
         base = None
     sizes = base.get("size_values") if isinstance(base, dict) else None
     if not (isinstance(sizes, dict)  # refuses booleans, NaN and infinities
             and all(type(v) is float and math.isfinite(v) for v in sizes.values())):
-        _fail("usage", f"{args.warm_start}: no size_values object of numbers", EXIT_USAGE)
+        raise UsageError(f"{args.warm_start}: no size_values object of numbers")
     return sizes
 
 
@@ -179,58 +169,42 @@ def cmd_validate(args) -> int:
         for message in err.violations:
             print(message)
         return EXIT_VALIDATION
-    except OSError as err:
-        _fail("io", str(err), EXIT_IO)
     print("0 violations")
     return EXIT_OK
 
 
 def cmd_run(args) -> int:
-    system = _load_system(args)
+    system = parse_system_files(args.directory)
     scenario = _scenario(args)
     mode = args.mode
     warm_from = _warm_from(args)
     _say(args, f"running {scenario.id} [{mode.label()}]")
-    try:
-        outcome = ScenarioRunner(system).run(scenario, mode, warm_from=warm_from)
-    except InfeasibleCapError as err:
-        print(json.dumps({"error": "infeasible", "cap": err.cap,
-                          "minimum_achievable": err.minimum_achievable},
-                         sort_keys=True))
-        return EXIT_INFEASIBLE
-    except RuntimeError as err:
-        _fail("solver_limit", str(err), EXIT_SOLVER_LIMIT)
+    outcome = ScenarioRunner(system).run(scenario, mode, warm_from=warm_from)
     payload = json.dumps(outcome_to_json(outcome), indent=1, sort_keys=True)
     if args.out:
-        try:
-            export_results(outcome, args.out)
-        except OSError as err:
-            _fail("io", str(err), EXIT_IO)
+        export_results(outcome, args.out)
         _say(args, f"results written to {args.out}")
     print(payload)
     return EXIT_OK
 
 
 def cmd_sweep(args) -> int:
-    system = _load_system(args)
+    system = parse_system_files(args.directory)
     scenario = _scenario(args)
     try:
         targets = [float(part) for part in args.targets.split(",") if part]
         if not targets:
             raise ValueError("--targets lists no reduction fraction")
     except ValueError as err:
-        _fail("usage", str(err), EXIT_USAGE)
+        raise UsageError(str(err)) from None
     _say(args, f"sweeping {scenario.id} over {targets}")
     try:
         rows = abatement_sweep(system, scenario, targets)
     except ValueError as err:
-        _fail("usage", str(err), EXIT_USAGE)
+        raise UsageError(str(err)) from None
     text = frontier_csv(rows)
     if args.out:
-        try:
-            _atomic_write(Path(args.out) / f"{scenario.id}_frontier.csv", text)
-        except OSError as err:
-            _fail("io", str(err), EXIT_IO)
+        _atomic_write(Path(args.out) / f"{scenario.id}_frontier.csv", text)
     print(text, end="")
     return EXIT_OK
 
@@ -250,7 +224,7 @@ def cmd_matrix(args) -> int:
     does: ``objective`` and ``costs.total`` are equal, ``metrics`` and
     capacities may differ.
     """
-    system = _load_system(args)
+    system = parse_system_files(args.directory)
     if args.scenarios == "all":
         ids = list(STANDARD_SCENARIO_IDS)
     else:
@@ -264,7 +238,7 @@ def cmd_matrix(args) -> int:
         if not scenarios or not modes:
             raise ValueError("--scenarios and --modes each need at least one entry")
     except (KeyError, ValueError, argparse.ArgumentTypeError) as err:
-        _fail("usage", str(err), EXIT_USAGE)
+        raise UsageError(str(err)) from None
 
     runner = ScenarioRunner(system)
 
@@ -273,7 +247,7 @@ def cmd_matrix(args) -> int:
         _say(args, f"running {scenario.id} [{mode.label()}]")
         try:
             return scenario.id, mode, runner.run(scenario, mode)
-        except (InfeasibleCapError, RuntimeError) as err:
+        except RuntimeError as err:  # InfeasibleCapError too
             return str(err)
 
     # reference min-cost first, so that every other scenario can start from it
@@ -284,12 +258,8 @@ def cmd_matrix(args) -> int:
     failures = [item for item in done if isinstance(item, str)]
     results = sorted((item for item in done if not isinstance(item, str)),
                      key=lambda item: (item[0], item[1].label()))
-    out = Path(args.out)
-    try:
-        for sid, mode, outcome in results:
-            export_results(outcome, out)
-    except OSError as err:
-        _fail("io", str(err), EXIT_IO)
+    for sid, mode, outcome in results:
+        export_results(outcome, Path(args.out))
     summary = {
         "runs": [{"scenario": sid, "mode": mode.label(),
                   "objective": outcome.objective,
@@ -302,14 +272,11 @@ def cmd_matrix(args) -> int:
 
 
 def cmd_export_mps(args) -> int:
-    system = _load_system(args)
+    system = parse_system_files(args.directory)
     scenario = _scenario(args)
     problem = ScenarioRunner(system).problem(scenario, args.mode).problem
-    try:
-        path = export_mps(problem, args.out,
-                          name=f"{scenario.id}-{args.mode.kind}".upper())
-    except OSError as err:
-        _fail("io", str(err), EXIT_IO)
+    path = export_mps(problem, args.out,
+                      name=f"{scenario.id}-{args.mode.kind}".upper())
     _say(args, f"wrote {path}")
     print(str(path))
     return EXIT_OK
@@ -374,8 +341,17 @@ def run_cli(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if err.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except SystemExit as err:
-        return err.code if isinstance(err.code, int) else EXIT_USAGE
+    except InfeasibleCapError as err:
+        print(json.dumps({"error": "infeasible", "cap": err.cap,
+                          "minimum_achievable": err.minimum_achievable},
+                         sort_keys=True))
+        return EXIT_INFEASIBLE
+    except Exception as err:
+        for kind, error, code in _FAILURES:
+            if isinstance(err, kind):
+                print(json.dumps({"error": error, "detail": str(err)}))
+                return code
+        raise
 
 
 def main() -> None:

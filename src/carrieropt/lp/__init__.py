@@ -2,7 +2,7 @@
 
 from .branch_bound import solve_milp
 from .mps import export_mps
-from .presolve import map_basis
+from .presolve import fits, map_basis
 from .problem import EQ, GE, LE, ProblemError, RowBlock, SparseProblem
 from .simplex import (
     INFEASIBLE,
@@ -32,6 +32,7 @@ __all__ = [
     "VerificationReport",
     "WarmStartError",
     "export_mps",
+    "fits",
     "map_basis",
     "solve_lp",
     "solve_milp",

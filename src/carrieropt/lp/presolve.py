@@ -67,7 +67,7 @@ class Presolved:
     infeasible_rows: list[str] = field(default_factory=list)
 
 
-def _fits(problem: SparseProblem, start: Basis) -> bool:
+def fits(problem: SparseProblem, start: Basis) -> bool:
     """Whether ``start`` is a basis of ``problem``'s matrix with every free
     row's slack basic."""
     m, n = problem.a.shape
@@ -84,7 +84,7 @@ def presolve(problem: SparseProblem, start: Basis | None = None) -> Presolved:
     a = problem.a
     m, n = a.shape
     free = problem.free_rows()
-    if start is not None and not _fits(problem, start):
+    if start is not None and not fits(problem, start):
         start = None
     basic = np.zeros(n + m, dtype=bool)
     if start is not None:
@@ -138,7 +138,7 @@ def map_basis(start: Basis, source: SparseProblem, target: SparseProblem) -> Bas
     ``source`` (a free row of ``source`` with a nonbasic slack in it does
     not), or when ``target`` lacks a column or another row of ``source``.
     """
-    if not _fits(source, start):
+    if not fits(source, start):
         return None
     m, n = target.a.shape
     ns = source.num_cols

@@ -18,6 +18,7 @@ stay pure dispatch problems.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, replace
 from functools import reduce
 from operator import add
@@ -37,12 +38,12 @@ from .lp import (
     Basis,
     SolveResult,
     WarmStartError,
+    fits,
     map_basis,
     solve_milp,
     warm_start_solve,
 )
 from .lp import solve_lp  # unused here; perfbench/tracing.py wraps this module attribute
-from .lp.simplex import BASIC
 from .system import (
     Carrier,
     EnergySystem,
@@ -125,7 +126,7 @@ def standard_scenario(scenario_id: str, year: int = 2030) -> ScenarioSpec:
 
 
 # the scenarios whose min-cost outcome starts a run that has no basis of its own
-_ROOT_IDS = ("reference", "reference-2040")
+_ROOTS = (standard_scenario("reference"), standard_scenario("reference", year=2040))
 
 
 def _strip_capex(tech: TechnologyInstance) -> TechnologyInstance:
@@ -245,7 +246,9 @@ def _solve(built: BuiltProblem, scenario: ScenarioSpec,
     The solve starts cold, from a ``start`` basis of an earlier solve, or
     follows :func:`carrieropt.lp.warm_start_solve` from the sizes ``warm_from``
     names (other names are ignored); ``solver`` counts the work of every stage.
-    Returns None when an emission cap makes the problem infeasible.
+    Returns None when an emission cap makes the problem infeasible, and
+    raises ``RuntimeError`` for any other non-optimal solve and for an
+    objective, cost total or emission total past a double's range.
     """
     gated, mode = built.system, built.mode
     if warm_from is None:
@@ -263,6 +266,9 @@ def _solve(built: BuiltProblem, scenario: ScenarioSpec,
                            f" solver returned {result.status}")
     emissions = total_emissions(built.table, result.x)
     costs = cost_breakdown(built.table, result.x)
+    if not all(map(math.isfinite, (result.objective, costs.total, emissions.total))):
+        raise RuntimeError(f"scenario {scenario.id} ({mode.label()}):"
+                           " objective or cost totals past a double's range")
     solver = {"iterations": sum(stage.iterations for stage in stages),
               "nodes": sum(stage.nodes for stage in stages),
               "bound_gap": result.bound_gap}
@@ -284,7 +290,11 @@ def _solve(built: BuiltProblem, scenario: ScenarioSpec,
 
 
 class ScenarioRunner:
-    """Runs the scenarios of one system, caching outcomes by (scenario id, mode).
+    """Runs the scenarios of one system, caching outcomes by (scenario, mode).
+
+    A scenario is its :class:`ScenarioSpec`, every flag of it: two specs
+    that share an ``id`` but differ in a flag get builds and outcomes of
+    their own.
 
     Each scenario is gated and built once per runner, and every run of it
     derives its problem from that build through :meth:`problem`: every mode
@@ -304,7 +314,8 @@ class ScenarioRunner:
        cap: the outcome meets it, so every least-emissions point does too
        and the optimal set is the same. A min-cost or ``cap=inf`` run passes
        over such an outcome to older ones;
-    2. the first cached ``reference`` min-cost outcome (of either year),
+    2. the first cached min-cost outcome of ``standard_scenario("reference")``
+       of either year (the root),
        mapped onto the run's problem by column and row name
        (:func:`carrieropt.lp.map_basis`). Every standard scenario only
        relaxes reference's bounds, so that basis is a primal-feasible start;
@@ -330,35 +341,33 @@ class ScenarioRunner:
         if violations:
             raise ValueError("invalid system: " + "; ".join(violations[:5]))
         self.system = system
-        self._built: dict[str, BuiltProblem] = {}
-        self._cache: dict[tuple[str, str], ScenarioOutcome] = {}
+        self._built: dict[ScenarioSpec, BuiltProblem] = {}
+        self._cache: dict[tuple[ScenarioSpec, str], ScenarioOutcome] = {}
 
     def problem(self, scenario: ScenarioSpec, mode: ObjectiveMode) -> BuiltProblem:
         """The problem every run of ``scenario`` in ``mode`` solves, derived
         from the scenario's build; the first call gates and builds it."""
-        if scenario.id not in self._built:
+        if scenario not in self._built:
             gated = apply_scenario(self.system, scenario)
-            self._built[scenario.id] = build_problem(gated, ObjectiveMode.min_cost())
-        return self._built[scenario.id].for_mode(mode)
+            self._built[scenario] = build_problem(gated, ObjectiveMode.min_cost())
+        return self._built[scenario].for_mode(mode)
 
     def _start(self, scenario: ScenarioSpec, problem: BuiltProblem
                ) -> tuple[BuiltProblem, Basis | None]:
         """The problem a run of ``problem`` solves and the basis it starts
         from, by the class's rule."""
-        free = problem.problem.free_rows()
-        n = problem.problem.num_cols
-        for outcome in reversed(self._cache.values()):
-            if outcome.scenario_id != scenario.id:
+        for (spec, _), outcome in reversed(self._cache.items()):
+            if spec != scenario:
                 continue
             basis = outcome.result.basis
-            if (basis.vstat[n:][free] == BASIC).all():
+            if fits(problem.problem, basis):
                 return problem, basis
             if problem.mode.kind == "min_emissions":
                 # the start meets its cap, so every least-emissions point does too
                 kept = replace(problem.problem, rhs=outcome.built.problem.rhs)
                 return replace(problem, problem=kept), basis
-        for outcome in self._cache.values():
-            if outcome.scenario_id in _ROOT_IDS and outcome.mode.kind == "min_cost":
+        for (spec, _), outcome in self._cache.items():
+            if spec in _ROOTS and outcome.mode.kind == "min_cost":
                 return problem, map_basis(outcome.result.basis, outcome.built.problem,
                                           problem.problem)
         return problem, None
@@ -381,7 +390,8 @@ class ScenarioRunner:
         minimum (reporting that minimum), with or without ``warm_from``, and
         ``RuntimeError`` for any other non-optimal solver outcome, including
         a :class:`carrieropt.lp.WarmStartError` when a reachable cap makes
-        the fixing infeasible.
+        the fixing infeasible, and for an objective, cost total or emission
+        total past a double's range.
         """
         if warm_from is None:
             return self._outcome(scenario, mode)
@@ -396,10 +406,10 @@ class ScenarioRunner:
 
     def _outcome(self, scenario: ScenarioSpec, mode: ObjectiveMode) -> ScenarioOutcome:
         """:meth:`run`; the floor recurses here, so one ``run`` call is one outcome."""
-        key = (scenario.id, mode.label())
+        key = (scenario, mode.label())
         if key in self._cache:
             return self._cache[key]
-        floor = self._cache.get((scenario.id, ObjectiveMode.min_emissions().label()))
+        floor = self._cache.get((scenario, ObjectiveMode.min_emissions().label()))
         # a cap below the known floor by more than round-off needs no solve
         if (floor is not None and mode.kind == "min_cost_with_cap"
                 and mode.emission_cap < floor.objective * (1.0 - 1e-9)):

@@ -268,6 +268,50 @@ class TestEdgeCells:
             assert run_cli(["--quiet", "run", str(edited), "--scenario", scenario]) == 3
 
 
+def _strict_json(text: str):
+    """``text`` parsed as JSON that has no NaN or infinities."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+_EXIT = {"usage": 2, "schema": 3, "infeasible": 4, "solver_limit": 5, "io": 6}
+
+
+@pytest.mark.parametrize("command, failure", [
+    *((command, failure) for command in ("run", "sweep", "matrix", "export-mps")
+      for failure in ("usage", "schema", "io")),
+    # export-mps solves nothing, so no input makes it reach a solver limit
+    *((command, "solver_limit") for command in ("run", "sweep", "matrix")),
+    ("run", "infeasible"),
+])
+def test_a_failure_prints_strict_json_and_exits_with_its_code(tmp_path, capsys, command,
+                                                              failure):
+    directory, scenario = FIXTURE, "nope" if failure == "usage" else "reference"
+    if failure == "schema":
+        directory = _edited_fixture(tmp_path, ("technologies.csv", "batt1", "capex_per_size", "x"))
+    elif failure == "solver_limit":  # the carbon charge of 76,186 t passes a double
+        directory = _edited_fixture(tmp_path, carbon_price=1e305)
+    out = tmp_path / "out"
+    if failure == "io":  # the directory to write into is a file
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "out"
+    args = {"run": ["--scenario", scenario],
+            "sweep": ["--scenario", scenario, "--targets", "0.1"],
+            "matrix": ["--scenarios", scenario],
+            "export-mps": ["--scenario", scenario]}[command]
+    if failure == "infeasible":  # reference cannot reach 10 t
+        args += ["--mode", "cap=10"]
+    assert run_cli(["--quiet", command, str(directory), *args, "--out", str(out)]) == _EXIT[failure]
+    text = capsys.readouterr().out
+    payload = _strict_json(text)
+    if command == "matrix" and failure == "solver_limit":  # the summary lists the failed runs
+        assert payload["runs"] == [] and len(payload["failures"]) == 2
+        assert all("past a double's range" in message for message in payload["failures"])
+    else:
+        assert payload["error"] == failure and text.count("\n") == 1
+
+
 class TestRun:
     def test_matches_library(self, system_dir, capsys):
         assert run_cli(["--quiet", "run", str(system_dir),

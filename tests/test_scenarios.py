@@ -22,6 +22,7 @@ from carrieropt.lp.simplex import BASIC
 from carrieropt.scenarios import (
     InfeasibleCapError,
     ScenarioRunner,
+    ScenarioSpec,
     abatement_sweep,
     apply_scenario,
     standard_scenario,
@@ -801,6 +802,27 @@ class TestRoot:
             runner = rooted()
             for scenario in order:
                 assert files(runner, scenario) == alone[scenario.id], scenario.id
+
+
+    def test_specs_that_share_an_id_keep_builds_outcomes_and_the_root_apart(self, mini):
+        # a scenario is its flags, not its id: synergies' flags under the id "x"
+        # reach 17,377,297.86, the bare spec 27,660,494.40 (and 76,186 t at least)
+        shared, bare = replace(standard_scenario("synergies"), id="x"), ScenarioSpec(id="x")
+        runner = ScenarioRunner(mini)
+        for mode in (ObjectiveMode.min_cost(), ObjectiveMode.min_emissions()):
+            for spec in (shared, bare):
+                alone = ScenarioRunner(mini).run(spec, mode)
+                outcome = runner.run(spec, mode)
+                assert outcome.objective == pytest.approx(alone.objective, rel=1e-9), spec
+                assert outcome.emissions.total == pytest.approx(alone.emissions.total,
+                                                                rel=1e-6), spec
+        # a spec named reference with other flags is no root: synergies starts cold
+        runner = ScenarioRunner(mini)
+        with pytest.MonkeyPatch.context() as patch:
+            starts = record_starts(patch)
+            runner.run(ScenarioSpec(id="reference", grid_onshore=True), ObjectiveMode.min_cost())
+            runner.run(standard_scenario("synergies"), ObjectiveMode.min_cost())
+        assert starts == [None, None]
 
 
 class TestSweep:
